@@ -46,7 +46,9 @@ from .spectrum import (
     FrequencyGrid,
     SymmetryDecomposition,
     TimeWavepacket,
+    antisymmetric_weight,
     apply_path_delays,
+    delay_antisymmetric_weight,
     exchange_overlap,
     from_function,
     make_grid,
@@ -75,6 +77,7 @@ __all__ = [
     "SpectrumFileError",
     "SymmetryDecomposition",
     "TimeWavepacket",
+    "antisymmetric_weight",
     "apply_path_delays",
     "bell_antisymmetric_spectrum",
     "bs_inverse",
@@ -83,6 +86,7 @@ __all__ = [
     "coincidence_probability",
     "compare_methods",
     "creation_substitution",
+    "delay_antisymmetric_weight",
     "delta_pump_spectrum",
     "evaluate_scan_point",
     "exchange_overlap",

@@ -27,18 +27,12 @@ import numpy as np
 from . import fileio
 from .beamsplitter import BeamSplitterParams, transform, trapping_fidelity
 from .errors import ConfigError, DegenerateSpectrumError, SpectrumFileError
-from .scans import (
-    ScanSpec,
-    build_model_spectrum,
-    resolve_grid,
-    run_scan,
-    validate_model_params,
-)
+from .scans import ScanSpec, load_model_spectrum, run_scan, validate_model_params
 from .spectrum import (
+    antisymmetric_weight,
     apply_path_delays,
     exchange_overlap,
     separability_rank1_fraction,
-    symmetry_decompose,
     time_domain,
 )
 from .validation import run_criteria
@@ -212,8 +206,7 @@ def _load_input_state(args: argparse.Namespace):
     c_light = _c_light(args)
     model, fixed = _model_fixed(args, c_light)
     validate_model_params(model, fixed)
-    grid = resolve_grid(model, fixed, args.grid_points, args.grid_span)
-    s = build_model_spectrum(model, fixed, grid)
+    s = load_model_spectrum(model, fixed, args.grid_points, args.grid_span)
     # shih carries its delay internally; the rest get an explicit signal delay
     if model != "shih" and args.dz != 0.0:
         s = apply_path_delays(s, args.dz, 0.0, c_light)
@@ -231,7 +224,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         "p_11": decomposition.p_11,
         "p_22": decomposition.p_22,
         "p_coinc": decomposition.p_coinc,
-        "w_antisym": symmetry_decompose(s).w_antisym,
+        "w_antisym": antisymmetric_weight(s),
         "exchange_overlap": exchange_overlap(s),
         "rank1_fraction": separability_rank1_fraction(s),
         "trapping_fidelity": trapping_fidelity(s),

@@ -2,11 +2,15 @@
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference), the sweep range and the evaluation
-methods.  Each scan point is an independent pure evaluation: the spectrum is
-rebuilt from scratch, sent through the balanced splitter for the numeric
-probability, and compared against the model's closed form where one exists.
-Identical specs therefore produce bit-identical tables, in any evaluation
-order.
+methods.  A delay only multiplies the exchange overlap term by term by a
+difference-frequency phase, so a ``dz`` sweep builds the delay-free
+spectrum once, reduces it once with
+:func:`~biphoton.spectrum.delay_antisymmetric_weight`, and reads each row
+off that reduction in O(n).  A ``dl`` sweep changes the spectrum itself, so
+each of its rows builds the spectrum and sends it through the balanced
+splitter.  Every row is compared against the model's closed form where one
+exists.  Each row is computed on its own from the same inputs, so identical
+specs produce bit-identical tables, in any evaluation order.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,9 +40,9 @@ from .models import (
 from .spectrum import (
     BiphotonSpectrum,
     FrequencyGrid,
-    apply_path_delays,
+    antisymmetric_weight,
+    delay_antisymmetric_weight,
     make_grid,
-    symmetry_decompose,
 )
 
 MODELS = ("gaussian_pair", "shih", "delta_pump", "bell", "spectrum_file")
@@ -206,38 +210,26 @@ def _shih_model(spec: ScanSpec, value: float) -> ShihModel:
     )
 
 
-def _build_point_spectrum(
-    spec: ScanSpec, grid: FrequencyGrid, base: BiphotonSpectrum | None, value: float
-) -> tuple[BiphotonSpectrum, float]:
-    """Spectrum and effective relative delay for one scan point."""
-    fixed = spec.fixed
-    c_light = float(fixed.get("c_light", 1.0))
-
+def _dl_point_spectrum(spec: ScanSpec, grid: FrequencyGrid, value: float) -> BiphotonSpectrum:
+    """Spectrum of one row of a ``dl`` sweep."""
     if spec.model == "shih":
-        m = _shih_model(spec, value)
-        return shih_spectrum(m, grid), m.z1 - m.z2
+        return shih_spectrum(_shih_model(spec, value), grid)
+    if spec.model != "delta_pump":
+        raise ConfigError(f"model {spec.model!r} cannot sweep 'dl'")
+    fixed = spec.fixed
+    return delta_pump_spectrum(
+        sigma=float(fixed.get("sigma", 1.0)),
+        center=float(fixed.get("center", 0.0)),
+        dl=value,
+        parity=str(fixed.get("parity", "even")),
+        grid=grid,
+        c_light=float(fixed.get("c_light", 1.0)),
+    )
 
-    if spec.swept == "dl":
-        if spec.model != "delta_pump":
-            raise ConfigError(f"model {spec.model!r} cannot sweep 'dl'")
-        s = delta_pump_spectrum(
-            sigma=float(fixed.get("sigma", 1.0)),
-            center=float(fixed.get("center", 0.0)),
-            dl=value,
-            parity=str(fixed.get("parity", "even")),
-            grid=grid,
-            c_light=c_light,
-        )
-        return s, 0.0
 
-    # dz sweep over an externally delayed model spectrum
-    if base is None:
-        base = _base_spectrum(spec, grid)
-    if spec.delay_mode == "signal":
-        z1, z2 = value, 0.0
-    else:
-        z1, z2 = value, value
-    return apply_path_delays(base, z1, z2, c_light), z1 - z2
+def _relative_delay(spec: ScanSpec, value: float) -> float:
+    """Relative delay ``z1 - z2`` of one row of a ``dz`` sweep."""
+    return 0.0 if spec.model != "shih" and spec.delay_mode == "common" else value
 
 
 def build_model_spectrum(
@@ -285,25 +277,43 @@ def build_model_spectrum(
     raise ConfigError(f"unknown model {model!r}")
 
 
-def _base_spectrum(spec: ScanSpec, grid: FrequencyGrid) -> BiphotonSpectrum:
-    return build_model_spectrum(spec.model, spec.fixed, grid)
+def load_model_spectrum(
+    model: str, fixed: dict[str, Any], grid_points: int = 257, grid_span_sigmas: float = 6.0
+) -> BiphotonSpectrum:
+    """Undelayed model spectrum on the grid its parameters imply.
+
+    A spectrum file is read once and brings its own grid.
+    """
+    if model == "spectrum_file":
+        return fileio.load_spectrum(_require(fixed, "path", model))
+    grid = resolve_grid(model, fixed, grid_points, grid_span_sigmas)
+    return build_model_spectrum(model, fixed, grid)
 
 
 def _evaluate_point(
-    spec: ScanSpec, grid: FrequencyGrid, base: BiphotonSpectrum | None, value: float
+    spec: ScanSpec,
+    grid: FrequencyGrid,
+    delay_weight: Callable[[float], float] | None,
+    value: float,
 ) -> tuple[ScanRow, tuple[str, ...]]:
+    """One row; ``delay_weight`` is the ``dz`` sweep's reduced base spectrum."""
     evaluation = spec.resolved_evaluation()
-    balanced = BeamSplitterParams.balanced()
 
     p_numeric = None
     w_antisym = None
     warnings: tuple[str, ...] = ()
     if "numeric" in evaluation:
-        s, _ = _build_point_spectrum(spec, grid, base, value)
-        warnings = s.warnings
-        p_numeric = coincidence_probability(s, balanced)
-        if spec.include_w_antisym:
-            w_antisym = symmetry_decompose(s).w_antisym
+        if delay_weight is not None:
+            # the balanced coincidence equals the antisymmetric weight
+            p_numeric = delay_weight(_relative_delay(spec, value))
+            if spec.include_w_antisym:
+                w_antisym = p_numeric
+        else:
+            s = _dl_point_spectrum(spec, grid, value)
+            warnings = s.warnings
+            p_numeric = coincidence_probability(s, BeamSplitterParams.balanced())
+            if spec.include_w_antisym:
+                w_antisym = antisymmetric_weight(s)
 
     p_closed = None
     p_reduced = None
@@ -346,34 +356,63 @@ def _check_row(row: ScanRow) -> None:
         raise ArithmeticError(f"p_reduced is not finite at param {row.param!r}")
 
 
+def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
+    # A sampled spectrum is periodic in the relative delay with period
+    # 2 pi c / domega, so delays from half that period on alias onto
+    # shorter ones.
+    reach = max(abs(_relative_delay(spec, spec.start)), abs(_relative_delay(spec, spec.stop)))
+    period = 2.0 * math.pi * float(spec.fixed.get("c_light", 1.0)) / grid.spacing
+    if reach < 0.5 * period:
+        return []
+    return [
+        f"relative delay |z1 - z2| up to {reach:g} reaches half the delay period "
+        f"2*pi*c/domega = {period:g} of the {grid.n_points}-point grid; the numeric "
+        f"curve repeats with that period, so delays past {0.5 * period:g} alias"
+    ]
+
+
+def _prepare(
+    spec: ScanSpec,
+) -> tuple[FrequencyGrid, Callable[[float], float] | None, list[str]]:
+    """Grid, reduced base spectrum (numeric ``dz`` sweeps only) and warnings."""
+    if spec.swept != "dz" or "numeric" not in spec.resolved_evaluation():
+        return model_grid(spec), None, []
+    if spec.model == "shih":
+        # built at z2 = z1: the remaining common phase exp(i (w1 + w2) z1 / c)
+        # is exchange-symmetric, so only z1 - z2 changes the coincidence
+        base = shih_spectrum(_shih_model(spec, 0.0), model_grid(spec))
+    else:
+        base = load_model_spectrum(
+            spec.model, spec.fixed, spec.grid_points, spec.grid_span_sigmas
+        )
+    c_light = float(spec.fixed.get("c_light", 1.0))
+    warnings = list(base.warnings) + _alias_warnings(spec, base.grid)
+    return base.grid, delay_antisymmetric_weight(base, c_light), warnings
+
+
 def evaluate_scan_point(spec: ScanSpec, value: float) -> ScanRow:
     """Evaluate a single scan point in isolation.
 
     ``run_scan`` is equivalent to mapping this function over
-    ``spec.values()``; points are pure and independent, so callers may
-    evaluate them in any order or concurrently.
+    ``spec.values()``: both read a ``dz`` row off the same reduction of the
+    delay-free spectrum (built here for the one point, once per scan by
+    ``run_scan``), and build a ``dl`` row's spectrum for that row alone, so
+    the rows agree bit for bit.  Points are pure and independent; callers
+    may evaluate them in any order or concurrently.
     """
-    grid = model_grid(spec)
-    row, _ = _evaluate_point(spec, grid, None, value)
+    grid, delay_weight, _ = _prepare(spec)
+    row, _ = _evaluate_point(spec, grid, delay_weight, value)
     return row
 
 
 def run_scan(spec: ScanSpec) -> ScanResult:
     """Run the scan and assemble the result table with metadata."""
     t0 = time.perf_counter()
-    grid = model_grid(spec)
-
-    # A dz sweep delays a fixed base spectrum, which each point rebuilds
-    # identically; sharing the (immutable) base changes nothing and avoids
-    # resampling the model per row.
-    base = None
-    if spec.swept == "dz" and spec.model != "shih":
-        base = _base_spectrum(spec, grid)
+    grid, delay_weight, warnings = _prepare(spec)
 
     rows = []
-    warnings: list[str] = []
     for value in spec.values():
-        row, row_warnings = _evaluate_point(spec, grid, base, value)
+        row, row_warnings = _evaluate_point(spec, grid, delay_weight, value)
         rows.append(row)
         for w in row_warnings:
             if w not in warnings:

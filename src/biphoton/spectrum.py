@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import ConfigError, DegenerateSpectrumError
 
 # Norm drift allowed on already-normalized spectra (pure-phase and
 # transpose operations preserve the norm to machine precision).
@@ -26,6 +26,11 @@ NORM_TOL = 1e-12
 
 # Squared weight below which a symmetry component counts as absent.
 _ZERO_WEIGHT = 1e-30
+
+# Largest accepted n x n complex128 matrix (256 MiB, n <= 4095).  Model
+# builders and kernels hold several such matrices at once, so a grid past
+# this size is refused before any array is made.
+MAX_MATRIX_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,8 @@ class FrequencyGrid:
     half_span : float
         Positive frequency extent on each side of the center.
     n_points : int
-        Odd number of grid points, at least 3.
+        Odd number of grid points, at least 3 and at most 4095 (see
+        ``MAX_MATRIX_BYTES``).
     """
 
     center: float
@@ -58,6 +64,13 @@ class FrequencyGrid:
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError(
                 f"odd point count required: n_points must be odd and >= 3, got {self.n_points}"
+            )
+        matrix_bytes = 16 * self.n_points**2
+        if matrix_bytes > MAX_MATRIX_BYTES:
+            raise ConfigError(
+                f"{self.n_points} grid points need {matrix_bytes / 2**20:.0f} MiB per "
+                f"{self.n_points}x{self.n_points} complex matrix, above the "
+                f"{MAX_MATRIX_BYTES / 2**20:.0f} MiB limit"
             )
         if not (math.isfinite(self.half_span) and self.half_span > 0):
             raise ValueError(f"half_span must be positive and finite, got {self.half_span}")
@@ -237,6 +250,64 @@ def symmetry_decompose(s: BiphotonSpectrum) -> SymmetryDecomposition:
         antisym = BiphotonSpectrum.from_array(s.grid, a_minus)
     w_antisym = 0.0 if antisym is None else min(max(w_minus, 0.0), 1.0)
     return SymmetryDecomposition(sym=sym, antisym=antisym, w_antisym=w_antisym)
+
+
+def _weight(w: float) -> float:
+    # symmetry_decompose's rule: a part at or below _ZERO_WEIGHT is absent.
+    return 0.0 if w <= _ZERO_WEIGHT else min(w, 1.0)
+
+
+def antisymmetric_weight(s: BiphotonSpectrum) -> float:
+    """Weight ``sum |c - c^T|**2 / 4`` of the exchange-antisymmetric part.
+
+    Equals ``symmetry_decompose(s).w_antisym`` (same zero threshold, clamped
+    to [0, 1]) without building the two renormalized parts.  At a balanced
+    splitter it is the coincidence probability.
+    """
+    c = s.amplitudes
+    return _weight(0.25 * float(np.sum(np.abs(c - c.T) ** 2)))
+
+
+def delay_antisymmetric_weight(
+    s: BiphotonSpectrum, c_light: float = 1.0
+) -> Callable[[float], float]:
+    """Antisymmetric weight of ``s`` as a function of the relative delay.
+
+    Returns ``w(dz)``, equal to ``antisymmetric_weight`` of
+    ``apply_path_delays(s, z1, z2, c_light)`` with ``dz = z1 - z2``, which
+    is the balanced-splitter coincidence probability of the delayed state.
+    A delay multiplies ``conj(c[i,j]) c[j,i]`` by ``exp(i k domega dz / c)``
+    with ``k = j - i``, so one O(n^2) reduction to the diagonal sums
+    ``g_k = sum_{j-i=k} conj(c[i,j]) c[j,i]`` and ``h_k`` (the same sums of
+    ``|c|**2``) leaves O(n) per delay:
+
+        w(dz) = Re sum_k (h_k - g_k exp(i k domega dz / c)) / 2
+
+    A symmetric spectrum has ``g_k == h_k``, so ``w(0)`` is exactly 0.  The
+    result is periodic in ``dz`` with period ``2 pi c / domega``.
+    """
+    if not (math.isfinite(c_light) and c_light > 0):
+        raise ValueError("c_light must be positive and finite")
+    c = s.amplitudes
+    n = s.grid.n_points
+    # Row i holds the diagonals k = j - i = -i..n-1-i, i.e. the slice
+    # [n-1-i, 2n-1-i) of the k = -(n-1)..n-1 axis.  Summing row by row
+    # keeps the working set O(n), and a symmetric spectrum gives g == h
+    # bit for bit.
+    g = np.zeros(2 * n - 1, dtype=np.complex128)
+    h = np.zeros(2 * n - 1, dtype=np.complex128)
+    for i in range(n):
+        row = np.conj(c[i])
+        g[n - 1 - i : 2 * n - 1 - i] += row * c[:, i]
+        h[n - 1 - i : 2 * n - 1 - i] += row * c[i]
+    k = np.arange(-(n - 1), n, dtype=float)
+    step = s.grid.spacing / c_light
+
+    def weight(dz: float) -> float:
+        terms = h - g * np.exp(1j * (k * (step * dz)))
+        return _weight(0.5 * float(np.real(np.sum(terms))))
+
+    return weight
 
 
 def apply_path_delays(
