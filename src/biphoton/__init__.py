@@ -52,6 +52,7 @@ from .spectrum import (
     exchange_overlap,
     from_function,
     make_grid,
+    row_factor_antisymmetric_weight,
     separability_rank1_fraction,
     swap,
     symmetry_decompose,
@@ -96,6 +97,7 @@ __all__ = [
     "load_spectrum",
     "make_grid",
     "resolve_grid",
+    "row_factor_antisymmetric_weight",
     "run_scan",
     "save_spectrum",
     "separability_rank1_fraction",

@@ -40,6 +40,9 @@ _COVERAGE_SIGMAS = 4.0
 # On-grid snap tolerance for the Bell tones, relative to the grid spacing.
 _SNAP_TOL = 1e-9
 
+# Relative squared norm below which the two-path modulation annihilates a state.
+MIN_MODULATION_WEIGHT = 1e-15
+
 
 @dataclass(frozen=True)
 class GaussianPairModel:
@@ -201,18 +204,23 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         -((w1 + w2 - 2.0 * m.center) ** 2) / (2.0 * m.sigma_p**2)
         - ((w1 - m.center) ** 2 + (w2 - m.center) ** 2) / (2.0 * m.sigma**2)
     )
-    modulation = np.cos(w1 * (m.delta_l / m.c_light))
+    modulation = shih_path_modulation(m, grid)[:, None]
     raw = envelope * modulation * np.exp(1j * (w1 * (m.z1 / m.c_light) + w2 * (m.z2 / m.c_light)))
 
     env_norm = float(np.sum(envelope**2))
     raw_norm = float(np.sum(np.abs(raw) ** 2))
-    if env_norm > 0.0 and raw_norm / env_norm < 1e-15:
+    if env_norm > 0.0 and raw_norm / env_norm < MIN_MODULATION_WEIGHT:
         raise DegenerateSpectrumError(
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
     return BiphotonSpectrum.from_array(
         grid, raw, warnings=_coverage_warnings(grid, m.center, m.sigma)
     )
+
+
+def shih_path_modulation(m: ShihModel, grid: FrequencyGrid) -> np.ndarray:
+    """Row factors ``cos(omega_i * delta_l / c)`` of the ``delta_l = 0`` spectrum."""
+    return np.cos(grid.frequencies() * (m.delta_l / m.c_light))
 
 
 def shih_norm_factor(m: ShihModel) -> float:
@@ -288,6 +296,16 @@ def shih_regime_notes(m: ShihModel) -> tuple[str, ...]:
     return tuple(notes)
 
 
+def delta_pump_modulation(
+    grid: FrequencyGrid, dl: float, parity: str, c_light: float = 1.0
+) -> np.ndarray:
+    """Row factors ``cos`` (even) or ``sin`` (odd) of ``nu_i*dl/c`` of the ``dl = 0`` spectrum."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    arg = grid.offsets() * (dl / c_light)
+    return np.cos(arg) if parity == "even" else np.sin(arg)
+
+
 def delta_pump_spectrum(
     sigma: float,
     center: float,
@@ -303,8 +321,7 @@ def delta_pump_spectrum(
     or ``... * sin(nu*dl/c)`` for ``parity="odd"`` (antisymmetric, which has
     an exact zero at the degenerate cell ``nu = 0``).
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    modulation = delta_pump_modulation(grid, dl, parity, c_light)
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive and finite")
     if not math.isclose(grid.center, center, rel_tol=1e-12, abs_tol=1e-300):
@@ -312,9 +329,7 @@ def delta_pump_spectrum(
             f"grid center {grid.center!r} must coincide with the model center {center!r}"
         )
     nu = grid.offsets()
-    envelope = np.exp(-(nu**2) / sigma**2)
-    arg = nu * (dl / c_light)
-    profile = envelope * (np.cos(arg) if parity == "even" else np.sin(arg))
+    profile = np.exp(-(nu**2) / sigma**2) * modulation
 
     n = grid.n_points
     raw = np.zeros((n, n), dtype=np.complex128)

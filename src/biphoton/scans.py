@@ -2,15 +2,16 @@
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference), the sweep range and the evaluation
-methods.  A delay only multiplies the exchange overlap term by term by a
-difference-frequency phase, so a ``dz`` sweep builds the delay-free
-spectrum once, reduces it once with
-:func:`~biphoton.spectrum.delay_antisymmetric_weight`, and reads each row
-off that reduction in O(n).  A ``dl`` sweep changes the spectrum itself, so
-each of its rows builds the spectrum and sends it through the balanced
-splitter.  Every row is compared against the model's closed form where one
-exists.  Each row is computed on its own from the same inputs, so identical
-specs produce bit-identical tables, in any evaluation order.
+methods.  A scan builds the model at the swept value 0 once, reduces it once
+in O(n^2), and reads each row off that reduction.  A delay only multiplies
+the exchange overlap term by term by a difference-frequency phase, so a
+``dz`` row costs O(n) (:func:`~biphoton.spectrum.delay_antisymmetric_weight`).
+A path difference only scales each port-1 row of the spectrum by a real
+factor, so a ``dl`` row costs one real O(n^2) matrix-vector product
+(:func:`~biphoton.spectrum.row_factor_antisymmetric_weight`).  Every row is
+compared against the model's closed form where one exists.  Each row is
+computed on its own from the same inputs, so identical specs produce
+bit-identical tables, in any evaluation order.
 """
 
 from __future__ import annotations
@@ -18,31 +19,35 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
 from . import fileio
-from .beamsplitter import BeamSplitterParams, coincidence_probability
 from .errors import ConfigError
 from .models import (
+    MIN_MODULATION_WEIGHT,
     GaussianPairModel,
     ShihModel,
     bell_antisymmetric_spectrum,
+    delta_pump_modulation,
     delta_pump_spectrum,
     gaussian_pair_spectrum,
     hom_dip_closed,
     shih_exact,
     shih_norm_factor,
+    shih_path_modulation,
     shih_reduced,
+    shih_regime_notes,
     shih_spectrum,
 )
 from .spectrum import (
     BiphotonSpectrum,
     FrequencyGrid,
-    antisymmetric_weight,
     delay_antisymmetric_weight,
     make_grid,
+    row_factor_antisymmetric_weight,
 )
 
 MODELS = ("gaussian_pair", "shih", "delta_pump", "bell", "spectrum_file")
@@ -185,44 +190,17 @@ def resolve_grid(
     return make_grid(center, grid_span_sigmas * sigma, grid_points)
 
 
-def model_grid(spec: ScanSpec) -> FrequencyGrid:
-    """Frequency grid implied by the spec's model parameters."""
-    return resolve_grid(spec.model, spec.fixed, spec.grid_points, spec.grid_span_sigmas)
-
-
-def _shih_model(spec: ScanSpec, value: float) -> ShihModel:
-    fixed = spec.fixed
+def _shih_model(fixed: dict[str, Any], swept: str | None = None, value: float = 0.0) -> ShihModel:
+    """Two-path model of ``fixed``; a swept ``dz`` or ``dl`` takes ``value``."""
     z1 = float(fixed.get("z1", 0.0))
-    if spec.swept == "dz":
-        delta_l = float(fixed.get("delta_l", 0.0))
-        dz = value
-    else:
-        delta_l = value
-        dz = float(fixed.get("dz", 0.0))
+    dz = value if swept == "dz" else float(fixed.get("dz", 0.0))
     return ShihModel.from_path_difference(
         center=float(_require(fixed, "center", "shih")),
         sigma=float(fixed.get("sigma", 1.0)),
         sigma_p=float(_require(fixed, "sigma_p", "shih")),
-        delta_l=delta_l,
+        delta_l=value if swept == "dl" else float(fixed.get("delta_l", 0.0)),
         z1=z1,
-        z2=z1 - dz,
-        c_light=float(fixed.get("c_light", 1.0)),
-    )
-
-
-def _dl_point_spectrum(spec: ScanSpec, grid: FrequencyGrid, value: float) -> BiphotonSpectrum:
-    """Spectrum of one row of a ``dl`` sweep."""
-    if spec.model == "shih":
-        return shih_spectrum(_shih_model(spec, value), grid)
-    if spec.model != "delta_pump":
-        raise ConfigError(f"model {spec.model!r} cannot sweep 'dl'")
-    fixed = spec.fixed
-    return delta_pump_spectrum(
-        sigma=float(fixed.get("sigma", 1.0)),
-        center=float(fixed.get("center", 0.0)),
-        dl=value,
-        parity=str(fixed.get("parity", "even")),
-        grid=grid,
+        z2=z1 - dz if swept else float(fixed.get("z2", z1 - dz)),
         c_light=float(fixed.get("c_light", 1.0)),
     )
 
@@ -261,17 +239,7 @@ def build_model_spectrum(
             _require(fixed, "omega_a", "bell"), _require(fixed, "omega_b", "bell"), grid
         )
     if model == "shih":
-        z1 = float(fixed.get("z1", 0.0))
-        m = ShihModel.from_path_difference(
-            center=float(_require(fixed, "center", "shih")),
-            sigma=float(fixed.get("sigma", 1.0)),
-            sigma_p=float(_require(fixed, "sigma_p", "shih")),
-            delta_l=float(fixed.get("delta_l", 0.0)),
-            z1=z1,
-            z2=float(fixed.get("z2", z1 - float(fixed.get("dz", 0.0)))),
-            c_light=float(fixed.get("c_light", 1.0)),
-        )
-        return shih_spectrum(m, grid)
+        return shih_spectrum(_shih_model(fixed), grid)
     if model == "spectrum_file":
         return fileio.load_spectrum(_require(fixed, "path", "spectrum_file"))
     raise ConfigError(f"unknown model {model!r}")
@@ -291,35 +259,24 @@ def load_model_spectrum(
 
 
 def _evaluate_point(
-    spec: ScanSpec,
-    grid: FrequencyGrid,
-    delay_weight: Callable[[float], float] | None,
-    value: float,
-) -> tuple[ScanRow, tuple[str, ...]]:
-    """One row; ``delay_weight`` is the ``dz`` sweep's reduced base spectrum."""
+    spec: ScanSpec, point_weight: Callable[[float], float] | None, value: float
+) -> ScanRow:
+    """One row; ``point_weight`` is the scan's numeric kernel from ``_prepare``."""
     evaluation = spec.resolved_evaluation()
 
     p_numeric = None
     w_antisym = None
-    warnings: tuple[str, ...] = ()
     if "numeric" in evaluation:
-        if delay_weight is not None:
-            # the balanced coincidence equals the antisymmetric weight
-            p_numeric = delay_weight(_relative_delay(spec, value))
-            if spec.include_w_antisym:
-                w_antisym = p_numeric
-        else:
-            s = _dl_point_spectrum(spec, grid, value)
-            warnings = s.warnings
-            p_numeric = coincidence_probability(s, BeamSplitterParams.balanced())
-            if spec.include_w_antisym:
-                w_antisym = antisymmetric_weight(s)
+        # the balanced coincidence equals the antisymmetric weight
+        p_numeric = point_weight(value)
+        if spec.include_w_antisym:
+            w_antisym = p_numeric
 
     p_closed = None
     p_reduced = None
     if "closed_form" in evaluation:
         if spec.model == "shih":
-            m = _shih_model(spec, value)
+            m = _shih_model(spec.fixed, spec.swept, value)
             dz = m.z1 - m.z2
             p_closed, p_reduced = shih_exact(m, dz), shih_reduced(m, dz)
         else:
@@ -338,7 +295,7 @@ def _evaluate_point(
         w_antisym=w_antisym,
     )
     _check_row(row)
-    return row, warnings
+    return row
 
 
 def _check_row(row: ScanRow) -> None:
@@ -359,13 +316,18 @@ def _check_row(row: ScanRow) -> None:
 def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
     # A sampled spectrum is periodic in the relative delay with period
     # 2 pi c / domega, so delays from half that period on alias onto
-    # shorter ones.
-    reach = max(abs(_relative_delay(spec, spec.start)), abs(_relative_delay(spec, spec.stop)))
+    # shorter ones.  A dl row splits port 1 over the delays dz +- dl.
+    if spec.swept == "dz":
+        what = "relative delay |z1 - z2|"
+        reach = max(abs(_relative_delay(spec, v)) for v in (spec.start, spec.stop))
+    else:
+        what = "path delay |dz| + |dl|"
+        reach = max(abs(spec.start), abs(spec.stop)) + abs(float(spec.fixed.get("dz", 0.0)))
     period = 2.0 * math.pi * float(spec.fixed.get("c_light", 1.0)) / grid.spacing
     if reach < 0.5 * period:
         return []
     return [
-        f"relative delay |z1 - z2| up to {reach:g} reaches half the delay period "
+        f"{what} up to {reach:g} reaches half the delay period "
         f"2*pi*c/domega = {period:g} of the {grid.n_points}-point grid; the numeric "
         f"curve repeats with that period, so delays past {0.5 * period:g} alias"
     ]
@@ -374,49 +336,67 @@ def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
 def _prepare(
     spec: ScanSpec,
 ) -> tuple[FrequencyGrid, Callable[[float], float] | None, list[str]]:
-    """Grid, reduced base spectrum (numeric ``dz`` sweeps only) and warnings."""
-    if spec.swept != "dz" or "numeric" not in spec.resolved_evaluation():
-        return model_grid(spec), None, []
+    """Grid, numeric kernel and warnings of a scan.
+
+    The kernel maps a swept value to the balanced coincidence of its row,
+    read off one reduction of the scan's base spectrum: the spectrum at the
+    swept value 0.  It is ``None`` when the scan has no numeric column.
+    """
+    fixed = spec.fixed
+    if "numeric" not in spec.resolved_evaluation():
+        grid = resolve_grid(spec.model, fixed, spec.grid_points, spec.grid_span_sigmas)
+        return grid, None, []
+    if spec.swept == "dl" and spec.model not in ("shih", "delta_pump"):
+        raise ConfigError(f"model {spec.model!r} cannot sweep 'dl'")
+    c_light = float(fixed.get("c_light", 1.0))
     if spec.model == "shih":
-        # built at z2 = z1: the remaining common phase exp(i (w1 + w2) z1 / c)
-        # is exchange-symmetric, so only z1 - z2 changes the coincidence
-        base = shih_spectrum(_shih_model(spec, 0.0), model_grid(spec))
+        # a dz base has z2 = z1, whose common phase exp(i (w1 + w2) z1 / c)
+        # is exchange-symmetric; a dl base has delta_l = 0
+        grid = resolve_grid("shih", fixed, spec.grid_points, spec.grid_span_sigmas)
+        base = shih_spectrum(_shih_model(fixed, spec.swept), grid)
     else:
+        # a delta-pump dl base is the even-parity spectrum at dl = 0
+        at_zero = {"dl": 0.0, "parity": "even"} if spec.swept == "dl" else {}
         base = load_model_spectrum(
-            spec.model, spec.fixed, spec.grid_points, spec.grid_span_sigmas
+            spec.model, {**fixed, **at_zero}, spec.grid_points, spec.grid_span_sigmas
         )
-    c_light = float(spec.fixed.get("c_light", 1.0))
+
+    # a row is kernel(factor(value)): its delay or row factors read off the reduced base
+    if spec.swept == "dz":
+        kernel = delay_antisymmetric_weight(base, c_light)
+        factor = partial(_relative_delay, spec)
+    elif spec.model == "shih":
+        kernel = row_factor_antisymmetric_weight(base, MIN_MODULATION_WEIGHT)
+        factor = lambda value: shih_path_modulation(_shih_model(fixed, "dl", value), base.grid)
+    else:
+        kernel = row_factor_antisymmetric_weight(base)
+        parity = str(fixed.get("parity", "even"))
+        factor = partial(delta_pump_modulation, base.grid, parity=parity, c_light=c_light)
     warnings = list(base.warnings) + _alias_warnings(spec, base.grid)
-    return base.grid, delay_antisymmetric_weight(base, c_light), warnings
+    return base.grid, lambda value: kernel(factor(value)), warnings
 
 
 def evaluate_scan_point(spec: ScanSpec, value: float) -> ScanRow:
     """Evaluate a single scan point in isolation.
 
     ``run_scan`` is equivalent to mapping this function over
-    ``spec.values()``: both read a ``dz`` row off the same reduction of the
-    delay-free spectrum (built here for the one point, once per scan by
-    ``run_scan``), and build a ``dl`` row's spectrum for that row alone, so
-    the rows agree bit for bit.  Points are pure and independent; callers
-    may evaluate them in any order or concurrently.
+    ``spec.values()``: both reduce the scan's base spectrum (here for the
+    one point, once per scan in ``run_scan``) and read the row off that
+    reduction with the same kernel, so the rows agree bit for bit.  Points
+    are pure and independent; callers may evaluate them in any order or
+    concurrently.
     """
-    grid, delay_weight, _ = _prepare(spec)
-    row, _ = _evaluate_point(spec, grid, delay_weight, value)
-    return row
+    _, point_weight, _ = _prepare(spec)
+    return _evaluate_point(spec, point_weight, value)
 
 
 def run_scan(spec: ScanSpec) -> ScanResult:
-    """Run the scan and assemble the result table with metadata."""
+    """Run the scan; the metadata times the base reduction and the rows apart."""
     t0 = time.perf_counter()
-    grid, delay_weight, warnings = _prepare(spec)
-
-    rows = []
-    for value in spec.values():
-        row, row_warnings = _evaluate_point(spec, grid, delay_weight, value)
-        rows.append(row)
-        for w in row_warnings:
-            if w not in warnings:
-                warnings.append(w)
+    grid, point_weight, warnings = _prepare(spec)
+    t1 = time.perf_counter()
+    rows = tuple(_evaluate_point(spec, point_weight, value) for value in spec.values())
+    t2 = time.perf_counter()
 
     metadata: dict[str, Any] = {
         "model": spec.model,
@@ -427,18 +407,23 @@ def run_scan(spec: ScanSpec) -> ScanResult:
             "n_points": grid.n_points,
         },
         "truncation_warnings": warnings,
+        "prepare_s": t1 - t0,
+        "rows_s": t2 - t1,
         "wall_time_s": time.perf_counter() - t0,
     }
     if spec.model == "shih":
-        models = [_shih_model(spec, v) for v in spec.values()]
+        models = [_shih_model(spec.fixed, spec.swept, v) for v in spec.values()]
         parities = [math.fmod(4.0 * m.delta_l / m.wavelength, 2.0) for m in models]
+        notes = [list(shih_regime_notes(m)) for m in models]
         if spec.swept == "dz":
             metadata["norm_factor_b"] = shih_norm_factor(models[0])
             metadata["parity_4dl_over_lambda"] = parities[0]
+            metadata["regime_notes"] = notes[0]
         else:
             metadata["norm_factor_b"] = [shih_norm_factor(m) for m in models]
             metadata["parity_4dl_over_lambda"] = parities
-    return ScanResult(spec=spec, rows=tuple(rows), metadata=metadata)
+            metadata["regime_notes"] = notes
+    return ScanResult(spec=spec, rows=rows, metadata=metadata)
 
 
 def compare_methods(result: ScanResult) -> ScanComparison:

@@ -27,6 +27,9 @@ NORM_TOL = 1e-12
 # Squared weight below which a symmetry component counts as absent.
 _ZERO_WEIGHT = 1e-30
 
+# Norm below which a raw amplitude matrix counts as zero.
+_MIN_NORM = 1e-150
+
 # Largest accepted n x n complex128 matrix (256 MiB, n <= 4095).  Model
 # builders and kernels hold several such matrices at once, so a grid past
 # this size is refused before any array is made.
@@ -151,7 +154,7 @@ class BiphotonSpectrum:
         if not np.all(np.isfinite(raw)):
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
         norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
-        if norm < 1e-150:
+        if norm < _MIN_NORM:
             raise DegenerateSpectrumError(
                 "degenerate spectrum: amplitude matrix is (effectively) zero"
             )
@@ -306,6 +309,45 @@ def delay_antisymmetric_weight(
     def weight(dz: float) -> float:
         terms = h - g * np.exp(1j * (k * (step * dz)))
         return _weight(0.5 * float(np.real(np.sum(terms))))
+
+    return weight
+
+
+def row_factor_antisymmetric_weight(
+    s: BiphotonSpectrum, min_norm_squared: float = _MIN_NORM**2
+) -> Callable[[np.ndarray], float]:
+    """Antisymmetric weight of ``s`` with row ``i`` scaled by a real ``u[i]``.
+
+    Returns ``w(u)``, equal to ``antisymmetric_weight`` of
+    ``from_array(s.grid, u[:, None] * s.amplitudes)``, which is the
+    balanced-splitter coincidence probability of that renormalized state.
+    One O(n^2) reduction to the real symmetric matrix
+    ``G = Re(conj(c) * c^T)`` and the row weights ``r_i = sum_j |c[i,j]|**2``
+    leaves one real matrix-vector product per call:
+
+        w(u) = (u.(r*u) - u.G.u) / (2 u.(r*u))
+
+    ``u.(r*u)`` is the squared norm of the scaled matrix relative to ``s``.
+    Below ``min_norm_squared`` (by default the zero-norm floor of
+    :meth:`BiphotonSpectrum.from_array`) the scaled matrix is no state and
+    the call raises :class:`DegenerateSpectrumError`.
+    """
+    # real and imaginary parts are views, so the only n x n arrays made
+    # are the real G and one real temporary
+    cr, ci = s.amplitudes.real, s.amplitudes.imag
+    r = np.einsum("ij,ij->i", cr, cr) + np.einsum("ij,ij->i", ci, ci)
+    g = cr * cr.T
+    g += ci * ci.T
+
+    def weight(u: np.ndarray) -> float:
+        if not np.all(np.isfinite(u)):
+            raise ValueError("amplitudes must be finite (no NaN/Inf)")
+        norm_sq = float(u @ (r * u))
+        if norm_sq < min_norm_squared:
+            raise DegenerateSpectrumError(
+                "degenerate spectrum: the row factors annihilate the sampled support"
+            )
+        return _weight(0.5 * (norm_sq - float(u @ (g @ u))) / norm_sq)
 
     return weight
 
