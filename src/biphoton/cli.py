@@ -8,7 +8,8 @@ Subcommands:
 * ``wavepacket`` — export |amplitude| matrices in the frequency or time domain.
 * ``validate``   — run the built-in verification suite.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 usage/configuration error (an unreadable input file
+or an unwritable output path included), 3 numerical failure.
 Unrecognized flags abort before any computation.  Natural units
 (``sigma = c = 1``) are the default; ``--units si`` requires an explicit
 ``--c-light``.
@@ -26,11 +27,10 @@ import numpy as np
 
 from . import fileio
 from .beamsplitter import BeamSplitterParams, transform, trapping_fidelity
-from .errors import ConfigError, DegenerateSpectrumError, SpectrumFileError
-from .scans import ScanSpec, load_model_spectrum, run_scan, validate_model_params
+from .errors import ConfigError, DegenerateSpectrumError
+from .scans import MODELS, ScanSpec, _delayed_spectrum, run_scan
 from .spectrum import (
     antisymmetric_weight,
-    apply_path_delays,
     exchange_overlap,
     separability_rank1_fraction,
     time_domain,
@@ -54,7 +54,7 @@ def _add_common_flags(p: argparse.ArgumentParser, with_format: bool = True) -> N
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model", choices=("gaussian_pair", "shih", "delta_pump", "bell"))
+    source.add_argument("--model", choices=[name for name in MODELS if name != "spectrum_file"])
     source.add_argument("--spectrum-file", help="CSV spectrum file as input state")
     p.add_argument("--sigma", type=float, default=1.0, help="single-photon bandwidth")
     p.add_argument("--center", type=float, default=0.0, help="center angular frequency")
@@ -82,45 +82,39 @@ def _c_light(args: argparse.Namespace) -> float:
 
 
 def _model_fixed(args: argparse.Namespace, c_light: float) -> tuple[str, dict[str, Any]]:
-    """Translate CLI flags into a (model, fixed-parameters) pair."""
-    if args.spectrum_file is not None:
+    """Translate CLI flags into a (model, fixed-parameters) pair.
+
+    Each model keeps the parameters its ``MODELS`` entry accepts.  ``--dz``
+    is not among them: it is the relative delay of the input state.
+    """
+    opts = vars(args)
+    if opts.get("spectrum_file") is not None:
         return "spectrum_file", {"path": args.spectrum_file, "c_light": c_light}
-    model = args.model
-    if model == "gaussian_pair":
-        fixed: dict[str, Any] = {"sigma": args.sigma, "center": args.center, "c_light": c_light}
-        if args.pump == "gaussian":
-            if args.beta is None:
-                raise ConfigError("--pump gaussian requires --beta")
-            fixed["pump_sigma"] = args.beta * args.sigma
-        elif args.beta is not None:
-            raise ConfigError("--beta is only meaningful with --pump gaussian or model shih")
-        return model, fixed
-    if model == "shih":
-        if args.beta is None:
-            raise ConfigError("model shih requires --beta")
-        if args.center <= 0:
-            raise ConfigError("model shih requires --center > 0 (sets the carrier wavelength)")
-        return model, {
-            "sigma": args.sigma,
-            "sigma_p": args.beta * args.sigma,
-            "center": args.center,
-            "delta_l": args.dl,
-            "dz": args.dz,
-            "c_light": c_light,
-        }
-    if model == "delta_pump":
-        return model, {
-            "sigma": args.sigma,
-            "center": args.center,
-            "dl": args.dl,
-            "parity": args.parity,
-            "c_light": c_light,
-        }
-    if model == "bell":
-        if args.omega_a is None or args.omega_b is None:
-            raise ConfigError("model bell requires --omega-a and --omega-b")
-        return model, {"omega_a": args.omega_a, "omega_b": args.omega_b, "c_light": c_light}
-    raise ConfigError(f"unknown model {model!r}")
+    beta = opts.get("beta")
+    scaled_beta = None if beta is None else beta * args.sigma
+    gaussian_pump = opts.get("pump") == "gaussian"
+    if gaussian_pump and beta is None:
+        raise ConfigError("--pump gaussian requires --beta")
+    flags = {  # fixed key: (flag, value)
+        "sigma": ("--sigma", args.sigma),
+        "sigma_p": ("--beta", scaled_beta),
+        "center": ("--center", args.center),
+        "delta_l": ("--dl", opts.get("dl")),
+        "dl": ("--dl", opts.get("dl")),
+        "parity": ("--parity", opts.get("parity")),
+        "omega_a": ("--omega-a", opts.get("omega_a")),
+        "omega_b": ("--omega-b", opts.get("omega_b")),
+        "c_light": ("--c-light", c_light),
+        "pump_sigma": ("--beta", scaled_beta if gaussian_pump else None),
+    }
+    entry = MODELS[args.model]
+    for key in entry.required:
+        if flags[key][1] is None:
+            raise ConfigError(f"model {args.model} requires {flags[key][0]}")
+    fixed = {key: v for key, (_, v) in flags.items() if key in entry.keys and v is not None}
+    if beta is not None and not {"sigma_p", "pump_sigma"} & fixed.keys():
+        raise ConfigError("--beta is only meaningful with --pump gaussian or model shih")
+    return args.model, fixed
 
 
 def _write_json(payload: dict[str, Any], path: str | None) -> None:
@@ -132,25 +126,17 @@ def _write_json(payload: dict[str, Any], path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_scan(result, columns, args) -> None:
-    if args.format == "csv":
-        fileio.write_scan_csv(result, columns, args.output)
-        sys.stdout.write(json.dumps({"metadata": result.metadata}) + "\n")
-    else:
-        fileio.write_scan_json(result, columns, args.output)
+_DIP_COLUMNS = (("param", "param"), ("P_numeric", "p_numeric"), ("P_closed", "p_closed"),
+                ("w_antisym", "w_antisym"))
+_SHIH_COLUMNS = (("param", "param"), ("P_numeric", "p_numeric"), ("P_exact", "p_closed"),
+                 ("P_reduced", "p_reduced"))
 
 
-def cmd_dip_scan(args: argparse.Namespace) -> int:
-    c_light = _c_light(args)
-    fixed: dict[str, Any] = {"sigma": args.sigma, "center": args.center, "c_light": c_light}
-    if args.pump == "gaussian":
-        if args.beta is None:
-            raise ConfigError("--pump gaussian requires --beta")
-        fixed["pump_sigma"] = args.beta * args.sigma
-    elif args.beta is not None:
-        raise ConfigError("--beta is only meaningful with --pump gaussian")
+def _cmd_scan(args: argparse.Namespace) -> int:
+    """Delay scan of the subcommand's model, written as ``args.columns``."""
+    model, fixed = _model_fixed(args, _c_light(args))
     spec = ScanSpec(
-        model="gaussian_pair",
+        model=model,
         swept="dz",
         start=args.dz_min,
         stop=args.dz_max,
@@ -158,59 +144,20 @@ def cmd_dip_scan(args: argparse.Namespace) -> int:
         fixed=fixed,
         grid_points=args.grid_points,
         grid_span_sigmas=args.grid_span,
+        include_w_antisym=("w_antisym", "w_antisym") in args.columns,
     )
     result = run_scan(spec)
-    columns = [
-        ("param", "param"),
-        ("P_numeric", "p_numeric"),
-        ("P_closed", "p_closed"),
-        ("w_antisym", "w_antisym"),
-    ]
-    _emit_scan(result, columns, args)
-    return 0
-
-
-def cmd_shih_scan(args: argparse.Namespace) -> int:
-    c_light = _c_light(args)
-    if args.center <= 0:
-        raise ConfigError("shih-scan requires --center > 0 (sets the carrier wavelength)")
-    spec = ScanSpec(
-        model="shih",
-        swept="dz",
-        start=args.dz_min,
-        stop=args.dz_max,
-        n_steps=args.steps,
-        fixed={
-            "sigma": args.sigma,
-            "sigma_p": args.beta * args.sigma,
-            "center": args.center,
-            "delta_l": args.dl,
-            "c_light": c_light,
-        },
-        grid_points=args.grid_points,
-        grid_span_sigmas=args.grid_span,
-        include_w_antisym=False,
-    )
-    result = run_scan(spec)
-    columns = [
-        ("param", "param"),
-        ("P_numeric", "p_numeric"),
-        ("P_exact", "p_closed"),
-        ("P_reduced", "p_reduced"),
-    ]
-    _emit_scan(result, columns, args)
+    if args.format == "csv":
+        fileio.write_scan_csv(result, args.columns, args.output)
+        sys.stdout.write(json.dumps({"metadata": result.metadata}) + "\n")
+    else:
+        fileio.write_scan_json(result, args.columns, args.output)
     return 0
 
 
 def _load_input_state(args: argparse.Namespace):
-    c_light = _c_light(args)
-    model, fixed = _model_fixed(args, c_light)
-    validate_model_params(model, fixed)
-    s = load_model_spectrum(model, fixed, args.grid_points, args.grid_span)
-    # shih carries its delay internally; the rest get an explicit signal delay
-    if model != "shih" and args.dz != 0.0:
-        s = apply_path_delays(s, args.dz, 0.0, c_light)
-    return s
+    model, fixed = _model_fixed(args, _c_light(args))
+    return _delayed_spectrum(model, {**fixed, "dz": args.dz}, args.grid_points, args.grid_span)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -299,29 +246,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dip-scan", help="delay scan of the Gaussian pair")
-    _add_common_flags(p)
-    p.add_argument("--sigma", type=float, default=1.0, help="single-photon bandwidth")
-    p.add_argument("--center", type=float, default=0.0, help="center angular frequency")
-    p.add_argument("--pump", choices=("constant", "gaussian"), default="constant")
-    p.add_argument("--beta", type=float, default=None, help="pump/photon bandwidth ratio")
-    p.add_argument("--dz-min", type=float, required=True)
-    p.add_argument("--dz-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("-o", "--output", required=True, help="output table path")
-    p.set_defaults(handler=cmd_dip_scan)
+    dip = sub.add_parser("dip-scan", help="delay scan of the Gaussian pair")
+    dip.add_argument("--sigma", type=float, default=1.0, help="single-photon bandwidth")
+    dip.add_argument("--center", type=float, default=0.0, help="center angular frequency")
+    dip.add_argument("--pump", choices=("constant", "gaussian"), default="constant")
+    dip.add_argument("--beta", type=float, default=None, help="pump/photon bandwidth ratio")
+    dip.set_defaults(model="gaussian_pair", columns=_DIP_COLUMNS)
 
-    p = sub.add_parser("shih-scan", help="delay scan of the two-path model")
-    _add_common_flags(p)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--beta", type=float, required=True, help="pump/photon bandwidth ratio")
-    p.add_argument("--center", type=float, required=True, help="carrier angular frequency")
-    p.add_argument("--dl", type=float, required=True, help="half path-length difference")
-    p.add_argument("--dz-min", type=float, required=True)
-    p.add_argument("--dz-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("-o", "--output", required=True, help="output table path")
-    p.set_defaults(handler=cmd_shih_scan)
+    shih = sub.add_parser("shih-scan", help="delay scan of the two-path model")
+    shih.add_argument("--sigma", type=float, default=1.0)
+    shih.add_argument("--beta", type=float, required=True, help="pump/photon bandwidth ratio")
+    shih.add_argument("--center", type=float, required=True, help="carrier angular frequency")
+    shih.add_argument("--dl", type=float, required=True, help="half path-length difference")
+    shih.set_defaults(model="shih", columns=_SHIH_COLUMNS)
+
+    for p in (dip, shih):
+        _add_common_flags(p)
+        p.add_argument("--dz-min", type=float, required=True)
+        p.add_argument("--dz-max", type=float, required=True)
+        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("-o", "--output", required=True, help="output table path")
+        p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("transform", help="single-shot beam-splitter report")
     _add_common_flags(p, with_format=False)
@@ -352,19 +297,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except SpectrumFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except DegenerateSpectrumError as exc:
+    except (DegenerateSpectrumError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except (ArithmeticError, FloatingPointError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
-    except ValueError as exc:
+    # configuration errors and spectrum-file errors are ValueErrors; an
+    # OSError is an unreadable input or an unwritable output path
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -132,9 +132,10 @@ def save_magnitude_matrix(
     """Write ``|matrix|`` style real data with axis headers (plot-ready)."""
     with open(path, "w", newline="\n") as fh:
         fh.write(axis_label + "," + ",".join(format_float(x) for x in axis) + "\n")
-        for i in range(matrix.shape[0]):
-            row = ",".join(format_float(v) for v in matrix[i])
-            fh.write(format_float(axis[i]) + "," + row + "\n")
+        # one row at a time: a labelled copy of the matrix would double its memory
+        for label, row in zip(axis, matrix):
+            fh.write(format_float(label) + ",")
+            np.savetxt(fh, row[None, :], fmt="%.17g", delimiter=",")
 
 
 def scan_rows_table(result, columns: Sequence[tuple[str, str]]) -> list[dict[str, float]]:

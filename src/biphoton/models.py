@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .spectrum import BiphotonSpectrum, FrequencyGrid
+from .spectrum import BiphotonSpectrum, FrequencyGrid, apply_path_delays
 
 # Minimum grid coverage (in units of sigma) below which model builders
 # attach a truncation warning to the result.
@@ -195,6 +195,7 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         * exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))
         * exp(i*(w1*z1 + w2*z2)/c) * cos(w1*delta_l/c)
 
+    The path phase comes from :func:`~biphoton.spectrum.apply_path_delays`.
     Raises :class:`DegenerateSpectrumError` when the cosine node wipes out
     the entire sampled support.
     """
@@ -204,18 +205,15 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         -((w1 + w2 - 2.0 * m.center) ** 2) / (2.0 * m.sigma_p**2)
         - ((w1 - m.center) ** 2 + (w2 - m.center) ** 2) / (2.0 * m.sigma**2)
     )
-    modulation = shih_path_modulation(m, grid)[:, None]
-    raw = envelope * modulation * np.exp(1j * (w1 * (m.z1 / m.c_light) + w2 * (m.z2 / m.c_light)))
+    raw = envelope * shih_path_modulation(m, grid)[:, None]
 
     env_norm = float(np.sum(envelope**2))
-    raw_norm = float(np.sum(np.abs(raw) ** 2))
-    if env_norm > 0.0 and raw_norm / env_norm < MIN_MODULATION_WEIGHT:
+    if env_norm > 0.0 and float(np.sum(raw**2)) / env_norm < MIN_MODULATION_WEIGHT:
         raise DegenerateSpectrumError(
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
-    return BiphotonSpectrum.from_array(
-        grid, raw, warnings=_coverage_warnings(grid, m.center, m.sigma)
-    )
+    s = BiphotonSpectrum.from_array(grid, raw, warnings=_coverage_warnings(grid, m.center, m.sigma))
+    return apply_path_delays(s, m.z1, m.z2, m.c_light)
 
 
 def shih_path_modulation(m: ShihModel, grid: FrequencyGrid) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Parameter-scan engine for coincidence-probability curves.
+"""Source models and the parameter-scan engine for coincidence-probability curves.
+
+:data:`MODELS` has one entry per source model: the ``fixed`` parameters it
+accepts, the grid they imply, its delay-free spectrum and, where they exist,
+its ``dl`` row factors, closed form and metadata.  Every source, in scans and
+CLI input states alike, gets its path delays from
+:func:`~biphoton.spectrum.apply_path_delays`, applied in one place.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference), the sweep range and the evaluation
@@ -19,7 +25,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -43,27 +48,148 @@ from .models import (
     shih_spectrum,
 )
 from .spectrum import (
+    _MIN_NORM,
     BiphotonSpectrum,
     FrequencyGrid,
+    apply_path_delays,
     delay_antisymmetric_weight,
     make_grid,
     row_factor_antisymmetric_weight,
 )
 
-MODELS = ("gaussian_pair", "shih", "delta_pump", "bell", "spectrum_file")
 SWEEPABLE = ("dz", "dl")
 EVALUATIONS = ("numeric", "closed_form")
 
-# Allowed fixed-parameter keys per model; unknown keys are rejected.
-_MODEL_KEYS = {
-    "gaussian_pair": {"center", "sigma", "pump_sigma", "c_light"},
-    "shih": {"center", "sigma", "sigma_p", "delta_l", "z1", "z2", "dz", "c_light"},
-    "delta_pump": {"center", "sigma", "dl", "parity", "c_light"},
-    "bell": {"omega_a", "omega_b", "c_light"},
-    "spectrum_file": {"path", "c_light"},
-}
+# Values of the optional parameters that ``fixed`` leaves out.
+_DEFAULTS = {"center": 0.0, "sigma": 1.0, "c_light": 1.0, "delta_l": 0.0, "dl": 0.0}
 
-_CLOSED_FORM_MODELS = {"gaussian_pair", "shih"}
+
+def _num(fixed: dict[str, Any], key: str) -> float:
+    return float(fixed[key] if key in fixed else _DEFAULTS[key])
+
+
+def _sigma_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
+    return make_grid(_num(fixed, "center"), span_mult * _num(fixed, "sigma"), n_points)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """One source model.
+
+    ``base(fixed, grid)`` is its delay-free spectrum; with ``grid`` None (a
+    spectrum file) it gets no grid and brings its own.  A ``dl`` row sets
+    ``dl_key`` and scales port-1 row i of the base at ``dl_key = 0``
+    (updated by ``dl_base``) by ``row_factor(row, grid)[i]``, down to a
+    squared norm ``row_floor``.  ``closed_form(row, dz)`` gives
+    ``(p_closed, p_reduced)``; ``metadata(row)`` is reported per row.
+    """
+
+    keys: frozenset[str]
+    base: Callable[[dict[str, Any], FrequencyGrid | None], BiphotonSpectrum]
+    grid: Callable[[dict[str, Any], int, float], FrequencyGrid] | None = _sigma_grid
+    required: tuple[str, ...] = ()
+    dl_key: str | None = None
+    dl_base: dict[str, Any] = field(default_factory=dict)
+    row_factor: Callable[[dict[str, Any], FrequencyGrid], np.ndarray] | None = None
+    row_floor: float = _MIN_NORM**2
+    closed_form: Callable[[dict[str, Any], float], tuple[float, float | None]] | None = None
+    metadata: Callable[[dict[str, Any]], dict[str, Any]] | None = None
+
+
+def _bell_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
+    # Spacing chosen so both tones land exactly on grid cells.
+    omega_a, omega_b = fixed["omega_a"], fixed["omega_b"]
+    center = 0.5 * (omega_a + omega_b)
+    half_gap = 0.5 * abs(omega_b - omega_a)
+    if half_gap == 0.0:
+        raise ConfigError("omega_a and omega_b must differ")
+    cells = max(1, round((n_points - 1) / (2.0 * span_mult)))
+    spacing = half_gap / cells
+    return make_grid(center, spacing * (n_points - 1) / 2.0, n_points)
+
+
+def _gaussian_pair(fixed: dict[str, Any], grid: FrequencyGrid) -> BiphotonSpectrum:
+    pump = fixed.get("pump_sigma")
+    pump_sigma = None if pump is None else float(pump)
+    m = GaussianPairModel(_num(fixed, "center"), _num(fixed, "sigma"), pump_sigma)
+    return gaussian_pair_spectrum(m, grid)
+
+
+def _shih_model(fixed: dict[str, Any]) -> ShihModel:
+    """Delay-free two-path model; its paths enter through ``_path_delays``."""
+    return ShihModel.from_path_difference(
+        center=_num(fixed, "center"),
+        sigma=_num(fixed, "sigma"),
+        sigma_p=_num(fixed, "sigma_p"),
+        delta_l=_num(fixed, "delta_l"),
+        c_light=_num(fixed, "c_light"),
+    )
+
+
+def _shih_closed_form(fixed: dict[str, Any], dz: float) -> tuple[float, float]:
+    m = _shih_model(fixed)
+    return shih_exact(m, dz), shih_reduced(m, dz)
+
+
+def _shih_metadata(fixed: dict[str, Any]) -> dict[str, Any]:
+    m = _shih_model(fixed)
+    return {
+        "norm_factor_b": shih_norm_factor(m),
+        "parity_4dl_over_lambda": math.fmod(4.0 * m.delta_l / m.wavelength, 2.0),
+        "regime_notes": list(shih_regime_notes(m)),
+    }
+
+
+def _delta_pump(fixed: dict[str, Any], grid: FrequencyGrid) -> BiphotonSpectrum:
+    sigma, center, dl = (_num(fixed, key) for key in ("sigma", "center", "dl"))
+    parity = fixed.get("parity", "even")
+    return delta_pump_spectrum(sigma, center, dl, parity, grid, _num(fixed, "c_light"))
+
+
+MODELS: dict[str, _Model] = {
+    "gaussian_pair": _Model(
+        keys=frozenset({"center", "sigma", "pump_sigma", "c_light"}),
+        base=_gaussian_pair,
+        closed_form=lambda fixed, dz: (
+            hom_dip_closed(_num(fixed, "sigma"), dz, _num(fixed, "c_light")),
+            None,
+        ),
+    ),
+    "shih": _Model(
+        keys=frozenset({"center", "sigma", "sigma_p", "delta_l", "z1", "z2", "dz", "c_light"}),
+        required=("center", "sigma_p"),
+        base=lambda fixed, grid: shih_spectrum(_shih_model(fixed), grid),
+        dl_key="delta_l",
+        row_factor=lambda fixed, grid: shih_path_modulation(_shih_model(fixed), grid),
+        row_floor=MIN_MODULATION_WEIGHT,
+        closed_form=_shih_closed_form,
+        metadata=_shih_metadata,
+    ),
+    "delta_pump": _Model(
+        keys=frozenset({"center", "sigma", "dl", "parity", "c_light"}),
+        base=_delta_pump,
+        dl_key="dl",
+        # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
+        dl_base={"parity": "even"},
+        row_factor=lambda fixed, grid: delta_pump_modulation(
+            grid, _num(fixed, "dl"), fixed.get("parity", "even"), _num(fixed, "c_light")
+        ),
+    ),
+    "bell": _Model(
+        keys=frozenset({"omega_a", "omega_b", "c_light"}),
+        required=("omega_a", "omega_b"),
+        grid=_bell_grid,
+        base=lambda fixed, grid: bell_antisymmetric_spectrum(
+            fixed["omega_a"], fixed["omega_b"], grid
+        ),
+    ),
+    "spectrum_file": _Model(
+        keys=frozenset({"path", "c_light"}),
+        required=("path",),
+        base=lambda fixed, grid: fileio.load_spectrum(fixed["path"]),
+        grid=None,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -71,12 +197,14 @@ class ScanSpec:
     """Declarative description of one scan.
 
     ``fixed`` holds the model parameters that do not vary along the sweep;
-    allowed keys depend on the model (see ``_MODEL_KEYS``).  ``evaluation``
-    defaults to numeric plus closed form when the model has one.
-    ``delay_mode`` controls how a swept ``dz`` is applied to models without
-    internal paths: ``"signal"`` delays port 1 only (relative delay ``dz``),
-    ``"common"`` delays both ports equally (pure global phase for symmetric
-    or antisymmetric states).
+    each entry of :data:`MODELS` lists the keys its model allows and
+    requires.  A fixed key may not name the swept parameter.
+    ``evaluation`` defaults to numeric plus closed form when the model has
+    one.  ``delay_mode`` controls how a swept ``dz`` is applied to models
+    without their own paths: ``"signal"`` delays port 1 only (relative
+    delay ``dz``), ``"common"`` delays both ports equally (pure global
+    phase for symmetric or antisymmetric states).  A two-path row has the
+    relative delay ``z1 - z2``, where ``z2`` is ``fixed["z2"]`` or ``z1 - dz``.
     """
 
     model: str
@@ -107,15 +235,12 @@ class ScanSpec:
             bad = set(self.evaluation) - set(EVALUATIONS)
             if bad:
                 raise ConfigError(f"unknown evaluation method(s): {sorted(bad)}")
-            if "closed_form" in self.evaluation and self.model not in _CLOSED_FORM_MODELS:
+            if "closed_form" in self.evaluation and MODELS[self.model].closed_form is None:
                 raise ConfigError(f"model {self.model!r} has no closed-form evaluation")
 
     def resolved_evaluation(self) -> tuple[str, ...]:
-        if self.evaluation is not None:
-            return self.evaluation
-        if self.model in _CLOSED_FORM_MODELS:
-            return ("numeric", "closed_form")
-        return ("numeric",)
+        closed_form = () if MODELS[self.model].closed_form is None else ("closed_form",)
+        return self.evaluation or ("numeric", *closed_form)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_steps)
@@ -146,116 +271,83 @@ class ScanComparison:
     rms: float
 
 
-def _require(fixed: dict[str, Any], key: str, model: str) -> Any:
-    if key not in fixed:
-        raise ConfigError(f"model {model!r} requires parameter {key!r}")
-    return fixed[key]
-
-
 def validate_model_params(model: str, fixed: dict[str, Any]) -> None:
-    """Reject unknown models and unknown fixed-parameter keys."""
+    """Reject unknown models, unknown fixed-parameter keys and missing required ones."""
     if model not in MODELS:
-        raise ConfigError(f"unknown model {model!r}; expected one of {MODELS}")
-    unknown = set(fixed) - _MODEL_KEYS[model]
+        raise ConfigError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
+    unknown = set(fixed) - MODELS[model].keys
     if unknown:
         raise ConfigError(f"unknown parameter(s) for model {model!r}: {sorted(unknown)}")
-
-
-def _bell_grid(omega_a: float, omega_b: float, n_points: int, span_mult: float) -> FrequencyGrid:
-    # Spacing chosen so both tones land exactly on grid cells.
-    center = 0.5 * (omega_a + omega_b)
-    half_gap = 0.5 * abs(omega_b - omega_a)
-    if half_gap == 0.0:
-        raise ConfigError("omega_a and omega_b must differ")
-    cells = max(1, round((n_points - 1) / (2.0 * span_mult)))
-    spacing = half_gap / cells
-    return make_grid(center, spacing * (n_points - 1) / 2.0, n_points)
+    for key in MODELS[model].required:
+        if key not in fixed:
+            raise ConfigError(f"model {model!r} requires parameter {key!r}")
 
 
 def resolve_grid(
     model: str, fixed: dict[str, Any], grid_points: int = 257, grid_span_sigmas: float = 6.0
 ) -> FrequencyGrid:
     """Frequency grid implied by a model's fixed parameters."""
-    if model == "spectrum_file":
-        return fileio.load_spectrum(_require(fixed, "path", model)).grid
-    if model == "bell":
-        return _bell_grid(
-            _require(fixed, "omega_a", model),
-            _require(fixed, "omega_b", model),
-            grid_points,
-            grid_span_sigmas,
-        )
-    sigma = float(fixed.get("sigma", 1.0))
-    center = float(fixed.get("center", 0.0))
-    return make_grid(center, grid_span_sigmas * sigma, grid_points)
-
-
-def _shih_model(fixed: dict[str, Any], swept: str | None = None, value: float = 0.0) -> ShihModel:
-    """Two-path model of ``fixed``; a swept ``dz`` or ``dl`` takes ``value``."""
-    z1 = float(fixed.get("z1", 0.0))
-    dz = value if swept == "dz" else float(fixed.get("dz", 0.0))
-    return ShihModel.from_path_difference(
-        center=float(_require(fixed, "center", "shih")),
-        sigma=float(fixed.get("sigma", 1.0)),
-        sigma_p=float(_require(fixed, "sigma_p", "shih")),
-        delta_l=value if swept == "dl" else float(fixed.get("delta_l", 0.0)),
-        z1=z1,
-        z2=z1 - dz if swept else float(fixed.get("z2", z1 - dz)),
-        c_light=float(fixed.get("c_light", 1.0)),
-    )
-
-
-def _relative_delay(spec: ScanSpec, value: float) -> float:
-    """Relative delay ``z1 - z2`` of one row of a ``dz`` sweep."""
-    return 0.0 if spec.model != "shih" and spec.delay_mode == "common" else value
+    validate_model_params(model, fixed)
+    entry = MODELS[model]
+    if entry.grid is None:
+        return entry.base(fixed, None).grid
+    return entry.grid(fixed, grid_points, grid_span_sigmas)
 
 
 def build_model_spectrum(
     model: str, fixed: dict[str, Any], grid: FrequencyGrid
 ) -> BiphotonSpectrum:
-    """Undelayed model spectrum for ``model`` with parameters ``fixed``.
+    """Delay-free model spectrum for ``model`` with parameters ``fixed``.
 
-    The ``shih`` model carries its paths internally (``delta_l``, ``z1``,
-    ``z2`` or a relative ``dz``); the other models are built delay-free.
+    Path delays, the two-path model's ``z1``, ``z2`` and ``dz`` included,
+    are not applied; :func:`~biphoton.spectrum.apply_path_delays` adds them.
+    A spectrum file brings its own grid.
     """
-    if model == "gaussian_pair":
-        m = GaussianPairModel(
-            center=float(fixed.get("center", 0.0)),
-            sigma=float(fixed.get("sigma", 1.0)),
-            pump_sigma=(None if fixed.get("pump_sigma") is None else float(fixed["pump_sigma"])),
-        )
-        return gaussian_pair_spectrum(m, grid)
-    if model == "delta_pump":
-        return delta_pump_spectrum(
-            sigma=float(fixed.get("sigma", 1.0)),
-            center=float(fixed.get("center", 0.0)),
-            dl=float(fixed.get("dl", 0.0)),
-            parity=str(fixed.get("parity", "even")),
-            grid=grid,
-            c_light=float(fixed.get("c_light", 1.0)),
-        )
-    if model == "bell":
-        return bell_antisymmetric_spectrum(
-            _require(fixed, "omega_a", "bell"), _require(fixed, "omega_b", "bell"), grid
-        )
-    if model == "shih":
-        return shih_spectrum(_shih_model(fixed), grid)
-    if model == "spectrum_file":
-        return fileio.load_spectrum(_require(fixed, "path", "spectrum_file"))
-    raise ConfigError(f"unknown model {model!r}")
+    validate_model_params(model, fixed)
+    return MODELS[model].base(fixed, grid)
 
 
-def load_model_spectrum(
-    model: str, fixed: dict[str, Any], grid_points: int = 257, grid_span_sigmas: float = 6.0
+def _path_delays(
+    model: str, row: dict[str, Any], delay_mode: str = "signal"
+) -> tuple[float, float]:
+    """Port-1 path ``z1`` and relative delay ``dz = z1 - z2`` of one row.
+
+    ``row`` holds the row's parameters and, for any model, may hold ``dz``.
+    A model with its own paths (one that accepts ``z2``) has
+    ``z2 = row["z2"]`` or ``z1 - dz``; any other model carries ``dz`` on
+    port 1 (``delay_mode="signal"``) or on both ports (``"common"``).
+    """
+    dz = float(row.get("dz", 0.0))
+    if "z2" not in MODELS[model].keys:
+        return dz, (dz if delay_mode == "signal" else 0.0)
+    if "z2" in row and "dz" in row:
+        raise ConfigError("give the two-path model either z2 or dz, not both")
+    z1 = float(row.get("z1", 0.0))
+    return z1, (z1 - float(row["z2"]) if "z2" in row else dz)
+
+
+def _delayed_spectrum(
+    model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float,
+    delay_mode: str = "signal",
 ) -> BiphotonSpectrum:
-    """Undelayed model spectrum on the grid its parameters imply.
+    """Spectrum of one row's parameters with the row's path delays applied.
 
     A spectrum file is read once and brings its own grid.
     """
-    if model == "spectrum_file":
-        return fileio.load_spectrum(_require(fixed, "path", model))
-    grid = resolve_grid(model, fixed, grid_points, grid_span_sigmas)
-    return build_model_spectrum(model, fixed, grid)
+    entry = MODELS[model]
+    z1, dz = _path_delays(model, row, delay_mode)
+    grid = None if entry.grid is None else entry.grid(row, grid_points, grid_span_sigmas)
+    return apply_path_delays(entry.base(row, grid), z1, z1 - dz, _num(row, "c_light"))
+
+
+def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
+    """Parameters of the row at swept ``value``."""
+    key = "dz" if spec.swept == "dz" else MODELS[spec.model].dl_key
+    if key is None:
+        raise ConfigError(f"model {spec.model!r} cannot sweep 'dl'")
+    if key in spec.fixed:
+        raise ConfigError(f"fixed parameter {key!r} names the swept parameter {spec.swept!r}")
+    return {**spec.fixed, key: value}
 
 
 def _evaluate_point(
@@ -263,39 +355,17 @@ def _evaluate_point(
 ) -> ScanRow:
     """One row; ``point_weight`` is the scan's numeric kernel from ``_prepare``."""
     evaluation = spec.resolved_evaluation()
-
-    p_numeric = None
-    w_antisym = None
-    if "numeric" in evaluation:
-        # the balanced coincidence equals the antisymmetric weight
-        p_numeric = point_weight(value)
-        if spec.include_w_antisym:
-            w_antisym = p_numeric
-
-    p_closed = None
-    p_reduced = None
+    # the balanced coincidence equals the antisymmetric weight
+    p_numeric = point_weight(value) if "numeric" in evaluation else None
+    w_antisym = p_numeric if spec.include_w_antisym else None
+    p_closed = p_reduced = None
     if "closed_form" in evaluation:
-        if spec.model == "shih":
-            m = _shih_model(spec.fixed, spec.swept, value)
-            dz = m.z1 - m.z2
-            p_closed, p_reduced = shih_exact(m, dz), shih_reduced(m, dz)
-        else:
-            effective_dz = value if spec.delay_mode == "signal" else 0.0
-            p_closed = hom_dip_closed(
-                float(spec.fixed.get("sigma", 1.0)),
-                effective_dz,
-                float(spec.fixed.get("c_light", 1.0)),
-            )
-
-    row = ScanRow(
-        param=float(value),
-        p_numeric=p_numeric,
-        p_closed=p_closed,
-        p_reduced=p_reduced,
-        w_antisym=w_antisym,
-    )
-    _check_row(row)
-    return row
+        row = _row(spec, value)
+        _, dz = _path_delays(spec.model, row, spec.delay_mode)
+        p_closed, p_reduced = MODELS[spec.model].closed_form(row, dz)
+    result = ScanRow(float(value), p_numeric, p_closed, p_reduced, w_antisym)
+    _check_row(result)
+    return result
 
 
 def _check_row(row: ScanRow) -> None:
@@ -317,13 +387,16 @@ def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
     # A sampled spectrum is periodic in the relative delay with period
     # 2 pi c / domega, so delays from half that period on alias onto
     # shorter ones.  A dl row splits port 1 over the delays dz +- dl.
+    def relative_delay(value: float) -> float:
+        return abs(_path_delays(spec.model, _row(spec, value), spec.delay_mode)[1])
+
     if spec.swept == "dz":
         what = "relative delay |z1 - z2|"
-        reach = max(abs(_relative_delay(spec, v)) for v in (spec.start, spec.stop))
+        reach = max(relative_delay(spec.start), relative_delay(spec.stop))
     else:
         what = "path delay |dz| + |dl|"
-        reach = max(abs(spec.start), abs(spec.stop)) + abs(float(spec.fixed.get("dz", 0.0)))
-    period = 2.0 * math.pi * float(spec.fixed.get("c_light", 1.0)) / grid.spacing
+        reach = max(abs(spec.start), abs(spec.stop)) + relative_delay(0.0)
+    period = 2.0 * math.pi * _num(spec.fixed, "c_light") / grid.spacing
     if reach < 0.5 * period:
         return []
     return [
@@ -340,38 +413,32 @@ def _prepare(
 
     The kernel maps a swept value to the balanced coincidence of its row,
     read off one reduction of the scan's base spectrum: the spectrum at the
-    swept value 0.  It is ``None`` when the scan has no numeric column.
+    swept value 0, with the path delays of that row.  It is ``None`` when
+    the scan has no numeric column.
     """
-    fixed = spec.fixed
+    entry = MODELS[spec.model]
+    base_row = _row(spec, 0.0)
     if "numeric" not in spec.resolved_evaluation():
-        grid = resolve_grid(spec.model, fixed, spec.grid_points, spec.grid_span_sigmas)
+        grid = resolve_grid(spec.model, spec.fixed, spec.grid_points, spec.grid_span_sigmas)
         return grid, None, []
-    if spec.swept == "dl" and spec.model not in ("shih", "delta_pump"):
-        raise ConfigError(f"model {spec.model!r} cannot sweep 'dl'")
-    c_light = float(fixed.get("c_light", 1.0))
-    if spec.model == "shih":
-        # a dz base has z2 = z1, whose common phase exp(i (w1 + w2) z1 / c)
-        # is exchange-symmetric; a dl base has delta_l = 0
-        grid = resolve_grid("shih", fixed, spec.grid_points, spec.grid_span_sigmas)
-        base = shih_spectrum(_shih_model(fixed, spec.swept), grid)
-    else:
-        # a delta-pump dl base is the even-parity spectrum at dl = 0
-        at_zero = {"dl": 0.0, "parity": "even"} if spec.swept == "dl" else {}
-        base = load_model_spectrum(
-            spec.model, {**fixed, **at_zero}, spec.grid_points, spec.grid_span_sigmas
-        )
+    if spec.swept == "dl":
+        base_row.update(entry.dl_base)
+    base = _delayed_spectrum(
+        spec.model, base_row, spec.grid_points, spec.grid_span_sigmas, spec.delay_mode
+    )
 
     # a row is kernel(factor(value)): its delay or row factors read off the reduced base
     if spec.swept == "dz":
-        kernel = delay_antisymmetric_weight(base, c_light)
-        factor = partial(_relative_delay, spec)
-    elif spec.model == "shih":
-        kernel = row_factor_antisymmetric_weight(base, MIN_MODULATION_WEIGHT)
-        factor = lambda value: shih_path_modulation(_shih_model(fixed, "dl", value), base.grid)
+        kernel = delay_antisymmetric_weight(base, _num(spec.fixed, "c_light"))
+
+        def factor(value: float) -> float:
+            return _path_delays(spec.model, _row(spec, value), spec.delay_mode)[1]
     else:
-        kernel = row_factor_antisymmetric_weight(base)
-        parity = str(fixed.get("parity", "even"))
-        factor = partial(delta_pump_modulation, base.grid, parity=parity, c_light=c_light)
+        kernel = row_factor_antisymmetric_weight(base, entry.row_floor)
+
+        def factor(value: float) -> np.ndarray:
+            return entry.row_factor(_row(spec, value), base.grid)
+
     warnings = list(base.warnings) + _alias_warnings(spec, base.grid)
     return base.grid, lambda value: kernel(factor(value)), warnings
 
@@ -411,18 +478,14 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         "rows_s": t2 - t1,
         "wall_time_s": time.perf_counter() - t0,
     }
-    if spec.model == "shih":
-        models = [_shih_model(spec.fixed, spec.swept, v) for v in spec.values()]
-        parities = [math.fmod(4.0 * m.delta_l / m.wavelength, 2.0) for m in models]
-        notes = [list(shih_regime_notes(m)) for m in models]
+    row_metadata = MODELS[spec.model].metadata
+    if row_metadata is not None:
+        # a delay leaves the model metadata unchanged; a dl sweep lists it per row
+        per_row = [row_metadata(_row(spec, value)) for value in spec.values()]
         if spec.swept == "dz":
-            metadata["norm_factor_b"] = shih_norm_factor(models[0])
-            metadata["parity_4dl_over_lambda"] = parities[0]
-            metadata["regime_notes"] = notes[0]
+            metadata.update(per_row[0])
         else:
-            metadata["norm_factor_b"] = [shih_norm_factor(m) for m in models]
-            metadata["parity_4dl_over_lambda"] = parities
-            metadata["regime_notes"] = notes
+            metadata.update({key: [meta[key] for meta in per_row] for key in per_row[0]})
     return ScanResult(spec=spec, rows=rows, metadata=metadata)
 
 

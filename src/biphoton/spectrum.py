@@ -165,11 +165,6 @@ class BiphotonSpectrum:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def with_warnings(self, extra: tuple[str, ...]) -> "BiphotonSpectrum":
-        if not extra:
-            return self
-        return BiphotonSpectrum(self.grid, self.amplitudes, self.warnings + tuple(extra))
-
 
 @dataclass(frozen=True, eq=False)
 class TimeWavepacket:
@@ -358,10 +353,13 @@ def apply_path_delays(
     """Propagate port 1 over path ``z1`` and port 2 over ``z2``.
 
     Multiplies each entry by ``exp(i (omega_i z1 + omega_j z2) / c_light)``;
-    a pure phase, so every modulus and the total norm are unchanged.
+    a pure phase, so every modulus and the total norm are unchanged.  Zero
+    delays return ``s`` itself.
     """
     if not (math.isfinite(c_light) and c_light > 0):
         raise ValueError("c_light must be positive and finite")
+    if z1 == 0.0 and z2 == 0.0:
+        return s
     w = s.grid.frequencies()
     phase1 = np.exp(1j * w * (z1 / c_light))
     phase2 = np.exp(1j * w * (z2 / c_light))

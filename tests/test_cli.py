@@ -225,6 +225,23 @@ class TestWavepacket:
         assert "degenerate" in capsys.readouterr().err
 
 
+class TestFileErrors:
+    def test_missing_spectrum_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["transform", "--spectrum-file", str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code = main(["dip-scan", "--dz-min", "-1", "--dz-max", "1", "--steps", "3",
+                     "--grid-points", "33", "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+
 class TestValidateCommand:
     def test_fast_criteria_pass(self, capsys):
         code = main(["validate", "--only", "3,8"])

@@ -172,6 +172,23 @@ class TestMagnitudeMatrix:
         assert float(lines[2].split(",")[2]) == 4.0
 
 
+    def test_matches_per_entry_formatting(self, tmp_path):
+        # reference: every entry through format_float, joined by commas
+        n = 65
+        matrix = np.abs(np.random.default_rng(7).standard_normal((n, n))) * 1e3
+        matrix[0, :4] = [0.0, -0.0, 5e-324, 1e308]
+        matrix[1, :3] = [1.0 + 2.0**-52, np.nextafter(1.0, 0.0), 2.5e-310]
+        axis = np.linspace(-6.0, 6.0, n)
+        axis[3] = -0.0
+        path = tmp_path / "m.csv"
+        fileio.save_magnitude_matrix("omega", axis, matrix, str(path))
+        fmt = fileio.format_float
+        expected = "omega," + ",".join(fmt(x) for x in axis) + "\n" + "".join(
+            fmt(axis[i]) + "," + ",".join(fmt(v) for v in matrix[i]) + "\n" for i in range(n)
+        )
+        assert path.read_bytes() == expected.encode()
+
+
 class TestFloatFormatting:
     def test_seventeen_digit_round_trip(self, rng):
         for _ in range(200):
