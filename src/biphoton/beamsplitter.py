@@ -150,10 +150,12 @@ def transform(s: BiphotonSpectrum, p: BeamSplitterParams) -> OutputDecomposition
 
     and ``p_11 + p_22 + p_coinc = 1``.
     """
-    k = creation_substitution(p)
-    zero = np.zeros_like(s.amplitudes)
-    g11, g12, g22 = _substitute_channels(zero, s.amplitudes, zero, k)
-    return _decomposition_from_channels(s.grid, g11, g12, g22)
+    # _substitute_channels with empty same-port channels, without building them
+    (u, v), (w, x) = creation_substitution(p)
+    c = s.amplitudes
+    g12 = u * x * c
+    g12 += v * w * c.T
+    return _decomposition_from_channels(s.grid, u * w * c, g12, v * x * c)
 
 
 def transform_decomposition(

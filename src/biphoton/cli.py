@@ -30,6 +30,8 @@ from .beamsplitter import BeamSplitterParams, transform, trapping_fidelity
 from .errors import ConfigError, DegenerateSpectrumError
 from .scans import MODELS, ScanSpec, _delayed_spectrum, run_scan
 from .spectrum import (
+    _leading_singular_pair,
+    _time_transform,
     antisymmetric_weight,
     exchange_overlap,
     separability_rank1_fraction,
@@ -183,7 +185,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_wavepacket(args: argparse.Namespace) -> int:
     s = _load_input_state(args)
-    rank1 = separability_rank1_fraction(s)
+    rank1, sigma, u, v = _leading_singular_pair(s.amplitudes)
     metadata: dict[str, Any] = {
         "domain": args.domain,
         "rank1_fraction": rank1,
@@ -198,7 +200,9 @@ def cmd_wavepacket(args: argparse.Namespace) -> int:
         magnitudes = np.abs(packet.values)
         metadata["parseval_power"] = packet.total_power()
         if rank1 > 1.0 - 1e-6:
-            metadata["factorization_residual"] = _factorization_residual(s, packet)
+            metadata["factorization_residual"] = _factorization_residual(
+                s, packet, sigma * u, np.conj(v)
+            )
     if args.format == "csv":
         fileio.save_magnitude_matrix(axis_label, axis, magnitudes, args.output)
         sys.stdout.write(json.dumps({"metadata": metadata}) + "\n")
@@ -213,12 +217,11 @@ def cmd_wavepacket(args: argparse.Namespace) -> int:
     return 0
 
 
-def _factorization_residual(s, packet) -> float:
-    # Rank-1 input: the time wavepacket must factor into 1D transforms.
-    u, sv, vh = np.linalg.svd(s.amplitudes)
-    f = np.exp(-1j * np.outer(packet.time_axis, s.grid.frequencies()))
-    left = f @ (sv[0] * u[:, 0])
-    right = f @ vh[0, :]
+def _factorization_residual(s, packet, left, right) -> float:
+    # Rank-1 input c = outer(left, right): the time wavepacket must factor
+    # into the 1D transforms of the two factors.
+    left = _time_transform(left, s.grid)
+    right = _time_transform(right, s.grid)
     residual = np.max(np.abs(packet.values - np.outer(left, right)))
     return float(residual / np.max(np.abs(packet.values)))
 

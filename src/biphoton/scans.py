@@ -203,8 +203,9 @@ class ScanSpec:
     one.  ``delay_mode`` controls how a swept ``dz`` is applied to models
     without their own paths: ``"signal"`` delays port 1 only (relative
     delay ``dz``), ``"common"`` delays both ports equally (pure global
-    phase for symmetric or antisymmetric states).  A two-path row has the
-    relative delay ``z1 - z2``, where ``z2`` is ``fixed["z2"]`` or ``z1 - dz``.
+    phase for symmetric or antisymmetric states).  A two-path row takes its
+    relative delay ``z1 - z2`` from its own paths, where ``z2`` is
+    ``fixed["z2"]`` or ``z1 - dz``, so that model rejects ``"common"``.
     """
 
     model: str
@@ -229,6 +230,11 @@ class ScanSpec:
             raise ConfigError("scan range must satisfy start < stop")
         if self.delay_mode not in ("signal", "common"):
             raise ConfigError(f"delay_mode must be 'signal' or 'common', got {self.delay_mode!r}")
+        if self.delay_mode == "common" and "z2" in MODELS[self.model].keys:
+            raise ConfigError(
+                f"delay_mode 'common' does not apply to model {self.model!r}, "
+                "whose own paths z1 and z2 set its relative delay"
+            )
         if self.evaluation is not None:
             if not self.evaluation:
                 raise ConfigError("at least one evaluation method must be selected")

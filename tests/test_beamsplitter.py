@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton.beamsplitter import _decomposition_from_channels, _substitute_channels
 from conftest import make_random_spectrum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -98,6 +99,21 @@ class TestTransform:
         np.testing.assert_allclose(d.amp_11, c * phase * ct * st_, atol=1e-14)
         np.testing.assert_allclose(d.amp_22, -c * np.conj(phase) * ct * st_, atol=1e-14)
         np.testing.assert_allclose(d.amp_12, c * ct**2 - c.T * st_**2, atol=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.62, math.pi / 4.0, math.pi / 2.0, -2.1])
+    def test_equals_substitution_with_empty_same_port_channels(self, rng, theta):
+        # the direct channels against the general substitution, bit for bit
+        s = make_random_spectrum(rng, 9)
+        p = bp.BeamSplitterParams(theta=theta, phi_tau=0.3, phi_rho=-1.1)
+        zero = np.zeros_like(s.amplitudes)
+        g11, g12, g22 = _substitute_channels(
+            zero, s.amplitudes, zero, bp.creation_substitution(p)
+        )
+        d = bp.transform(s, p)
+        for got, want in ((d.amp_11, g11), (d.amp_12, g12), (d.amp_22, g22)):
+            assert np.array_equal(got, want)
+        oracle = _decomposition_from_channels(s.grid, g11, g12, g22)
+        assert (d.p_11, d.p_22, d.p_coinc) == (oracle.p_11, oracle.p_22, oracle.p_coinc)
 
     def test_transparent_splitter_passes_through(self, rng):
         s = make_random_spectrum(rng, 5)

@@ -240,6 +240,25 @@ class TestScanSpecValidation:
         with pytest.raises(bp.ConfigError, match="delay_mode"):
             dip_spec(n_steps=5, delay_mode="idler")
 
+    @pytest.mark.parametrize("swept", ["dz", "dl"])
+    def test_common_delay_mode_rejected_for_two_path_model(self, swept):
+        # the model's own paths z1 and z2 set its relative delay, so a common
+        # delay of both ports would be silently ignored
+        fixed = {"center": 94.2, "sigma": 1.0, "sigma_p": 0.1}
+        for evaluate in (bp.run_scan, lambda spec: bp.evaluate_scan_point(spec, 2.0)):
+            with pytest.raises(bp.ConfigError, match="delay_mode 'common'"):
+                evaluate(shih_spec(swept=swept, start=1.0, fixed=fixed, delay_mode="common"))
+
+    @pytest.mark.parametrize("pump_sigma", [None, 0.5])
+    def test_common_delay_mode_accepted_for_gaussian_pair(self, pump_sigma):
+        # a common delay is a phase exp(i(w1 + w2) dz) that keeps the pair symmetric
+        spec = dip_spec(n_steps=5, pump_sigma=pump_sigma, delay_mode="common",
+                        evaluation=("numeric",))
+        result = bp.run_scan(spec)
+        for row in result.rows:
+            assert row.p_numeric < 1e-12
+            assert bp.evaluate_scan_point(spec, row.param) == row
+
     def test_dl_sweep_of_gaussian_pair_rejected(self):
         spec = bp.ScanSpec(
             model="gaussian_pair",

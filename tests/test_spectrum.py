@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton import spectrum
 from conftest import make_random_spectrum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -203,6 +204,13 @@ class TestSeparabilityRank1Fraction:
         assert abs(bp.separability_rank1_fraction(s) - 1.0) < 1e-12
 
 
+def dense_transform(grid):
+    # time axis and F[m, i] = exp(-i omega_i t_m), the direct-summation oracle
+    n = grid.n_points
+    t = (np.arange(n) - grid.center_index) * (2.0 * math.pi / (n * grid.spacing))
+    return t, np.exp(-1j * np.outer(t, grid.frequencies()))
+
+
 class TestTimeDomain:
     def test_single_cell_gives_constant_modulus(self):
         grid = bp.make_grid(0.0, 1.0, 5)
@@ -238,6 +246,29 @@ class TestTimeDomain:
     def test_parseval(self, seed, n):
         s = make_random_spectrum(np.random.default_rng(seed), n)
         assert abs(bp.time_domain(s).total_power() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "n,center,half_span", [(5, 0.0, 1.0), (33, 2.5, 5.0), (257, -1.7, 6.0), (513, 3.0, 6.0)]
+    )
+    def test_fft_matches_dense_oracle(self, n, center, half_span):
+        grid = bp.make_grid(center, half_span, n)
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        s = bp.BiphotonSpectrum.from_array(grid, raw)
+        packet = bp.time_domain(s)
+        t, f = dense_transform(grid)
+        oracle = f @ s.amplitudes @ f.T
+        assert np.array_equal(packet.time_axis, t)
+        peak = np.max(np.abs(oracle))
+        assert np.max(np.abs(packet.values - oracle)) <= 1e-12 * peak
+
+    def test_vector_transform_matches_dense_oracle(self):
+        grid = bp.make_grid(-2.2, 7.0, 257)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(257) + 1j * rng.standard_normal(257)
+        oracle = dense_transform(grid)[1] @ x
+        got = spectrum._time_transform(x, grid)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestImmutability:
