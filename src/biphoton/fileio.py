@@ -172,7 +172,6 @@ def _spec_as_dict(spec) -> dict[str, Any]:
         "evaluation": list(spec.resolved_evaluation()),
         "grid_points": spec.grid_points,
         "grid_span_sigmas": spec.grid_span_sigmas,
-        "delay_mode": spec.delay_mode,
     }
 
 

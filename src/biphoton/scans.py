@@ -7,17 +7,17 @@ CLI input states alike, gets its path delays from
 :func:`~biphoton.spectrum.apply_path_delays`, applied in one place.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
-delay or ``dl`` half path difference), the sweep range and the evaluation
-methods.  A scan builds the model at the swept value 0 once, reduces it once
-in O(n^2), and reads each row off that reduction.  A delay only multiplies
-the exchange overlap term by term by a difference-frequency phase, so a
-``dz`` row costs O(n) (:func:`~biphoton.spectrum.delay_antisymmetric_weight`).
-A path difference only scales each port-1 row of the spectrum by a real
-factor, so a ``dl`` row costs one real O(n^2) matrix-vector product
-(:func:`~biphoton.spectrum.row_factor_antisymmetric_weight`).  Every row is
-compared against the model's closed form where one exists.  Each row is
-computed on its own from the same inputs, so identical specs produce
-bit-identical tables, in any evaluation order.
+delay or ``dl`` half path difference) and the sweep range.  A scan builds
+the model at the swept value 0 once, reduces it once in O(n^2), and reads
+each row off that reduction.  A delay only multiplies the exchange overlap
+term by term by a difference-frequency phase, so a ``dz`` row costs O(n)
+(:func:`~biphoton.spectrum.delay_antisymmetric_weight`).  A path difference
+only scales each port-1 row of the spectrum by a real factor, so a ``dl``
+row costs one real O(n^2) matrix-vector product
+(:func:`~biphoton.spectrum.row_factor_antisymmetric_weight`).  Every row
+carries this numeric value and, where the model has one, its closed form.
+Each row is computed on its own from the same inputs, so identical specs
+produce bit-identical tables, in any evaluation order.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .spectrum import (
 )
 
 SWEEPABLE = ("dz", "dl")
-EVALUATIONS = ("numeric", "closed_form")
 
 # Values of the optional parameters that ``fixed`` leaves out.
 _DEFAULTS = {"center": 0.0, "sigma": 1.0, "c_light": 1.0, "delta_l": 0.0, "dl": 0.0}
@@ -103,6 +102,8 @@ def _bell_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> Freque
     half_gap = 0.5 * abs(omega_b - omega_a)
     if half_gap == 0.0:
         raise ConfigError("omega_a and omega_b must differ")
+    if not (math.isfinite(span_mult) and span_mult > 0):
+        raise ConfigError(f"grid span must be positive and finite, got {span_mult}")
     cells = max(1, round((n_points - 1) / (2.0 * span_mult)))
     spacing = half_gap / cells
     return make_grid(center, spacing * (n_points - 1) / 2.0, n_points)
@@ -198,14 +199,11 @@ class ScanSpec:
 
     ``fixed`` holds the model parameters that do not vary along the sweep;
     each entry of :data:`MODELS` lists the keys its model allows and
-    requires.  A fixed key may not name the swept parameter.
-    ``evaluation`` defaults to numeric plus closed form when the model has
-    one.  ``delay_mode`` controls how a swept ``dz`` is applied to models
-    without their own paths: ``"signal"`` delays port 1 only (relative
-    delay ``dz``), ``"common"`` delays both ports equally (pure global
-    phase for symmetric or antisymmetric states).  A two-path row takes its
-    relative delay ``z1 - z2`` from its own paths, where ``z2`` is
-    ``fixed["z2"]`` or ``z1 - dz``, so that model rejects ``"common"``.
+    requires.  A fixed key may not name the swept parameter.  Every row
+    gets the numeric value and, where the model has one, its closed form.
+    A swept ``dz`` delays port 1 of a model without its own paths; a
+    two-path row takes its relative delay ``z1 - z2`` from its own paths,
+    where ``z2`` is ``fixed["z2"]`` or ``z1 - dz``.
     """
 
     model: str
@@ -214,10 +212,8 @@ class ScanSpec:
     stop: float
     n_steps: int
     fixed: dict[str, Any] = field(default_factory=dict)
-    evaluation: tuple[str, ...] | None = None
     grid_points: int = 257
     grid_span_sigmas: float = 6.0
-    delay_mode: str = "signal"
     include_w_antisym: bool = True
 
     def __post_init__(self):
@@ -228,25 +224,13 @@ class ScanSpec:
             raise ConfigError("steps must be >= 2")
         if not (self.start < self.stop):
             raise ConfigError("scan range must satisfy start < stop")
-        if self.delay_mode not in ("signal", "common"):
-            raise ConfigError(f"delay_mode must be 'signal' or 'common', got {self.delay_mode!r}")
-        if self.delay_mode == "common" and "z2" in MODELS[self.model].keys:
-            raise ConfigError(
-                f"delay_mode 'common' does not apply to model {self.model!r}, "
-                "whose own paths z1 and z2 set its relative delay"
-            )
-        if self.evaluation is not None:
-            if not self.evaluation:
-                raise ConfigError("at least one evaluation method must be selected")
-            bad = set(self.evaluation) - set(EVALUATIONS)
-            if bad:
-                raise ConfigError(f"unknown evaluation method(s): {sorted(bad)}")
-            if "closed_form" in self.evaluation and MODELS[self.model].closed_form is None:
-                raise ConfigError(f"model {self.model!r} has no closed-form evaluation")
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError(f"scan range [{self.start}, {self.stop}] must have a finite width")
 
     def resolved_evaluation(self) -> tuple[str, ...]:
+        """Columns every row carries: numeric, plus closed form where the model has one."""
         closed_form = () if MODELS[self.model].closed_form is None else ("closed_form",)
-        return self.evaluation or ("numeric", *closed_form)
+        return ("numeric", *closed_form)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_steps)
@@ -255,7 +239,7 @@ class ScanSpec:
 @dataclass(frozen=True)
 class ScanRow:
     param: float
-    p_numeric: float | None = None
+    p_numeric: float
     p_closed: float | None = None
     p_reduced: float | None = None
     w_antisym: float | None = None
@@ -313,19 +297,17 @@ def build_model_spectrum(
     return MODELS[model].base(fixed, grid)
 
 
-def _path_delays(
-    model: str, row: dict[str, Any], delay_mode: str = "signal"
-) -> tuple[float, float]:
+def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
     """Port-1 path ``z1`` and relative delay ``dz = z1 - z2`` of one row.
 
     ``row`` holds the row's parameters and, for any model, may hold ``dz``.
     A model with its own paths (one that accepts ``z2``) has
     ``z2 = row["z2"]`` or ``z1 - dz``; any other model carries ``dz`` on
-    port 1 (``delay_mode="signal"``) or on both ports (``"common"``).
+    port 1, so ``z1 = dz`` and ``z2 = 0``.
     """
     dz = float(row.get("dz", 0.0))
     if "z2" not in MODELS[model].keys:
-        return dz, (dz if delay_mode == "signal" else 0.0)
+        return dz, dz
     if "z2" in row and "dz" in row:
         raise ConfigError("give the two-path model either z2 or dz, not both")
     z1 = float(row.get("z1", 0.0))
@@ -333,15 +315,14 @@ def _path_delays(
 
 
 def _delayed_spectrum(
-    model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float,
-    delay_mode: str = "signal",
+    model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float
 ) -> BiphotonSpectrum:
     """Spectrum of one row's parameters with the row's path delays applied.
 
     A spectrum file is read once and brings its own grid.
     """
     entry = MODELS[model]
-    z1, dz = _path_delays(model, row, delay_mode)
+    z1, dz = _path_delays(model, row)
     grid = None if entry.grid is None else entry.grid(row, grid_points, grid_span_sigmas)
     return apply_path_delays(entry.base(row, grid), z1, z1 - dz, _num(row, "c_light"))
 
@@ -357,18 +338,17 @@ def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
 
 
 def _evaluate_point(
-    spec: ScanSpec, point_weight: Callable[[float], float] | None, value: float
+    spec: ScanSpec, point_weight: Callable[[float], float], value: float
 ) -> ScanRow:
     """One row; ``point_weight`` is the scan's numeric kernel from ``_prepare``."""
-    evaluation = spec.resolved_evaluation()
     # the balanced coincidence equals the antisymmetric weight
-    p_numeric = point_weight(value) if "numeric" in evaluation else None
+    p_numeric = point_weight(value)
     w_antisym = p_numeric if spec.include_w_antisym else None
     p_closed = p_reduced = None
-    if "closed_form" in evaluation:
+    closed_form = MODELS[spec.model].closed_form
+    if closed_form is not None:
         row = _row(spec, value)
-        _, dz = _path_delays(spec.model, row, spec.delay_mode)
-        p_closed, p_reduced = MODELS[spec.model].closed_form(row, dz)
+        p_closed, p_reduced = closed_form(row, _path_delays(spec.model, row)[1])
     result = ScanRow(float(value), p_numeric, p_closed, p_reduced, w_antisym)
     _check_row(result)
     return result
@@ -394,7 +374,7 @@ def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
     # 2 pi c / domega, so delays from half that period on alias onto
     # shorter ones.  A dl row splits port 1 over the delays dz +- dl.
     def relative_delay(value: float) -> float:
-        return abs(_path_delays(spec.model, _row(spec, value), spec.delay_mode)[1])
+        return abs(_path_delays(spec.model, _row(spec, value))[1])
 
     if spec.swept == "dz":
         what = "relative delay |z1 - z2|"
@@ -412,33 +392,25 @@ def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
     ]
 
 
-def _prepare(
-    spec: ScanSpec,
-) -> tuple[FrequencyGrid, Callable[[float], float] | None, list[str]]:
+def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], list[str]]:
     """Grid, numeric kernel and warnings of a scan.
 
     The kernel maps a swept value to the balanced coincidence of its row,
     read off one reduction of the scan's base spectrum: the spectrum at the
-    swept value 0, with the path delays of that row.  It is ``None`` when
-    the scan has no numeric column.
+    swept value 0, with the path delays of that row.
     """
     entry = MODELS[spec.model]
     base_row = _row(spec, 0.0)
-    if "numeric" not in spec.resolved_evaluation():
-        grid = resolve_grid(spec.model, spec.fixed, spec.grid_points, spec.grid_span_sigmas)
-        return grid, None, []
     if spec.swept == "dl":
         base_row.update(entry.dl_base)
-    base = _delayed_spectrum(
-        spec.model, base_row, spec.grid_points, spec.grid_span_sigmas, spec.delay_mode
-    )
+    base = _delayed_spectrum(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
 
     # a row is kernel(factor(value)): its delay or row factors read off the reduced base
     if spec.swept == "dz":
         kernel = delay_antisymmetric_weight(base, _num(spec.fixed, "c_light"))
 
         def factor(value: float) -> float:
-            return _path_delays(spec.model, _row(spec, value), spec.delay_mode)[1]
+            return _path_delays(spec.model, _row(spec, value))[1]
     else:
         kernel = row_factor_antisymmetric_weight(base, entry.row_floor)
 
@@ -499,7 +471,7 @@ def compare_methods(result: ScanResult) -> ScanComparison:
     """Deviation statistics between ``p_numeric`` and ``p_closed`` columns."""
     devs = []
     for row in result.rows:
-        if row.p_numeric is None or row.p_closed is None:
+        if row.p_closed is None:
             raise ValueError(
                 "comparison requires both numeric and closed-form columns in every row"
             )

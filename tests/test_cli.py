@@ -242,6 +242,33 @@ class TestFileErrors:
         assert err.startswith("error: ") and str(out) in err
 
 
+_BELL = ["transform", "--model", "bell", "--omega-a", "-2", "--omega-b", "2"]
+_DIP = ["dip-scan", "--steps", "3"]
+_SHIH = ["shih-scan", "--beta", "0.1", "--center", "100", "--dl", "5", "--steps", "3"]
+
+
+class TestMalformedCommandLines:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _BELL + ["--grid-span", "0"],
+            _BELL + ["--grid-span", "-3"],
+            _BELL + ["--grid-span", "inf"],
+            _BELL + ["--grid-span", "nan"],
+            _DIP + ["--dz-min=-inf", "--dz-max=inf"],
+            _DIP + ["--dz-min=-1e308", "--dz-max=1e308"],
+            _SHIH + ["--dz-min=-1", "--dz-max=inf"],
+        ],
+        ids=["bell-span-0", "bell-span-negative", "bell-span-inf", "bell-span-nan",
+             "dip-infinite-range", "dip-overflowing-range", "shih-infinite-stop"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestValidateCommand:
     def test_fast_criteria_pass(self, capsys):
         code = main(["validate", "--only", "3,8"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton import fileio, scans
+from biphoton import fileio
 from biphoton.cli import main
 
 BALANCED = bp.BeamSplitterParams.balanced()
@@ -43,8 +43,7 @@ def oracle(s):
 def externally_delayed(spec, base):
     c_light = spec.fixed.get("c_light", 1.0)
     for value in spec.values():
-        z2 = 0.0 if spec.delay_mode == "signal" else value
-        yield bp.apply_path_delays(base, value, z2, c_light)
+        yield bp.apply_path_delays(base, value, 0.0, c_light)
 
 
 def assert_rows_match_oracle(result, delayed):
@@ -60,14 +59,12 @@ def assert_single_points_match(spec, result, stride=4):
 
 
 class TestFastPathAgainstPerRowOracle:
-    @pytest.mark.parametrize("delay_mode", ["signal", "common"])
     @pytest.mark.parametrize("case", sorted(EXTERNAL_DELAY_CASES))
-    def test_model_scans(self, case, delay_mode):
+    def test_model_scans(self, case):
         model, fixed, n, span, start, stop = EXTERNAL_DELAY_CASES[case]
         spec = bp.ScanSpec(
             model=model, swept="dz", start=start, stop=stop, n_steps=21, fixed=fixed,
-            evaluation=("numeric",), grid_points=n, grid_span_sigmas=span,
-            delay_mode=delay_mode,
+            grid_points=n, grid_span_sigmas=span,
         )
         result = bp.run_scan(spec)
         grid = bp.resolve_grid(model, fixed, n, span)
@@ -75,9 +72,8 @@ class TestFastPathAgainstPerRowOracle:
         assert_rows_match_oracle(result, externally_delayed(spec, base))
         assert_single_points_match(spec, result)
 
-    @pytest.mark.parametrize("delay_mode", ["signal", "common"])
     @pytest.mark.parametrize("seed,n", [(11, 33), (12, 65), (13, 65)])
-    def test_random_spectrum_files(self, tmp_path, seed, n, delay_mode):
+    def test_random_spectrum_files(self, tmp_path, seed, n):
         rng = np.random.default_rng(seed)
         grid = bp.make_grid(rng.uniform(-5.0, 5.0), rng.uniform(1.0, 4.0), n)
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -85,7 +81,7 @@ class TestFastPathAgainstPerRowOracle:
         bp.save_spectrum(bp.BiphotonSpectrum.from_array(grid, raw), path)
         spec = bp.ScanSpec(
             model="spectrum_file", swept="dz", start=-6.0, stop=6.0, n_steps=25,
-            fixed={"path": path, "c_light": 1.5}, delay_mode=delay_mode,
+            fixed={"path": path, "c_light": 1.5},
         )
         result = bp.run_scan(spec)
         assert_rows_match_oracle(result, externally_delayed(spec, bp.load_spectrum(path)))
@@ -130,27 +126,6 @@ class TestFastPathAgainstPerRowOracle:
         assert row.param == 0.0
         assert row.p_numeric == 0.0
         assert row.w_antisym == 0.0
-
-    @pytest.mark.parametrize(
-        "model,fixed",
-        [
-            ("gaussian_pair", {"sigma": 1.0, "center": 0.0}),
-            ("shih", {"center": 319.0 * math.pi / 10.0, "sigma": 1.0, "sigma_p": 0.1,
-                      "delta_l": 5.0}),
-        ],
-    )
-    def test_closed_form_only_runs_no_reduction(self, monkeypatch, model, fixed):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("closed-form-only scan reduced a spectrum")
-
-        monkeypatch.setattr(scans, "delay_antisymmetric_weight", forbidden)
-        spec = bp.ScanSpec(
-            model=model, swept="dz", start=-4.0, stop=4.0, n_steps=9, fixed=fixed,
-            evaluation=("closed_form",), grid_span_sigmas=4.5,
-        )
-        result = bp.run_scan(spec)
-        assert all(row.p_numeric is None and row.p_closed is not None for row in result.rows)
-        assert bp.evaluate_scan_point(spec, 1.0).p_numeric is None
 
 
 class TestDlSweepWeight:
@@ -228,9 +203,12 @@ class TestDelayAliasGuard:
             fixed={"sigma": 1.0},
         )
         assert not self.alias_warnings(bp.run_scan(spec))
+        # a path of ~500 common to both ports (z1 = 500, z2 = z1 - dz) is not a relative delay
+        fixed = {"center": 319.0 * math.pi / 10.0, "sigma": 1.0, "sigma_p": 0.1, "delta_l": 5.0,
+                 "z1": 500.0}
         spec = bp.ScanSpec(
-            model="bell", swept="dz", start=0.0, stop=500.0, n_steps=3,
-            fixed={"omega_a": -2.0, "omega_b": 2.0}, delay_mode="common",
+            model="shih", swept="dz", start=-1.0, stop=1.0, n_steps=3, fixed=fixed,
+            grid_points=129, grid_span_sigmas=4.5,
         )
         assert not self.alias_warnings(bp.run_scan(spec))
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton import scans
 from biphoton.spectrum import row_factor_antisymmetric_weight
 
 BALANCED = bp.BeamSplitterParams.balanced()
@@ -84,20 +83,6 @@ class TestDlReductionAgainstPerRowOracle:
         assert_rows_match_oracle(spec, result, delta_row_spectrum)
         assert_single_points_match(spec, result, stride=1)
 
-    def test_closed_form_only_runs_no_reduction(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("closed-form-only scan reduced a spectrum")
-
-        monkeypatch.setattr(scans, "row_factor_antisymmetric_weight", forbidden)
-        spec = bp.ScanSpec(
-            model="shih", swept="dl", start=1.0, stop=5.0, n_steps=5,
-            fixed={"center": 90.0, "sigma": 1.0, "sigma_p": 0.1, "dz": 1.0},
-            evaluation=("closed_form",), grid_span_sigmas=4.5,
-        )
-        result = bp.run_scan(spec)
-        assert all(row.p_numeric is None and row.p_closed is not None for row in result.rows)
-        assert bp.evaluate_scan_point(spec, 2.0).p_numeric is None
-
     @pytest.mark.parametrize("seed,n", [(21, 5), (22, 33), (23, 65)])
     def test_kernel_matches_from_array_on_random_spectra(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -119,7 +104,7 @@ class TestDlErrorsAtTheSameRow:
         fixed = {"center": 1.5 * math.pi, "sigma": 1.0, "sigma_p": 0.5}
         spec = bp.ScanSpec(
             model="shih", swept="dl", start=0.5, stop=1.0, n_steps=2, fixed=fixed,
-            grid_points=3, grid_span_sigmas=math.pi, evaluation=("numeric",),
+            grid_points=3, grid_span_sigmas=math.pi,
         )
         grid = bp.resolve_grid("shih", fixed, 3, math.pi)
         with pytest.raises(bp.DegenerateSpectrumError):
@@ -150,7 +135,7 @@ class TestDlErrorsAtTheSameRow:
         spec = bp.ScanSpec(
             model="shih", swept="dl", start=-1.0, stop=1.0, n_steps=3,
             fixed={"center": 90.0, "sigma": 1.0, "sigma_p": 0.1},
-            evaluation=("numeric",), grid_points=65, grid_span_sigmas=4.5,
+            grid_points=65, grid_span_sigmas=4.5,
         )
         with pytest.raises(ValueError, match="delta_l"):
             bp.run_scan(spec)
@@ -168,7 +153,7 @@ class TestDlErrorsAtTheSameRow:
     def test_other_models_cannot_sweep_dl(self, model, fixed):
         spec = bp.ScanSpec(
             model=model, swept="dl", start=0.0, stop=1.0, n_steps=3, fixed=fixed,
-            evaluation=("numeric",), grid_points=65,
+            grid_points=65,
         )
         with pytest.raises(bp.ConfigError, match="cannot sweep 'dl'"):
             bp.run_scan(spec)
@@ -253,9 +238,9 @@ class TestScanMetadata:
             bp.ScanSpec(model="shih", swept="dl", start=1.0, stop=4.0, n_steps=7,
                         fixed=shih_fixed(dz=1.0), grid_points=129, grid_span_sigmas=4.5),
             bp.ScanSpec(model="shih", swept="dz", start=-1.0, stop=1.0, n_steps=3,
-                        fixed=shih_fixed(delta_l=5.0), evaluation=("closed_form",)),
+                        fixed=shih_fixed(delta_l=5.0)),
         ],
-        ids=["dz", "dl", "closed_form"],
+        ids=["dz", "dl", "shih_dz"],
     )
     def test_stage_times(self, spec):
         meta = bp.run_scan(spec).metadata

@@ -154,11 +154,6 @@ def test_conflicting_delays_rejected(model, swept, fixed):
         bp.run_scan(spec)
     with pytest.raises(bp.ConfigError):
         bp.evaluate_scan_point(spec, 1.0)
-    if MODELS[model].closed_form is not None:
-        closed_form_only = bp.ScanSpec(model=model, swept=swept, start=0.5, stop=1.5, n_steps=3,
-                                       fixed=fixed, evaluation=("closed_form",))
-        with pytest.raises(bp.ConfigError):
-            bp.run_scan(closed_form_only)
 
 
 def test_zero_delays_return_the_spectrum():
