@@ -17,6 +17,12 @@ Four families:
 * Antisymmetric Bell — the two-frequency singlet combination, the textbook
   perfectly anti-coalescent state.
 
+The Gaussian-pair and two-path envelopes are separable on the grid:
+``a_i a_j p[i + j]``, one 1-D Gaussian ``a`` and a pump term with only
+``2n - 1`` distinct values, so sampling evaluates ``exp`` on O(n) points.
+``a_i a_j`` is formed first and equals ``a_j a_i`` bit for bit, so the sampled
+envelope is exactly exchange-symmetric.
+
 Everything uses angular frequencies; lengths and ``c_light`` only enter via
 the dimensionless groups ``sigma*dz/c``, ``sigma*dl/c``, ``beta`` and
 ``dl/lambda``, so natural units (``sigma = c = 1``) and SI values give
@@ -26,11 +32,12 @@ identical physics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import ConfigError, DegenerateSpectrumError
 from .spectrum import BiphotonSpectrum, FrequencyGrid, apply_path_delays
 
 # Minimum grid coverage (in units of sigma) below which model builders
@@ -42,6 +49,17 @@ _SNAP_TOL = 1e-9
 
 # Relative squared norm below which the two-path modulation annihilates a state.
 MIN_MODULATION_WEIGHT = 1e-15
+
+
+def _check_bandwidth(name: str, value: float) -> None:
+    # A Gaussian exponent divides by 2*value**2, which must be a positive
+    # normal float: an underflow to 0 or a subnormal, or an overflow to inf,
+    # would turn the samples into NaN or lose them.
+    two_s2 = 2.0 * value * value
+    if not (value > 0 and sys.float_info.min <= two_s2 < math.inf):
+        raise ValueError(
+            f"{name} must be positive and finite, with 2*{name}**2 a normal float; got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -58,12 +76,9 @@ class GaussianPairModel:
     pump_sigma: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if self.pump_sigma is not None and not (
-            math.isfinite(self.pump_sigma) and self.pump_sigma > 0
-        ):
-            raise ValueError("pump_sigma must be positive and finite when given")
+        _check_bandwidth("sigma", self.sigma)
+        if self.pump_sigma is not None:
+            _check_bandwidth("pump_sigma", self.pump_sigma)
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
 
@@ -89,10 +104,8 @@ class ShihModel:
     c_light: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if not (math.isfinite(self.sigma_p) and self.sigma_p > 0):
-            raise ValueError("sigma_p must be positive and finite")
+        _check_bandwidth("sigma", self.sigma)
+        _check_bandwidth("sigma_p", self.sigma_p)
         if not (math.isfinite(self.center) and self.center > 0):
             raise ValueError("center must be positive (it sets the carrier wavelength)")
         if not (math.isfinite(self.c_light) and self.c_light > 0):
@@ -155,19 +168,39 @@ def _coverage_warnings(grid: FrequencyGrid, center: float, sigma: float) -> tupl
     return ()
 
 
+def _separable_envelope(
+    grid: FrequencyGrid, center: float, sigma: float, pump_sigma: float | None
+) -> np.ndarray:
+    """Envelope ``exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))``
+    times, unless ``pump_sigma`` is None, ``exp(-(w1+w2-2*center)**2 / (2*pump_sigma**2))``.
+
+    Sampled as ``outer(a, a) * p[i + j]``: ``a`` is the 1-D Gaussian and ``p``
+    the pump term on the ``2n - 1`` sums ``w_0 + w_j`` and ``w_(n-1) + w_j``,
+    read as a Hankel matrix by a strided view.  ``a_i a_j`` is formed first,
+    so the result is exactly symmetric.  The real values are written into
+    the real part of a zeroed complex matrix: an n x n float temporary would
+    land on the heap of a process that has freed larger arrays, and raise
+    its peak resident memory over repeated builds.
+    """
+    w = grid.frequencies()
+    a = np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
+    envelope = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)
+    np.multiply.outer(a, a, out=envelope.real)
+    if pump_sigma is not None:
+        sums = np.concatenate((w[0] + w, w[-1] + w[1:]))
+        p = np.exp(-((sums - 2.0 * center) ** 2) / (2.0 * pump_sigma**2))
+        envelope.real *= np.lib.stride_tricks.sliding_window_view(p, grid.n_points)
+    return envelope
+
+
 def gaussian_pair_spectrum(m: GaussianPairModel, grid: FrequencyGrid) -> BiphotonSpectrum:
     """Sample the (optionally pump-entangled) Gaussian pair on ``grid``.
 
-    The result is exchange-symmetric; with a flat pump it is an exact outer
-    product of two identical 1D Gaussians (rank-1, un-entangled).
+    The result is exchange-symmetric bit for bit; with a flat pump it is an
+    exact outer product of two identical 1D Gaussians (rank-1, un-entangled).
+    The envelope is sampled separably, see :func:`_separable_envelope`.
     """
-    w = grid.frequencies()
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    raw = np.exp(
-        -((w1 - m.center) ** 2 + (w2 - m.center) ** 2) / (2.0 * m.sigma**2)
-    ).astype(np.complex128)
-    if m.pump_sigma is not None:
-        raw *= np.exp(-((w1 + w2 - 2.0 * m.center) ** 2) / (2.0 * m.pump_sigma**2))
+    raw = _separable_envelope(grid, m.center, m.sigma, m.pump_sigma)
     return BiphotonSpectrum.from_array(
         grid, raw, warnings=_coverage_warnings(grid, m.center, m.sigma)
     )
@@ -195,24 +228,26 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         * exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))
         * exp(i*(w1*z1 + w2*z2)/c) * cos(w1*delta_l/c)
 
-    The path phase comes from :func:`~biphoton.spectrum.apply_path_delays`.
-    Raises :class:`DegenerateSpectrumError` when the cosine node wipes out
-    the entire sampled support.
+    The envelope is sampled separably (see :func:`_separable_envelope`), so
+    at ``delta_l = 0`` the spectrum is exactly symmetric; the cosine scales
+    the rows.  The path phase comes from
+    :func:`~biphoton.spectrum.apply_path_delays`.  Raises
+    :class:`DegenerateSpectrumError` when the cosine node wipes out the
+    entire sampled support.
     """
-    w = grid.frequencies()
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    envelope = np.exp(
-        -((w1 + w2 - 2.0 * m.center) ** 2) / (2.0 * m.sigma_p**2)
-        - ((w1 - m.center) ** 2 + (w2 - m.center) ** 2) / (2.0 * m.sigma**2)
-    )
-    raw = envelope * shih_path_modulation(m, grid)[:, None]
-
-    env_norm = float(np.sum(envelope**2))
-    if env_norm > 0.0 and float(np.sum(raw**2)) / env_norm < MIN_MODULATION_WEIGHT:
+    raw = _separable_envelope(grid, m.center, m.sigma, m.sigma_p)
+    envelope = raw.real
+    modulation = shih_path_modulation(m, grid)
+    # squared norms from the row sums, with no n x n temporary
+    row_norms = np.einsum("ij,ij->i", envelope, envelope)
+    env_norm = float(np.sum(row_norms))
+    if env_norm > 0.0 and float(modulation**2 @ row_norms) / env_norm < MIN_MODULATION_WEIGHT:
         raise DegenerateSpectrumError(
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
+    envelope *= modulation[:, None]
     s = BiphotonSpectrum.from_array(grid, raw, warnings=_coverage_warnings(grid, m.center, m.sigma))
+    del raw, envelope  # not needed while the phases are applied
     return apply_path_delays(s, m.z1, m.z2, m.c_light)
 
 
@@ -300,6 +335,8 @@ def delta_pump_modulation(
     """Row factors ``cos`` (even) or ``sin`` (odd) of ``nu_i*dl/c`` of the ``dl = 0`` spectrum."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if not math.isfinite(grid.half_span * (dl / c_light)):
+        raise ConfigError(f"half path difference dl = {dl!r} must give a finite phase nu*dl/c")
     arg = grid.offsets() * (dl / c_light)
     return np.cos(arg) if parity == "even" else np.sin(arg)
 
@@ -320,8 +357,7 @@ def delta_pump_spectrum(
     an exact zero at the degenerate cell ``nu = 0``).
     """
     modulation = delta_pump_modulation(grid, dl, parity, c_light)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
+    _check_bandwidth("sigma", sigma)
     if not math.isclose(grid.center, center, rel_tol=1e-12, abs_tol=1e-300):
         raise ValueError(
             f"grid center {grid.center!r} must coincide with the model center {center!r}"

@@ -133,9 +133,7 @@ class BiphotonSpectrum:
             raise ValueError(f"amplitude matrix must be {n}x{n}, got {amp.shape}")
         if amp.dtype != np.complex128:
             raise ValueError("amplitudes must be complex128")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
+        norm_sq = _finite_squared_norm(amp)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"spectrum must be unit-norm, got sum|c|^2 = {norm_sq!r}")
 
@@ -149,22 +147,45 @@ class BiphotonSpectrum:
         """Normalize ``raw`` to unit norm and wrap it.
 
         Raises :class:`DegenerateSpectrumError` when ``raw`` is (effectively)
-        zero and therefore cannot represent a state.
+        zero and therefore cannot represent a state.  ``raw`` itself is never
+        modified; a converted copy is normalized in place.
         """
-        raw = np.ascontiguousarray(raw, dtype=np.complex128)
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
+        amp = np.ascontiguousarray(raw, dtype=np.complex128)
+        owned = amp is not raw and amp.flags.owndata
+        norm_sq = _finite_squared_norm(amp)
+        if norm_sq == math.inf:
+            # finite entries whose squares overflow the sum: scale by the
+            # largest modulus first
+            amp = np.divide(amp, np.max(np.abs(amp)), out=amp if owned else None)
+            owned = True
+            norm_sq = _finite_squared_norm(amp)
+        norm = math.sqrt(norm_sq)
         if norm < _MIN_NORM:
             raise DegenerateSpectrumError(
                 "degenerate spectrum: amplitude matrix is (effectively) zero"
             )
-        amp = raw / norm
+        amp = np.divide(amp, norm, out=amp if owned else None)
         amp.flags.writeable = False
         return cls(grid=grid, amplitudes=amp, warnings=tuple(warnings))
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
+
+
+def _finite_squared_norm(a: np.ndarray) -> float:
+    """``sum |a|**2`` of a complex128 matrix; raises ``ValueError`` on NaN/Inf.
+
+    One pass serves both checks: the sum is finite exactly when every entry
+    is, unless it overflows, so the entries are only inspected when it is
+    not.  ``einsum`` sums each row of the float view in its own loop, with
+    no BLAS, so the bits do not depend on the BLAS thread count; the row
+    sums are then added pairwise.
+    """
+    x = np.ascontiguousarray(a).view(np.float64)
+    norm_sq = float(np.sum(np.einsum("ij,ij->i", x, x)))
+    if not math.isfinite(norm_sq) and not np.all(np.isfinite(a)):
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    return norm_sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,16 +376,24 @@ def apply_path_delays(
 
     Multiplies each entry by ``exp(i (omega_i z1 + omega_j z2) / c_light)``;
     a pure phase, so every modulus and the total norm are unchanged.  Zero
-    delays return ``s`` itself.
+    delays return ``s`` itself.  Paths that are not finite, or whose phase
+    ``omega * z / c_light`` overflows, raise :class:`ConfigError`.
     """
     if not (math.isfinite(c_light) and c_light > 0):
         raise ValueError("c_light must be positive and finite")
+    reach = abs(s.grid.center) + s.grid.half_span
+    if not (math.isfinite(reach * (z1 / c_light)) and math.isfinite(reach * (z2 / c_light))):
+        raise ConfigError(
+            f"relative delay dz = z1 - z2 needs finite paths with finite phases "
+            f"omega*z/c; got z1 = {z1!r}, z2 = {z2!r}"
+        )
     if z1 == 0.0 and z2 == 0.0:
         return s
     w = s.grid.frequencies()
     phase1 = np.exp(1j * w * (z1 / c_light))
     phase2 = np.exp(1j * w * (z2 / c_light))
-    amp = s.amplitudes * phase1[:, None] * phase2[None, :]
+    amp = s.amplitudes * phase1[:, None]
+    amp *= phase2[None, :]
     amp.flags.writeable = False
     return BiphotonSpectrum(s.grid, amp, s.warnings)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,15 +259,40 @@ class TestMalformedCommandLines:
             _DIP + ["--dz-min=-inf", "--dz-max=inf"],
             _DIP + ["--dz-min=-1e308", "--dz-max=1e308"],
             _SHIH + ["--dz-min=-1", "--dz-max=inf"],
+            ["transform", "--model", "gaussian_pair", "--dz", "inf"],
+            ["transform", "--model", "delta_pump", "--dl", "nan"],
+            ["wavepacket", "--model", "gaussian_pair", "--sigma", "1e-300"],
+            ["transform", "--model", "shih", "--beta", "0.1", "--center", "90",
+             "--sigma", "1e-300"],
+            ["transform", "--model", "gaussian_pair", "--pump", "gaussian", "--beta", "1e-300"],
+            ["transform", "--model", "shih", "--beta", "1e-200", "--center", "90"],
         ],
         ids=["bell-span-0", "bell-span-negative", "bell-span-inf", "bell-span-nan",
-             "dip-infinite-range", "dip-overflowing-range", "shih-infinite-stop"],
+             "dip-infinite-range", "dip-overflowing-range", "shih-infinite-stop",
+             "transform-dz-inf", "transform-dl-nan", "wavepacket-sigma-underflow",
+             "shih-sigma-underflow", "pump-beta-underflow", "shih-beta-underflow"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         assert main(argv + ["-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["transform", "--model", "gaussian_pair", "--dz=-inf"], "dz"),
+            (["transform", "--model", "delta_pump", "--dl", "nan"], "dl"),
+            (["transform", "--model", "delta_pump", "--dl", "inf"], "dl"),
+            (["wavepacket", "--model", "gaussian_pair", "--sigma", "1e-300"], "sigma"),
+            (["transform", "--model", "gaussian_pair", "--pump", "gaussian", "--beta", "1e-300"],
+             "pump_sigma"),
+            (["transform", "--model", "shih", "--beta", "1e-200", "--center", "90"], "sigma_p"),
+        ],
+    )
+    def test_error_names_the_parameter(self, tmp_path, capsys, argv, name):
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert re.search(rf"\b{name}\b", capsys.readouterr().err)
 
 
 class TestValidateCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -280,3 +281,54 @@ class TestImmutability:
         grid = bp.make_grid(0.0, 1.0, 3)
         with pytest.raises(AttributeError):
             grid.center = 5.0
+
+
+_BAD_VALUES = [math.nan, math.inf, -math.inf]
+_CELLS = [(0, 0), (3, 2), (6, 6)]
+
+
+class TestFiniteAndNormChecks:
+    @pytest.mark.parametrize("value", _BAD_VALUES)
+    @pytest.mark.parametrize("cell", _CELLS)
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_entry_rejected_by_from_array(self, rng, value, cell, part):
+        raw = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        getattr(raw, part)[cell] = value
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            bp.BiphotonSpectrum.from_array(bp.make_grid(0.0, 1.0, 7), raw)
+
+    @pytest.mark.parametrize("value", _BAD_VALUES)
+    @pytest.mark.parametrize("cell", _CELLS)
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_entry_rejected_by_construction(self, random_spectrum, value, cell, part):
+        amp = random_spectrum.amplitudes.copy()
+        getattr(amp, part)[cell] = value
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            bp.BiphotonSpectrum(random_spectrum.grid, amp)
+
+    def test_overflowing_squared_norm_normalizes(self):
+        # every square overflows, yet the matrix is finite and nonzero
+        raw = np.full((5, 5), 1e200 + 1e200j)
+        raw[2, 3] = 2e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = bp.BiphotonSpectrum.from_array(bp.make_grid(0.0, 1.0, 5), raw)
+        oracle = raw / 1e200
+        oracle /= math.sqrt(np.sum(np.abs(oracle) ** 2))
+        np.testing.assert_allclose(s.amplitudes, oracle, rtol=1e-15)
+        assert raw[0, 0] == 1e200 + 1e200j
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
+    def test_caller_array_is_not_modified(self, rng, dtype):
+        raw = rng.standard_normal((7, 7)).astype(dtype)
+        for given in (raw, raw.T):
+            before = given.copy()
+            bp.BiphotonSpectrum.from_array(bp.make_grid(0.0, 1.0, 7), given)
+            assert np.array_equal(given, before)
+
+    def test_squared_norm_against_exact_sum(self):
+        rng = np.random.default_rng(4095)
+        raw = rng.standard_normal((1025, 1025)) + 1j * rng.standard_normal((1025, 1025))
+        squares = raw.view(np.float64) ** 2
+        exact = math.fsum(squares.ravel())
+        assert abs(spectrum._finite_squared_norm(raw) - exact) <= 1e-15 * exact
