@@ -148,23 +148,23 @@ class BiphotonSpectrum:
 
         Raises :class:`DegenerateSpectrumError` when ``raw`` is (effectively)
         zero and therefore cannot represent a state.  ``raw`` itself is never
-        modified; a converted copy is normalized in place.
+        modified.
         """
         amp = np.ascontiguousarray(raw, dtype=np.complex128)
-        owned = amp is not raw and amp.flags.owndata
         norm_sq = _finite_squared_norm(amp)
         if norm_sq == math.inf:
             # finite entries whose squares overflow the sum: scale by the
-            # largest modulus first
-            amp = np.divide(amp, np.max(np.abs(amp)), out=amp if owned else None)
-            owned = True
+            # largest real or imaginary part first, which (unlike the
+            # modulus) cannot overflow
+            parts = amp.view(np.float64)
+            amp = (parts / np.max(np.abs(parts))).view(np.complex128)
             norm_sq = _finite_squared_norm(amp)
         norm = math.sqrt(norm_sq)
         if norm < _MIN_NORM:
             raise DegenerateSpectrumError(
                 "degenerate spectrum: amplitude matrix is (effectively) zero"
             )
-        amp = np.divide(amp, norm, out=amp if owned else None)
+        amp = amp / norm
         amp.flags.writeable = False
         return cls(grid=grid, amplitudes=amp, warnings=tuple(warnings))
 

@@ -306,17 +306,20 @@ class TestFiniteAndNormChecks:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             bp.BiphotonSpectrum(random_spectrum.grid, amp)
 
-    def test_overflowing_squared_norm_normalizes(self):
-        # every square overflows, yet the matrix is finite and nonzero
-        raw = np.full((5, 5), 1e200 + 1e200j)
-        raw[2, 3] = 2e200
+    @pytest.mark.parametrize("scale", [1e200, 1.5e308])
+    def test_overflowing_squared_norm_normalizes(self, scale):
+        # every square overflows, yet the matrix is finite and nonzero; at
+        # 1.5e308 even the modulus of an entry overflows
+        raw = np.full((5, 5), scale + scale * 1j)
+        raw[2, 3] = scale
+        raw[4, 0] = -scale * 1j
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = bp.BiphotonSpectrum.from_array(bp.make_grid(0.0, 1.0, 5), raw)
-        oracle = raw / 1e200
+        oracle = raw / scale
         oracle /= math.sqrt(np.sum(np.abs(oracle) ** 2))
         np.testing.assert_allclose(s.amplitudes, oracle, rtol=1e-15)
-        assert raw[0, 0] == 1e200 + 1e200j
+        assert raw[0, 0] == scale + scale * 1j
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
     def test_caller_array_is_not_modified(self, rng, dtype):
