@@ -11,6 +11,11 @@ three output channels: both photons in port 1, both in port 2, and one per
 port ("click-click").  The channel amplitudes are kept as full-grid matrices
 and their probabilities use the bosonic two-photon norm, which handles the
 degenerate (equal-frequency) cells without any triangular bookkeeping.
+
+Every output probability of an input ``c`` depends on ``c`` only through
+its two exchange weights ``sym = sum |c + c^T|**2 / 4`` and
+``anti = sum |c - c^T|**2 / 4`` (:func:`~biphoton.spectrum.exchange_weights`),
+so one O(n^2) reduction gives all of them without building the channels.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import BiphotonSpectrum, FrequencyGrid
+from .spectrum import (
+    BiphotonSpectrum,
+    FrequencyGrid,
+    _overlap,
+    _squared_norm,
+    _weight,
+    exchange_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,10 @@ class OutputDecomposition:
     p_22: float
     p_coinc: float
 
+    def __post_init__(self):
+        for arr in (self.amp_11, self.amp_22, self.amp_12):
+            arr.flags.writeable = False
+
 
 def bs_matrix(p: BeamSplitterParams) -> np.ndarray:
     """The 2x2 unitary acting on the port annihilation operators."""
@@ -118,15 +134,36 @@ def _substitute_channels(
 
 def _same_port_probability(d: np.ndarray) -> float:
     # Bosonic norm of sum_ij d[i,j] a+(w_i) a+(w_j) |0>:
-    # <0| a a a+ a+ |0> contracts to delta*delta + delta*delta.
-    return float(np.real(np.sum(np.conj(d) * (d + d.T))))
+    # <0| a a a+ a+ |0> contracts to delta*delta + delta*delta, i.e.
+    # Re sum conj(d) (d + d^T) = sum |d + d^T|**2 / 2.
+    return 2.0 * exchange_weights(d)[0]
+
+
+def _probabilities(
+    weights: tuple[float, float], p: BeamSplitterParams
+) -> tuple[float, float, float]:
+    """``(p_11, p_22, p_coinc)`` of an input with exchange weights ``(sym, anti)``.
+
+    With ``(u, v), (w, x) = creation_substitution(p)`` the channels are
+    ``u w c``, ``v x c`` and ``u x c + v w c^T``, so
+
+        p_11 = 2 |u w|**2 sym,   p_22 = 2 |v x|**2 sym,
+        p_coinc = |u x + v w|**2 sym + |u x - v w|**2 anti,
+
+    exactly, because the exchange overlap ``sym - anti`` is real.
+    """
+    sym, anti = weights
+    (u, v), (w, x) = creation_substitution(p)
+    return (
+        float(2.0 * abs(u * w) ** 2 * sym),
+        float(2.0 * abs(v * x) ** 2 * sym),
+        float(abs(u * x + v * w) ** 2 * sym + abs(u * x - v * w) ** 2 * anti),
+    )
 
 
 def _decomposition_from_channels(
     grid: FrequencyGrid, g11: np.ndarray, g12: np.ndarray, g22: np.ndarray
 ) -> OutputDecomposition:
-    for arr in (g11, g12, g22):
-        arr.flags.writeable = False
     return OutputDecomposition(
         grid=grid,
         amp_11=g11,
@@ -134,7 +171,7 @@ def _decomposition_from_channels(
         amp_12=g12,
         p_11=_same_port_probability(g11),
         p_22=_same_port_probability(g22),
-        p_coinc=float(np.sum(np.abs(g12) ** 2)),
+        p_coinc=_squared_norm(g12),
     )
 
 
@@ -155,7 +192,8 @@ def transform(s: BiphotonSpectrum, p: BeamSplitterParams) -> OutputDecomposition
     c = s.amplitudes
     g12 = u * x * c
     g12 += v * w * c.T
-    return _decomposition_from_channels(s.grid, u * w * c, g12, v * x * c)
+    p_11, p_22, p_coinc = _probabilities(exchange_weights(c), p)
+    return OutputDecomposition(s.grid, u * w * c, v * x * c, g12, p_11, p_22, p_coinc)
 
 
 def transform_decomposition(
@@ -174,15 +212,12 @@ def transform_decomposition(
 def coincidence_probability(s: BiphotonSpectrum, p: BeamSplitterParams) -> float:
     """Probability of one photon at each output port ("click-click").
 
-    Equal to ``transform(s, p).p_coinc``; computed from the click-click
-    channel alone.  At the balanced splitter this reduces to
-    ``sum |c[i,j] - c[j,i]|**2 / 4 = (1 - V) / 2`` with ``V`` the exchange
-    overlap.
+    Equal to ``transform(s, p).p_coinc``, from the same exchange weights,
+    without building the channels.  At the balanced splitter this reduces
+    to ``sum |c[i,j] - c[j,i]|**2 / 4 = (1 - V) / 2`` with ``V`` the
+    exchange overlap.
     """
-    ct2 = math.cos(p.theta) ** 2
-    st2 = math.sin(p.theta) ** 2
-    e = ct2 * s.amplitudes - st2 * s.amplitudes.T
-    return float(np.sum(np.abs(e) ** 2))
+    return _probabilities(exchange_weights(s.amplitudes), p)[2]
 
 
 def trapping_fidelity(s: BiphotonSpectrum) -> float:
@@ -190,8 +225,32 @@ def trapping_fidelity(s: BiphotonSpectrum) -> float:
 
     Equals 1 exactly when the full 50/50 output state coincides with the
     input (the anti-symmetric trapping case) and 0 for symmetric spectra,
-    whose click-click channel vanishes.
+    whose click-click channel vanishes.  The overlap
+    ``<c, (c - c^T) / 2>`` is the antisymmetric weight ``anti`` of
+    :func:`~biphoton.spectrum.exchange_weights`, so the fidelity is
+    ``anti**2``.
     """
-    c = s.amplitudes
-    e = 0.5 * (c - c.T)
-    return float(abs(np.vdot(c, e)) ** 2)
+    anti = exchange_weights(s.amplitudes)[1]
+    return anti * anti
+
+
+def exchange_report(s: BiphotonSpectrum, p: BeamSplitterParams) -> dict[str, float]:
+    """The exchange-determined scalars of a transform report, from one reduction.
+
+    ``p_11``, ``p_22`` and ``p_coinc`` as in :func:`transform`, and
+    ``w_antisym``, ``exchange_overlap`` and ``trapping_fidelity`` as in
+    :func:`~biphoton.spectrum.antisymmetric_weight`,
+    :func:`~biphoton.spectrum.exchange_overlap` and :func:`trapping_fidelity`,
+    all from one call to :func:`~biphoton.spectrum.exchange_weights`; the
+    channel matrices are never built.
+    """
+    sym, anti = exchange_weights(s.amplitudes)
+    p_11, p_22, p_coinc = _probabilities((sym, anti), p)
+    return {
+        "p_11": p_11,
+        "p_22": p_22,
+        "p_coinc": p_coinc,
+        "w_antisym": _weight(anti),
+        "exchange_overlap": _overlap(sym, anti),
+        "trapping_fidelity": anti * anti,
+    }

@@ -18,6 +18,7 @@ Unrecognized flags abort before any computation.  Natural units
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,14 +27,19 @@ from typing import Any
 import numpy as np
 
 from . import fileio
-from .beamsplitter import BeamSplitterParams, transform, trapping_fidelity
+from .beamsplitter import BeamSplitterParams, exchange_report
 from .errors import ConfigError, DegenerateSpectrumError
-from .scans import MODELS, ScanSpec, _delayed_spectrum, run_scan
+from .scans import (
+    MODELS,
+    ScanSpec,
+    _delay_alias_warnings,
+    _delayed_spectrum,
+    _path_delays,
+    run_scan,
+)
 from .spectrum import (
     _leading_singular_pair,
     _time_transform,
-    antisymmetric_weight,
-    exchange_overlap,
     separability_rank1_fraction,
     time_domain,
 )
@@ -158,25 +164,34 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _load_input_state(args: argparse.Namespace):
-    model, fixed = _model_fixed(args, _c_light(args))
-    return _delayed_spectrum(model, {**fixed, "dz": args.dz}, args.grid_points, args.grid_span)
+    """The input state of the flags, warned when its relative delay aliases."""
+    c_light = _c_light(args)
+    model, fixed = _model_fixed(args, c_light)
+    row = {**fixed, "dz": args.dz}
+    s = _delayed_spectrum(model, row, args.grid_points, args.grid_span)
+    aliasing = _delay_alias_warnings(
+        "relative delay |z1 - z2|", abs(_path_delays(model, row)[1]), s.grid, c_light
+    )
+    if aliasing:
+        s = dataclasses.replace(s, warnings=(*s.warnings, *aliasing))
+    return s
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
     s = _load_input_state(args)
     params = BeamSplitterParams(theta=args.theta, phi_tau=args.phi_tau, phi_rho=args.phi_rho)
-    decomposition = transform(s, params)
+    scalars = exchange_report(s, params)
     report = {
         "theta": args.theta,
         "phi_tau": args.phi_tau,
         "phi_rho": args.phi_rho,
-        "p_11": decomposition.p_11,
-        "p_22": decomposition.p_22,
-        "p_coinc": decomposition.p_coinc,
-        "w_antisym": antisymmetric_weight(s),
-        "exchange_overlap": exchange_overlap(s),
+        "p_11": scalars["p_11"],
+        "p_22": scalars["p_22"],
+        "p_coinc": scalars["p_coinc"],
+        "w_antisym": scalars["w_antisym"],
+        "exchange_overlap": scalars["exchange_overlap"],
         "rank1_fraction": separability_rank1_fraction(s),
-        "trapping_fidelity": trapping_fidelity(s),
+        "trapping_fidelity": scalars["trapping_fidelity"],
         "warnings": list(s.warnings),
     }
     _write_json(report, args.output)
@@ -234,10 +249,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
         except ValueError:
             raise ConfigError(f"--only expects comma-separated criterion numbers, got {args.only!r}")
     results = run_criteria(numbers)
-    for result in results:
-        sys.stdout.write(result.summary_line() + "\n")
     failed = [r for r in results if not r.passed]
-    sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} criteria passed\n")
+    if args.json:
+        _write_json({
+            "criteria": [dataclasses.asdict(r) for r in results],
+            "passed": len(results) - len(failed),
+            "total": len(results),
+        }, None)
+    else:
+        for result in results:
+            sys.stdout.write(result.summary_line() + "\n")
+        sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} criteria passed\n")
     return 0 if not failed else 3
 
 
@@ -290,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the built-in verification suite")
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    p.add_argument("--json", action="store_true",
+                   help="print each criterion's result and measurements as one JSON object")
     p.set_defaults(handler=cmd_validate)
 
     return parser

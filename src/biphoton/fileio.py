@@ -22,9 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import SpectrumFileError
-from .spectrum import BiphotonSpectrum, make_grid
-
-_REL_AXIS_TOL = 1e-9
+from .spectrum import REL_AXIS_TOL, BiphotonSpectrum, make_grid
 
 
 def format_float(x: float) -> str:
@@ -91,7 +89,7 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
         raise SpectrumFileError(f"odd point count required, header has {n} frequencies", 1, 2)
 
     steps = np.diff(axis)
-    if steps[0] <= 0 or np.any(np.abs(steps - steps[0]) > _REL_AXIS_TOL * abs(steps[0])):
+    if steps[0] <= 0 or np.any(np.abs(steps - steps[0]) > REL_AXIS_TOL * abs(steps[0])):
         raise SpectrumFileError("frequency axis must be uniformly increasing", 1, 2)
 
     if len(lines) != n + 1:
@@ -112,7 +110,7 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
                 f"expected {n + 1} cells, found {len(tokens)}", lineno, len(tokens) + 1
             )
         label = _parse_float(tokens[0], lineno, 1)
-        if abs(label - axis[i]) > _REL_AXIS_TOL * scale:
+        if abs(label - axis[i]) > REL_AXIS_TOL * scale:
             raise SpectrumFileError(
                 f"row label {tokens[0]!r} does not match header frequency {axis[i]!r}",
                 lineno,

@@ -369,10 +369,27 @@ def _check_row(row: ScanRow) -> None:
         raise ArithmeticError(f"p_reduced is not finite at param {row.param!r}")
 
 
+def _delay_alias_warnings(
+    what: str, reach: float, grid: FrequencyGrid, c_light: float
+) -> list[str]:
+    """Warning when delays up to ``reach`` (named ``what``) alias on ``grid``.
+
+    A sampled spectrum is periodic in the relative delay with period
+    ``2 pi c / domega``, so delays from half that period on alias onto
+    shorter ones.
+    """
+    period = 2.0 * math.pi * c_light / grid.spacing
+    if reach < 0.5 * period:
+        return []
+    return [
+        f"{what} up to {reach:g} reaches half the delay period "
+        f"2*pi*c/domega = {period:g} of the {grid.n_points}-point grid; the numeric "
+        f"curve repeats with that period, so delays past {0.5 * period:g} alias"
+    ]
+
+
 def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
-    # A sampled spectrum is periodic in the relative delay with period
-    # 2 pi c / domega, so delays from half that period on alias onto
-    # shorter ones.  A dl row splits port 1 over the delays dz +- dl.
+    # A dl row splits port 1 over the delays dz +- dl.
     def relative_delay(value: float) -> float:
         return abs(_path_delays(spec.model, _row(spec, value))[1])
 
@@ -382,14 +399,7 @@ def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
     else:
         what = "path delay |dz| + |dl|"
         reach = max(abs(spec.start), abs(spec.stop)) + relative_delay(0.0)
-    period = 2.0 * math.pi * _num(spec.fixed, "c_light") / grid.spacing
-    if reach < 0.5 * period:
-        return []
-    return [
-        f"{what} up to {reach:g} reaches half the delay period "
-        f"2*pi*c/domega = {period:g} of the {grid.n_points}-point grid; the numeric "
-        f"curve repeats with that period, so delays past {0.5 * period:g} alias"
-    ]
+    return _delay_alias_warnings(what, reach, grid, _num(spec.fixed, "c_light"))
 
 
 def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], list[str]]:

@@ -188,6 +188,34 @@ class TestTransform:
         assert abs(report["p_coinc"] - expected) < 1e-9
 
 
+# relative delays on the default 257-point, 6-sigma grid, whose half delay
+# period pi*c/domega is 67.02; the shih input's relative delay is its dz
+_ALIAS_INPUTS = [
+    (["--model", "gaussian_pair", "--dz", "67"], False),
+    (["--model", "gaussian_pair", "--dz=-67.1"], True),
+    (["--model", "gaussian_pair", "--dz", "1e300"], True),
+    (["--model", "shih", "--beta", "0.1", "--center", "90", "--dl", "3", "--dz", "3"], False),
+    (["--model", "shih", "--beta", "0.1", "--center", "90", "--dl", "3", "--dz", "70"], True),
+]
+
+
+@pytest.mark.parametrize("flags,aliases", _ALIAS_INPUTS)
+@pytest.mark.parametrize("command", ["transform", "wavepacket"])
+def test_aliasing_input_delay_is_flagged(tmp_path, capsys, command, flags, aliases):
+    out = tmp_path / "out.json"
+    assert main([command, *flags, "-o", str(out)]) == 0
+    if command == "transform":
+        warnings = json.loads(out.read_text())["warnings"]
+    else:
+        warnings = json.loads(capsys.readouterr().out)["metadata"]["warnings"]
+    if aliases:
+        assert len(warnings) == 1
+        assert warnings[0].startswith("relative delay |z1 - z2| up to ")
+        assert "2*pi*c/domega = 134.041" in warnings[0]
+    else:
+        assert warnings == []
+
+
 class TestWavepacket:
     def test_sine_spectrum_has_zero_diagonal(self, tmp_path, capsys):
         out = tmp_path / "wp.csv"
@@ -266,11 +294,13 @@ class TestMalformedCommandLines:
              "--sigma", "1e-300"],
             ["transform", "--model", "gaussian_pair", "--pump", "gaussian", "--beta", "1e-300"],
             ["transform", "--model", "shih", "--beta", "1e-200", "--center", "90"],
+            ["transform", "--model", "gaussian_pair", "--center", "1e300"],
         ],
         ids=["bell-span-0", "bell-span-negative", "bell-span-inf", "bell-span-nan",
              "dip-infinite-range", "dip-overflowing-range", "shih-infinite-stop",
              "transform-dz-inf", "transform-dl-nan", "wavepacket-sigma-underflow",
-             "shih-sigma-underflow", "pump-beta-underflow", "shih-beta-underflow"],
+             "shih-sigma-underflow", "pump-beta-underflow", "shih-beta-underflow",
+             "transform-center-unresolvable"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         assert main(argv + ["-o", str(tmp_path / "out")]) == 2
@@ -288,6 +318,7 @@ class TestMalformedCommandLines:
             (["transform", "--model", "gaussian_pair", "--pump", "gaussian", "--beta", "1e-300"],
              "pump_sigma"),
             (["transform", "--model", "shih", "--beta", "1e-200", "--center", "90"], "sigma_p"),
+            (["wavepacket", "--model", "gaussian_pair", "--center", "1e300"], "center"),
         ],
     )
     def test_error_names_the_parameter(self, tmp_path, capsys, argv, name):
@@ -307,3 +338,17 @@ class TestValidateCommand:
     def test_bad_selector_exits_2(self, capsys):
         code = main(["validate", "--only", "three"])
         assert code == 2
+
+    def test_json_report(self, capsys):
+        # criterion 7 fails by design, so the exit code stays 3
+        assert main(["validate", "--only", "1,7", "--json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["passed"], payload["total"]) == (1, 2)
+        first, seventh = payload["criteria"]
+        keys = {"number", "name", "passed", "detail", "elapsed_s", "measurements"}
+        assert set(first) == set(seventh) == keys
+        assert (first["number"], first["passed"]) == (1, True)
+        assert (seventh["number"], seventh["passed"]) == (7, False)
+        assert first["measurements"]["max_abs_dev"] < 1e-6
+        assert seventh["measurements"]["reduced_gap"] > 1e-3
+        assert first["elapsed_s"] > 0.0 and "FAIL" in seventh["detail"]

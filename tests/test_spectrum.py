@@ -44,6 +44,21 @@ class TestFrequencyGrid:
         nu = bp.make_grid(5.0, 2.0, 9).offsets()
         assert np.array_equal(nu, -nu[::-1])
 
+    @pytest.mark.parametrize("center", [1e300, -1e300, 1e12, 1e6])
+    def test_unresolvable_center_rejected(self, center):
+        # floats near the center lie further apart than 1e-9 of the spacing
+        # (1e6: 1.2e-10 apart, spacing 0.047)
+        with pytest.raises(bp.ConfigError, match="center"):
+            bp.make_grid(center, 6.0, 257)
+
+    @pytest.mark.parametrize(
+        "center,half_span", [(2.35e15, 6e13), (90.0, 4.5), (-1e4, 6.0), (1e3, 1.0)]
+    )
+    def test_resolvable_center_accepted(self, center, half_span):
+        grid = bp.make_grid(center, half_span, 1025)
+        steps = np.diff(grid.frequencies())
+        assert np.max(np.abs(steps - grid.spacing)) <= 1e-9 * grid.spacing
+
 
 class TestFromFunction:
     def test_uniform_function_normalizes_to_one_third(self):
@@ -187,6 +202,33 @@ class TestExchangeOverlap:
         v = bp.exchange_overlap(s)
         w = bp.symmetry_decompose(s).w_antisym
         assert abs(v - (1.0 - 2.0 * w)) < 1e-12
+
+
+class TestExchangeWeights:
+    @staticmethod
+    def elementwise(c):
+        return tuple(0.25 * float(np.sum(np.abs(c + sign * c.T) ** 2)) for sign in (1, -1))
+
+    # sizes below, at and across the 64-row slab edges
+    @pytest.mark.parametrize("n", [3, 63, 65, 129, 257])
+    def test_matches_elementwise_sums(self, rng, n):
+        c = make_random_spectrum(rng, n).amplitudes
+        sym, anti = spectrum.exchange_weights(c)
+        want_sym, want_anti = self.elementwise(c)
+        assert abs(sym - want_sym) <= 1e-15 and abs(anti - want_anti) <= 1e-15
+        assert abs(sym + anti - 1.0) <= 1e-15
+
+    def test_exact_zero_for_bit_symmetric_and_antisymmetric_matrices(self, rng):
+        a = rng.standard_normal((257, 257)) + 1j * rng.standard_normal((257, 257))
+        assert spectrum.exchange_weights(a + a.T)[1] == 0.0
+        assert spectrum.exchange_weights(a - a.T)[0] == 0.0
+
+    def test_sum_and_difference_against_exact_sums(self, rng):
+        c = make_random_spectrum(rng, 1025).amplitudes
+        sym, anti = spectrum.exchange_weights(c)
+        assert abs(sym - anti - math.fsum(np.real(np.conj(c) * c.T).ravel())) <= 4e-16
+        x = c.view(float).ravel()
+        assert abs(sym + anti - math.fsum(x * x)) <= 4e-16
 
 
 class TestSeparabilityRank1Fraction:
