@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -32,9 +33,8 @@ from .errors import ConfigError, DegenerateSpectrumError
 from .scans import (
     MODELS,
     ScanSpec,
-    _delay_alias_warnings,
+    _alias_warnings,
     _delayed_spectrum,
-    _path_delays,
     run_scan,
 )
 from .spectrum import (
@@ -164,14 +164,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _load_input_state(args: argparse.Namespace):
-    """The input state of the flags, warned when its relative delay aliases."""
+    """The input state of the flags, warned when one of its path delays aliases."""
     c_light = _c_light(args)
     model, fixed = _model_fixed(args, c_light)
     row = {**fixed, "dz": args.dz}
     s = _delayed_spectrum(model, row, args.grid_points, args.grid_span)
-    aliasing = _delay_alias_warnings(
-        "relative delay |z1 - z2|", abs(_path_delays(model, row)[1]), s.grid, c_light
-    )
+    aliasing = _alias_warnings(model, [row], s.grid, c_light)
     if aliasing:
         s = dataclasses.replace(s, warnings=(*s.warnings, *aliasing))
     return s
@@ -319,9 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: building it costs ~2 ms, and parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (DegenerateSpectrumError, ArithmeticError) as exc:

@@ -116,12 +116,21 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
                 lineno,
                 1,
             )
-        for j, tok in enumerate(tokens[1:]):
-            amp[i, j] = _parse_complex(tok, lineno, j + 2)
+        # one parse of the whole row; a row that fails it, or holds a
+        # non-finite value, is parsed again cell by cell to name the cell
+        try:
+            amp[i] = list(map(complex, tokens[1:]))
+        except ValueError:
+            parsed = False
+        else:
+            parsed = bool(np.isfinite(amp[i]).all())
+        if not parsed:
+            for j, tok in enumerate(tokens[1:]):
+                amp[i, j] = _parse_complex(tok, lineno, j + 2)
 
     mid = (n - 1) // 2
     grid = make_grid(center=float(axis[mid]), half_span=float(axis[-1] - axis[0]) / 2.0, n_points=n)
-    return BiphotonSpectrum.from_array(grid, amp)
+    return BiphotonSpectrum._normalized(grid, amp)
 
 
 def save_magnitude_matrix(

@@ -17,11 +17,15 @@ Four families:
 * Antisymmetric Bell — the two-frequency singlet combination, the textbook
   perfectly anti-coalescent state.
 
-The Gaussian-pair and two-path envelopes are separable on the grid:
-``a_i a_j p[i + j]``, one 1-D Gaussian ``a`` and a pump term with only
-``2n - 1`` distinct values, so sampling evaluates ``exp`` on O(n) points.
-``a_i a_j`` is formed first and equals ``a_j a_i`` bit for bit, so the sampled
-envelope is exactly exchange-symmetric.
+The Gaussian-pair and two-path spectra factor on the grid as
+``c[i, j] = x[i] * y[j] * p[i + j]``: ``x`` and ``y`` carry the 1-D Gaussian,
+the two-path row modulation and the port path phases ``exp(i omega z / c)``,
+and the pump term ``p`` has only ``2n - 1`` distinct values.  So sampling
+evaluates ``exp`` on O(n) points, and the state is built and normalized in
+one n x n complex array, with the path phases folded in rather than applied
+by a second pass.  With real factors ``x[i] * y[j]`` equals ``x[j] * y[i]``
+bit for bit whenever ``x`` equals ``y``, so such a state is exactly
+exchange-symmetric.
 
 Everything uses angular frequencies; lengths and ``c_light`` only enter via
 the dimensionless groups ``sigma*dz/c``, ``sigma*dl/c``, ``beta`` and
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError
-from .spectrum import BiphotonSpectrum, FrequencyGrid, apply_path_delays
+from .spectrum import _EXCHANGE_SLAB, BiphotonSpectrum, FrequencyGrid, _path_phases
 
 # Minimum grid coverage (in units of sigma) below which model builders
 # attach a truncation warning to the result.
@@ -113,7 +117,10 @@ class ShihModel:
         if self.l_long < self.l_short:
             raise ValueError("l_long must be >= l_short")
         if not (math.isfinite(self.l_short) and math.isfinite(self.l_long) and math.isfinite(self.z2)):
-            raise ValueError("path lengths must be finite")
+            raise ConfigError(
+                f"path lengths must be finite (they set the relative delay dz = z1 - z2); "
+                f"got l_short = {self.l_short!r}, l_long = {self.l_long!r}, z2 = {self.z2!r}"
+            )
 
     @property
     def delta_l(self) -> float:
@@ -168,41 +175,70 @@ def _coverage_warnings(grid: FrequencyGrid, center: float, sigma: float) -> tupl
     return ()
 
 
-def _separable_envelope(
-    grid: FrequencyGrid, center: float, sigma: float, pump_sigma: float | None
-) -> np.ndarray:
-    """Envelope ``exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))``
-    times, unless ``pump_sigma`` is None, ``exp(-(w1+w2-2*center)**2 / (2*pump_sigma**2))``.
+def _gaussian(w: np.ndarray, center: float, sigma: float) -> np.ndarray:
+    return np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
 
-    Sampled as ``outer(a, a) * p[i + j]``: ``a`` is the 1-D Gaussian and ``p``
-    the pump term on the ``2n - 1`` sums ``w_0 + w_j`` and ``w_(n-1) + w_j``,
-    read as a Hankel matrix by a strided view.  ``a_i a_j`` is formed first,
-    so the result is exactly symmetric.  The real values are written into
-    the real part of a zeroed complex matrix: an n x n float temporary would
-    land on the heap of a process that has freed larger arrays, and raise
-    its peak resident memory over repeated builds.
-    """
+
+def _pump(grid: FrequencyGrid, center: float, pump_sigma: float) -> np.ndarray:
+    """Pump term ``exp(-(w1+w2-2*center)**2 / (2*pump_sigma**2))`` on the ``2n - 1``
+    sums ``w_0 + w_j`` and ``w_(n-1) + w_j``; entry ``i + j`` belongs to cell ``(i, j)``."""
     w = grid.frequencies()
-    a = np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
-    envelope = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)
-    np.multiply.outer(a, a, out=envelope.real)
-    if pump_sigma is not None:
-        sums = np.concatenate((w[0] + w, w[-1] + w[1:]))
-        p = np.exp(-((sums - 2.0 * center) ** 2) / (2.0 * pump_sigma**2))
-        envelope.real *= np.lib.stride_tricks.sliding_window_view(p, grid.n_points)
-    return envelope
+    return _gaussian(np.concatenate((w[0] + w, w[-1] + w[1:])), 2.0 * center, pump_sigma)
 
 
-def gaussian_pair_spectrum(m: GaussianPairModel, grid: FrequencyGrid) -> BiphotonSpectrum:
+def _factored_spectrum(
+    grid: FrequencyGrid,
+    a: np.ndarray,
+    pump: np.ndarray | None,
+    row_factors: np.ndarray | None,
+    phases: tuple[np.ndarray, np.ndarray] | None,
+    warnings: tuple[str, ...],
+) -> BiphotonSpectrum:
+    """Normalized ``c[i, j] = x[i] * y[j] * pump[i + j]``.
+
+    ``x = a * row_factors * phases[0]`` and ``y = a * phases[1]``, each
+    factor left out when None.  The outer product and the pump (read as a
+    Hankel matrix by a strided view) are written slab by slab into one
+    complex matrix, which is then normalized in place: no other n x n
+    array is made.
+    """
+    x = a if row_factors is None else a * row_factors
+    y = a
+    if phases is not None:
+        x = x * phases[0]
+        y = a * phases[1]
+    n = grid.n_points
+    c = np.empty((n, n), dtype=np.complex128)
+    hankel = None if pump is None else np.lib.stride_tricks.sliding_window_view(pump, n)
+    for i in range(0, n, _EXCHANGE_SLAB):
+        rows = c[i : i + _EXCHANGE_SLAB]
+        np.multiply.outer(x[i : i + _EXCHANGE_SLAB], y, out=rows)
+        if hankel is not None:
+            rows *= hankel[i : i + _EXCHANGE_SLAB]
+    return BiphotonSpectrum._normalized(grid, c, warnings)
+
+
+def gaussian_pair_spectrum(
+    m: GaussianPairModel,
+    grid: FrequencyGrid,
+    z1: float = 0.0,
+    z2: float = 0.0,
+    c_light: float = 1.0,
+) -> BiphotonSpectrum:
     """Sample the (optionally pump-entangled) Gaussian pair on ``grid``.
 
-    The result is exchange-symmetric bit for bit; with a flat pump it is an
-    exact outer product of two identical 1D Gaussians (rank-1, un-entangled).
-    The envelope is sampled separably, see :func:`_separable_envelope`.
+    Port 1 travels a path ``z1`` and port 2 a path ``z2``: the result equals
+    :func:`~biphoton.spectrum.apply_path_delays` of the delay-free pair,
+    with the phases folded into the factors.  Without delays it is
+    exchange-symmetric bit for bit; with a flat pump it is an exact outer
+    product of two 1D factors (rank-1, un-entangled).  See the module
+    docstring for the factored build.
     """
-    raw = _separable_envelope(grid, m.center, m.sigma, m.pump_sigma)
-    return BiphotonSpectrum.from_array(
-        grid, raw, warnings=_coverage_warnings(grid, m.center, m.sigma)
+    phases = _path_phases(grid, z1, z2, c_light)
+    pump = None if m.pump_sigma is None else _pump(grid, m.center, m.pump_sigma)
+    a = _gaussian(grid.frequencies(), m.center, m.sigma)
+    return _factored_spectrum(
+        grid, a, pump, None, phases, _coverage_warnings(grid, m.center, m.sigma)
     )
 
 
@@ -228,27 +264,29 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         * exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))
         * exp(i*(w1*z1 + w2*z2)/c) * cos(w1*delta_l/c)
 
-    The envelope is sampled separably (see :func:`_separable_envelope`), so
-    at ``delta_l = 0`` the spectrum is exactly symmetric; the cosine scales
-    the rows.  The path phase comes from
-    :func:`~biphoton.spectrum.apply_path_delays`.  Raises
-    :class:`DegenerateSpectrumError` when the cosine node wipes out the
-    entire sampled support.
+    Built in factored form (see the module docstring): the cosine and the
+    port-1 phase scale the rows, the port-2 phase the columns, so the
+    result equals :func:`~biphoton.spectrum.apply_path_delays` of the
+    delay-free spectrum, and at ``delta_l = 0`` without delays it is
+    exactly symmetric.  Raises :class:`DegenerateSpectrumError` when the
+    cosine node wipes out the entire sampled support.
     """
-    raw = _separable_envelope(grid, m.center, m.sigma, m.sigma_p)
-    envelope = raw.real
+    phases = _path_phases(grid, m.z1, m.z2, m.c_light)
+    pump = _pump(grid, m.center, m.sigma_p)
+    a = _gaussian(grid.frequencies(), m.center, m.sigma)
     modulation = shih_path_modulation(m, grid)
-    # squared norms from the row sums, with no n x n temporary
-    row_norms = np.einsum("ij,ij->i", envelope, envelope)
+    # squared row norms of the unmodulated envelope, a_i**2 sum_j a_j**2 p[i+j]**2,
+    # from O(n) vectors
+    a2 = a * a
+    row_norms = a2 * np.correlate(pump * pump, a2, "valid")
     env_norm = float(np.sum(row_norms))
     if env_norm > 0.0 and float(modulation**2 @ row_norms) / env_norm < MIN_MODULATION_WEIGHT:
         raise DegenerateSpectrumError(
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
-    envelope *= modulation[:, None]
-    s = BiphotonSpectrum.from_array(grid, raw, warnings=_coverage_warnings(grid, m.center, m.sigma))
-    del raw, envelope  # not needed while the phases are applied
-    return apply_path_delays(s, m.z1, m.z2, m.c_light)
+    return _factored_spectrum(
+        grid, a, pump, modulation, phases, _coverage_warnings(grid, m.center, m.sigma)
+    )
 
 
 def shih_path_modulation(m: ShihModel, grid: FrequencyGrid) -> np.ndarray:
@@ -369,9 +407,7 @@ def delta_pump_spectrum(
     raw = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n)
     raw[idx, n - 1 - idx] = profile
-    return BiphotonSpectrum.from_array(
-        grid, raw, warnings=_coverage_warnings(grid, center, sigma)
-    )
+    return BiphotonSpectrum._normalized(grid, raw, _coverage_warnings(grid, center, sigma))
 
 
 def bell_antisymmetric_spectrum(
@@ -406,4 +442,4 @@ def bell_antisymmetric_spectrum(
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     raw[ia, ib] = inv_sqrt2
     raw[ib, ia] = -inv_sqrt2
-    return BiphotonSpectrum.from_array(grid, raw, warnings=tuple(warnings))
+    return BiphotonSpectrum._normalized(grid, raw, tuple(warnings))

@@ -3,8 +3,10 @@
 :data:`MODELS` has one entry per source model: the ``fixed`` parameters it
 accepts, the grid they imply, its delay-free spectrum and, where they exist,
 its ``dl`` row factors, closed form and metadata.  Every source, in scans and
-CLI input states alike, gets its path delays from
-:func:`~biphoton.spectrum.apply_path_delays`, applied in one place.
+CLI input states alike, is built with the path delays of its row in one
+place, :func:`_delayed_spectrum`: the Gaussian pair and the two-path model
+fold the path phases into their factored build, and every other source gets
+them from :func:`~biphoton.spectrum.apply_path_delays`.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference) and the sweep range.  A scan builds
@@ -75,8 +77,9 @@ def _sigma_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> Frequ
 class _Model:
     """One source model.
 
-    ``base(fixed, grid)`` is its delay-free spectrum; with ``grid`` None (a
-    spectrum file) it gets no grid and brings its own.  A ``dl`` row sets
+    ``base(fixed, grid, z1, z2)`` is its spectrum with port paths ``z1``
+    and ``z2``; with ``grid`` None (a spectrum file) it gets no grid and
+    brings its own.  A ``dl`` row sets
     ``dl_key`` and scales port-1 row i of the base at ``dl_key = 0``
     (updated by ``dl_base``) by ``row_factor(row, grid)[i]``, down to a
     squared norm ``row_floor``.  ``closed_form(row, dz)`` gives
@@ -84,7 +87,7 @@ class _Model:
     """
 
     keys: frozenset[str]
-    base: Callable[[dict[str, Any], FrequencyGrid | None], BiphotonSpectrum]
+    base: Callable[[dict[str, Any], FrequencyGrid | None, float, float], BiphotonSpectrum]
     grid: Callable[[dict[str, Any], int, float], FrequencyGrid] | None = _sigma_grid
     required: tuple[str, ...] = ()
     dl_key: str | None = None
@@ -109,20 +112,39 @@ def _bell_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> Freque
     return make_grid(center, spacing * (n_points - 1) / 2.0, n_points)
 
 
-def _gaussian_pair(fixed: dict[str, Any], grid: FrequencyGrid) -> BiphotonSpectrum:
+def _delayed(
+    build: Callable[[dict[str, Any], FrequencyGrid | None], BiphotonSpectrum]
+) -> Callable[[dict[str, Any], FrequencyGrid | None, float, float], BiphotonSpectrum]:
+    """``base`` of a model whose paths delay its delay-free spectrum ``build``."""
+
+    def base(fixed, grid, z1, z2):
+        return apply_path_delays(build(fixed, grid), z1, z2, _num(fixed, "c_light"))
+
+    return base
+
+
+def _gaussian_pair(
+    fixed: dict[str, Any], grid: FrequencyGrid, z1: float, z2: float
+) -> BiphotonSpectrum:
     pump = fixed.get("pump_sigma")
     pump_sigma = None if pump is None else float(pump)
     m = GaussianPairModel(_num(fixed, "center"), _num(fixed, "sigma"), pump_sigma)
-    return gaussian_pair_spectrum(m, grid)
+    return gaussian_pair_spectrum(m, grid, z1, z2, _num(fixed, "c_light"))
 
 
-def _shih_model(fixed: dict[str, Any]) -> ShihModel:
-    """Delay-free two-path model; its paths enter through ``_path_delays``."""
+def _shih_model(fixed: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> ShihModel:
+    """Two-path model of ``fixed`` with mean signal path ``z1`` and idler path ``z2``.
+
+    Scans and input states take the paths from ``_path_delays``, not from
+    ``fixed``; the closed form and the row factors use the delay-free model.
+    """
     return ShihModel.from_path_difference(
         center=_num(fixed, "center"),
         sigma=_num(fixed, "sigma"),
         sigma_p=_num(fixed, "sigma_p"),
         delta_l=_num(fixed, "delta_l"),
+        z1=z1,
+        z2=z2,
         c_light=_num(fixed, "c_light"),
     )
 
@@ -159,7 +181,7 @@ MODELS: dict[str, _Model] = {
     "shih": _Model(
         keys=frozenset({"center", "sigma", "sigma_p", "delta_l", "z1", "z2", "dz", "c_light"}),
         required=("center", "sigma_p"),
-        base=lambda fixed, grid: shih_spectrum(_shih_model(fixed), grid),
+        base=lambda fixed, grid, z1, z2: shih_spectrum(_shih_model(fixed, z1, z2), grid),
         dl_key="delta_l",
         row_factor=lambda fixed, grid: shih_path_modulation(_shih_model(fixed), grid),
         row_floor=MIN_MODULATION_WEIGHT,
@@ -168,7 +190,7 @@ MODELS: dict[str, _Model] = {
     ),
     "delta_pump": _Model(
         keys=frozenset({"center", "sigma", "dl", "parity", "c_light"}),
-        base=_delta_pump,
+        base=_delayed(_delta_pump),
         dl_key="dl",
         # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
         dl_base={"parity": "even"},
@@ -180,14 +202,16 @@ MODELS: dict[str, _Model] = {
         keys=frozenset({"omega_a", "omega_b", "c_light"}),
         required=("omega_a", "omega_b"),
         grid=_bell_grid,
-        base=lambda fixed, grid: bell_antisymmetric_spectrum(
-            fixed["omega_a"], fixed["omega_b"], grid
+        base=_delayed(
+            lambda fixed, grid: bell_antisymmetric_spectrum(
+                fixed["omega_a"], fixed["omega_b"], grid
+            )
         ),
     ),
     "spectrum_file": _Model(
         keys=frozenset({"path", "c_light"}),
         required=("path",),
-        base=lambda fixed, grid: fileio.load_spectrum(fixed["path"]),
+        base=_delayed(lambda fixed, grid: fileio.load_spectrum(fixed["path"])),
         grid=None,
     ),
 }
@@ -280,7 +304,7 @@ def resolve_grid(
     validate_model_params(model, fixed)
     entry = MODELS[model]
     if entry.grid is None:
-        return entry.base(fixed, None).grid
+        return entry.base(fixed, None, 0.0, 0.0).grid
     return entry.grid(fixed, grid_points, grid_span_sigmas)
 
 
@@ -294,7 +318,7 @@ def build_model_spectrum(
     A spectrum file brings its own grid.
     """
     validate_model_params(model, fixed)
-    return MODELS[model].base(fixed, grid)
+    return MODELS[model].base(fixed, grid, 0.0, 0.0)
 
 
 def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
@@ -317,14 +341,14 @@ def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
 def _delayed_spectrum(
     model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float
 ) -> BiphotonSpectrum:
-    """Spectrum of one row's parameters with the row's path delays applied.
+    """Spectrum of one row's parameters, built with the row's path delays.
 
     A spectrum file is read once and brings its own grid.
     """
     entry = MODELS[model]
     z1, dz = _path_delays(model, row)
     grid = None if entry.grid is None else entry.grid(row, grid_points, grid_span_sigmas)
-    return apply_path_delays(entry.base(row, grid), z1, z1 - dz, _num(row, "c_light"))
+    return entry.base(row, grid, z1, z1 - dz)
 
 
 def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
@@ -369,15 +393,22 @@ def _check_row(row: ScanRow) -> None:
         raise ArithmeticError(f"p_reduced is not finite at param {row.param!r}")
 
 
-def _delay_alias_warnings(
-    what: str, reach: float, grid: FrequencyGrid, c_light: float
+def _alias_warnings(
+    model: str, rows: list[dict[str, Any]], grid: FrequencyGrid, c_light: float
 ) -> list[str]:
-    """Warning when delays up to ``reach`` (named ``what``) alias on ``grid``.
+    """Warning when a path delay of the ``rows`` of ``model`` aliases on ``grid``.
 
     A sampled spectrum is periodic in the relative delay with period
     ``2 pi c / domega``, so delays from half that period on alias onto
-    shorter ones.
+    shorter ones.  A model with a path difference ``dl`` splits port 1 over
+    the delays ``dz +- dl``, so its reach is ``|dz| + |dl|``.
     """
+    dl_key = MODELS[model].dl_key
+    reach = max(
+        abs(_path_delays(model, row)[1]) + (0.0 if dl_key is None else abs(_num(row, dl_key)))
+        for row in rows
+    )
+    what = "relative delay |z1 - z2|" if dl_key is None else "path delay |dz| + |dl|"
     period = 2.0 * math.pi * c_light / grid.spacing
     if reach < 0.5 * period:
         return []
@@ -386,20 +417,6 @@ def _delay_alias_warnings(
         f"2*pi*c/domega = {period:g} of the {grid.n_points}-point grid; the numeric "
         f"curve repeats with that period, so delays past {0.5 * period:g} alias"
     ]
-
-
-def _alias_warnings(spec: ScanSpec, grid: FrequencyGrid) -> list[str]:
-    # A dl row splits port 1 over the delays dz +- dl.
-    def relative_delay(value: float) -> float:
-        return abs(_path_delays(spec.model, _row(spec, value))[1])
-
-    if spec.swept == "dz":
-        what = "relative delay |z1 - z2|"
-        reach = max(relative_delay(spec.start), relative_delay(spec.stop))
-    else:
-        what = "path delay |dz| + |dl|"
-        reach = max(abs(spec.start), abs(spec.stop)) + relative_delay(0.0)
-    return _delay_alias_warnings(what, reach, grid, _num(spec.fixed, "c_light"))
 
 
 def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], list[str]]:
@@ -427,7 +444,10 @@ def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], l
         def factor(value: float) -> np.ndarray:
             return entry.row_factor(_row(spec, value), base.grid)
 
-    warnings = list(base.warnings) + _alias_warnings(spec, base.grid)
+    ends = [_row(spec, spec.start), _row(spec, spec.stop)]
+    warnings = list(base.warnings) + _alias_warnings(
+        spec.model, ends, base.grid, _num(spec.fixed, "c_light")
+    )
     return base.grid, lambda value: kernel(factor(value)), warnings
 
 

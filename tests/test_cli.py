@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.cli import main
+from biphoton.cli import _parser, build_parser, main
 
 
 def read_csv(path):
@@ -189,31 +192,48 @@ class TestTransform:
 
 
 # relative delays on the default 257-point, 6-sigma grid, whose half delay
-# period pi*c/domega is 67.02; the shih input's relative delay is its dz
+# period pi*c/domega is 67.02; the shih input's relative delay is its dz.  A
+# model with a path difference dl reaches |dz| + |dl|, and its warning names
+# both, as a dl sweep's does.
+_RELATIVE = "relative delay |z1 - z2| up to "
+_PATH = "path delay |dz| + |dl| up to "
+_SHIH_90 = ["--model", "shih", "--beta", "0.1", "--center", "90"]
 _ALIAS_INPUTS = [
-    (["--model", "gaussian_pair", "--dz", "67"], False),
-    (["--model", "gaussian_pair", "--dz=-67.1"], True),
-    (["--model", "gaussian_pair", "--dz", "1e300"], True),
-    (["--model", "shih", "--beta", "0.1", "--center", "90", "--dl", "3", "--dz", "3"], False),
-    (["--model", "shih", "--beta", "0.1", "--center", "90", "--dl", "3", "--dz", "70"], True),
+    (["--model", "gaussian_pair", "--dz", "67"], None),
+    (["--model", "gaussian_pair", "--dz=-67.1"], _RELATIVE),
+    (["--model", "gaussian_pair", "--dz", "1e300"], _RELATIVE),
+    (_SHIH_90 + ["--dl", "3", "--dz", "3"], None),
+    (_SHIH_90 + ["--dl", "3", "--dz", "70"], _PATH),
+    (_SHIH_90 + ["--dl", "66", "--dz=-1"], None),
+    (_SHIH_90 + ["--dl", "66", "--dz=-1.1"], _PATH),
+    (["--model", "delta_pump", "--dl", "1"], None),
+    (["--model", "delta_pump", "--dl", "1000"], _PATH),
+    (["--model", "delta_pump", "--parity", "odd", "--dl", "67.1"], _PATH),
 ]
 
 
-@pytest.mark.parametrize("flags,aliases", _ALIAS_INPUTS)
+@pytest.mark.parametrize("flags,prefix", _ALIAS_INPUTS)
 @pytest.mark.parametrize("command", ["transform", "wavepacket"])
-def test_aliasing_input_delay_is_flagged(tmp_path, capsys, command, flags, aliases):
+def test_aliasing_input_delay_is_flagged(tmp_path, capsys, command, flags, prefix):
     out = tmp_path / "out.json"
     assert main([command, *flags, "-o", str(out)]) == 0
     if command == "transform":
         warnings = json.loads(out.read_text())["warnings"]
     else:
         warnings = json.loads(capsys.readouterr().out)["metadata"]["warnings"]
-    if aliases:
+    if prefix is not None:
         assert len(warnings) == 1
-        assert warnings[0].startswith("relative delay |z1 - z2| up to ")
+        assert warnings[0].startswith(prefix)
         assert "2*pi*c/domega = 134.041" in warnings[0]
     else:
         assert warnings == []
+
+
+def test_aliasing_path_difference_on_a_narrow_grid_is_flagged(capsys):
+    # half the delay period of the 257-point, 4.5-sigma grid is 89.4
+    assert main(["transform", *_SHIH_90, "--dl", "500", "--grid-span", "4.5"]) == 0
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith(_PATH + "500 ")
 
 
 class TestWavepacket:
@@ -324,6 +344,40 @@ class TestMalformedCommandLines:
     def test_error_names_the_parameter(self, tmp_path, capsys, argv, name):
         assert main(argv + ["-o", str(tmp_path / "out")]) == 2
         assert re.search(rf"\b{name}\b", capsys.readouterr().err)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert _parser() is _parser()
+        assert build_parser() is not build_parser()
+
+    def test_commands_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        runs = [
+            ["dip-scan", "--dz-min=-2", "--dz-max", "2", "--steps", "9", "--pump", "gaussian",
+             "--beta", "0.5", "--grid-points", "65"],
+            ["transform", "--model", "shih", "--beta", "0.1", "--center", "90", "--dl", "2",
+             "--dz", "0.5", "--grid-points", "65", "--theta", "0.3"],
+            ["dip-scan", "--dz-min=-1", "--dz-max", "3", "--steps", "5", "--sigma", "2",
+             "--grid-points", "33", "--format", "json"],
+        ]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bp.__file__))}
+        for k, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+            assert main(argv + ["-o", str(here)]) == 0
+            subprocess.run(
+                [sys.executable, "-m", "biphoton", *argv, "-o", str(fresh)], env=env, check=True,
+                capture_output=True,
+            )
+            here_text, fresh_text = here.read_text(), fresh.read_text()
+            if "--format" in argv:
+                # the JSON table's metadata carries stage timings
+                here_json, fresh_json = json.loads(here_text), json.loads(fresh_text)
+                assert (here_json["spec"], here_json["rows"]) == (
+                    fresh_json["spec"], fresh_json["rows"]
+                )
+            else:
+                assert here_text == fresh_text
+        capsys.readouterr()
 
 
 class TestValidateCommand:

@@ -91,6 +91,16 @@ class TestSpectrumFileErrors:
         with pytest.raises(bp.SpectrumFileError, match="empty"):
             bp.load_spectrum(_write(tmp_path, ""))
 
+    @pytest.mark.parametrize("bad", ["nan+0j", "1-infj", "1e999+0j", "(1+2j)x", ""])
+    def test_non_finite_or_bad_cell_named_before_a_later_bad_row(self, tmp_path, bad):
+        # the row-wide parse falls back to the per-cell one, which names the
+        # first offending cell in file order
+        path = _write(
+            tmp_path, f"omega,1,2,3\n1,1j,0j,0j\n2,0j,0j,{bad}\n2.5,0j,0j,0j\n"
+        )
+        with pytest.raises(bp.SpectrumFileError, match=r"line 3, column 4"):
+            bp.load_spectrum(path)
+
     def test_all_zero_content_is_degenerate(self, tmp_path):
         path = _write(
             tmp_path, "omega,1,2,3\n1,0j,0j,0j\n2,0j,0j,0j\n3,0j,0j,0j\n"
@@ -158,6 +168,23 @@ class TestScanSerialization:
     def test_missing_column_rejected(self, result):
         with pytest.raises(ValueError, match="no values"):
             fileio.scan_rows_table(result, [("P_reduced", "p_reduced")])
+
+
+def test_row_parse_equals_per_cell_parse(rng, tmp_path):
+    # bit for bit, including signed zeros, subnormals and wide exponents
+    n = 33
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    raw *= 10.0 ** rng.integers(-150, 150, size=(n, n))
+    raw[0, :4] = [0.0, -0.0, 5e-324 - 0.0j, complex(-0.0, 2.5e-310)]
+    s = bp.BiphotonSpectrum.from_array(bp.make_grid(0.0, 1.0, n), raw)
+    path = tmp_path / "s.csv"
+    bp.save_spectrum(s, str(path))
+    lines = path.read_text().splitlines()[1:]
+    per_cell = np.array([[complex(tok) for tok in line.split(",")[1:]] for line in lines])
+    loaded = bp.load_spectrum(str(path)).amplitudes
+    expected = bp.BiphotonSpectrum.from_array(s.grid, per_cell).amplitudes
+    assert np.array_equal(loaded.view(np.float64), expected.view(np.float64))
+    assert np.array_equal(np.signbit(loaded.view(np.float64)), np.signbit(expected.view(np.float64)))
 
 
 class TestMagnitudeMatrix:

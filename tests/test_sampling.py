@@ -1,4 +1,4 @@
-"""Separable model sampling against the meshgrid oracle, and its input checks."""
+"""Factored model sampling against the meshgrid oracle, and its input checks."""
 
 import math
 import tracemalloc
@@ -8,10 +8,19 @@ import pytest
 
 import biphoton as bp
 from biphoton.models import delta_pump_modulation
+from biphoton.scans import _delayed_spectrum
+from biphoton.spectrum import row_factor_antisymmetric_weight
 
 
-def _mesh_gaussian_pair(m: bp.GaussianPairModel, grid: bp.FrequencyGrid) -> bp.BiphotonSpectrum:
-    """The Gaussian pair evaluated cell by cell on two meshgrids."""
+def _mesh_phases(w1, w2, z1, z2, c_light=1.0):
+    # the port phases exp(i w z / c) of every cell, as apply_path_delays forms them
+    return np.exp(1j * w1 * (z1 / c_light)) * np.exp(1j * w2 * (z2 / c_light))
+
+
+def _mesh_gaussian_pair(
+    m: bp.GaussianPairModel, grid: bp.FrequencyGrid, z1: float = 0.0, z2: float = 0.0
+) -> bp.BiphotonSpectrum:
+    """The delayed Gaussian pair evaluated cell by cell on two meshgrids."""
     w = grid.frequencies()
     w1, w2 = np.meshgrid(w, w, indexing="ij")
     raw = np.exp(
@@ -19,7 +28,7 @@ def _mesh_gaussian_pair(m: bp.GaussianPairModel, grid: bp.FrequencyGrid) -> bp.B
     ).astype(np.complex128)
     if m.pump_sigma is not None:
         raw *= np.exp(-((w1 + w2 - 2.0 * m.center) ** 2) / (2.0 * m.pump_sigma**2))
-    return bp.BiphotonSpectrum.from_array(grid, raw)
+    return bp.BiphotonSpectrum.from_array(grid, raw * _mesh_phases(w1, w2, z1, z2))
 
 
 def _mesh_shih(m: bp.ShihModel, grid: bp.FrequencyGrid) -> bp.BiphotonSpectrum:
@@ -31,22 +40,27 @@ def _mesh_shih(m: bp.ShihModel, grid: bp.FrequencyGrid) -> bp.BiphotonSpectrum:
         - ((w1 - m.center) ** 2 + (w2 - m.center) ** 2) / (2.0 * m.sigma**2)
     )
     raw = envelope * np.cos(w1 * (m.delta_l / m.c_light))
-    s = bp.BiphotonSpectrum.from_array(grid, raw)
-    return bp.apply_path_delays(s, m.z1, m.z2, m.c_light)
+    raw = raw * _mesh_phases(w1, w2, m.z1, m.z2, m.c_light)
+    return bp.BiphotonSpectrum.from_array(grid, raw)
 
 
 # (grid center, model center): centred, and a grid shifted off the model center
 _CENTERS = [(100.0, 100.0), (101.3, 100.0)]
 
 
+# port paths (z1, z2): none, and two distinct nonzero paths folded into the factors
+_PATHS = [(0.0, 0.0), (1.5, -0.7)]
+
+
 @pytest.mark.parametrize("n", [3, 257, 1025])
 @pytest.mark.parametrize("grid_center,center", _CENTERS)
 @pytest.mark.parametrize("pump_sigma", [None, 0.3])
-def test_gaussian_pair_matches_meshgrid_oracle(n, grid_center, center, pump_sigma):
+@pytest.mark.parametrize("z1,z2", _PATHS)
+def test_gaussian_pair_matches_meshgrid_oracle(n, grid_center, center, pump_sigma, z1, z2):
     grid = bp.make_grid(grid_center, 6.0, n)
     m = bp.GaussianPairModel(center=center, sigma=1.0, pump_sigma=pump_sigma)
-    oracle = _mesh_gaussian_pair(m, grid).amplitudes
-    new = bp.gaussian_pair_spectrum(m, grid).amplitudes
+    oracle = _mesh_gaussian_pair(m, grid, z1, z2).amplitudes
+    new = bp.gaussian_pair_spectrum(m, grid, z1, z2).amplitudes
     assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
@@ -84,31 +98,75 @@ def test_shih_at_zero_path_difference_is_exactly_symmetric(beta):
     assert np.array_equal(c, c.T)
 
 
-def _peak_matrices(build) -> float:
+@pytest.mark.parametrize("n", [3, 257, 1025])
+@pytest.mark.parametrize("z1,z2", [(1.5, -0.7), (0.0, 2.0), (-3.0, 0.0)])
+def test_folded_paths_match_apply_path_delays(n, z1, z2):
+    grid = bp.make_grid(100.0, 6.0, n)
+    pair = bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.3)
+    folded = bp.gaussian_pair_spectrum(pair, grid, z1, z2).amplitudes
+    applied = bp.apply_path_delays(bp.gaussian_pair_spectrum(pair, grid), z1, z2).amplitudes
+    assert np.max(np.abs(folded - applied)) <= 1e-15
+
+    shih = bp.ShihModel.from_path_difference(
+        center=100.0, sigma=1.0, sigma_p=0.1, delta_l=2.5, z1=z1, z2=z2
+    )
+    delay_free = bp.ShihModel.from_path_difference(
+        center=100.0, sigma=1.0, sigma_p=0.1, delta_l=shih.delta_l
+    )
+    folded = bp.shih_spectrum(shih, grid).amplitudes
+    applied = bp.apply_path_delays(bp.shih_spectrum(delay_free, grid), shih.z1, shih.z2)
+    assert np.max(np.abs(folded - applied.amplitudes)) <= 1e-15
+
+
+def _peak_matrices(call, n: int) -> float:
     # tracemalloc peak of one call, after a warm-up call, in n x n complex matrices
-    build()
+    call()
     tracemalloc.start()
     try:
-        s = build()
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / s.amplitudes.nbytes
+    return peak / (16 * n * n)
 
 
 def test_sampling_working_set():
     # a meshgrid build holds 4.5 (shih) and 3.5 (gaussian pair) matrices at
-    # its peak; the separable envelope needs two.  A shih build that keeps
-    # its raw matrix alive while the delay phases are applied holds three.
-    grid = bp.make_grid(100.0, 6.0, 1025)
-    # a nonzero path, as in every shih_scan row, so the delay phases are
-    # applied on top of the build
+    # its peak; building the envelope first and applying the delay phases
+    # after it holds two.  The factored build writes the state, phases
+    # included, into its one matrix.
+    n = 1025
+    grid = bp.make_grid(100.0, 6.0, n)
+    # nonzero paths, as in the shih_scan rows, so the delay phases are part
+    # of the build
     shih = bp.ShihModel.from_path_difference(
-        center=100.0, sigma=1.0, sigma_p=0.1, delta_l=0.0, z1=1.5
+        center=100.0, sigma=1.0, sigma_p=0.1, delta_l=2.5, z1=1.5, z2=-0.7
     )
     pair = bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.1)
-    assert _peak_matrices(lambda: bp.shih_spectrum(shih, grid)) <= 2.25
-    assert _peak_matrices(lambda: bp.gaussian_pair_spectrum(pair, grid)) <= 2.25
+    assert _peak_matrices(lambda: bp.shih_spectrum(shih, grid), n) <= 1.25
+    assert _peak_matrices(lambda: bp.gaussian_pair_spectrum(pair, grid), n) <= 1.25
+    assert _peak_matrices(lambda: bp.gaussian_pair_spectrum(pair, grid, 1.5, -0.7), n) <= 1.25
+
+
+@pytest.mark.parametrize(
+    "model,row",
+    [
+        ("shih", {"center": 90.0, "sigma_p": 0.01, "delta_l": 20.0, "dz": 3.0}),
+        ("gaussian_pair", {"pump_sigma": 0.3, "dz": 1.5}),
+    ],
+)
+def test_delayed_row_state_working_set(model, row):
+    # the state of one delayed scan row, as the scans and the CLI build it
+    n = 1025
+    assert _peak_matrices(lambda: _delayed_spectrum(model, row, n, 4.5), n) <= 1.25
+
+
+def test_row_factor_reduction_working_set():
+    # the reduction keeps one real n x n matrix, half a complex one
+    n = 1025
+    grid = bp.make_grid(90.0, 4.5, n)
+    s = bp.shih_spectrum(bp.ShihModel.from_path_difference(90.0, 1.0, 0.01, 0.0, z2=3.0), grid)
+    assert _peak_matrices(lambda: row_factor_antisymmetric_weight(s), n) <= 0.6
 
 
 _BAD_WIDTHS = [0.0, -1.0, math.nan, math.inf, 1e-300, 1e-154, 1e154, 1e200]
@@ -135,11 +193,30 @@ def test_smallest_and_largest_representable_bandwidths_accepted():
         assert bp.GaussianPairModel(center=0.0, sigma=s).sigma == s
 
 
-@pytest.mark.parametrize("z1,z2", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (1e308, 0.0)])
+_BAD_PATHS = [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (1e308, 0.0), (0.0, 1e308)]
+
+
+@pytest.mark.parametrize("z1,z2", _BAD_PATHS)
 def test_non_finite_path_delays_rejected(z1, z2):
-    s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.0, 1.0), bp.make_grid(0.0, 6.0, 17))
+    grid = bp.make_grid(0.0, 6.0, 17)
+    pair = bp.GaussianPairModel(0.0, 1.0)
+    s = bp.gaussian_pair_spectrum(pair, grid)
     with pytest.raises(bp.ConfigError, match="dz"):
         bp.apply_path_delays(s, z1, z2)
+    with pytest.raises(bp.ConfigError, match="dz"):
+        bp.gaussian_pair_spectrum(pair, grid, z1, z2)
+    with pytest.raises(bp.ConfigError, match="dz"):
+        bp.shih_spectrum(
+            bp.ShihModel.from_path_difference(90.0, 1.0, 0.1, 1.0, z1=z1, z2=z2), grid
+        )
+
+
+@pytest.mark.parametrize("model", ["gaussian_pair", "shih", "delta_pump", "bell"])
+@pytest.mark.parametrize("dz", [math.inf, -math.inf, math.nan, 1e308])
+def test_non_finite_row_delays_rejected(model, dz):
+    fixed = {"shih": {"center": 90.0, "sigma_p": 0.1}, "bell": {"omega_a": -2.0, "omega_b": 2.0}}
+    with pytest.raises(bp.ConfigError, match=r"\bdz\b"):
+        _delayed_spectrum(model, {**fixed.get(model, {}), "dz": dz}, 17, 6.0)
 
 
 @pytest.mark.parametrize("dl", [math.inf, -math.inf, math.nan, 1e308])
