@@ -35,28 +35,18 @@ from .scans import (
     ScanResult,
     ScanRow,
     ScanSpec,
-    build_model_spectrum,
     compare_methods,
     evaluate_scan_point,
-    resolve_grid,
     run_scan,
 )
 from .spectrum import (
     BiphotonSpectrum,
     FrequencyGrid,
-    SymmetryDecomposition,
     TimeWavepacket,
-    antisymmetric_weight,
     apply_path_delays,
-    delay_antisymmetric_weight,
-    exchange_overlap,
     exchange_weights,
-    from_function,
     make_grid,
-    row_factor_antisymmetric_weight,
     separability_rank1_fraction,
-    swap,
-    symmetry_decompose,
     time_domain,
 )
 
@@ -77,29 +67,21 @@ __all__ = [
     "ScanSpec",
     "ShihModel",
     "SpectrumFileError",
-    "SymmetryDecomposition",
     "TimeWavepacket",
-    "antisymmetric_weight",
     "apply_path_delays",
     "bell_antisymmetric_spectrum",
     "bs_inverse",
     "bs_matrix",
-    "build_model_spectrum",
     "coincidence_probability",
     "compare_methods",
     "creation_substitution",
-    "delay_antisymmetric_weight",
     "delta_pump_spectrum",
     "evaluate_scan_point",
-    "exchange_overlap",
     "exchange_weights",
-    "from_function",
     "gaussian_pair_spectrum",
     "hom_dip_closed",
     "load_spectrum",
     "make_grid",
-    "resolve_grid",
-    "row_factor_antisymmetric_weight",
     "run_scan",
     "save_spectrum",
     "separability_rank1_fraction",
@@ -107,8 +89,6 @@ __all__ = [
     "shih_norm_factor",
     "shih_reduced",
     "shih_spectrum",
-    "swap",
-    "symmetry_decompose",
     "time_domain",
     "transform",
     "transform_decomposition",

@@ -237,12 +237,13 @@ def trapping_fidelity(s: BiphotonSpectrum) -> float:
 def exchange_report(s: BiphotonSpectrum, p: BeamSplitterParams) -> dict[str, float]:
     """The exchange-determined scalars of a transform report, from one reduction.
 
-    ``p_11``, ``p_22`` and ``p_coinc`` as in :func:`transform`, and
-    ``w_antisym``, ``exchange_overlap`` and ``trapping_fidelity`` as in
-    :func:`~biphoton.spectrum.antisymmetric_weight`,
-    :func:`~biphoton.spectrum.exchange_overlap` and :func:`trapping_fidelity`,
-    all from one call to :func:`~biphoton.spectrum.exchange_weights`; the
-    channel matrices are never built.
+    ``p_11``, ``p_22`` and ``p_coinc`` as in :func:`transform`, the
+    antisymmetric weight ``w_antisym = anti`` (0 at or below ``1e-30``), the
+    exchange overlap ``exchange_overlap = sym - anti`` (clamped to [-1, 1];
+    ``V = 1`` for symmetric and ``-1`` for antisymmetric spectra) and
+    ``trapping_fidelity`` as in :func:`trapping_fidelity`, all from one call
+    to :func:`~biphoton.spectrum.exchange_weights`; the channel matrices are
+    never built.
     """
     sym, anti = exchange_weights(s.amplitudes)
     p_11, p_22, p_coinc = _probabilities((sym, anti), p)

@@ -70,7 +70,8 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
 
     Validates the shape (square, odd point count >= 3), the uniformity of
     the frequency axis, and agreement of the row labels with the header
-    axis; reports the first offending cell by line and column.
+    axis, both to ``REL_AXIS_TOL`` of the header spacing; reports the first
+    offending cell by line and column.
     """
     with open(path, "r") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
@@ -101,7 +102,6 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
         )
 
     amp = np.empty((n, n), dtype=np.complex128)
-    scale = max(abs(axis[0]), abs(axis[-1]), 1.0)
     for i, line in enumerate(lines[1:]):
         lineno = i + 2
         tokens = line.split(",")
@@ -110,9 +110,9 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
                 f"expected {n + 1} cells, found {len(tokens)}", lineno, len(tokens) + 1
             )
         label = _parse_float(tokens[0], lineno, 1)
-        if abs(label - axis[i]) > REL_AXIS_TOL * scale:
+        if abs(label - axis[i]) > REL_AXIS_TOL * steps[0]:
             raise SpectrumFileError(
-                f"row label {tokens[0]!r} does not match header frequency {axis[i]!r}",
+                f"row label {tokens[0]!r} does not match header frequency {float(axis[i])!r}",
                 lineno,
                 1,
             )

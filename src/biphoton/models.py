@@ -91,10 +91,9 @@ class GaussianPairModel:
 class ShihModel:
     """Pump-entangled Gaussian pair with a two-path (short/long) signal arm.
 
-    ``l_short`` and ``l_long`` are the two signal path lengths, ``z2`` the
-    idler path.  Derived quantities: half path difference
-    ``delta_l = (l_long - l_short) / 2``, mean signal path
-    ``z1 = (l_long + l_short) / 2``, pump-to-photon bandwidth ratio
+    The signal paths are ``z1 - delta_l`` and ``z1 + delta_l``: ``delta_l``
+    is the half path difference and ``z1`` the mean signal path; ``z2`` is
+    the idler path.  Derived quantities: pump-to-photon bandwidth ratio
     ``beta = sigma_p / sigma`` and carrier wavelength
     ``wavelength = 2*pi*c_light/center``.
     """
@@ -102,8 +101,8 @@ class ShihModel:
     center: float
     sigma: float
     sigma_p: float
-    l_short: float
-    l_long: float
+    delta_l: float
+    z1: float = 0.0
     z2: float = 0.0
     c_light: float = 1.0
 
@@ -114,21 +113,13 @@ class ShihModel:
             raise ValueError("center must be positive (it sets the carrier wavelength)")
         if not (math.isfinite(self.c_light) and self.c_light > 0):
             raise ValueError("c_light must be positive and finite")
-        if self.l_long < self.l_short:
-            raise ValueError("l_long must be >= l_short")
-        if not (math.isfinite(self.l_short) and math.isfinite(self.l_long) and math.isfinite(self.z2)):
+        if self.delta_l < 0:
+            raise ValueError(f"delta_l must be >= 0, got {self.delta_l!r}")
+        if not (math.isfinite(self.delta_l) and math.isfinite(self.z1) and math.isfinite(self.z2)):
             raise ConfigError(
-                f"path lengths must be finite (they set the relative delay dz = z1 - z2); "
-                f"got l_short = {self.l_short!r}, l_long = {self.l_long!r}, z2 = {self.z2!r}"
+                f"paths must be finite (they set the relative delay dz = z1 - z2); "
+                f"got delta_l = {self.delta_l!r}, z1 = {self.z1!r}, z2 = {self.z2!r}"
             )
-
-    @property
-    def delta_l(self) -> float:
-        return (self.l_long - self.l_short) / 2.0
-
-    @property
-    def z1(self) -> float:
-        return (self.l_long + self.l_short) / 2.0
 
     @property
     def beta(self) -> float:
@@ -137,30 +128,6 @@ class ShihModel:
     @property
     def wavelength(self) -> float:
         return 2.0 * math.pi * self.c_light / self.center
-
-    @classmethod
-    def from_path_difference(
-        cls,
-        center: float,
-        sigma: float,
-        sigma_p: float,
-        delta_l: float,
-        z1: float = 0.0,
-        z2: float = 0.0,
-        c_light: float = 1.0,
-    ) -> "ShihModel":
-        """Build from the half path difference and mean signal path."""
-        if delta_l < 0:
-            raise ValueError("delta_l must be >= 0")
-        return cls(
-            center=center,
-            sigma=sigma,
-            sigma_p=sigma_p,
-            l_short=z1 - delta_l,
-            l_long=z1 + delta_l,
-            z2=z2,
-            c_light=c_light,
-        )
 
 
 def _coverage_warnings(grid: FrequencyGrid, center: float, sigma: float) -> tuple[str, ...]:

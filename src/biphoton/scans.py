@@ -5,21 +5,21 @@ accepts, the grid they imply, its delay-free spectrum and, where they exist,
 its ``dl`` row factors, closed form and metadata.  Every source, in scans and
 CLI input states alike, is built with the path delays of its row in one
 place, :func:`_delayed_spectrum`: the Gaussian pair and the two-path model
-fold the path phases into their factored build, and every other source gets
-them from :func:`~biphoton.spectrum.apply_path_delays`.
+fold the path phases into their factored build (see :mod:`biphoton.models`),
+and every other source gets them from
+:func:`~biphoton.spectrum.apply_path_delays`.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference) and the sweep range.  A scan builds
 the model at the swept value 0 once, reduces it once in O(n^2), and reads
-each row off that reduction.  A delay only multiplies the exchange overlap
-term by term by a difference-frequency phase, so a ``dz`` row costs O(n)
-(:func:`~biphoton.spectrum.delay_antisymmetric_weight`).  A path difference
-only scales each port-1 row of the spectrum by a real factor, so a ``dl``
-row costs one real O(n^2) matrix-vector product
-(:func:`~biphoton.spectrum.row_factor_antisymmetric_weight`).  Every row
-carries this numeric value and, where the model has one, its closed form.
-Each row is computed on its own from the same inputs, so identical specs
-produce bit-identical tables, in any evaluation order.
+each row off that reduction: a ``dz`` row in O(n) by
+:func:`~biphoton.spectrum.delay_antisymmetric_weight`, a ``dl`` row by one
+real matrix-vector product in
+:func:`~biphoton.spectrum.row_factor_antisymmetric_weight`, whose
+docstrings derive them.  Every row carries this numeric value and, where
+the model has one, its closed form.  Each row is computed on its own from
+the same inputs, so identical specs produce bit-identical tables, in any
+evaluation order.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _shih_model(fixed: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> Shih
     Scans and input states take the paths from ``_path_delays``, not from
     ``fixed``; the closed form and the row factors use the delay-free model.
     """
-    return ShihModel.from_path_difference(
+    return ShihModel(
         center=_num(fixed, "center"),
         sigma=_num(fixed, "sigma"),
         sigma_p=_num(fixed, "sigma_p"),
@@ -295,30 +295,6 @@ def validate_model_params(model: str, fixed: dict[str, Any]) -> None:
     for key in MODELS[model].required:
         if key not in fixed:
             raise ConfigError(f"model {model!r} requires parameter {key!r}")
-
-
-def resolve_grid(
-    model: str, fixed: dict[str, Any], grid_points: int = 257, grid_span_sigmas: float = 6.0
-) -> FrequencyGrid:
-    """Frequency grid implied by a model's fixed parameters."""
-    validate_model_params(model, fixed)
-    entry = MODELS[model]
-    if entry.grid is None:
-        return entry.base(fixed, None, 0.0, 0.0).grid
-    return entry.grid(fixed, grid_points, grid_span_sigmas)
-
-
-def build_model_spectrum(
-    model: str, fixed: dict[str, Any], grid: FrequencyGrid
-) -> BiphotonSpectrum:
-    """Delay-free model spectrum for ``model`` with parameters ``fixed``.
-
-    Path delays, the two-path model's ``z1``, ``z2`` and ``dz`` included,
-    are not applied; :func:`~biphoton.spectrum.apply_path_delays` adds them.
-    A spectrum file brings its own grid.
-    """
-    validate_model_params(model, fixed)
-    return MODELS[model].base(fixed, grid, 0.0, 0.0)
 
 
 def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:

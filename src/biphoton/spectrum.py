@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -165,22 +165,17 @@ class BiphotonSpectrum:
         zero and therefore cannot represent a state.  ``raw`` itself is never
         modified.
         """
-        amp = np.ascontiguousarray(raw, dtype=np.complex128)
-        # a converted copy is ours to divide in place; raw itself is not
-        return cls._normalized(grid, amp, warnings, in_place=amp is not raw)
+        amp = np.array(raw, dtype=np.complex128, order="C")
+        return cls._normalized(grid, amp, warnings)
 
     @classmethod
     def _normalized(
-        cls,
-        grid: FrequencyGrid,
-        amp: np.ndarray,
-        warnings: tuple[str, ...] = (),
-        in_place: bool = True,
+        cls, grid: FrequencyGrid, amp: np.ndarray, warnings: tuple[str, ...] = ()
     ) -> "BiphotonSpectrum":
-        """:meth:`from_array` of a C-contiguous complex128 ``amp``.
+        """:meth:`from_array` of a C-contiguous complex128 ``amp`` that the caller hands over.
 
-        With ``in_place`` the builder hands ``amp`` over and it is divided by
-        its norm where it lies, so normalizing makes no second matrix.
+        ``amp`` is divided by its norm where it lies, so normalizing makes no
+        second matrix.
         """
         norm_sq = _finite_squared_norm(amp)
         if norm_sq == math.inf:
@@ -190,7 +185,6 @@ class BiphotonSpectrum:
             parts = amp.view(np.float64)
             amp = (parts / np.max(np.abs(parts))).view(np.complex128)
             norm_sq = _finite_squared_norm(amp)
-            in_place = True
         norm = math.sqrt(norm_sq)
         if norm < _MIN_NORM:
             raise DegenerateSpectrumError(
@@ -198,17 +192,10 @@ class BiphotonSpectrum:
             )
         # numpy divides a complex matrix by a real norm as a product with its
         # reciprocal; scaling the float view does the same at a third of the cost
-        scale = 1.0 / norm
         parts = amp.view(np.float64)
-        if in_place:
-            parts *= scale
-        else:
-            amp = (parts * scale).view(np.complex128)
+        parts *= 1.0 / norm
         amp.flags.writeable = False
         return cls(grid=grid, amplitudes=amp, warnings=tuple(warnings))
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def _finite_squared_norm(a: np.ndarray) -> float:
@@ -259,65 +246,9 @@ class TimeWavepacket:
         return float(np.sum(np.abs(self.values) ** 2)) / n**2
 
 
-class SymmetryDecomposition(NamedTuple):
-    """Exchange-symmetric and -antisymmetric parts with the antisymmetric weight."""
-
-    sym: BiphotonSpectrum | None
-    antisym: BiphotonSpectrum | None
-    w_antisym: float
-
-
-def from_function(
-    grid: FrequencyGrid,
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray | complex],
-) -> BiphotonSpectrum:
-    """Sample ``f(omega_1, omega_2)`` on the grid and normalize.
-
-    ``f`` receives broadcastable frequency arrays ``(w1[i, j], w2[i, j])``
-    and may return a scalar or an array.
-    """
-    w = grid.frequencies()
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    raw = np.asarray(f(w1, w2), dtype=np.complex128)
-    if raw.ndim == 0:
-        raw = np.full((grid.n_points, grid.n_points), complex(raw), dtype=np.complex128)
-    else:
-        raw = np.broadcast_to(raw, (grid.n_points, grid.n_points)).copy()
-    return BiphotonSpectrum.from_array(grid, raw)
-
-
-def swap(s: BiphotonSpectrum) -> BiphotonSpectrum:
-    """Exchange the two frequency arguments: ``c'[i, j] = c[j, i]``."""
-    amp = np.ascontiguousarray(s.amplitudes.T)
-    amp.flags.writeable = False
-    return BiphotonSpectrum(s.grid, amp, s.warnings)
-
-
-def symmetry_decompose(s: BiphotonSpectrum) -> SymmetryDecomposition:
-    """Split into exchange-symmetric and -antisymmetric parts.
-
-    The unnormalized parts are ``a_pm = (c +- c^T) / 2``; they are orthogonal,
-    so their squared norms add to 1.  Each nonzero part is returned
-    renormalized; a zero part is returned as ``None`` with weight 0.
-    """
-    c = s.amplitudes
-    a_plus = (c + c.T) / 2.0
-    a_minus = (c - c.T) / 2.0
-    w_minus = float(np.sum(np.abs(a_minus) ** 2))
-    w_plus = float(np.sum(np.abs(a_plus) ** 2))
-
-    sym = None
-    antisym = None
-    if w_plus > _ZERO_WEIGHT:
-        sym = BiphotonSpectrum.from_array(s.grid, a_plus)
-    if w_minus > _ZERO_WEIGHT:
-        antisym = BiphotonSpectrum.from_array(s.grid, a_minus)
-    w_antisym = 0.0 if antisym is None else min(max(w_minus, 0.0), 1.0)
-    return SymmetryDecomposition(sym=sym, antisym=antisym, w_antisym=w_antisym)
-
-
 def _weight(w: float) -> float:
-    # symmetry_decompose's rule: a part at or below _ZERO_WEIGHT is absent.
+    # the reported antisymmetric weight: at or below _ZERO_WEIGHT the part
+    # counts as absent, and rounding past 1 is clamped
     return 0.0 if w <= _ZERO_WEIGHT else min(w, 1.0)
 
 
@@ -352,22 +283,13 @@ def exchange_weights(c: np.ndarray) -> tuple[float, float]:
     return 0.25 * math.fsum(sym), 0.25 * math.fsum(anti)
 
 
-def antisymmetric_weight(s: BiphotonSpectrum) -> float:
-    """Weight ``sum |c - c^T|**2 / 4`` of the exchange-antisymmetric part.
-
-    Equals ``symmetry_decompose(s).w_antisym`` (same zero threshold, clamped
-    to [0, 1]) without building the two renormalized parts.  At a balanced
-    splitter it is the coincidence probability.
-    """
-    return _weight(exchange_weights(s.amplitudes)[1])
-
-
 def delay_antisymmetric_weight(
     s: BiphotonSpectrum, c_light: float = 1.0
 ) -> Callable[[float], float]:
     """Antisymmetric weight of ``s`` as a function of the relative delay.
 
-    Returns ``w(dz)``, equal to ``antisymmetric_weight`` of
+    Returns ``w(dz)``, the antisymmetric weight (``anti`` of
+    :func:`exchange_weights`, 0 at or below ``_ZERO_WEIGHT``) of
     ``apply_path_delays(s, z1, z2, c_light)`` with ``dz = z1 - z2``, which
     is the balanced-splitter coincidence probability of the delayed state.
     A delay multiplies ``conj(c[i,j]) c[j,i]`` by ``exp(i k domega dz / c)``
@@ -409,7 +331,8 @@ def row_factor_antisymmetric_weight(
 ) -> Callable[[np.ndarray], float]:
     """Antisymmetric weight of ``s`` with row ``i`` scaled by a real ``u[i]``.
 
-    Returns ``w(u)``, equal to ``antisymmetric_weight`` of
+    Returns ``w(u)``, the antisymmetric weight (``anti`` of
+    :func:`exchange_weights`, 0 at or below ``_ZERO_WEIGHT``) of
     ``from_array(s.grid, u[:, None] * s.amplitudes)``, which is the
     balanced-splitter coincidence probability of that renormalized state.
     One O(n^2) reduction to the real symmetric matrix
@@ -490,16 +413,6 @@ def apply_path_delays(
     amp *= phase2[None, :]
     amp.flags.writeable = False
     return BiphotonSpectrum(s.grid, amp, s.warnings)
-
-
-def exchange_overlap(s: BiphotonSpectrum) -> float:
-    """Real overlap ``V = Re sum c*[i,j] c[j,i]`` between ``c`` and its swap.
-
-    ``V = 1`` for symmetric and ``V = -1`` for antisymmetric spectra; at a
-    balanced splitter the coincidence probability is ``(1 - V) / 2``.
-    Computed as ``sym - anti`` of :func:`exchange_weights`.
-    """
-    return _overlap(*exchange_weights(s.amplitudes))
 
 
 def _overlap(sym: float, anti: float) -> float:

@@ -1,0 +1,79 @@
+"""Reference implementations that the tests check the library against.
+
+Each helper is written from its definition, elementwise and over the whole
+matrix, with no slab or reduction shortcut: the exchange swap, the split
+into renormalized exchange-symmetric and -antisymmetric parts, sampling a
+function on the grid, and the squared norm of a spectrum.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+import biphoton as bp
+from biphoton.spectrum import _ZERO_WEIGHT
+
+
+class SymmetryDecomposition(NamedTuple):
+    """Exchange-symmetric and -antisymmetric parts with the antisymmetric weight."""
+
+    sym: bp.BiphotonSpectrum | None
+    antisym: bp.BiphotonSpectrum | None
+    w_antisym: float
+
+
+def from_function(
+    grid: bp.FrequencyGrid,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray | complex],
+) -> bp.BiphotonSpectrum:
+    """Sample ``f(omega_1, omega_2)`` on the grid and normalize.
+
+    ``f`` receives broadcastable frequency arrays ``(w1[i, j], w2[i, j])``
+    and may return a scalar or an array.
+    """
+    w = grid.frequencies()
+    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    raw = np.asarray(f(w1, w2), dtype=np.complex128)
+    if raw.ndim == 0:
+        raw = np.full((grid.n_points, grid.n_points), complex(raw), dtype=np.complex128)
+    else:
+        raw = np.broadcast_to(raw, (grid.n_points, grid.n_points)).copy()
+    return bp.BiphotonSpectrum.from_array(grid, raw)
+
+
+def swap(s: bp.BiphotonSpectrum) -> bp.BiphotonSpectrum:
+    """Exchange the two frequency arguments: ``c'[i, j] = c[j, i]``."""
+    amp = np.ascontiguousarray(s.amplitudes.T)
+    amp.flags.writeable = False
+    return bp.BiphotonSpectrum(s.grid, amp, s.warnings)
+
+
+def symmetry_decompose(s: bp.BiphotonSpectrum) -> SymmetryDecomposition:
+    """Split into exchange-symmetric and -antisymmetric parts.
+
+    The unnormalized parts are ``a_pm = (c +- c^T) / 2``; they are orthogonal,
+    so their squared norms add to 1.  Each nonzero part is returned
+    renormalized; a part at or below the library's zero weight is returned
+    as ``None``, and an absent antisymmetric part has weight 0.
+    """
+    c = s.amplitudes
+    a_plus = (c + c.T) / 2.0
+    a_minus = (c - c.T) / 2.0
+    w_minus = float(np.sum(np.abs(a_minus) ** 2))
+    w_plus = float(np.sum(np.abs(a_plus) ** 2))
+
+    sym = None
+    antisym = None
+    if w_plus > _ZERO_WEIGHT:
+        sym = bp.BiphotonSpectrum.from_array(s.grid, a_plus)
+    if w_minus > _ZERO_WEIGHT:
+        antisym = bp.BiphotonSpectrum.from_array(s.grid, a_minus)
+    w_antisym = 0.0 if antisym is None else min(max(w_minus, 0.0), 1.0)
+    return SymmetryDecomposition(sym=sym, antisym=antisym, w_antisym=w_antisym)
+
+
+def norm_squared(s: bp.BiphotonSpectrum) -> float:
+    """``sum |c|**2`` of the amplitude matrix."""
+    return float(np.sum(np.abs(s.amplitudes) ** 2))

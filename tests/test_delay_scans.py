@@ -8,7 +8,10 @@ import pytest
 
 import biphoton as bp
 from biphoton import fileio
+from biphoton.beamsplitter import exchange_report
 from biphoton.cli import main
+from biphoton.scans import MODELS, _delayed_spectrum
+from reference import symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -37,7 +40,12 @@ EXTERNAL_DELAY_CASES = {
 
 def oracle(s):
     """Coincidence and antisymmetric weight of one delayed spectrum."""
-    return bp.coincidence_probability(s, BALANCED), bp.symmetry_decompose(s).w_antisym
+    return bp.coincidence_probability(s, BALANCED), symmetry_decompose(s).w_antisym
+
+
+def w_antisym(s):
+    """Antisymmetric weight of the CLI's transform report."""
+    return exchange_report(s, BALANCED)["w_antisym"]
 
 
 def externally_delayed(spec, base):
@@ -67,8 +75,7 @@ class TestFastPathAgainstPerRowOracle:
             grid_points=n, grid_span_sigmas=span,
         )
         result = bp.run_scan(spec)
-        grid = bp.resolve_grid(model, fixed, n, span)
-        base = bp.build_model_spectrum(model, fixed, grid)
+        base = _delayed_spectrum(model, fixed, n, span)
         assert_rows_match_oracle(result, externally_delayed(spec, base))
         assert_single_points_match(spec, result)
 
@@ -104,10 +111,10 @@ class TestFastPathAgainstPerRowOracle:
             fixed=fixed, grid_points=n, grid_span_sigmas=4.5,
         )
         result = bp.run_scan(spec)
-        grid = bp.resolve_grid("shih", fixed, n, 4.5)
+        grid = MODELS["shih"].grid(fixed, n, 4.5)
         delayed = (
             bp.shih_spectrum(
-                bp.ShihModel.from_path_difference(
+                bp.ShihModel(
                     center=center, sigma=1.0, sigma_p=beta, delta_l=x_dl, z1=z1, z2=z1 - dz
                 ),
                 grid,
@@ -135,10 +142,10 @@ class TestDlSweepWeight:
             model="delta_pump", swept="dl", start=0.5, stop=2.0, n_steps=4, fixed=fixed,
             grid_points=129,
         )
-        grid = bp.resolve_grid("delta_pump", fixed, 129, 6.0)
+        grid = MODELS["delta_pump"].grid(fixed, 129, 6.0)
         for row in bp.run_scan(spec).rows:
             s = bp.delta_pump_spectrum(1.0, 0.0, row.param, "even", grid)
-            assert abs(row.w_antisym - bp.symmetry_decompose(s).w_antisym) <= TOL
+            assert abs(row.w_antisym - symmetry_decompose(s).w_antisym) <= TOL
 
 
 class TestAntisymmetricWeight:
@@ -151,14 +158,14 @@ class TestAntisymmetricWeight:
             ),
             0.3, 0.0,
         )
-        assert abs(bp.antisymmetric_weight(s) - bp.symmetry_decompose(s).w_antisym) <= 1e-15
+        assert abs(w_antisym(s) - symmetry_decompose(s).w_antisym) <= 1e-15
 
     def test_symmetric_and_antisymmetric_limits(self):
         grid = bp.make_grid(0.0, 8.0, 17)
         pair = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.0, 1.0), grid)
-        assert bp.antisymmetric_weight(pair) == 0.0
+        assert w_antisym(pair) == 0.0
         bell = bp.bell_antisymmetric_spectrum(-2.0, 2.0, grid)
-        assert abs(bp.antisymmetric_weight(bell) - 1.0) <= 1e-15
+        assert abs(w_antisym(bell) - 1.0) <= 1e-15
 
     def test_keeps_zero_weight_threshold(self):
         # antisymmetric part of squared weight ~1e-40, below the 1e-30 threshold
@@ -166,8 +173,8 @@ class TestAntisymmetricWeight:
         raw = np.ones((3, 3), dtype=complex)
         raw[0, 1] += 1e-20
         s = bp.BiphotonSpectrum.from_array(grid, raw)
-        assert bp.symmetry_decompose(s).w_antisym == 0.0
-        assert bp.antisymmetric_weight(s) == 0.0
+        assert symmetry_decompose(s).w_antisym == 0.0
+        assert w_antisym(s) == 0.0
 
 
 class TestDelayAliasGuard:

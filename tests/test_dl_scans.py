@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton.scans import MODELS
 from biphoton.spectrum import row_factor_antisymmetric_weight
+from reference import symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -16,12 +18,12 @@ TOL = 1e-14
 
 def oracle(s):
     """Coincidence and antisymmetric weight of one row's spectrum."""
-    return bp.coincidence_probability(s, BALANCED), bp.symmetry_decompose(s).w_antisym
+    return bp.coincidence_probability(s, BALANCED), symmetry_decompose(s).w_antisym
 
 
 def shih_row_spectrum(fixed, grid, dl):
     z1 = fixed.get("z1", 0.0)
-    m = bp.ShihModel.from_path_difference(
+    m = bp.ShihModel(
         center=fixed["center"], sigma=fixed.get("sigma", 1.0), sigma_p=fixed["sigma_p"],
         delta_l=dl, z1=z1, z2=z1 - fixed.get("dz", 0.0), c_light=fixed.get("c_light", 1.0),
     )
@@ -35,7 +37,7 @@ def delta_row_spectrum(fixed, grid, dl):
 
 
 def assert_rows_match_oracle(spec, result, row_spectrum):
-    grid = bp.resolve_grid(spec.model, spec.fixed, spec.grid_points, spec.grid_span_sigmas)
+    grid = MODELS[spec.model].grid(spec.fixed, spec.grid_points, spec.grid_span_sigmas)
     for row in result.rows:
         p, w = oracle(row_spectrum(spec.fixed, grid, row.param))
         assert abs(row.p_numeric - p) <= TOL, row.param
@@ -106,7 +108,7 @@ class TestDlErrorsAtTheSameRow:
             model="shih", swept="dl", start=0.5, stop=1.0, n_steps=2, fixed=fixed,
             grid_points=3, grid_span_sigmas=math.pi,
         )
-        grid = bp.resolve_grid("shih", fixed, 3, math.pi)
+        grid = bp.make_grid(1.5 * math.pi, math.pi, 3)
         with pytest.raises(bp.DegenerateSpectrumError):
             shih_row_spectrum(fixed, grid, 1.0)
         with pytest.raises(bp.DegenerateSpectrumError):
@@ -122,7 +124,7 @@ class TestDlErrorsAtTheSameRow:
             model="delta_pump", swept="dl", start=0.0, stop=1.0, n_steps=3, fixed=fixed,
             grid_points=65,
         )
-        grid = bp.resolve_grid("delta_pump", fixed, 65, 6.0)
+        grid = bp.make_grid(0.0, 6.0, 65)
         with pytest.raises(bp.DegenerateSpectrumError):
             delta_row_spectrum(fixed, grid, 0.0)
         with pytest.raises(bp.DegenerateSpectrumError):
@@ -202,7 +204,7 @@ class TestScanMetadata:
             fixed=shih_fixed(delta_l=2.0), grid_points=129, grid_span_sigmas=4.5,
         )
         notes = bp.run_scan(spec).metadata["regime_notes"]
-        m = bp.ShihModel.from_path_difference(
+        m = bp.ShihModel(
             center=319.0 * math.pi / 10.0, sigma=1.0, sigma_p=0.1, delta_l=2.0
         )
         assert notes == list(bp.models.shih_regime_notes(m))
@@ -217,7 +219,7 @@ class TestScanMetadata:
         notes = result.metadata["regime_notes"]
         assert len(notes) == len(result.metadata["norm_factor_b"]) == 5
         for row, row_notes in zip(result.rows, notes):
-            m = bp.ShihModel.from_path_difference(
+            m = bp.ShihModel(
                 center=319.0 * math.pi / 10.0, sigma=1.0, sigma_p=0.1, delta_l=row.param
             )
             assert row_notes == list(bp.models.shih_regime_notes(m))

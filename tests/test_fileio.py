@@ -71,11 +71,18 @@ class TestSpectrumFileErrors:
             bp.load_spectrum(path)
 
     def test_row_label_mismatch_rejected(self, tmp_path):
-        path = _write(
-            tmp_path, "omega,1,2,3\n1,1j,0j,0j\n2.5,0j,0j,0j\n3,0j,0j,0j\n"
-        )
-        with pytest.raises(bp.SpectrumFileError, match=r"row label.*line 3, column 1"):
-            bp.load_spectrum(path)
+        cases = [
+            ("omega,1,2,3\n1,1j,0j,0j\n2.5,0j,0j,0j\n3,0j,0j,0j\n", 3),
+            # permuted labels on an axis narrower than 1e-9: the tolerance
+            # follows the spacing, not the magnitude of the frequencies
+            ("omega,-1e-12,0,1e-12\n1e-12,1j,0j,0j\n-1e-12,0j,1j,0j\n0,0j,0j,0j\n", 2),
+        ]
+        for text, line in cases:
+            path = _write(tmp_path, text)
+            with pytest.raises(
+                bp.SpectrumFileError, match=rf"row label.*line {line}, column 1"
+            ):
+                bp.load_spectrum(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = _write(tmp_path, "omega,1,2,3\n1,1j,0j,0j\n2,0j,0j\n3,0j,0j,0j\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from reference import symmetry_decompose
 
 
 def _series_exp(x: float, terms: int = 40) -> float:
@@ -32,7 +33,7 @@ class TestGaussianPairSpectrum:
         grid = bp.make_grid(0.0, 6.0, 129)
         m = bp.GaussianPairModel(center=0.0, sigma=1.0, pump_sigma=pump_sigma)
         s = bp.gaussian_pair_spectrum(m, grid)
-        assert bp.symmetry_decompose(s).w_antisym < 1e-12
+        assert symmetry_decompose(s).w_antisym < 1e-12
         assert bp.coincidence_probability(s, balanced) < 1e-14
 
     def test_numeric_dip_is_symmetric_in_delay(self, balanced):
@@ -76,7 +77,7 @@ class TestHomDipClosed:
 
 
 def _shih(center, beta, delta_l, dz=0.0, sigma=1.0):
-    return bp.ShihModel.from_path_difference(
+    return bp.ShihModel(
         center=center, sigma=sigma, sigma_p=beta * sigma, delta_l=delta_l, z1=0.0, z2=-dz
     )
 
@@ -122,15 +123,25 @@ class TestShihSpectrum:
             bp.shih_spectrum(m, grid)
 
     def test_derived_quantities(self):
-        m = bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, l_short=2.0, l_long=6.0, z2=1.0)
-        assert m.delta_l == 2.0
-        assert m.z1 == 4.0
+        m = bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, delta_l=2.0, z1=4.0, z2=1.0)
         assert m.beta == 0.25
         assert abs(m.wavelength - 2.0 * math.pi / 10.0) < 1e-15
 
+    def test_paths_are_stored_as_given(self):
+        # bit for bit, not rebuilt from the two signal paths
+        m = bp.ShihModel(90.0, 1.0, 0.01, 20.0, z1=1e-3, z2=-0.3)
+        assert (m.delta_l, m.z1, m.z2) == (20.0, 1e-3, -0.3)
+
     def test_swapped_paths_rejected(self):
-        with pytest.raises(ValueError, match="l_long"):
-            bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, l_short=6.0, l_long=2.0)
+        # a short path longer than the long one is a negative half difference
+        with pytest.raises(ValueError, match="delta_l"):
+            bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, delta_l=-2.0, z1=4.0)
+
+    @pytest.mark.parametrize("delta_l", [math.inf, math.nan])
+    def test_non_finite_path_difference_rejected(self, delta_l):
+        # non-finite z1 and z2: tests/test_sampling.py
+        with pytest.raises(bp.ConfigError, match="dz"):
+            bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, delta_l=delta_l)
 
 
 class TestShihNormFactor:
@@ -227,13 +238,13 @@ class TestDeltaPumpSpectrum:
     def test_even_parity_is_symmetric_and_coalesces(self, balanced):
         grid = bp.make_grid(0.0, 6.0, 129)
         s = bp.delta_pump_spectrum(1.0, 0.0, 1.0, "even", grid)
-        assert bp.symmetry_decompose(s).w_antisym == 0.0
+        assert symmetry_decompose(s).w_antisym == 0.0
         assert bp.coincidence_probability(s, balanced) < 1e-14
 
     def test_odd_parity_is_antisymmetric_and_trapped(self, balanced):
         grid = bp.make_grid(0.0, 6.0, 129)
         s = bp.delta_pump_spectrum(1.0, 0.0, 1.0, "odd", grid)
-        assert abs(bp.symmetry_decompose(s).w_antisym - 1.0) < 1e-14
+        assert abs(symmetry_decompose(s).w_antisym - 1.0) < 1e-14
         assert abs(bp.coincidence_probability(s, balanced) - 1.0) < 1e-12
         assert abs(bp.trapping_fidelity(s) - 1.0) < 1e-12
 
@@ -269,7 +280,7 @@ class TestBellSpectrum:
     def test_unit_coincidence_and_weight(self, balanced):
         s = bp.bell_antisymmetric_spectrum(-2.0, 2.0, bp.make_grid(0.0, 8.0, 17))
         assert abs(bp.coincidence_probability(s, balanced) - 1.0) < 1e-12
-        assert abs(bp.symmetry_decompose(s).w_antisym - 1.0) < 1e-14
+        assert abs(symmetry_decompose(s).w_antisym - 1.0) < 1e-14
 
     def test_balanced_transform_traps_amplitudes(self, balanced):
         s = bp.bell_antisymmetric_spectrum(-2.0, 2.0, bp.make_grid(0.0, 8.0, 17))
@@ -281,7 +292,7 @@ class TestBellSpectrum:
     def test_off_grid_tones_snap_with_warning(self):
         s = bp.bell_antisymmetric_spectrum(-2.1, 2.0, bp.make_grid(0.0, 8.0, 17))
         assert any("snapped" in w for w in s.warnings)
-        assert abs(bp.symmetry_decompose(s).w_antisym - 1.0) < 1e-14
+        assert abs(symmetry_decompose(s).w_antisym - 1.0) < 1e-14
 
     def test_coinciding_tones_rejected(self):
         grid = bp.make_grid(0.0, 8.0, 17)

@@ -8,7 +8,7 @@ import pytest
 
 import biphoton as bp
 from biphoton import spectrum
-from biphoton.scans import build_model_spectrum, resolve_grid
+from biphoton.scans import _delayed_spectrum
 
 TOL = 1e-14
 
@@ -33,7 +33,7 @@ def svd_fraction(c):
 
 def model_amplitudes(case):
     model, fixed, n, span = MODEL_CASES[case]
-    return build_model_spectrum(model, fixed, resolve_grid(model, fixed, n, span)).amplitudes
+    return _delayed_spectrum(model, fixed, n, span).amplitudes
 
 
 def random_amplitudes(seed, n):
@@ -60,7 +60,7 @@ class TestAgainstSvd:
         path = str(tmp_path / "random.csv")
         grid = bp.make_grid(1.5, 4.0, 129)
         bp.save_spectrum(bp.BiphotonSpectrum.from_array(grid, random_amplitudes(3, 129)), path)
-        assert_singular_pair(build_model_spectrum("spectrum_file", {"path": path}, None).amplitudes)
+        assert_singular_pair(bp.load_spectrum(path).amplitudes)
 
     @pytest.mark.parametrize("seed,n", [(21, 257), (22, 1025)])
     def test_random_spectra(self, seed, n):

@@ -74,7 +74,7 @@ def test_gaussian_pair_matches_meshgrid_oracle(n, grid_center, center, pump_sigm
 )
 def test_shih_matches_meshgrid_oracle(n, grid_center, beta, delta_l):
     grid = bp.make_grid(grid_center, 6.0, n)
-    m = bp.ShihModel.from_path_difference(
+    m = bp.ShihModel(
         center=100.0, sigma=1.0, sigma_p=beta, delta_l=delta_l, z1=1.5, z2=0.7
     )
     oracle = _mesh_shih(m, grid).amplitudes
@@ -93,7 +93,7 @@ def test_gaussian_pair_is_exactly_symmetric(pump_sigma, grid_center):
 @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0])
 def test_shih_at_zero_path_difference_is_exactly_symmetric(beta):
     grid = bp.make_grid(90.0, 6.0, 257)
-    m = bp.ShihModel.from_path_difference(center=90.0, sigma=1.0, sigma_p=beta, delta_l=0.0)
+    m = bp.ShihModel(center=90.0, sigma=1.0, sigma_p=beta, delta_l=0.0)
     c = bp.shih_spectrum(m, grid).amplitudes
     assert np.array_equal(c, c.T)
 
@@ -107,10 +107,10 @@ def test_folded_paths_match_apply_path_delays(n, z1, z2):
     applied = bp.apply_path_delays(bp.gaussian_pair_spectrum(pair, grid), z1, z2).amplitudes
     assert np.max(np.abs(folded - applied)) <= 1e-15
 
-    shih = bp.ShihModel.from_path_difference(
+    shih = bp.ShihModel(
         center=100.0, sigma=1.0, sigma_p=0.1, delta_l=2.5, z1=z1, z2=z2
     )
-    delay_free = bp.ShihModel.from_path_difference(
+    delay_free = bp.ShihModel(
         center=100.0, sigma=1.0, sigma_p=0.1, delta_l=shih.delta_l
     )
     folded = bp.shih_spectrum(shih, grid).amplitudes
@@ -139,7 +139,7 @@ def test_sampling_working_set():
     grid = bp.make_grid(100.0, 6.0, n)
     # nonzero paths, as in the shih_scan rows, so the delay phases are part
     # of the build
-    shih = bp.ShihModel.from_path_difference(
+    shih = bp.ShihModel(
         center=100.0, sigma=1.0, sigma_p=0.1, delta_l=2.5, z1=1.5, z2=-0.7
     )
     pair = bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.1)
@@ -165,7 +165,7 @@ def test_row_factor_reduction_working_set():
     # the reduction keeps one real n x n matrix, half a complex one
     n = 1025
     grid = bp.make_grid(90.0, 4.5, n)
-    s = bp.shih_spectrum(bp.ShihModel.from_path_difference(90.0, 1.0, 0.01, 0.0, z2=3.0), grid)
+    s = bp.shih_spectrum(bp.ShihModel(90.0, 1.0, 0.01, 0.0, z2=3.0), grid)
     assert _peak_matrices(lambda: row_factor_antisymmetric_weight(s), n) <= 0.6
 
 
@@ -180,9 +180,9 @@ def test_bandwidths_with_unrepresentable_exponents_rejected(value):
     with pytest.raises(ValueError, match="pump_sigma"):
         bp.GaussianPairModel(center=0.0, sigma=1.0, pump_sigma=value)
     with pytest.raises(ValueError, match="sigma"):
-        bp.ShihModel(center=90.0, sigma=value, sigma_p=0.1, l_short=0.0, l_long=1.0)
+        bp.ShihModel(center=90.0, sigma=value, sigma_p=0.1, delta_l=0.5, z1=0.5)
     with pytest.raises(ValueError, match="sigma_p"):
-        bp.ShihModel(center=90.0, sigma=1.0, sigma_p=value, l_short=0.0, l_long=1.0)
+        bp.ShihModel(center=90.0, sigma=1.0, sigma_p=value, delta_l=0.5, z1=0.5)
     with pytest.raises(ValueError, match="sigma"):
         bp.delta_pump_spectrum(value, 0.0, 1.0, "even", grid)
 
@@ -207,7 +207,7 @@ def test_non_finite_path_delays_rejected(z1, z2):
         bp.gaussian_pair_spectrum(pair, grid, z1, z2)
     with pytest.raises(bp.ConfigError, match="dz"):
         bp.shih_spectrum(
-            bp.ShihModel.from_path_difference(90.0, 1.0, 0.1, 1.0, z1=z1, z2=z2), grid
+            bp.ShihModel(90.0, 1.0, 0.1, 1.0, z1=z1, z2=z2), grid
         )
 
 

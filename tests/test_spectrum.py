@@ -8,7 +8,9 @@ import pytest
 
 import biphoton as bp
 from biphoton import spectrum
+from biphoton.beamsplitter import exchange_report
 from conftest import make_random_spectrum
+from reference import from_function, norm_squared, swap, symmetry_decompose
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 small_sizes = st.sampled_from([3, 5, 9])
@@ -62,12 +64,12 @@ class TestFrequencyGrid:
 
 class TestFromFunction:
     def test_uniform_function_normalizes_to_one_third(self):
-        s = bp.from_function(bp.make_grid(0.0, 1.0, 3), lambda w1, w2: 1.0)
+        s = from_function(bp.make_grid(0.0, 1.0, 3), lambda w1, w2: 1.0)
         np.testing.assert_allclose(s.amplitudes, np.full((3, 3), 1.0 / 3.0))
 
     def test_single_cell_has_unit_modulus(self):
         grid = bp.make_grid(0.0, 1.0, 3)
-        s = bp.from_function(grid, lambda w1, w2: ((w1 == 1.0) & (w2 == -1.0)) * 2.5)
+        s = from_function(grid, lambda w1, w2: ((w1 == 1.0) & (w2 == -1.0)) * 2.5)
         assert abs(abs(s.amplitudes[2, 0]) - 1.0) < 1e-15
         assert np.count_nonzero(s.amplitudes) == 1
 
@@ -75,7 +77,7 @@ class TestFromFunction:
         # flat pump: the matrix must be the outer product of two identical
         # 1D Gaussians, built here explicitly as the oracle
         grid = bp.make_grid(2.0, 4.0, 33)
-        s = bp.from_function(grid, lambda w1, w2: np.exp(-((w1 - 2.0) ** 2 + (w2 - 2.0) ** 2) / 2.0))
+        s = from_function(grid, lambda w1, w2: np.exp(-((w1 - 2.0) ** 2 + (w2 - 2.0) ** 2) / 2.0))
         g1 = np.exp(-((grid.frequencies() - 2.0) ** 2) / 2.0)
         oracle = np.outer(g1, g1).astype(complex)
         oracle /= math.sqrt(np.sum(np.abs(oracle) ** 2))
@@ -83,47 +85,47 @@ class TestFromFunction:
 
     def test_all_zero_sample_rejected(self):
         with pytest.raises(bp.DegenerateSpectrumError, match="degenerate"):
-            bp.from_function(bp.make_grid(0.0, 1.0, 3), lambda w1, w2: 0.0)
+            from_function(bp.make_grid(0.0, 1.0, 3), lambda w1, w2: 0.0)
 
     def test_non_finite_sample_rejected(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="finite"):
-                bp.from_function(bp.make_grid(0.0, 1.0, 3), lambda w1, w2: w1 / (w2 - w2))
+                from_function(bp.make_grid(0.0, 1.0, 3), lambda w1, w2: w1 / (w2 - w2))
 
 
 class TestSwap:
     def test_symmetric_fixed_point(self, rng):
         s = make_random_spectrum(rng, 5)
-        sym = bp.symmetry_decompose(s).sym
-        assert np.array_equal(bp.swap(sym).amplitudes, sym.amplitudes)
+        sym = symmetry_decompose(s).sym
+        assert np.array_equal(swap(sym).amplitudes, sym.amplitudes)
 
     def test_single_cell_transposes(self):
         grid = bp.make_grid(0.0, 1.0, 3)
         raw = np.zeros((3, 3), complex)
         raw[0, 1] = 1.0
-        s = bp.swap(bp.BiphotonSpectrum.from_array(grid, raw))
+        s = swap(bp.BiphotonSpectrum.from_array(grid, raw))
         assert s.amplitudes[1, 0] == 1.0
         assert np.count_nonzero(s.amplitudes) == 1
 
     @hyp.given(seed=seeds, n=small_sizes)
     def test_involution(self, seed, n):
         s = make_random_spectrum(np.random.default_rng(seed), n)
-        assert np.array_equal(bp.swap(bp.swap(s)).amplitudes, s.amplitudes)
+        assert np.array_equal(swap(swap(s)).amplitudes, s.amplitudes)
 
 
 class TestSymmetryDecompose:
     def test_symmetric_input_reports_no_antisymmetric_part(self, rng):
         s = make_random_spectrum(rng, 5)
-        sym = bp.symmetry_decompose(s).sym
-        parts = bp.symmetry_decompose(sym)
+        sym = symmetry_decompose(s).sym
+        parts = symmetry_decompose(sym)
         assert parts.antisym is None
         assert parts.w_antisym == 0.0
         np.testing.assert_allclose(parts.sym.amplitudes, sym.amplitudes, atol=1e-15)
 
     def test_antisymmetric_input_reports_full_weight(self, rng):
         s = make_random_spectrum(rng, 5)
-        anti = bp.symmetry_decompose(s).antisym
-        parts = bp.symmetry_decompose(anti)
+        anti = symmetry_decompose(s).antisym
+        parts = symmetry_decompose(anti)
         assert parts.sym is None
         assert abs(parts.w_antisym - 1.0) < 1e-12
         np.testing.assert_allclose(parts.antisym.amplitudes, anti.amplitudes, atol=1e-15)
@@ -132,14 +134,14 @@ class TestSymmetryDecompose:
         s = make_random_spectrum(rng, 9)
         c = s.amplitudes
         w_minus = float(np.sum(np.abs((c - c.T) / 2.0) ** 2))
-        parts = bp.symmetry_decompose(s)
+        parts = symmetry_decompose(s)
         assert abs(parts.w_antisym - w_minus) < 1e-14
 
     @hyp.given(seed=seeds, n=small_sizes)
     def test_completeness(self, seed, n):
         # unnormalized parts reassemble the input and their weights sum to 1
         s = make_random_spectrum(np.random.default_rng(seed), n)
-        parts = bp.symmetry_decompose(s)
+        parts = symmetry_decompose(s)
         w_anti = parts.w_antisym
         a_plus = parts.sym.amplitudes * math.sqrt(1.0 - w_anti)
         a_minus = parts.antisym.amplitudes * math.sqrt(w_anti)
@@ -160,15 +162,15 @@ class TestApplyPathDelays:
     def test_unequal_delays_break_symmetry(self):
         grid = bp.make_grid(0.0, 6.0, 65)
         s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(center=0.0, sigma=1.0), grid)
-        assert bp.symmetry_decompose(s).w_antisym < 1e-12
+        assert symmetry_decompose(s).w_antisym < 1e-12
         delayed = bp.apply_path_delays(s, 1.0, 0.0)
-        assert bp.symmetry_decompose(delayed).w_antisym > 1e-3
+        assert symmetry_decompose(delayed).w_antisym > 1e-3
 
     @hyp.given(seed=seeds, z1=st.floats(-5, 5), z2=st.floats(-5, 5))
     def test_norm_preserved(self, seed, z1, z2):
         s = make_random_spectrum(np.random.default_rng(seed), 5)
         out = bp.apply_path_delays(s, z1, z2)
-        assert abs(out.norm_squared() - 1.0) < 1e-13
+        assert abs(norm_squared(out) - 1.0) < 1e-13
 
     @hyp.given(seed=seeds, z=st.tuples(st.floats(-3, 3), st.floats(-3, 3),
                                        st.floats(-3, 3), st.floats(-3, 3)))
@@ -180,27 +182,32 @@ class TestApplyPathDelays:
         np.testing.assert_allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
 
 
+def overlap(s):
+    """Exchange overlap ``V`` of the CLI's transform report."""
+    return exchange_report(s, bp.BeamSplitterParams.balanced())["exchange_overlap"]
+
+
 class TestExchangeOverlap:
     def test_symmetric_gives_one(self, rng):
-        sym = bp.symmetry_decompose(make_random_spectrum(rng, 5)).sym
-        assert abs(bp.exchange_overlap(sym) - 1.0) < 1e-12
+        sym = symmetry_decompose(make_random_spectrum(rng, 5)).sym
+        assert abs(overlap(sym) - 1.0) < 1e-12
 
     def test_antisymmetric_gives_minus_one(self, rng):
-        anti = bp.symmetry_decompose(make_random_spectrum(rng, 5)).antisym
-        assert abs(bp.exchange_overlap(anti) + 1.0) < 1e-12
+        anti = symmetry_decompose(make_random_spectrum(rng, 5)).antisym
+        assert abs(overlap(anti) + 1.0) < 1e-12
 
     def test_relates_to_balanced_coincidence(self, rng, balanced):
         # (1 - V)/2 must equal the click-click channel sum
         for n in (3, 5, 9):
             s = make_random_spectrum(rng, n)
-            v = bp.exchange_overlap(s)
+            v = overlap(s)
             assert abs((1.0 - v) / 2.0 - bp.coincidence_probability(s, balanced)) < 1e-12
 
     @hyp.given(seed=seeds, n=small_sizes)
     def test_v_equals_one_minus_twice_antisym_weight(self, seed, n):
         s = make_random_spectrum(np.random.default_rng(seed), n)
-        v = bp.exchange_overlap(s)
-        w = bp.symmetry_decompose(s).w_antisym
+        v = overlap(s)
+        w = symmetry_decompose(s).w_antisym
         assert abs(v - (1.0 - 2.0 * w)) < 1e-12
 
 
@@ -243,7 +250,7 @@ class TestSeparabilityRank1Fraction:
         assert abs(bp.separability_rank1_fraction(s) - 0.5) < 1e-12
 
     def test_uniform_matrix_is_rank_one(self):
-        s = bp.from_function(bp.make_grid(0.0, 1.0, 5), lambda w1, w2: 1.0)
+        s = from_function(bp.make_grid(0.0, 1.0, 5), lambda w1, w2: 1.0)
         assert abs(bp.separability_rank1_fraction(s) - 1.0) < 1e-12
 
 
@@ -338,6 +345,13 @@ class TestFiniteAndNormChecks:
         getattr(raw, part)[cell] = value
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             bp.BiphotonSpectrum.from_array(bp.make_grid(0.0, 1.0, 7), raw)
+
+    @pytest.mark.parametrize(
+        "raw", [np.zeros((3, 3)), np.zeros((3, 3), complex), np.full((3, 3), 1e-160 + 0j)]
+    )
+    def test_zero_array_rejected_by_from_array(self, raw):
+        with pytest.raises(bp.DegenerateSpectrumError, match="degenerate"):
+            bp.BiphotonSpectrum.from_array(bp.make_grid(0.0, 1.0, 3), raw)
 
     @pytest.mark.parametrize("value", _BAD_VALUES)
     @pytest.mark.parametrize("cell", _CELLS)
