@@ -74,27 +74,30 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
     offending cell by line and column.
     """
     with open(path, "r") as fh:
-        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    lines = [line for line in lines if line.strip() != ""]
-    if not lines:
+        numbered = [(k, line.rstrip("\n").rstrip("\r")) for k, line in enumerate(fh, start=1)]
+    # blank lines are skipped, but errors name the line of the file
+    numbered = [(k, line) for k, line in numbered if line.strip() != ""]
+    if not numbered:
         raise SpectrumFileError("empty spectrum file")
+    linenos, lines = zip(*numbered)
 
+    top = linenos[0]
     header = lines[0].split(",")
     if len(header) < 4:
-        raise SpectrumFileError("header must carry at least 3 frequency values", 1, 1)
+        raise SpectrumFileError("header must carry at least 3 frequency values", top, 1)
     axis = np.array(
-        [_parse_float(tok, 1, col + 2) for col, tok in enumerate(header[1:])], dtype=float
+        [_parse_float(tok, top, col + 2) for col, tok in enumerate(header[1:])], dtype=float
     )
     n = axis.size
     if n % 2 == 0 or n < 3:
-        raise SpectrumFileError(f"odd point count required, header has {n} frequencies", 1, 2)
+        raise SpectrumFileError(f"odd point count required, header has {n} frequencies", top, 2)
 
     steps = np.diff(axis)
     if steps[0] <= 0 or np.any(np.abs(steps - steps[0]) > REL_AXIS_TOL * abs(steps[0])):
-        raise SpectrumFileError("frequency axis must be uniformly increasing", 1, 2)
+        raise SpectrumFileError("frequency axis must be uniformly increasing", top, 2)
 
     if len(lines) != n + 1:
-        bad_line = len(lines) + 1 if len(lines) < n + 1 else n + 2
+        bad_line = linenos[-1] + 1 if len(lines) < n + 1 else linenos[n + 1]
         raise SpectrumFileError(
             f"expected {n} data rows to match the header, found {len(lines) - 1}",
             bad_line,
@@ -103,7 +106,7 @@ def load_spectrum(path: str) -> BiphotonSpectrum:
 
     amp = np.empty((n, n), dtype=np.complex128)
     for i, line in enumerate(lines[1:]):
-        lineno = i + 2
+        lineno = linenos[i + 1]
         tokens = line.split(",")
         if len(tokens) != n + 1:
             raise SpectrumFileError(

@@ -35,6 +35,7 @@ identical physics.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -42,7 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError
-from .spectrum import _EXCHANGE_SLAB, BiphotonSpectrum, FrequencyGrid, _path_phases
+from .spectrum import (
+    _EXCHANGE_SLAB,
+    BiphotonSpectrum,
+    FrequencyGrid,
+    _check_c_light,
+    _path_phases,
+    _plane_waves,
+)
 
 # Minimum grid coverage (in units of sigma) below which model builders
 # attach a truncation warning to the result.
@@ -111,8 +119,7 @@ class ShihModel:
         _check_bandwidth("sigma_p", self.sigma_p)
         if not (math.isfinite(self.center) and self.center > 0):
             raise ValueError("center must be positive (it sets the carrier wavelength)")
-        if not (math.isfinite(self.c_light) and self.c_light > 0):
-            raise ValueError("c_light must be positive and finite")
+        _check_c_light(self.c_light)
         if self.delta_l < 0:
             raise ValueError(f"delta_l must be >= 0, got {self.delta_l!r}")
         if not (math.isfinite(self.delta_l) and math.isfinite(self.z1) and math.isfinite(self.z2)):
@@ -218,6 +225,7 @@ def hom_dip_closed(sigma: float, dz: float, c_light: float = 1.0) -> float:
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive and finite")
+    _check_c_light(c_light)
     x = sigma * dz / c_light
     return 0.5 * (1.0 - math.exp(-0.5 * x * x))
 
@@ -241,7 +249,7 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
     phases = _path_phases(grid, m.z1, m.z2, m.c_light)
     pump = _pump(grid, m.center, m.sigma_p)
     a = _gaussian(grid.frequencies(), m.center, m.sigma)
-    modulation = shih_path_modulation(m, grid)
+    modulation = _plane_waves(grid, *shih_row_factor(m, grid)).real
     # squared row norms of the unmodulated envelope, a_i**2 sum_j a_j**2 p[i+j]**2,
     # from O(n) vectors
     a2 = a * a
@@ -256,9 +264,13 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
     )
 
 
-def shih_path_modulation(m: ShihModel, grid: FrequencyGrid) -> np.ndarray:
-    """Row factors ``cos(omega_i * delta_l / c)`` of the ``delta_l = 0`` spectrum."""
-    return np.cos(grid.frequencies() * (m.delta_l / m.c_light))
+def shih_row_factor(m: ShihModel, grid: FrequencyGrid) -> tuple[complex, complex, float]:
+    """Row factor ``cos(omega_i * delta_l / c)`` of the ``delta_l = 0`` spectrum, as
+    plane waves ``(a, b, tau)`` in ``nu = omega - grid.center`` (see
+    :func:`~biphoton.spectrum.exchange_sweep`): ``a = exp(i grid.center tau) / 2 = conj(b)``."""
+    tau = m.delta_l / m.c_light
+    a = 0.5 * cmath.exp(1j * (grid.center * tau))
+    return a, a.conjugate(), tau
 
 
 def shih_norm_factor(m: ShihModel) -> float:
@@ -334,16 +346,18 @@ def shih_regime_notes(m: ShihModel) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def delta_pump_modulation(
+def delta_pump_row_factor(
     grid: FrequencyGrid, dl: float, parity: str, c_light: float = 1.0
-) -> np.ndarray:
-    """Row factors ``cos`` (even) or ``sin`` (odd) of ``nu_i*dl/c`` of the ``dl = 0`` spectrum."""
+) -> tuple[complex, complex, float]:
+    """Row factor ``cos`` (even) or ``sin`` (odd) of ``nu_i*dl/c`` of the ``dl = 0`` spectrum,
+    as plane waves ``(a, b, tau)``: ``(1/2, 1/2, dl/c)`` or ``(-i/2, i/2, dl/c)``."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if not math.isfinite(grid.half_span * (dl / c_light)):
+    _check_c_light(c_light)
+    tau = dl / c_light
+    if not math.isfinite(grid.half_span * tau):
         raise ConfigError(f"half path difference dl = {dl!r} must give a finite phase nu*dl/c")
-    arg = grid.offsets() * (dl / c_light)
-    return np.cos(arg) if parity == "even" else np.sin(arg)
+    return (0.5, 0.5, tau) if parity == "even" else (-0.5j, 0.5j, tau)
 
 
 def delta_pump_spectrum(
@@ -361,7 +375,7 @@ def delta_pump_spectrum(
     or ``... * sin(nu*dl/c)`` for ``parity="odd"`` (antisymmetric, which has
     an exact zero at the degenerate cell ``nu = 0``).
     """
-    modulation = delta_pump_modulation(grid, dl, parity, c_light)
+    modulation = _plane_waves(grid, *delta_pump_row_factor(grid, dl, parity, c_light)).real
     _check_bandwidth("sigma", sigma)
     if not math.isclose(grid.center, center, rel_tol=1e-12, abs_tol=1e-300):
         raise ValueError(

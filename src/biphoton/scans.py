@@ -11,15 +11,15 @@ and every other source gets them from
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference) and the sweep range.  A scan builds
-the model at the swept value 0 once, reduces it once in O(n^2), and reads
-each row off that reduction: a ``dz`` row in O(n) by
-:func:`~biphoton.spectrum.delay_antisymmetric_weight`, a ``dl`` row by one
-real matrix-vector product in
-:func:`~biphoton.spectrum.row_factor_antisymmetric_weight`, whose
-docstrings derive them.  Every row carries this numeric value and, where
-the model has one, its closed form.  Each row is computed on its own from
-the same inputs, so identical specs produce bit-identical tables, in any
-evaluation order.
+the model at the swept value 0 once and reduces it once in O(n^2) with
+:func:`~biphoton.spectrum.exchange_sweep`, whose docstring derives it.  A
+row scales port-1 row ``i`` of that base by
+``a exp(i tau nu_i) + b exp(-i tau nu_i)`` and is read off the reduction in
+O(n): a ``dz`` row is ``(1, 0, dz / c)``, a ``dl`` row the model's
+``row_factor``.  Every row carries this numeric value and, where the model
+has one, its closed form.  Each row is computed on its own from the same
+inputs, so identical specs produce bit-identical tables, in any evaluation
+order.
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ from .models import (
     GaussianPairModel,
     ShihModel,
     bell_antisymmetric_spectrum,
-    delta_pump_modulation,
+    delta_pump_row_factor,
     delta_pump_spectrum,
     gaussian_pair_spectrum,
     hom_dip_closed,
     shih_exact,
     shih_norm_factor,
-    shih_path_modulation,
     shih_reduced,
     shih_regime_notes,
+    shih_row_factor,
     shih_spectrum,
 )
 from .spectrum import (
@@ -54,9 +54,8 @@ from .spectrum import (
     BiphotonSpectrum,
     FrequencyGrid,
     apply_path_delays,
-    delay_antisymmetric_weight,
+    exchange_sweep,
     make_grid,
-    row_factor_antisymmetric_weight,
 )
 
 SWEEPABLE = ("dz", "dl")
@@ -79,10 +78,11 @@ class _Model:
 
     ``base(fixed, grid, z1, z2)`` is its spectrum with port paths ``z1``
     and ``z2``; with ``grid`` None (a spectrum file) it gets no grid and
-    brings its own.  A ``dl`` row sets
-    ``dl_key`` and scales port-1 row i of the base at ``dl_key = 0``
-    (updated by ``dl_base``) by ``row_factor(row, grid)[i]``, down to a
-    squared norm ``row_floor``.  ``closed_form(row, dz)`` gives
+    brings its own.  A ``dl`` row sets ``dl_key`` and scales port-1 row i
+    of the base at ``dl_key = 0`` (updated by ``dl_base``) by
+    ``a exp(i tau nu_i) + b exp(-i tau nu_i)`` with
+    ``(a, b, tau) = row_factor(row, grid)``, down to a squared norm
+    ``row_floor``.  ``closed_form(row, dz)`` gives
     ``(p_closed, p_reduced)``; ``metadata(row)`` is reported per row.
     """
 
@@ -92,7 +92,9 @@ class _Model:
     required: tuple[str, ...] = ()
     dl_key: str | None = None
     dl_base: dict[str, Any] = field(default_factory=dict)
-    row_factor: Callable[[dict[str, Any], FrequencyGrid], np.ndarray] | None = None
+    row_factor: (
+        Callable[[dict[str, Any], FrequencyGrid], tuple[complex, complex, float]] | None
+    ) = None
     row_floor: float = _MIN_NORM**2
     closed_form: Callable[[dict[str, Any], float], tuple[float, float | None]] | None = None
     metadata: Callable[[dict[str, Any]], dict[str, Any]] | None = None
@@ -183,7 +185,7 @@ MODELS: dict[str, _Model] = {
         required=("center", "sigma_p"),
         base=lambda fixed, grid, z1, z2: shih_spectrum(_shih_model(fixed, z1, z2), grid),
         dl_key="delta_l",
-        row_factor=lambda fixed, grid: shih_path_modulation(_shih_model(fixed), grid),
+        row_factor=lambda fixed, grid: shih_row_factor(_shih_model(fixed), grid),
         row_floor=MIN_MODULATION_WEIGHT,
         closed_form=_shih_closed_form,
         metadata=_shih_metadata,
@@ -194,7 +196,7 @@ MODELS: dict[str, _Model] = {
         dl_key="dl",
         # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
         dl_base={"parity": "even"},
-        row_factor=lambda fixed, grid: delta_pump_modulation(
+        row_factor=lambda fixed, grid: delta_pump_row_factor(
             grid, _num(fixed, "dl"), fixed.get("parity", "even"), _num(fixed, "c_light")
         ),
     ),
@@ -408,23 +410,20 @@ def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], l
         base_row.update(entry.dl_base)
     base = _delayed_spectrum(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
 
-    # a row is kernel(factor(value)): its delay or row factors read off the reduced base
-    if spec.swept == "dz":
-        kernel = delay_antisymmetric_weight(base, _num(spec.fixed, "c_light"))
+    kernel = exchange_sweep(base, entry.row_floor)
+    c_light = _num(spec.fixed, "c_light")
 
-        def factor(value: float) -> float:
-            return _path_delays(spec.model, _row(spec, value))[1]
-    else:
-        kernel = row_factor_antisymmetric_weight(base, entry.row_floor)
-
-        def factor(value: float) -> np.ndarray:
-            return entry.row_factor(_row(spec, value), base.grid)
+    def factor(value: float) -> tuple[complex, complex, float]:
+        # the plane-wave row factor (a, b, tau) of a row of the base
+        row = _row(spec, value)
+        if spec.swept == "dl":
+            return entry.row_factor(row, base.grid)
+        # the carrier phase exp(i center dz / c) of a delay is global
+        return 1.0, 0.0, _path_delays(spec.model, row)[1] / c_light
 
     ends = [_row(spec, spec.start), _row(spec, spec.stop)]
-    warnings = list(base.warnings) + _alias_warnings(
-        spec.model, ends, base.grid, _num(spec.fixed, "c_light")
-    )
-    return base.grid, lambda value: kernel(factor(value)), warnings
+    warnings = list(base.warnings) + _alias_warnings(spec.model, ends, base.grid, c_light)
+    return base.grid, lambda value: kernel(*factor(value)), warnings
 
 
 def evaluate_scan_point(spec: ScanSpec, value: float) -> ScanRow:

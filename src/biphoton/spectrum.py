@@ -252,9 +252,9 @@ def _weight(w: float) -> float:
     return 0.0 if w <= _ZERO_WEIGHT else min(w, 1.0)
 
 
-# Rows (and columns) per slab of exchange_weights, the row-factor reduction
-# and the factored model builders: a slab is ~1 MB at n = 1025, a sixteenth
-# of one n x n matrix, and stays in cache while it is worked on.
+# Rows (and columns) per slab of exchange_weights and the factored model
+# builders, and twice those of exchange_sweep: a slab is ~1 MB at n = 1025,
+# a sixteenth of one n x n matrix, and stays in cache while it is worked on.
 _EXCHANGE_SLAB = 64
 
 
@@ -283,94 +283,116 @@ def exchange_weights(c: np.ndarray) -> tuple[float, float]:
     return 0.25 * math.fsum(sym), 0.25 * math.fsum(anti)
 
 
-def delay_antisymmetric_weight(
-    s: BiphotonSpectrum, c_light: float = 1.0
-) -> Callable[[float], float]:
-    """Antisymmetric weight of ``s`` as a function of the relative delay.
-
-    Returns ``w(dz)``, the antisymmetric weight (``anti`` of
-    :func:`exchange_weights`, 0 at or below ``_ZERO_WEIGHT``) of
-    ``apply_path_delays(s, z1, z2, c_light)`` with ``dz = z1 - z2``, which
-    is the balanced-splitter coincidence probability of the delayed state.
-    A delay multiplies ``conj(c[i,j]) c[j,i]`` by ``exp(i k domega dz / c)``
-    with ``k = j - i``, so one O(n^2) reduction to the diagonal sums
-    ``g_k = sum_{j-i=k} conj(c[i,j]) c[j,i]`` and ``h_k`` (the same sums of
-    ``|c|**2``) leaves O(n) per delay:
-
-        w(dz) = Re sum_k (h_k - g_k exp(i k domega dz / c)) / 2
-
-    A symmetric spectrum has ``g_k == h_k``, so ``w(0)`` is exactly 0.  The
-    result is periodic in ``dz`` with period ``2 pi c / domega``.
-    """
-    if not (math.isfinite(c_light) and c_light > 0):
-        raise ValueError("c_light must be positive and finite")
-    c = s.amplitudes
-    n = s.grid.n_points
-    # Row i holds the diagonals k = j - i = -i..n-1-i, i.e. the slice
-    # [n-1-i, 2n-1-i) of the k = -(n-1)..n-1 axis.  Summing row by row
-    # keeps the working set O(n), and a symmetric spectrum gives g == h
-    # bit for bit.
-    g = np.zeros(2 * n - 1, dtype=np.complex128)
-    h = np.zeros(2 * n - 1, dtype=np.complex128)
-    for i in range(n):
-        row = np.conj(c[i])
-        g[n - 1 - i : 2 * n - 1 - i] += row * c[:, i]
-        h[n - 1 - i : 2 * n - 1 - i] += row * c[i]
-    k = np.arange(-(n - 1), n, dtype=float)
-    step = s.grid.spacing / c_light
-
-    def weight(dz: float) -> float:
-        terms = h - g * np.exp(1j * (k * (step * dz)))
-        return _weight(0.5 * float(np.real(np.sum(terms))))
-
-    return weight
+# Largest ratio (|a|^2 + |b|^2) sum_i r_i / N at which exchange_sweep reads a
+# two-wave row off its O(n) terms, whose error is ~2e-16 times that ratio.
+_SWEEP_CANCELLATION = 10.0
 
 
-def row_factor_antisymmetric_weight(
+def exchange_sweep(
     s: BiphotonSpectrum, min_norm_squared: float = _MIN_NORM**2
-) -> Callable[[np.ndarray], float]:
-    """Antisymmetric weight of ``s`` with row ``i`` scaled by a real ``u[i]``.
+) -> Callable[[complex, complex, float], float]:
+    """Antisymmetric weight of ``s`` with port-1 rows scaled by two plane waves.
 
-    Returns ``w(u)``, the antisymmetric weight (``anti`` of
-    :func:`exchange_weights`, 0 at or below ``_ZERO_WEIGHT``) of
-    ``from_array(s.grid, u[:, None] * s.amplitudes)``, which is the
-    balanced-splitter coincidence probability of that renormalized state.
-    One O(n^2) reduction to the real symmetric matrix
-    ``G = Re(conj(c) * c^T)`` and the row weights ``r_i = sum_j |c[i,j]|**2``
-    leaves one real matrix-vector product per call:
+    Returns ``w(a, b, tau)``, the antisymmetric weight (``anti`` of
+    :func:`exchange_weights`, 0 at or below ``_ZERO_WEIGHT``) of ``s`` with row
+    ``i`` scaled by ``d_i = a exp(i tau nu_i) + b exp(-i tau nu_i)`` and
+    renormalized: the balanced-splitter coincidence of that state.  A delay
+    ``dz`` is ``(1, 0, dz / c)``, since its carrier phase is global.
 
-        w(u) = (u.(r*u) - u.G.u) / (2 u.(r*u))
+    With ``G[i,j] = conj(c[i,j]) c[j,i]``, ``r_i = sum_j |c[i,j]|**2`` and
+    ``N = sum_i r_i |d_i|**2``, ``2 w N = N - Re d^H G d`` reads ``G`` only
+    through its diagonal sums ``T_k`` (``k = j - i``) and anti-diagonal sums
+    ``S_m`` (``m = i + j``).  So one O(n^2) pass to ``T``, ``S``, ``r`` and
+    ``D = sum_i (r_i - Re sum_j G[i,j])`` leaves O(n) per call, with
+    ``theta = tau domega``:
 
-    ``u.(r*u)`` is the squared norm of the scaled matrix relative to ``s``.
+        2 w N = (|a|^2 + |b|^2) D
+                + Re sum_k T_k (|a|^2 (1 - e^{ik theta}) + |b|^2 (1 - e^{-ik theta}))
+                + 2 Re[conj(a) b (sum_i r_i e^{-2i tau nu_i} - sum_m S_m e^{-i theta (m-n+1)})]
+
+    Both terms of ``D`` are summed by one routine, so a bit-symmetric ``s``
+    gives ``w(1, 0, 0)`` exactly 0.  Near a node of ``d`` the terms cancel:
+    where ``N`` is over ``_SWEEP_CANCELLATION`` times below
+    ``(|a|^2 + |b|^2) sum_i r_i`` the scaled state is reduced instead.
     Below ``min_norm_squared`` (by default the zero-norm floor of
-    :meth:`BiphotonSpectrum.from_array`) the scaled matrix is no state and
-    the call raises :class:`DegenerateSpectrumError`.
+    :meth:`BiphotonSpectrum.from_array`) it is no state, and the call raises
+    :class:`DegenerateSpectrumError`.
     """
-    # G is the only n x n array made; it is filled in slabs of rows, each
-    # against a contiguous copy of the same columns, the one temporary
     c = np.ascontiguousarray(s.amplitudes)
-    r = _row_squared_norms(c)
     n = s.grid.n_points
-    g = np.empty((n, n))
-    block = np.empty((_EXCHANGE_SLAB, n), dtype=np.complex128)
-    for i in range(0, n, _EXCHANGE_SLAB):
-        rows = slice(i, i + _EXCHANGE_SLAB)
-        cols = block[: min(_EXCHANGE_SLAB, n - i)]
-        np.copyto(cols, c[:, rows].T)
-        np.multiply(c[rows].real, cols.real, out=g[rows])
-        g[rows] += np.multiply(c[rows].imag, cols.imag, out=cols.real)
+    r = _row_squared_norms(c)
+    v = np.empty(n)
+    diag = np.zeros(2 * n - 1, dtype=np.complex128)
+    antidiag = np.zeros(2 * n - 1, dtype=np.complex128)
+    # Slabs of rows of conj(G) = G^T, each made in one buffer from a copy of
+    # the same columns: its row k holds G's diagonals k - j and anti-diagonals
+    # k + j.  Copied into z with row r shifted by size - 1 - r, a slab's
+    # column sums are its diagonal sums, and those of its reversed rows its
+    # anti-diagonal sums, both in reverse order.  Half-size slabs keep the
+    # buffer and its shifted copy under a tenth of an n x n matrix.
+    size = _EXCHANGE_SLAB // 2
+    block = np.empty((size, n), dtype=np.complex128)
+    z = np.zeros((size, n + size - 1), dtype=np.complex128)
+    shifted = np.lib.stride_tricks.as_strided(
+        z.reshape(-1)[size - 1 :], (size, n), (16 * (n + size - 2), 16)
+    )
+    for i in range(0, n, size):
+        rows = c[i : i + size]
+        m = len(rows)
+        g = block[:m]
+        np.copyto(g, c[:, i : i + size].T)
+        # Re sum_j G[k, j], summed by the einsum loop of _row_squared_norms
+        v[i : i + m] = np.einsum("ij,ij->i", rows.view(np.float64), g.view(np.float64))
+        np.conjugate(g, out=g)
+        g *= rows
+        for sums, part in ((diag, g), (antidiag, g[:, ::-1])):
+            np.copyto(shifted[:m], part)
+            sums[n - m - i : 2 * n - 1 - i] += z[:m, size - m :].sum(axis=0)
+    diag, antidiag = diag[::-1], antidiag[::-1].real
+    d = math.fsum(r - v)
+    r_total = float(np.sum(r))
+    # T_k for k = 1..n-1: T_{-k} = conj(T_k), and the k = 0 term is 0
+    t = diag[n:]
+    q = np.arange(-(n - 1), n, dtype=float)
 
-    def weight(u: np.ndarray) -> float:
-        if not np.all(np.isfinite(u)):
-            raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        norm_sq = float(u @ (r * u))
+    def weight(a: complex, b: complex, tau: float) -> float:
+        # numpy's pairwise sums, not BLAS dot products: the bits do not
+        # depend on the BLAS build or its thread count
+        a2, b2 = abs(a) ** 2, abs(b) ** 2
+        # e^{ik theta} for k > 0, and for a second wave for every k = m - n + 1
+        p = np.exp((q if b else q[n:]) * (1j * tau * s.grid.spacing))
+        e = p[-(n - 1) :]
+        waves = a2 * (1.0 - e)
+        norm_sq, pair = (a2 + b2) * r_total, 0.0
+        if b:
+            # sum_i r_i e^{-2i tau nu_i}, with its real part summed as r_total is,
+            # so that N is exactly 0 where the two waves cancel at tau = 0
+            rw = complex(np.sum(r * p.real[::2]), -np.sum(r * p.imag[::2]))
+            norm_sq += 2.0 * (np.conj(a) * b * rw).real
+            if min_norm_squared <= norm_sq < (a2 + b2) * r_total / _SWEEP_CANCELLATION:
+                sym, anti = exchange_weights(_plane_waves(s.grid, a, b, tau)[:, None] * c)
+                return _weight(anti / (sym + anti))
+            waves += b2 * (1.0 - np.conj(e))
+            pair = np.conj(a) * b * (rw - np.sum(antidiag * np.conj(p)))
         if norm_sq < min_norm_squared:
             raise DegenerateSpectrumError(
                 "degenerate spectrum: the row factors annihilate the sampled support"
             )
-        return _weight(0.5 * (norm_sq - float(u @ (g @ u))) / norm_sq)
+        twice = (a2 + b2) * d + 2.0 * float(np.sum((t * waves).real)) + 2.0 * float(np.real(pair))
+        return _weight(0.5 * twice / norm_sq)
 
     return weight
+
+
+def _plane_waves(grid: FrequencyGrid, a: complex, b: complex, tau: float) -> np.ndarray:
+    """Row factors ``a exp(i tau nu_i) + b exp(-i tau nu_i)`` on ``grid``."""
+    e = np.exp(1j * tau * grid.offsets())
+    return a * e + b * np.conj(e)
+
+
+def _check_c_light(c_light: float) -> None:
+    if not (math.isfinite(c_light) and c_light > 0):
+        raise ValueError("c_light must be positive and finite")
 
 
 def _path_phases(
@@ -381,8 +403,7 @@ def _path_phases(
     None when both paths are zero.  Paths that are not finite, or whose
     phase ``omega * z / c_light`` overflows, raise :class:`ConfigError`.
     """
-    if not (math.isfinite(c_light) and c_light > 0):
-        raise ValueError("c_light must be positive and finite")
+    _check_c_light(c_light)
     reach = abs(grid.center) + grid.half_span
     if not (math.isfinite(reach * (z1 / c_light)) and math.isfinite(reach * (z2 / c_light))):
         raise ConfigError(

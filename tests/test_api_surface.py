@@ -60,18 +60,26 @@ def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """Names that a module-level def, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def test_every_public_definition_is_used():
-    # a public top-level def or class must be exported, used elsewhere in
-    # src, or be a console script; imports and docstrings do not count
+    # a top-level def, class or constant, private ones included, must be
+    # exported, used elsewhere in src, or be a console script; imports and
+    # docstrings do not count
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    allowed = set(bp.__all__) | _script_names()
+    allowed = set(bp.__all__) | _script_names() | {"__all__", "__version__"}
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or node.name in allowed:
-                continue
-            if not any(node.name in _used_names(t, skip=node) for t in trees.values()):
-                unused.append(f"{module}:{node.name}")
+            for name in _top_level_names(node):
+                if name in allowed:
+                    continue
+                if not any(name in _used_names(t, skip=node) for t in trees.values()):
+                    unused.append(f"{module}:{name}")
     assert unused == []

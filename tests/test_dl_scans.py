@@ -1,4 +1,4 @@
-"""Path-difference (dl) sweeps read off one row-factor reduction, against the
+"""Path-difference (dl) sweeps read off one exchange reduction, against the
 per-row composition (build the row's spectrum, then project it) as the
 oracle; plus the dl alias guard and the scan metadata."""
 
@@ -9,7 +9,7 @@ import pytest
 
 import biphoton as bp
 from biphoton.scans import MODELS
-from biphoton.spectrum import row_factor_antisymmetric_weight
+from biphoton.spectrum import exchange_sweep
 from reference import symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
@@ -60,6 +60,9 @@ class TestDlReductionAgainstPerRowOracle:
             (257, 0.1, 3.0, 0.0, 3.5, 18.0, 21),
             (257, 0.1, -4.5, 2.0, 0.0, 12.0, 13),
             (1025, 0.01, 2.5, 0.0, 4.0, 15.0, 7),
+            # through the first dark fringe, dl = lambda / 4 = pi / 180, where
+            # the two paths nearly cancel and the norm drops to 8e-5
+            (257, 0.1, 0.0, 0.0, math.pi / 360.0, math.pi / 120.0, 11),
         ],
     )
     def test_shih_sweeps(self, n, beta, dz, z1, start, stop, steps, include_w_antisym):
@@ -87,17 +90,25 @@ class TestDlReductionAgainstPerRowOracle:
 
     @pytest.mark.parametrize("seed,n", [(21, 5), (22, 33), (23, 65)])
     def test_kernel_matches_from_array_on_random_spectra(self, seed, n):
+        # complex plane-wave pairs a exp(i tau nu) + b exp(-i tau nu) on
+        # random complex spectra, delays (b = 0) included
         rng = np.random.default_rng(seed)
-        grid = bp.make_grid(0.0, 3.0, n)
+        grid = bp.make_grid(rng.uniform(-5.0, 5.0), 3.0, n)
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         s = bp.BiphotonSpectrum.from_array(grid, raw)
-        weight = row_factor_antisymmetric_weight(s)
-        for _ in range(5):
-            u = rng.standard_normal(n)
-            scaled = bp.BiphotonSpectrum.from_array(grid, u[:, None] * s.amplitudes)
+        weight = exchange_sweep(s)
+        symmetric = bp.BiphotonSpectrum.from_array(grid, raw + raw.T)
+        assert exchange_sweep(symmetric)(1.0, 0.0, 0.0) == 0.0
+        for k in range(6):
+            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            b = 0.0 if k == 0 else b
+            tau = rng.uniform(-4.0, 4.0)
+            waves = np.exp(1j * tau * grid.offsets())
+            d = a * waves + b * np.conj(waves)
+            scaled = bp.BiphotonSpectrum.from_array(grid, d[:, None] * s.amplitudes)
             p, w = oracle(scaled)
-            assert abs(weight(u) - p) <= TOL
-            assert abs(weight(u) - w) <= TOL
+            assert abs(weight(a, b, tau) - p) <= TOL
+            assert abs(weight(a, b, tau) - w) <= TOL
 
 
 class TestDlErrorsAtTheSameRow:

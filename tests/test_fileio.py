@@ -55,6 +55,18 @@ class TestSpectrumFileErrors:
         with pytest.raises(bp.SpectrumFileError, match=r"line 3, column 3"):
             bp.load_spectrum(path)
 
+    def test_locations_count_blank_lines(self, tmp_path):
+        # errors name the line of the file, blank lines included
+        cases = [
+            ("omega,-1,0,1\n\n-1,0j,1j,0j\n0,0j,0j,0j\n1,0j,0j,BAD\n", "line 5, column 4"),
+            ("\nomega,-1,0,1,2\n", "line 2, column 2"),
+            ("omega,-1,0,1\n\n-1,1j,0j,0j\n\n0,0j,0j,0j\n", "line 6, column 1"),
+            ("omega,-1,0,1\n-1,1j,0j,0j\n0,0j,0j,0j\n1,0j,0j,0j\n\n1,0j,0j,0j\n", "line 6"),
+        ]
+        for text, location in cases:
+            with pytest.raises(bp.SpectrumFileError, match=location):
+                bp.load_spectrum(_write(tmp_path, text))
+
     def test_even_point_count_rejected(self, tmp_path):
         path = _write(
             tmp_path,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton.models import delta_pump_row_factor
 from reference import symmetry_decompose
 
 
@@ -274,6 +275,26 @@ class TestDeltaPumpSpectrum:
         grid = bp.make_grid(0.0, 6.0, 17)
         with pytest.raises(ValueError, match="parity"):
             bp.delta_pump_spectrum(1.0, 0.0, 1.0, "sideways", grid)
+
+
+@pytest.mark.parametrize("c_light", [0.0, -1.0, math.inf, math.nan])
+def test_bad_light_speed_rejected(c_light):
+    # c_light = 0 used to raise ZeroDivisionError, and c_light = -1 was accepted
+    grid = bp.make_grid(0.0, 6.0, 17)
+    message = "c_light must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        bp.delta_pump_spectrum(1.0, 0.0, 1.0, "even", grid, c_light)
+    with pytest.raises(ValueError, match=message):
+        delta_pump_row_factor(grid, 1.0, "odd", c_light)
+    with pytest.raises(ValueError, match=message):
+        bp.hom_dip_closed(1.0, 0.5, c_light)
+    spec = bp.ScanSpec(
+        model="delta_pump", swept="dl", start=0.5, stop=1.0, n_steps=2,
+        fixed={"sigma": 1.0, "center": 0.0, "parity": "even", "c_light": c_light},
+        grid_points=17,
+    )
+    with pytest.raises(ValueError, match=message):
+        bp.run_scan(spec)
 
 
 class TestBellSpectrum:

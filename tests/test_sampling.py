@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.models import delta_pump_modulation
+from biphoton.models import delta_pump_row_factor
 from biphoton.scans import _delayed_spectrum
-from biphoton.spectrum import row_factor_antisymmetric_weight
+from biphoton.spectrum import exchange_sweep
 
 
 def _mesh_phases(w1, w2, z1, z2, c_light=1.0):
@@ -161,12 +161,14 @@ def test_delayed_row_state_working_set(model, row):
     assert _peak_matrices(lambda: _delayed_spectrum(model, row, n, 4.5), n) <= 1.25
 
 
-def test_row_factor_reduction_working_set():
-    # the reduction keeps one real n x n matrix, half a complex one
+@pytest.mark.parametrize("swept", ["dz", "dl"])
+def test_exchange_reduction_working_set(swept):
+    # the reduction keeps O(n) sums and one slab of rows, no n x n matrix
     n = 1025
     grid = bp.make_grid(90.0, 4.5, n)
-    s = bp.shih_spectrum(bp.ShihModel(90.0, 1.0, 0.01, 0.0, z2=3.0), grid)
-    assert _peak_matrices(lambda: row_factor_antisymmetric_weight(s), n) <= 0.6
+    delta_l, z2 = (20.0, 0.0) if swept == "dz" else (0.0, 3.0)
+    s = bp.shih_spectrum(bp.ShihModel(90.0, 1.0, 0.01, delta_l, z2=z2), grid)
+    assert _peak_matrices(lambda: exchange_sweep(s), n) <= 0.1
 
 
 _BAD_WIDTHS = [0.0, -1.0, math.nan, math.inf, 1e-300, 1e-154, 1e154, 1e200]
@@ -223,6 +225,6 @@ def test_non_finite_row_delays_rejected(model, dz):
 def test_non_finite_path_difference_rejected(dl):
     grid = bp.make_grid(0.0, 6.0, 17)
     with pytest.raises(bp.ConfigError, match="dl"):
-        delta_pump_modulation(grid, dl, "even")
+        delta_pump_row_factor(grid, dl, "even")
     with pytest.raises(bp.ConfigError, match="dl"):
         bp.delta_pump_spectrum(1.0, 0.0, dl, "odd", grid)
