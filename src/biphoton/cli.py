@@ -222,8 +222,8 @@ def cmd_wavepacket(args: argparse.Namespace) -> int:
     else:
         payload = {
             "axis_label": axis_label,
-            "axis": [float(x) for x in axis],
-            "magnitudes": [[float(v) for v in row] for row in magnitudes],
+            "axis": axis.tolist(),
+            "magnitudes": magnitudes.tolist(),
             "metadata": metadata,
         }
         _write_json(payload, args.output)

@@ -10,13 +10,23 @@ header row and one header column carrying the frequency axis::
 
 All numbers are written with 17 significant digits so doubles survive a
 text round trip.  CSV output uses LF line endings, a header row, and no
-trailing commas.
+trailing commas.  Spectrum files and matrix exports of at least
+``_SPLIT_MIN_CELLS`` numbers are formatted by two processes where the
+platform can fork and two CPUs are usable: a forked child formats the second
+half of the rows while this process formats the first.  The bytes are the
+same as those of the one-process path.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
+import os
+import shutil
+import signal
+import tempfile
 from typing import Any, Sequence
 
 import numpy as np
@@ -29,18 +39,85 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+# Exports of fewer numbers are formatted in one process.  The split breaks
+# even near 1e4 numbers (n ~ 100 for a magnitude matrix, 2 cores): the fork
+# and the copy of the child's rows cost about what it saves there.  At n=129
+# (16,641 numbers) it takes 0.83-0.87 of the one-process time, at n=513 0.6.
+_SPLIT_MIN_CELLS = 1 << 14
+# the child's rows are copied through a buffer this small, so the copy adds
+# nothing to the parent's peak memory beyond what formatting a row takes
+_COPY_CHUNK = 16 * 1024
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _format_rows(write, fmt: str, labels: np.ndarray, matrix: np.ndarray) -> None:
+    for label, row in zip(labels.tolist(), matrix):
+        write(fmt % (label, *row.tolist()))
+
+
+def _write_rows(fh, fmt: str, labels: np.ndarray, matrix: np.ndarray) -> None:
+    """Write ``fmt % (label, *row)`` for every row of the real ``matrix``.
+
+    One row at a time, so no text copy of the matrix is held.  A large
+    matrix is split: a forked child formats rows ``[h, n)`` into an unnamed
+    file beside the output while this process streams rows ``[0, h)``, then
+    appends the child's file.  If no child can be forked or the child fails,
+    its rows are formatted here, so errors and bytes are those of the
+    one-process loop.
+    """
+    tmp = None
+    if hasattr(os, "fork") and matrix.size >= _SPLIT_MIN_CELLS and _usable_cpus() >= 2:
+        with contextlib.suppress(OSError):  # no file for the child: one process writes
+            tmp = tempfile.TemporaryFile(
+                "w+", dir=os.path.dirname(os.path.abspath(fh.name)), newline="\n"
+            )
+    if tmp is None:
+        _format_rows(fh.write, fmt, labels, matrix)
+        return
+    h = (len(matrix) + 1) // 2
+    with tmp:
+        pid = status = None
+        try:
+            with contextlib.suppress(OSError):  # no process to spare
+                pid = os.fork()
+            if pid == 0:
+                gc.disable()  # finalizers of inherited garbage could flush its buffers
+                _format_rows(tmp.write, fmt, labels[h:], matrix[h:])
+                tmp.flush()
+                status = 0
+            else:
+                _format_rows(fh.write, fmt, labels[:h], matrix[:h])
+                if pid is not None:
+                    status = os.waitpid(pid, 0)[1]
+        finally:
+            if pid == 0:
+                # the child touches no stdio and no BLAS, and leaves only
+                # here: it never returns into the caller's stack and never
+                # flushes the buffers it inherited
+                os._exit(0 if status == 0 else 1)
+            if pid is not None and status is None:  # this process failed first
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if status == 0:
+            fh.flush()
+            tmp.seek(0)
+            shutil.copyfileobj(tmp.buffer, fh.buffer, _COPY_CHUNK)
+        else:
+            _format_rows(fh.write, fmt, labels[h:], matrix[h:])
 
 
 def save_spectrum(s: BiphotonSpectrum, path: str) -> None:
     """Write the complex amplitude matrix with frequency axis headers."""
     w = s.grid.frequencies()
+    fmt = "%.17g" + ",%.17g%+.17gj" * s.grid.n_points + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("omega," + ",".join(format_float(x) for x in w) + "\n")
-        for i in range(s.grid.n_points):
-            row = ",".join(format_complex(z) for z in s.amplitudes[i])
-            fh.write(format_float(w[i]) + "," + row + "\n")
+        _write_rows(fh, fmt, w, s.amplitudes.view(np.float64))
 
 
 def _parse_float(token: str, line: int, column: int) -> float:
@@ -140,12 +217,10 @@ def save_magnitude_matrix(
     axis_label: str, axis: np.ndarray, matrix: np.ndarray, path: str
 ) -> None:
     """Write ``|matrix|`` style real data with axis headers (plot-ready)."""
+    fmt = "%.17g" + ",%.17g" * matrix.shape[1] + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(axis_label + "," + ",".join(format_float(x) for x in axis) + "\n")
-        # one row at a time: a labelled copy of the matrix would double its memory
-        for label, row in zip(axis, matrix):
-            fh.write(format_float(label) + ",")
-            np.savetxt(fh, row[None, :], fmt="%.17g", delimiter=",")
+        _write_rows(fh, fmt, axis, matrix)
 
 
 def scan_rows_table(result, columns: Sequence[tuple[str, str]]) -> list[dict[str, float]]:

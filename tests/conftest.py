@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +16,19 @@ def make_random_spectrum(rng: np.random.Generator, n: int = 5) -> bp.BiphotonSpe
     grid = bp.make_grid(0.0, 1.0, n)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return bp.BiphotonSpectrum.from_array(grid, raw)
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    if not hasattr(os, "fork"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave pid {pid})")
 
 
 @pytest.fixture

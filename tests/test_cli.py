@@ -267,6 +267,41 @@ class TestWavepacket:
         assert payload["metadata"]["factorization_residual"] < 1e-9
         assert abs(payload["metadata"]["parseval_power"] - 1.0) < 1e-9
 
+    def test_split_export_is_fork_safe_with_a_live_blas_pool(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a fresh process with a two-thread BLAS pool forks the row writer;
+        # warnings are errors there, and the child must neither print nor
+        # flush what it inherited
+        argv = ["wavepacket", "--model", "gaussian_pair", "--sigma", "1.3", "--dz", "0.4",
+                "--grid-points", "513", "--domain", "time"]
+        forked, here = tmp_path / "forked.csv", tmp_path / "here.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(bp.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "biphoton", *argv, "-o", str(forked)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.delattr(os, "fork")  # the one-process path
+        assert main(argv + ["-o", str(here)]) == 0
+        assert forked.read_bytes() == here.read_bytes()
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and proc.stdout.count("metadata") == 1
+        assert json.loads(lines[0]).keys() == json.loads(capsys.readouterr().out).keys()
+
+    def test_json_export_equals_the_csv_values(self, tmp_path, capsys):
+        argv = ["wavepacket", "--model", "delta_pump", "--dl", "1.5", "--grid-points", "33",
+                "--domain", "time"]
+        csv_path, json_path = tmp_path / "wp.csv", tmp_path / "wp.json"
+        assert main(argv + ["-o", str(csv_path)]) == 0
+        assert main(argv + ["--format", "json", "-o", str(json_path)]) == 0
+        payload = json.loads(json_path.read_text())
+        header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        assert payload["axis_label"] == header[0] == "time"
+        assert payload["axis"] == [float(t) for t in header[1:]]
+        assert payload["magnitudes"] == [[float(t) for t in row[1:]] for row in rows]
+        capsys.readouterr()
+
     def test_sine_with_zero_dl_exits_3(self, tmp_path, capsys):
         code = main(["wavepacket", "--model", "delta_pump", "--parity", "odd",
                      "--dl", "0", "--grid-points", "65", "-o", str(tmp_path / "x.csv")])

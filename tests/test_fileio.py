@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,21 @@ import pytest
 import biphoton as bp
 from biphoton import fileio
 from conftest import make_random_spectrum
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks the writers make, on a host with two usable CPUs."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
 
 
 class TestSpectrumFileRoundTrip:
@@ -189,6 +206,31 @@ class TestScanSerialization:
             fileio.scan_rows_table(result, [("P_reduced", "p_reduced")])
 
 
+@pytest.mark.parametrize("n", [33, 129])
+def test_save_spectrum_matches_per_cell_formatting(rng, tmp_path, forks, n):
+    # n=33 lies below the split threshold, 129 above it; every cell is
+    # written as the f-string below and parses back to the same bits
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    raw *= 10.0 ** rng.integers(-300, 1, size=(n, n))
+    raw[0, :4] = [0.0, -0.0, 5e-324 - 0.0j, complex(-0.0, 2.5e-310)]
+    raw[-1, -1] = 1.0
+    s = bp.BiphotonSpectrum.from_array(bp.make_grid(0.25, 3.0, n), raw)
+    path = tmp_path / "s.csv"
+    bp.save_spectrum(s, str(path))
+    w = s.grid.frequencies()
+    expected = "omega," + ",".join(f"{x:.17g}" for x in w) + "\n" + "".join(
+        f"{w[i]:.17g}," + ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in s.amplitudes[i])
+        + "\n"
+        for i in range(n)
+    )
+    assert path.read_bytes() == expected.encode()
+    assert len(forks) == int(2 * n * n >= fileio._SPLIT_MIN_CELLS)
+    lines = path.read_text().splitlines()[1:]
+    parsed = np.array([[complex(tok) for tok in line.split(",")[1:]] for line in lines])
+    assert np.array_equal(parsed.view(np.float64), s.amplitudes.view(np.float64))
+    assert np.array_equal(np.signbit(parsed.view(np.float64)), np.signbit(s.amplitudes.view(np.float64)))
+
+
 def test_row_parse_equals_per_cell_parse(rng, tmp_path):
     # bit for bit, including signed zeros, subnormals and wide exponents
     n = 33
@@ -206,6 +248,23 @@ def test_row_parse_equals_per_cell_parse(rng, tmp_path):
     assert np.array_equal(np.signbit(loaded.view(np.float64)), np.signbit(expected.view(np.float64)))
 
 
+def _per_entry_text(label, axis, matrix):
+    """The export through one ``format_float`` per entry, joined by commas."""
+    fmt = fileio.format_float
+    return label + "," + ",".join(fmt(x) for x in axis) + "\n" + "".join(
+        fmt(x) + "," + ",".join(fmt(v) for v in row) + "\n" for x, row in zip(axis, matrix)
+    )
+
+
+def _magnitude_matrix(n):
+    matrix = np.abs(np.random.default_rng(7).standard_normal((n, n))) * 1e3
+    matrix[0, :4] = [0.0, -0.0, 5e-324, 1e308]
+    matrix[1, :3] = [1.0 + 2.0**-52, np.nextafter(1.0, 0.0), 2.5e-310]
+    axis = np.linspace(-6.0, 6.0, n)
+    axis[3] = -0.0
+    return axis, matrix
+
+
 class TestMagnitudeMatrix:
     def test_layout(self, tmp_path):
         axis = np.array([0.0, 1.0, 2.0])
@@ -217,22 +276,72 @@ class TestMagnitudeMatrix:
         assert lines[2].split(",")[0] == "1"
         assert float(lines[2].split(",")[2]) == 4.0
 
-
-    def test_matches_per_entry_formatting(self, tmp_path):
-        # reference: every entry through format_float, joined by commas
-        n = 65
-        matrix = np.abs(np.random.default_rng(7).standard_normal((n, n))) * 1e3
-        matrix[0, :4] = [0.0, -0.0, 5e-324, 1e308]
-        matrix[1, :3] = [1.0 + 2.0**-52, np.nextafter(1.0, 0.0), 2.5e-310]
-        axis = np.linspace(-6.0, 6.0, n)
-        axis[3] = -0.0
+    @pytest.mark.parametrize("n", [65, 257, 513])
+    def test_matches_per_entry_formatting(self, tmp_path, forks, n):
+        # n=65 lies below the split threshold, 257 and 513 above it
+        axis, matrix = _magnitude_matrix(n)
         path = tmp_path / "m.csv"
         fileio.save_magnitude_matrix("omega", axis, matrix, str(path))
-        fmt = fileio.format_float
-        expected = "omega," + ",".join(fmt(x) for x in axis) + "\n" + "".join(
-            fmt(axis[i]) + "," + ",".join(fmt(v) for v in matrix[i]) + "\n" for i in range(n)
-        )
-        assert path.read_bytes() == expected.encode()
+        assert path.read_bytes() == _per_entry_text("omega", axis, matrix).encode()
+        assert len(forks) == int(matrix.size >= fileio._SPLIT_MIN_CELLS)
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+    @pytest.mark.parametrize("host", ["one usable cpu", "no fork"])
+    def test_in_process_path_gives_the_same_bytes(self, tmp_path, forks, monkeypatch, host):
+        if host == "one usable cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "fork")
+        axis, matrix = _magnitude_matrix(257)
+        path = tmp_path / "m.csv"
+        fileio.save_magnitude_matrix("time", axis, matrix, str(path))
+        assert path.read_bytes() == _per_entry_text("time", axis, matrix).encode()
+        assert forks == []
+
+    def test_failed_child_rows_are_written_by_the_parent(self, tmp_path, forks, monkeypatch):
+        parent = os.getpid()
+        format_rows = fileio._format_rows
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("child fails")
+            format_rows(*args)
+
+        monkeypatch.setattr(fileio, "_format_rows", fail_in_child)
+        axis, matrix = _magnitude_matrix(257)
+        path = tmp_path / "m.csv"
+        fileio.save_magnitude_matrix("time", axis, matrix, str(path))
+        assert path.read_bytes() == _per_entry_text("time", axis, matrix).encode()
+        assert forks == [parent]  # the autouse fixture checks that it was reaped
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+    def test_interrupted_parent_reaps_the_child(self, tmp_path, forks, monkeypatch):
+        parent = os.getpid()
+        format_rows = fileio._format_rows
+
+        def interrupt_in_parent(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            format_rows(*args)
+
+        monkeypatch.setattr(fileio, "_format_rows", interrupt_in_parent)
+        axis, matrix = _magnitude_matrix(257)
+        with pytest.raises(KeyboardInterrupt):
+            fileio.save_magnitude_matrix("time", axis, matrix, str(tmp_path / "m.csv"))
+        assert forks == [parent]  # the autouse fixture checks that it was reaped
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+    def test_parent_peak_memory_is_a_small_share_of_the_matrix(self, tmp_path, forks):
+        axis, matrix = _magnitude_matrix(513)
+        path = str(tmp_path / "m.csv")
+        fileio.save_magnitude_matrix("time", axis, matrix, path)  # warm the caches
+        tracemalloc.start()
+        try:
+            fileio.save_magnitude_matrix("time", axis, matrix, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forks and peak <= 0.05 * matrix.nbytes  # measured 0.026
 
 
 class TestFloatFormatting:
@@ -241,7 +350,3 @@ class TestFloatFormatting:
             x = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
             assert float(fileio.format_float(x)) == x
 
-    def test_complex_round_trip(self, rng):
-        for _ in range(200):
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            assert complex(fileio.format_complex(z)) == z
