@@ -240,10 +240,11 @@ def scan_rows_table(result, columns: Sequence[tuple[str, str]]) -> list[dict[str
 def write_scan_csv(result, columns: Sequence[tuple[str, str]], path: str) -> None:
     table = scan_rows_table(result, columns)
     headers = [header for header, _ in columns]
+    fmt = ",".join(["%.17g"] * len(headers)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(headers) + "\n")
         for entry in table:
-            fh.write(",".join(format_float(entry[h]) for h in headers) + "\n")
+            fh.write(fmt % tuple(entry[h] for h in headers))
 
 
 def _spec_as_dict(spec) -> dict[str, Any]:

@@ -21,11 +21,12 @@ The Gaussian-pair and two-path spectra factor on the grid as
 ``c[i, j] = x[i] * y[j] * p[i + j]``: ``x`` and ``y`` carry the 1-D Gaussian,
 the two-path row modulation and the port path phases ``exp(i omega z / c)``,
 and the pump term ``p`` has only ``2n - 1`` distinct values.  So sampling
-evaluates ``exp`` on O(n) points, and the state is built and normalized in
-one n x n complex array, with the path phases folded in rather than applied
-by a second pass.  With real factors ``x[i] * y[j]`` equals ``x[j] * y[i]``
-bit for bit whenever ``x`` equals ``y``, so such a state is exactly
-exchange-symmetric.
+evaluates ``exp`` on O(n) points into a private factored state.  Scans
+reduce that state from ``u = conj(x) y`` and never build it; the public
+builders write it into one n x n complex array and normalize it there,
+with the path phases folded in rather than applied by a second pass.  With
+real factors ``x[i] * y[j]`` equals ``x[j] * y[i]`` bit for bit whenever
+``x`` equals ``y``, so such a state is exactly exchange-symmetric.
 
 Everything uses angular frequencies; lengths and ``c_light`` only enter via
 the dimensionless groups ``sigma*dz/c``, ``sigma*dl/c``, ``beta`` and
@@ -44,9 +45,9 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError
 from .spectrum import (
-    _EXCHANGE_SLAB,
     BiphotonSpectrum,
     FrequencyGrid,
+    _FactoredState,
     _check_c_light,
     _path_phases,
     _plane_waves,
@@ -160,36 +161,33 @@ def _pump(grid: FrequencyGrid, center: float, pump_sigma: float) -> np.ndarray:
     return _gaussian(np.concatenate((w[0] + w, w[-1] + w[1:])), 2.0 * center, pump_sigma)
 
 
-def _factored_spectrum(
+def _factored_state(
     grid: FrequencyGrid,
     a: np.ndarray,
     pump: np.ndarray | None,
     row_factors: np.ndarray | None,
     phases: tuple[np.ndarray, np.ndarray] | None,
     warnings: tuple[str, ...],
-) -> BiphotonSpectrum:
-    """Normalized ``c[i, j] = x[i] * y[j] * pump[i + j]``.
-
-    ``x = a * row_factors * phases[0]`` and ``y = a * phases[1]``, each
-    factor left out when None.  The outer product and the pump (read as a
-    Hankel matrix by a strided view) are written slab by slab into one
-    complex matrix, which is then normalized in place: no other n x n
-    array is made.
-    """
+) -> _FactoredState:
+    """``c[i, j] = x[i] * y[j] * pump[i + j]`` with ``x = a * row_factors * phases[0]``
+    and ``y = a * phases[1]``, each factor left out when None."""
     x = a if row_factors is None else a * row_factors
     y = a
     if phases is not None:
         x = x * phases[0]
         y = a * phases[1]
-    n = grid.n_points
-    c = np.empty((n, n), dtype=np.complex128)
-    hankel = None if pump is None else np.lib.stride_tricks.sliding_window_view(pump, n)
-    for i in range(0, n, _EXCHANGE_SLAB):
-        rows = c[i : i + _EXCHANGE_SLAB]
-        np.multiply.outer(x[i : i + _EXCHANGE_SLAB], y, out=rows)
-        if hankel is not None:
-            rows *= hankel[i : i + _EXCHANGE_SLAB]
-    return BiphotonSpectrum._normalized(grid, c, warnings)
+    return _FactoredState(grid, x, y, pump, warnings)
+
+
+def _gaussian_pair_state(
+    m: GaussianPairModel, grid: FrequencyGrid, z1: float, z2: float, c_light: float
+) -> _FactoredState:
+    phases = _path_phases(grid, z1, z2, c_light)
+    pump = None if m.pump_sigma is None else _pump(grid, m.center, m.pump_sigma)
+    a = _gaussian(grid.frequencies(), m.center, m.sigma)
+    return _factored_state(
+        grid, a, pump, None, phases, _coverage_warnings(grid, m.center, m.sigma)
+    )
 
 
 def gaussian_pair_spectrum(
@@ -208,12 +206,7 @@ def gaussian_pair_spectrum(
     product of two 1D factors (rank-1, un-entangled).  See the module
     docstring for the factored build.
     """
-    phases = _path_phases(grid, z1, z2, c_light)
-    pump = None if m.pump_sigma is None else _pump(grid, m.center, m.pump_sigma)
-    a = _gaussian(grid.frequencies(), m.center, m.sigma)
-    return _factored_spectrum(
-        grid, a, pump, None, phases, _coverage_warnings(grid, m.center, m.sigma)
-    )
+    return _gaussian_pair_state(m, grid, z1, z2, c_light).spectrum()
 
 
 def hom_dip_closed(sigma: float, dz: float, c_light: float = 1.0) -> float:
@@ -246,6 +239,10 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
     exactly symmetric.  Raises :class:`DegenerateSpectrumError` when the
     cosine node wipes out the entire sampled support.
     """
+    return _shih_state(m, grid).spectrum()
+
+
+def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
     phases = _path_phases(grid, m.z1, m.z2, m.c_light)
     pump = _pump(grid, m.center, m.sigma_p)
     a = _gaussian(grid.frequencies(), m.center, m.sigma)
@@ -259,7 +256,7 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         raise DegenerateSpectrumError(
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
-    return _factored_spectrum(
+    return _factored_state(
         grid, a, pump, modulation, phases, _coverage_warnings(grid, m.center, m.sigma)
     )
 

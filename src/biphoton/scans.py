@@ -4,22 +4,23 @@
 accepts, the grid they imply, its delay-free spectrum and, where they exist,
 its ``dl`` row factors, closed form and metadata.  Every source, in scans and
 CLI input states alike, is built with the path delays of its row in one
-place, :func:`_delayed_spectrum`: the Gaussian pair and the two-path model
-fold the path phases into their factored build (see :mod:`biphoton.models`),
-and every other source gets them from
+place, :func:`_delayed_state`: the Gaussian pair and the two-path model
+fold the path phases into their factors (see :mod:`biphoton.models`), and
+every other source gets them from
 :func:`~biphoton.spectrum.apply_path_delays`.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
-delay or ``dl`` half path difference) and the sweep range.  A scan builds
+delay or ``dl`` half path difference) and the sweep range.  A scan takes
 the model at the swept value 0 once and reduces it once in O(n^2) with
 :func:`~biphoton.spectrum.exchange_sweep`, whose docstring derives it.  A
-row scales port-1 row ``i`` of that base by
-``a exp(i tau nu_i) + b exp(-i tau nu_i)`` and is read off the reduction in
-O(n): a ``dz`` row is ``(1, 0, dz / c)``, a ``dl`` row the model's
-``row_factor``.  Every row carries this numeric value and, where the model
-has one, its closed form.  Each row is computed on its own from the same
-inputs, so identical specs produce bit-identical tables, in any evaluation
-order.
+factored source is reduced from its factors ``x``, ``y`` and pump ``p``,
+through ``u = conj(x) y``: its n x n state is never built.  A row scales
+port-1 row ``i`` of that base by ``a exp(i tau nu_i) + b exp(-i tau nu_i)``
+and is read off the reduction in O(n): a ``dz`` row is ``(1, 0, dz / c)``,
+a ``dl`` row the model's ``row_factor``.  Every row carries this numeric
+value and, where the model has one, its closed form.  Each row is computed
+on its own from the same inputs, so identical specs produce bit-identical
+tables, in any evaluation order.
 """
 
 from __future__ import annotations
@@ -37,22 +38,23 @@ from .models import (
     MIN_MODULATION_WEIGHT,
     GaussianPairModel,
     ShihModel,
+    _gaussian_pair_state,
+    _shih_state,
     bell_antisymmetric_spectrum,
     delta_pump_row_factor,
     delta_pump_spectrum,
-    gaussian_pair_spectrum,
     hom_dip_closed,
     shih_exact,
     shih_norm_factor,
     shih_reduced,
     shih_regime_notes,
     shih_row_factor,
-    shih_spectrum,
 )
 from .spectrum import (
     _MIN_NORM,
     BiphotonSpectrum,
     FrequencyGrid,
+    _FactoredState,
     apply_path_delays,
     exchange_sweep,
     make_grid,
@@ -76,18 +78,20 @@ def _sigma_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> Frequ
 class _Model:
     """One source model.
 
-    ``base(fixed, grid, z1, z2)`` is its spectrum with port paths ``z1``
-    and ``z2``; with ``grid`` None (a spectrum file) it gets no grid and
-    brings its own.  A ``dl`` row sets ``dl_key`` and scales port-1 row i
-    of the base at ``dl_key = 0`` (updated by ``dl_base``) by
-    ``a exp(i tau nu_i) + b exp(-i tau nu_i)`` with
-    ``(a, b, tau) = row_factor(row, grid)``, down to a squared norm
+    ``base(fixed, grid, z1, z2)`` is its state with port paths ``z1`` and
+    ``z2``, in factored form where the model has one; with ``grid`` None (a
+    spectrum file) it gets no grid and brings its own.  A ``dl`` row sets
+    ``dl_key`` and scales port-1 row i of the base at ``dl_key = 0``
+    (updated by ``dl_base``) by ``a exp(i tau nu_i) + b exp(-i tau nu_i)``
+    with ``(a, b, tau) = row_factor(row, grid)``, down to a squared norm
     ``row_floor``.  ``closed_form(row, dz)`` gives
     ``(p_closed, p_reduced)``; ``metadata(row)`` is reported per row.
     """
 
     keys: frozenset[str]
-    base: Callable[[dict[str, Any], FrequencyGrid | None, float, float], BiphotonSpectrum]
+    base: Callable[
+        [dict[str, Any], FrequencyGrid | None, float, float], BiphotonSpectrum | _FactoredState
+    ]
     grid: Callable[[dict[str, Any], int, float], FrequencyGrid] | None = _sigma_grid
     required: tuple[str, ...] = ()
     dl_key: str | None = None
@@ -127,11 +131,11 @@ def _delayed(
 
 def _gaussian_pair(
     fixed: dict[str, Any], grid: FrequencyGrid, z1: float, z2: float
-) -> BiphotonSpectrum:
+) -> _FactoredState:
     pump = fixed.get("pump_sigma")
     pump_sigma = None if pump is None else float(pump)
     m = GaussianPairModel(_num(fixed, "center"), _num(fixed, "sigma"), pump_sigma)
-    return gaussian_pair_spectrum(m, grid, z1, z2, _num(fixed, "c_light"))
+    return _gaussian_pair_state(m, grid, z1, z2, _num(fixed, "c_light"))
 
 
 def _shih_model(fixed: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> ShihModel:
@@ -183,7 +187,7 @@ MODELS: dict[str, _Model] = {
     "shih": _Model(
         keys=frozenset({"center", "sigma", "sigma_p", "delta_l", "z1", "z2", "dz", "c_light"}),
         required=("center", "sigma_p"),
-        base=lambda fixed, grid, z1, z2: shih_spectrum(_shih_model(fixed, z1, z2), grid),
+        base=lambda fixed, grid, z1, z2: _shih_state(_shih_model(fixed, z1, z2), grid),
         dl_key="delta_l",
         row_factor=lambda fixed, grid: shih_row_factor(_shih_model(fixed), grid),
         row_floor=MIN_MODULATION_WEIGHT,
@@ -316,10 +320,11 @@ def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
     return z1, (z1 - float(row["z2"]) if "z2" in row else dz)
 
 
-def _delayed_spectrum(
+def _delayed_state(
     model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float
-) -> BiphotonSpectrum:
-    """Spectrum of one row's parameters, built with the row's path delays.
+) -> BiphotonSpectrum | _FactoredState:
+    """State of one row's parameters, with the row's path delays: its factors
+    where the model is built in factored form, else its spectrum.
 
     A spectrum file is read once and brings its own grid.
     """
@@ -327,6 +332,14 @@ def _delayed_spectrum(
     z1, dz = _path_delays(model, row)
     grid = None if entry.grid is None else entry.grid(row, grid_points, grid_span_sigmas)
     return entry.base(row, grid, z1, z1 - dz)
+
+
+def _delayed_spectrum(
+    model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float
+) -> BiphotonSpectrum:
+    """Spectrum of one row's parameters, built with the row's path delays."""
+    state = _delayed_state(model, row, grid_points, grid_span_sigmas)
+    return state.spectrum() if isinstance(state, _FactoredState) else state
 
 
 def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
@@ -408,7 +421,7 @@ def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], l
     base_row = _row(spec, 0.0)
     if spec.swept == "dl":
         base_row.update(entry.dl_base)
-    base = _delayed_spectrum(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
+    base = _delayed_state(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
 
     kernel = exchange_sweep(base, entry.row_floor)
     c_light = _num(spec.fixed, "c_light")

@@ -198,6 +198,38 @@ class BiphotonSpectrum:
         return cls(grid=grid, amplitudes=amp, warnings=tuple(warnings))
 
 
+@dataclass(frozen=True, eq=False)
+class _FactoredState:
+    """Unnormalized ``c[i, j] = x[i] * y[j] * pump[i + j]``, kept as its O(n) factors.
+
+    ``pump`` holds the ``2n - 1`` values of a real term in ``omega_1 + omega_2``
+    (entry ``i + j`` belongs to cell ``(i, j)``), or is None for a flat one.
+    :meth:`spectrum` builds the state; :func:`exchange_sweep` reduces the
+    factors without it.
+    """
+
+    grid: FrequencyGrid
+    x: np.ndarray
+    y: np.ndarray
+    pump: np.ndarray | None
+    warnings: tuple[str, ...] = ()
+
+    def spectrum(self) -> BiphotonSpectrum:
+        """The unit-norm matrix: the outer product and the pump (read as a Hankel
+        matrix by a strided view) are written slab by slab into one complex
+        matrix, which is normalized in place, so no other n x n array is made."""
+        n = self.grid.n_points
+        c = np.empty((n, n), dtype=np.complex128)
+        pump = self.pump
+        hankel = None if pump is None else np.lib.stride_tricks.sliding_window_view(pump, n)
+        for i in range(0, n, _EXCHANGE_SLAB):
+            rows = c[i : i + _EXCHANGE_SLAB]
+            np.multiply.outer(self.x[i : i + _EXCHANGE_SLAB], self.y, out=rows)
+            if hankel is not None:
+                rows *= hankel[i : i + _EXCHANGE_SLAB]
+        return BiphotonSpectrum._normalized(self.grid, c, self.warnings)
+
+
 def _finite_squared_norm(a: np.ndarray) -> float:
     """``sum |a|**2`` of a complex128 matrix; raises ``ValueError`` on NaN/Inf.
 
@@ -289,7 +321,7 @@ _SWEEP_CANCELLATION = 10.0
 
 
 def exchange_sweep(
-    s: BiphotonSpectrum, min_norm_squared: float = _MIN_NORM**2
+    s: BiphotonSpectrum | _FactoredState, min_norm_squared: float = _MIN_NORM**2
 ) -> Callable[[complex, complex, float], float]:
     """Antisymmetric weight of ``s`` with port-1 rows scaled by two plane waves.
 
@@ -303,20 +335,68 @@ def exchange_sweep(
     ``N = sum_i r_i |d_i|**2``, ``2 w N = N - Re d^H G d`` reads ``G`` only
     through its diagonal sums ``T_k`` (``k = j - i``) and anti-diagonal sums
     ``S_m`` (``m = i + j``).  So one O(n^2) pass to ``T``, ``S``, ``r`` and
-    ``D = sum_i (r_i - Re sum_j G[i,j])`` leaves O(n) per call, with
-    ``theta = tau domega``:
+    ``D = sum_i (r_i - v_i)``, ``v_i = Re sum_j G[i,j]``, leaves O(n) per
+    call, with ``theta = tau domega``:
 
         2 w N = (|a|^2 + |b|^2) D
                 + Re sum_k T_k (|a|^2 (1 - e^{ik theta}) + |b|^2 (1 - e^{-ik theta}))
                 + 2 Re[conj(a) b (sum_i r_i e^{-2i tau nu_i} - sum_m S_m e^{-i theta (m-n+1)})]
 
-    Both terms of ``D`` are summed by one routine, so a bit-symmetric ``s``
-    gives ``w(1, 0, 0)`` exactly 0.  Near a node of ``d`` the terms cancel:
-    where ``N`` is over ``_SWEEP_CANCELLATION`` times below
+    A spectrum is reduced by slabs of its rows (:func:`_matrix_sums`).  A
+    factored state ``c[i,j] = x_i y_j p[i+j]``, as scans of the Gaussian pair
+    and the two-path source pass, is never built: its
+    ``G[i,j] = u_i conj(u_j) P[i+j]`` with ``u = conj(x) y`` and ``P = p**2``
+    gives every sum from O(n) vectors (:func:`_factored_sums`).  Both terms of
+    ``D`` are summed by one routine, so a bit-symmetric ``s`` gives
+    ``w(1, 0, 0)`` exactly 0.  Near a node of ``d`` the terms cancel: where
+    ``N`` is over ``_SWEEP_CANCELLATION`` times below
     ``(|a|^2 + |b|^2) sum_i r_i`` the scaled state is reduced instead.
     Below ``min_norm_squared`` (by default the zero-norm floor of
     :meth:`BiphotonSpectrum.from_array`) it is no state, and the call raises
     :class:`DegenerateSpectrumError`.
+    """
+    producer = _factored_sums if isinstance(s, _FactoredState) else _matrix_sums
+    r, v, t, antidiag, scaled = producer(s)
+    n = s.grid.n_points
+    d = math.fsum(r - v)
+    r_total = float(np.sum(r))
+    q = np.arange(-(n - 1), n, dtype=float)
+
+    def weight(a: complex, b: complex, tau: float) -> float:
+        # numpy's pairwise sums, not BLAS dot products: the bits do not
+        # depend on the BLAS build or its thread count
+        a2, b2 = abs(a) ** 2, abs(b) ** 2
+        # e^{ik theta} for k > 0, and for a second wave for every k = m - n + 1
+        p = np.exp((q if b else q[n:]) * (1j * tau * s.grid.spacing))
+        e = p[-(n - 1) :]
+        waves = a2 * (1.0 - e)
+        norm_sq, pair = (a2 + b2) * r_total, 0.0
+        if b:
+            # sum_i r_i e^{-2i tau nu_i}, with its real part summed as r_total is,
+            # so that N is exactly 0 where the two waves cancel at tau = 0
+            rw = complex(np.sum(r * p.real[::2]), -np.sum(r * p.imag[::2]))
+            norm_sq += 2.0 * (np.conj(a) * b * rw).real
+            if min_norm_squared <= norm_sq < (a2 + b2) * r_total / _SWEEP_CANCELLATION:
+                sym, anti = scaled(_plane_waves(s.grid, a, b, tau))
+                return _weight(anti / (sym + anti))
+            waves += b2 * (1.0 - np.conj(e))
+            pair = np.conj(a) * b * (rw - np.sum(antidiag * np.conj(p)))
+        if norm_sq < min_norm_squared:
+            raise DegenerateSpectrumError(
+                "degenerate spectrum: the row factors annihilate the sampled support"
+            )
+        twice = (a2 + b2) * d + 2.0 * float(np.sum((t * waves).real)) + 2.0 * float(np.real(pair))
+        return _weight(0.5 * twice / norm_sq)
+
+    return weight
+
+
+def _matrix_sums(s: BiphotonSpectrum) -> tuple:
+    """The O(n^2) pass of :func:`exchange_sweep` over slabs of the rows of ``s``.
+
+    Returns ``r``, ``v``, ``T_k`` for ``k = 1..n-1`` (``T_{-k} = conj(T_k)``
+    and the ``k = 0`` term is 0), the real ``S_m`` for ``m = 0..2n-2``, and
+    ``scaled(d)``, the ``(sym, anti)`` of ``s`` with its rows scaled by ``d``.
     """
     c = np.ascontiguousarray(s.amplitudes)
     n = s.grid.n_points
@@ -348,40 +428,63 @@ def exchange_sweep(
         for sums, part in ((diag, g), (antidiag, g[:, ::-1])):
             np.copyto(shifted[:m], part)
             sums[n - m - i : 2 * n - 1 - i] += z[:m, size - m :].sum(axis=0)
-    diag, antidiag = diag[::-1], antidiag[::-1].real
-    d = math.fsum(r - v)
-    r_total = float(np.sum(r))
-    # T_k for k = 1..n-1: T_{-k} = conj(T_k), and the k = 0 term is 0
-    t = diag[n:]
-    q = np.arange(-(n - 1), n, dtype=float)
+    return r, v, diag[::-1][n:], antidiag[::-1].real, lambda d: exchange_weights(d[:, None] * c)
 
-    def weight(a: complex, b: complex, tau: float) -> float:
-        # numpy's pairwise sums, not BLAS dot products: the bits do not
-        # depend on the BLAS build or its thread count
-        a2, b2 = abs(a) ** 2, abs(b) ** 2
-        # e^{ik theta} for k > 0, and for a second wave for every k = m - n + 1
-        p = np.exp((q if b else q[n:]) * (1j * tau * s.grid.spacing))
-        e = p[-(n - 1) :]
-        waves = a2 * (1.0 - e)
-        norm_sq, pair = (a2 + b2) * r_total, 0.0
-        if b:
-            # sum_i r_i e^{-2i tau nu_i}, with its real part summed as r_total is,
-            # so that N is exactly 0 where the two waves cancel at tau = 0
-            rw = complex(np.sum(r * p.real[::2]), -np.sum(r * p.imag[::2]))
-            norm_sq += 2.0 * (np.conj(a) * b * rw).real
-            if min_norm_squared <= norm_sq < (a2 + b2) * r_total / _SWEEP_CANCELLATION:
-                sym, anti = exchange_weights(_plane_waves(s.grid, a, b, tau)[:, None] * c)
-                return _weight(anti / (sym + anti))
-            waves += b2 * (1.0 - np.conj(e))
-            pair = np.conj(a) * b * (rw - np.sum(antidiag * np.conj(p)))
-        if norm_sq < min_norm_squared:
-            raise DegenerateSpectrumError(
-                "degenerate spectrum: the row factors annihilate the sampled support"
-            )
-        twice = (a2 + b2) * d + 2.0 * float(np.sum((t * waves).real)) + 2.0 * float(np.real(pair))
-        return _weight(0.5 * twice / norm_sq)
 
-    return weight
+def _factored_sums(f: _FactoredState) -> tuple:
+    """:func:`_matrix_sums` of the state ``f`` from its factors, scaled to ``sum_i r_i = 1``.
+
+    With ``u = conj(x) y`` and ``P = p**2``, ``r_i = |x_i|**2 H[|y|**2]_i`` and
+    ``v_i = Re u_i H[Re u]_i + Im u_i H[Im u]_i`` come from the Hankel products
+    ``H[w]_i = sum_j P[i+j] w_j``, all three in one batched real FFT, so rows
+    ``w`` equal bit for bit give equal products.  ``S_m = P_m (u * conj u)_m``,
+    where the convolution is ``(Re u * Re u + Im u * Im u)_m``, comes from the
+    same transforms, and ``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` from slabs
+    of ``k`` over strided views of O(n) vectors.  Scaled rows ``d`` are
+    reduced as the factors ``(d x, y)``.
+    """
+    n = f.grid.n_points
+    p = np.ones(2 * n - 1) if f.pump is None else f.pump * f.pump
+    fft_size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1: no product wraps around
+    p_hat = np.fft.rfft(p, fft_size)
+
+    def row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        u = np.conj(x) * f.y
+        w_hat = np.fft.rfft(np.stack(((np.conj(f.y) * f.y).real, u.real, u.imag)), fft_size)
+        h = np.fft.irfft(p_hat * np.conj(w_hat), fft_size)[:, :n]
+        return (np.conj(x) * x).real * h[0], u.real * h[1] + u.imag * h[2], u, w_hat
+
+    r, v, u, w_hat = row_sums(f.x)
+    total = float(np.sum(r))
+    if not math.isfinite(total):
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    if total < _MIN_NORM**2:
+        raise DegenerateSpectrumError("degenerate spectrum: amplitude matrix is (effectively) zero")
+    antidiag = p * np.fft.irfft(w_hat[1] ** 2 + w_hat[2] ** 2, fft_size)[: 2 * n - 1]
+    # T_k for a slab of k = k0 .. k0 + size - 1: the row sums of a (size, n - k0)
+    # product of strided views, whose row k - k0 holds conj(u_{i+k}) P[2i+k];
+    # zeros padded to conj(u) and P end every diagonal past i + k = n - 1
+    size = _EXCHANGE_SLAB // 2
+    conj_u = np.zeros(n + size, dtype=np.complex128)
+    conj_u[:n] = np.conj(u)
+    pump = np.zeros(2 * n + size)
+    pump[: 2 * n - 1] = p
+    t = np.empty(n - 1, dtype=np.complex128)
+    block = np.empty((size, n), dtype=np.complex128)
+    strided = np.lib.stride_tricks.as_strided
+    for k0 in range(1, n, size):
+        m, width = min(size, n - k0), n - k0
+        g = block[:m, :width]
+        diagonals = strided(conj_u[k0:], (m, width), (16, 16))
+        np.multiply(diagonals, strided(pump[k0:], (m, width), (8, 16)), out=g)
+        g *= u[:width]
+        t[k0 - 1 : k0 - 1 + m] = g.sum(axis=1)
+
+    def scaled(d: np.ndarray) -> tuple[float, float]:
+        r_d, v_d = row_sums(d * f.x)[:2]
+        return 0.5 * math.fsum(r_d + v_d) / total, 0.5 * math.fsum(r_d - v_d) / total
+
+    return r / total, v / total, t / total, antidiag / total, scaled
 
 
 def _plane_waves(grid: FrequencyGrid, a: complex, b: complex, tau: float) -> np.ndarray:

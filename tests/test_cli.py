@@ -331,6 +331,49 @@ _DIP = ["dip-scan", "--steps", "3"]
 _SHIH = ["shih-scan", "--beta", "0.1", "--center", "100", "--dl", "5", "--steps", "3"]
 
 
+_README_SHIH = ["shih-scan", "--beta", "0.01", "--center", "78.61835615608457", "--dl", "20",
+                "--dz-min", "-30", "--dz-max", "30", "--steps", "61", "--grid-points", "1025",
+                "--grid-span", "4.5"]
+
+
+class TestShihScanPath:
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the scan reduction uses no BLAS, so its bits cannot follow the pool size
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bp.__file__))}
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"peak{threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "biphoton", *_README_SHIH, "-o", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True, capture_output=True,
+                timeout=120,
+            )
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[0].count(b"\n") == 62
+
+    def test_annihilating_modulation_exits_3(self, tmp_path, capsys):
+        # every point of the 3-point grid sits on a zero of cos(omega * dl / c)
+        code = main(["shih-scan", "--beta", "0.5", "--center", repr(1.5 * math.pi), "--dl", "1",
+                     "--grid-points", "3", "--grid-span", repr(math.pi), "--steps", "3",
+                     "--dz-min", "-1", "--dz-max", "1", "-o", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: degenerate spectrum: path-difference modulation annihilates "
+            "the sampled support\n"
+        )
+
+    def test_non_finite_path_difference_exits_2(self, tmp_path, capsys):
+        code = main(["shih-scan", "--beta", "0.1", "--center", "100", "--dl", "inf",
+                     "--steps", "3", "--dz-min", "-1", "--dz-max", "1",
+                     "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: paths must be finite (they set the relative delay dz = z1 - z2); "
+            "got delta_l = inf, z1 = 0.0, z2 = 0.0\n"
+        )
+
+
 class TestMalformedCommandLines:
     @pytest.mark.parametrize(
         "argv",

@@ -134,6 +134,17 @@ class TestFastPathAgainstPerRowOracle:
         assert row.p_numeric == 0.0
         assert row.w_antisym == 0.0
 
+    def test_flat_pump_readme_dip_is_exactly_zero_at_zero_delay(self):
+        # the README dip-scan: flat pump, n=257, dz in [-4, 4] over 81 rows
+        spec = bp.ScanSpec(
+            model="gaussian_pair", swept="dz", start=-4.0, stop=4.0, n_steps=81,
+            fixed={"sigma": 1.0},
+        )
+        row = bp.run_scan(spec).rows[40]
+        assert row.param == 0.0
+        assert row.p_numeric == 0.0
+        assert row.w_antisym == 0.0
+
 
 class TestDlSweepWeight:
     def test_w_antisym_matches_symmetry_decompose(self):

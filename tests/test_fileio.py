@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -192,6 +193,21 @@ class TestScanSerialization:
         assert lines[0] == "param,P_numeric,P_closed,w_antisym"
         assert len(lines) == 10
         assert "\r" not in text
+
+    def test_csv_bytes_match_per_entry_formatting(self, result, tmp_path):
+        # signed zeros, subnormals, wide exponents and numpy floats
+        values = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.0 / 3.0, np.float64(0.1), 12345.678]
+        rows = tuple(
+            bp.ScanRow(values[k], values[k - 1], values[k - 2], None, values[k - 3])
+            for k in range(len(values))
+        )
+        path = tmp_path / "scan.csv"
+        fileio.write_scan_csv(dataclasses.replace(result, rows=rows), self.COLUMNS, str(path))
+        expected = "param,P_numeric,P_closed,w_antisym\n" + "".join(
+            ",".join(fileio.format_float(getattr(row, attr)) for _, attr in self.COLUMNS) + "\n"
+            for row in rows
+        )
+        assert path.read_bytes() == expected.encode()
 
     def test_json_carries_spec_and_metadata(self, result, tmp_path):
         path = tmp_path / "scan.json"

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.models import delta_pump_row_factor
-from biphoton.scans import _delayed_spectrum
-from biphoton.spectrum import exchange_sweep
+from biphoton.models import delta_pump_row_factor, shih_row_factor
+from biphoton.scans import _delayed_spectrum, _delayed_state
+from biphoton.spectrum import (
+    _SWEEP_CANCELLATION,
+    _factored_sums,
+    _FactoredState,
+    _matrix_sums,
+    _plane_waves,
+    exchange_sweep,
+)
 
 
 def _mesh_phases(w1, w2, z1, z2, c_light=1.0):
@@ -169,6 +176,81 @@ def test_exchange_reduction_working_set(swept):
     delta_l, z2 = (20.0, 0.0) if swept == "dz" else (0.0, 3.0)
     s = bp.shih_spectrum(bp.ShihModel(90.0, 1.0, 0.01, delta_l, z2=z2), grid)
     assert _peak_matrices(lambda: exchange_sweep(s), n) <= 0.1
+
+
+# scan bases (the state at swept value 0) of factored sources: (model, row)
+_FACTORED_BASES = {
+    "flat pair": ("gaussian_pair", {"sigma": 1.0, "center": 0.7}),
+    "flat pair, paths": ("gaussian_pair", {"sigma": 1.0, "center": 0.7, "dz": 1.3}),
+    "pumped pair": ("gaussian_pair", {"sigma": 1.3, "center": 0.7, "pump_sigma": 0.4}),
+    "pumped pair, paths": (
+        "gaussian_pair", {"sigma": 1.3, "center": 0.7, "pump_sigma": 0.4, "dz": -2.1}
+    ),
+    "shih dz base": ("shih", {"center": 90.0, "sigma_p": 0.01, "delta_l": 20.0, "z1": 1.7}),
+    "shih dl base": ("shih", {"center": 90.0, "sigma_p": 0.1, "z1": 1.0, "dz": 2.5}),
+}
+
+# the first dark fringe of a shih dl sweep at center 90: dl = lambda / 4
+_DARK_FRINGE = ("shih", {"center": 90.0, "sigma_p": 0.1}, math.pi / 180.0)
+
+
+def _assert_sums_agree(state):
+    factored, matrix = _factored_sums(state), _matrix_sums(state.spectrum())
+    total = float(np.sum(matrix[0]))
+    for name, new, old in zip(("r", "v", "T", "S"), factored, matrix):
+        assert new.shape == old.shape, name
+        assert np.max(np.abs(new - old)) <= 1e-15 * total, name
+
+
+@pytest.mark.parametrize("n", [3, 257, 1025])
+@pytest.mark.parametrize("base", sorted(_FACTORED_BASES))
+def test_factored_sums_match_matrix_sums(base, n):
+    # the sums of exchange_sweep from the factors and from the built state
+    model, row = _FACTORED_BASES[base]
+    state = _delayed_state(model, row, n, 4.5)
+    assert isinstance(state, _FactoredState)
+    _assert_sums_agree(state)
+
+
+# on 3 points the fringe's row keeps a relative norm of 3e-5 on a span of
+# 1.5 sigma, but 6e-20 on 4.5 sigma, below the rounding of its O(n) norm
+@pytest.mark.parametrize("n,span", [(3, 1.5), (257, 4.5), (1025, 4.5)])
+def test_dark_fringe_row_reduces_the_scaled_factors(n, span):
+    model, fixed, dl = _DARK_FRINGE
+    base = _delayed_state(model, fixed, n, span)
+    a, b, tau = shih_row_factor(bp.ShihModel(sigma=1.0, delta_l=dl, **fixed), base.grid)
+    d = _plane_waves(base.grid, a, b, tau)
+    factored, matrix = _factored_sums(base), _matrix_sums(base.spectrum())
+    # the row's norm sum_i r_i |d_i|**2 is in the cancellation branch of exchange_sweep
+    r_total = float(np.sum(matrix[0]))
+    norm = float(np.sum(matrix[0] * np.abs(d) ** 2))
+    assert norm < (abs(a) ** 2 + abs(b) ** 2) * r_total / _SWEEP_CANCELLATION
+    for new, old in zip(factored[4](d), matrix[4](d)):
+        assert abs(new - old) <= 1e-15 * r_total
+    p_factored = exchange_sweep(base)(a, b, tau)
+    assert abs(p_factored - exchange_sweep(base.spectrum())(a, b, tau)) <= 1e-15
+    # the row's own state, reduced from its factors and as a matrix
+    _assert_sums_agree(_FactoredState(base.grid, d * base.x, base.y, base.pump))
+
+
+@pytest.mark.parametrize(
+    "model,swept,fixed",
+    [
+        ("shih", "dz", {"center": 78.61835615608457, "sigma_p": 0.01, "delta_l": 20.0}),
+        ("shih", "dl", {"center": 90.0, "sigma_p": 0.01, "dz": 2.5}),
+        ("gaussian_pair", "dz", {"pump_sigma": 0.5}),
+    ],
+)
+def test_scan_working_set(model, swept, fixed):
+    # a scan of a factored source reduces the factors and never builds the
+    # n x n state, which alone is one matrix
+    n = 1025
+    start, stop = (4.0, 15.0) if swept == "dl" else (-4.0, 4.0)
+    spec = bp.ScanSpec(
+        model=model, swept=swept, start=start, stop=stop, n_steps=31, fixed=fixed,
+        grid_points=n, grid_span_sigmas=4.5,
+    )
+    assert _peak_matrices(lambda: bp.run_scan(spec), n) <= 0.15
 
 
 _BAD_WIDTHS = [0.0, -1.0, math.nan, math.inf, 1e-300, 1e-154, 1e154, 1e200]
