@@ -15,7 +15,9 @@ degenerate (equal-frequency) cells without any triangular bookkeeping.
 Every output probability of an input ``c`` depends on ``c`` only through
 its two exchange weights ``sym = sum |c + c^T|**2 / 4`` and
 ``anti = sum |c - c^T|**2 / 4`` (:func:`~biphoton.spectrum.exchange_weights`),
-so one O(n^2) reduction gives all of them without building the channels.
+so one reduction to row sums gives all of them without building the
+channels: O(n^2) for a spectrum, O(n log n) from the factors of a model
+source.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import numpy as np
 from .spectrum import (
     BiphotonSpectrum,
     FrequencyGrid,
+    _FactoredState,
     _overlap,
+    _row_sums,
     _squared_norm,
     _weight,
     exchange_weights,
@@ -139,6 +143,15 @@ def _same_port_probability(d: np.ndarray) -> float:
     return 2.0 * exchange_weights(d)[0]
 
 
+def _weights(s: BiphotonSpectrum | _FactoredState) -> tuple[float, float]:
+    """Exchange weights ``sum_i (r_i +- v_i) / (2 sum_i r_i)`` of the unit-norm state
+    of ``s`` (:func:`~biphoton.spectrum._row_sums`); a bit-symmetric
+    (antisymmetric) state gets exactly ``(1, 0)`` (``(0, 1)``)."""
+    r, v = _row_sums(s)
+    total = 2.0 * math.fsum(r)
+    return math.fsum(r + v) / total, math.fsum(r - v) / total
+
+
 def _probabilities(
     weights: tuple[float, float], p: BeamSplitterParams
 ) -> tuple[float, float, float]:
@@ -192,7 +205,7 @@ def transform(s: BiphotonSpectrum, p: BeamSplitterParams) -> OutputDecomposition
     c = s.amplitudes
     g12 = u * x * c
     g12 += v * w * c.T
-    p_11, p_22, p_coinc = _probabilities(exchange_weights(c), p)
+    p_11, p_22, p_coinc = _probabilities(_weights(s), p)
     return OutputDecomposition(s.grid, u * w * c, v * x * c, g12, p_11, p_22, p_coinc)
 
 
@@ -217,7 +230,7 @@ def coincidence_probability(s: BiphotonSpectrum, p: BeamSplitterParams) -> float
     to ``sum |c[i,j] - c[j,i]|**2 / 4 = (1 - V) / 2`` with ``V`` the
     exchange overlap.
     """
-    return _probabilities(exchange_weights(s.amplitudes), p)[2]
+    return _probabilities(_weights(s), p)[2]
 
 
 def trapping_fidelity(s: BiphotonSpectrum) -> float:
@@ -230,11 +243,13 @@ def trapping_fidelity(s: BiphotonSpectrum) -> float:
     :func:`~biphoton.spectrum.exchange_weights`, so the fidelity is
     ``anti**2``.
     """
-    anti = exchange_weights(s.amplitudes)[1]
+    anti = _weights(s)[1]
     return anti * anti
 
 
-def exchange_report(s: BiphotonSpectrum, p: BeamSplitterParams) -> dict[str, float]:
+def exchange_report(
+    s: BiphotonSpectrum | _FactoredState, p: BeamSplitterParams
+) -> dict[str, float]:
     """The exchange-determined scalars of a transform report, from one reduction.
 
     ``p_11``, ``p_22`` and ``p_coinc`` as in :func:`transform`, the
@@ -242,10 +257,10 @@ def exchange_report(s: BiphotonSpectrum, p: BeamSplitterParams) -> dict[str, flo
     exchange overlap ``exchange_overlap = sym - anti`` (clamped to [-1, 1];
     ``V = 1`` for symmetric and ``-1`` for antisymmetric spectra) and
     ``trapping_fidelity`` as in :func:`trapping_fidelity`, all from one call
-    to :func:`~biphoton.spectrum.exchange_weights`; the channel matrices are
-    never built.
+    to :func:`_weights`.  A factored model state is reduced from its O(n)
+    factors, so neither it nor the channel matrices are built.
     """
-    sym, anti = exchange_weights(s.amplitudes)
+    sym, anti = _weights(s)
     p_11, p_22, p_coinc = _probabilities((sym, anti), p)
     return {
         "p_11": p_11,

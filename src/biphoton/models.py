@@ -17,12 +17,13 @@ Four families:
 * Antisymmetric Bell — the two-frequency singlet combination, the textbook
   perfectly anti-coalescent state.
 
-The Gaussian-pair and two-path spectra factor on the grid as
-``c[i, j] = x[i] * y[j] * p[i + j]``: ``x`` and ``y`` carry the 1-D Gaussian,
-the two-path row modulation and the port path phases ``exp(i omega z / c)``,
-and the pump term ``p`` has only ``2n - 1`` distinct values.  So sampling
-evaluates ``exp`` on O(n) points into a private factored state.  Scans
-reduce that state from ``u = conj(x) y`` and never build it; the public
+Every source factors on the grid as ``c[i, j] = x[i] * y[j] * p[i + j]``:
+``x`` and ``y`` carry the 1-D Gaussian or profile, the row modulation and
+the port path phases ``exp(i omega z / c)``, and the pump term ``p`` has
+only ``2n - 1`` distinct values.  The delta pump and the Bell state have a
+one-hot ``p`` that keeps a single anti-diagonal.  So sampling evaluates
+``exp`` on O(n) points into a private factored state.  Scans and transform
+reports reduce that state from its factors and never build it; the public
 builders write it into one n x n complex array and normalize it there,
 with the path phases folded in rather than applied by a second pass.  With
 real factors ``x[i] * y[j]`` equals ``x[j] * y[i]`` bit for bit whenever
@@ -163,20 +164,24 @@ def _pump(grid: FrequencyGrid, center: float, pump_sigma: float) -> np.ndarray:
 
 def _factored_state(
     grid: FrequencyGrid,
-    a: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     pump: np.ndarray | None,
-    row_factors: np.ndarray | None,
     phases: tuple[np.ndarray, np.ndarray] | None,
     warnings: tuple[str, ...],
 ) -> _FactoredState:
-    """``c[i, j] = x[i] * y[j] * pump[i + j]`` with ``x = a * row_factors * phases[0]``
-    and ``y = a * phases[1]``, each factor left out when None."""
-    x = a if row_factors is None else a * row_factors
-    y = a
+    """``c[i, j] = x[i] * y[j] * pump[i + j]`` with the port phases, when not None,
+    folded into ``x`` and ``y``."""
     if phases is not None:
-        x = x * phases[0]
-        y = a * phases[1]
+        x, y = x * phases[0], y * phases[1]
     return _FactoredState(grid, x, y, pump, warnings)
+
+
+def _one_hot(grid: FrequencyGrid, m: int) -> np.ndarray:
+    # a pump term that keeps only the anti-diagonal i + j = m
+    pump = np.zeros(2 * grid.n_points - 1)
+    pump[m] = 1.0
+    return pump
 
 
 def _gaussian_pair_state(
@@ -185,9 +190,7 @@ def _gaussian_pair_state(
     phases = _path_phases(grid, z1, z2, c_light)
     pump = None if m.pump_sigma is None else _pump(grid, m.center, m.pump_sigma)
     a = _gaussian(grid.frequencies(), m.center, m.sigma)
-    return _factored_state(
-        grid, a, pump, None, phases, _coverage_warnings(grid, m.center, m.sigma)
-    )
+    return _factored_state(grid, a, a, pump, phases, _coverage_warnings(grid, m.center, m.sigma))
 
 
 def gaussian_pair_spectrum(
@@ -257,7 +260,7 @@ def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
     return _factored_state(
-        grid, a, pump, modulation, phases, _coverage_warnings(grid, m.center, m.sigma)
+        grid, a * modulation, a, pump, phases, _coverage_warnings(grid, m.center, m.sigma)
     )
 
 
@@ -266,6 +269,10 @@ def shih_row_factor(m: ShihModel, grid: FrequencyGrid) -> tuple[complex, complex
     plane waves ``(a, b, tau)`` in ``nu = omega - grid.center`` (see
     :func:`~biphoton.spectrum.exchange_sweep`): ``a = exp(i grid.center tau) / 2 = conj(b)``."""
     tau = m.delta_l / m.c_light
+    if not math.isfinite((abs(grid.center) + grid.half_span) * tau):
+        raise ConfigError(
+            f"half path difference dl = {m.delta_l!r} must give a finite phase omega*dl/c"
+        )
     a = 0.5 * cmath.exp(1j * (grid.center * tau))
     return a, a.conjugate(), tau
 
@@ -370,8 +377,23 @@ def delta_pump_spectrum(
     Support sits exactly on the cells ``nu_2 = -nu_1`` with profile
     ``exp(-nu**2/sigma**2) * cos(nu*dl/c)`` for ``parity="even"`` (symmetric)
     or ``... * sin(nu*dl/c)`` for ``parity="odd"`` (antisymmetric, which has
-    an exact zero at the degenerate cell ``nu = 0``).
+    an exact zero at the degenerate cell ``nu = 0``).  It is the factored
+    state ``x`` = the profile, ``y = 1`` and a pump that keeps only the
+    anti-diagonal, built.
     """
+    return _delta_pump_state(sigma, center, dl, parity, grid, c_light).spectrum()
+
+
+def _delta_pump_state(
+    sigma: float,
+    center: float,
+    dl: float,
+    parity: str,
+    grid: FrequencyGrid,
+    c_light: float = 1.0,
+    z1: float = 0.0,
+    z2: float = 0.0,
+) -> _FactoredState:
     modulation = _plane_waves(grid, *delta_pump_row_factor(grid, dl, parity, c_light)).real
     _check_bandwidth("sigma", sigma)
     if not math.isclose(grid.center, center, rel_tol=1e-12, abs_tol=1e-300):
@@ -380,12 +402,11 @@ def delta_pump_spectrum(
         )
     nu = grid.offsets()
     profile = np.exp(-(nu**2) / sigma**2) * modulation
-
     n = grid.n_points
-    raw = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(n)
-    raw[idx, n - 1 - idx] = profile
-    return BiphotonSpectrum._normalized(grid, raw, _coverage_warnings(grid, center, sigma))
+    return _factored_state(
+        grid, profile, np.ones(n), _one_hot(grid, n - 1), _path_phases(grid, z1, z2, c_light),
+        _coverage_warnings(grid, center, sigma),
+    )
 
 
 def bell_antisymmetric_spectrum(
@@ -395,8 +416,21 @@ def bell_antisymmetric_spectrum(
 
     The tones snap to the nearest grid cells (with a warning when they are
     not already on-grid); coinciding cells antisymmetrize to zero and raise
-    :class:`DegenerateSpectrumError`.
+    :class:`DegenerateSpectrumError`.  It is the factored state
+    ``x = (e_a - e_b) / sqrt(2)``, ``y = e_a + e_b`` with a pump that keeps
+    only the anti-diagonal through both cells, built.
     """
+    return _bell_state(omega_a, omega_b, grid).spectrum()
+
+
+def _bell_state(
+    omega_a: float,
+    omega_b: float,
+    grid: FrequencyGrid,
+    z1: float = 0.0,
+    z2: float = 0.0,
+    c_light: float = 1.0,
+) -> _FactoredState:
     warnings = []
     indices = []
     for name, omega in (("omega_a", omega_a), ("omega_b", omega_b)):
@@ -415,9 +449,9 @@ def bell_antisymmetric_spectrum(
             "degenerate spectrum: the two tones fall on the same grid cell, the "
             "antisymmetric combination vanishes"
         )
-    n = grid.n_points
-    raw = np.zeros((n, n), dtype=np.complex128)
+    x, y = np.zeros(grid.n_points), np.zeros(grid.n_points)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    raw[ia, ib] = inv_sqrt2
-    raw[ib, ia] = -inv_sqrt2
-    return BiphotonSpectrum._normalized(grid, raw, tuple(warnings))
+    x[ia], x[ib] = inv_sqrt2, -inv_sqrt2
+    y[[ia, ib]] = 1.0
+    phases = _path_phases(grid, z1, z2, c_light)
+    return _factored_state(grid, x, y, _one_hot(grid, ia + ib), phases, tuple(warnings))

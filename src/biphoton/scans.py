@@ -4,16 +4,15 @@
 accepts, the grid they imply, its delay-free spectrum and, where they exist,
 its ``dl`` row factors, closed form and metadata.  Every source, in scans and
 CLI input states alike, is built with the path delays of its row in one
-place, :func:`_delayed_state`: the Gaussian pair and the two-path model
-fold the path phases into their factors (see :mod:`biphoton.models`), and
-every other source gets them from
-:func:`~biphoton.spectrum.apply_path_delays`.
+place, :func:`_delayed_state`: every model source is a factored state with
+the path phases folded into its factors (see :mod:`biphoton.models`), and
+a spectrum file gets them from :func:`~biphoton.spectrum.apply_path_delays`.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference) and the sweep range.  A scan takes
-the model at the swept value 0 once and reduces it once in O(n^2) with
+the model at the swept value 0 once and reduces it once with
 :func:`~biphoton.spectrum.exchange_sweep`, whose docstring derives it.  A
-factored source is reduced from its factors ``x``, ``y`` and pump ``p``,
+model source is reduced from its factors ``x``, ``y`` and pump ``p``,
 through ``u = conj(x) y``: its n x n state is never built.  A row scales
 port-1 row ``i`` of that base by ``a exp(i tau nu_i) + b exp(-i tau nu_i)``
 and is read off the reduction in O(n): a ``dz`` row is ``(1, 0, dz / c)``,
@@ -38,11 +37,11 @@ from .models import (
     MIN_MODULATION_WEIGHT,
     GaussianPairModel,
     ShihModel,
+    _bell_state,
+    _delta_pump_state,
     _gaussian_pair_state,
     _shih_state,
-    bell_antisymmetric_spectrum,
     delta_pump_row_factor,
-    delta_pump_spectrum,
     hom_dip_closed,
     shih_exact,
     shih_norm_factor,
@@ -118,17 +117,6 @@ def _bell_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> Freque
     return make_grid(center, spacing * (n_points - 1) / 2.0, n_points)
 
 
-def _delayed(
-    build: Callable[[dict[str, Any], FrequencyGrid | None], BiphotonSpectrum]
-) -> Callable[[dict[str, Any], FrequencyGrid | None, float, float], BiphotonSpectrum]:
-    """``base`` of a model whose paths delay its delay-free spectrum ``build``."""
-
-    def base(fixed, grid, z1, z2):
-        return apply_path_delays(build(fixed, grid), z1, z2, _num(fixed, "c_light"))
-
-    return base
-
-
 def _gaussian_pair(
     fixed: dict[str, Any], grid: FrequencyGrid, z1: float, z2: float
 ) -> _FactoredState:
@@ -169,10 +157,12 @@ def _shih_metadata(fixed: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _delta_pump(fixed: dict[str, Any], grid: FrequencyGrid) -> BiphotonSpectrum:
-    sigma, center, dl = (_num(fixed, key) for key in ("sigma", "center", "dl"))
+def _delta_pump(
+    fixed: dict[str, Any], grid: FrequencyGrid, z1: float, z2: float
+) -> _FactoredState:
+    sigma, center, dl, c_light = (_num(fixed, key) for key in ("sigma", "center", "dl", "c_light"))
     parity = fixed.get("parity", "even")
-    return delta_pump_spectrum(sigma, center, dl, parity, grid, _num(fixed, "c_light"))
+    return _delta_pump_state(sigma, center, dl, parity, grid, c_light, z1, z2)
 
 
 MODELS: dict[str, _Model] = {
@@ -196,7 +186,7 @@ MODELS: dict[str, _Model] = {
     ),
     "delta_pump": _Model(
         keys=frozenset({"center", "sigma", "dl", "parity", "c_light"}),
-        base=_delayed(_delta_pump),
+        base=_delta_pump,
         dl_key="dl",
         # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
         dl_base={"parity": "even"},
@@ -208,16 +198,16 @@ MODELS: dict[str, _Model] = {
         keys=frozenset({"omega_a", "omega_b", "c_light"}),
         required=("omega_a", "omega_b"),
         grid=_bell_grid,
-        base=_delayed(
-            lambda fixed, grid: bell_antisymmetric_spectrum(
-                fixed["omega_a"], fixed["omega_b"], grid
-            )
+        base=lambda fixed, grid, z1, z2: _bell_state(
+            fixed["omega_a"], fixed["omega_b"], grid, z1, z2, _num(fixed, "c_light")
         ),
     ),
     "spectrum_file": _Model(
         keys=frozenset({"path", "c_light"}),
         required=("path",),
-        base=_delayed(lambda fixed, grid: fileio.load_spectrum(fixed["path"])),
+        base=lambda fixed, grid, z1, z2: apply_path_delays(
+            fileio.load_spectrum(fixed["path"]), z1, z2, _num(fixed, "c_light")
+        ),
         grid=None,
     ),
 }
@@ -332,14 +322,6 @@ def _delayed_state(
     z1, dz = _path_delays(model, row)
     grid = None if entry.grid is None else entry.grid(row, grid_points, grid_span_sigmas)
     return entry.base(row, grid, z1, z1 - dz)
-
-
-def _delayed_spectrum(
-    model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float
-) -> BiphotonSpectrum:
-    """Spectrum of one row's parameters, built with the row's path delays."""
-    state = _delayed_state(model, row, grid_points, grid_span_sigmas)
-    return state.spectrum() if isinstance(state, _FactoredState) else state
 
 
 def _row(spec: ScanSpec, value: float) -> dict[str, Any]:

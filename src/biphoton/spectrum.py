@@ -204,8 +204,11 @@ class _FactoredState:
 
     ``pump`` holds the ``2n - 1`` values of a real term in ``omega_1 + omega_2``
     (entry ``i + j`` belongs to cell ``(i, j)``), or is None for a flat one.
-    :meth:`spectrum` builds the state; :func:`exchange_sweep` reduces the
-    factors without it.
+    A one-hot pump (one nonzero entry ``m``) puts the state on the
+    anti-diagonal ``i + j = m``: the delta pump and the Bell state.
+    :meth:`spectrum` builds the state; :func:`exchange_sweep`,
+    :func:`_row_sums` and :func:`_leading_singular_pair` reduce the factors
+    without it.
     """
 
     grid: FrequencyGrid
@@ -284,9 +287,10 @@ def _weight(w: float) -> float:
     return 0.0 if w <= _ZERO_WEIGHT else min(w, 1.0)
 
 
-# Rows (and columns) per slab of exchange_weights and the factored model
-# builders, and twice those of exchange_sweep: a slab is ~1 MB at n = 1025,
-# a sixteenth of one n x n matrix, and stays in cache while it is worked on.
+# Rows (and columns) per slab of the factored model builders and of
+# time_domain, and twice those of the row sums of a matrix: a slab is ~1 MB
+# at n = 1025, a sixteenth of one n x n matrix, and stays in cache while it
+# is worked on.
 _EXCHANGE_SLAB = 64
 
 
@@ -298,21 +302,64 @@ def exchange_weights(c: np.ndarray) -> tuple[float, float]:
     overlap ``V = sum conj(c[i,j]) c[j,i]`` is real, ``sym - anti = V``.
     Every beam-splitter probability is a combination of the two.
 
-    The sums run over slabs of ``_EXCHANGE_SLAB`` rows of ``c`` against the
-    same columns, so no n x n temporary is made.  ``einsum`` sums each row
-    of a slab's float view, with no BLAS, and ``math.fsum`` adds the n row
-    sums exactly: ``sym - anti`` stays within ~2e-16 of the exactly summed
-    overlap at n = 1025, where pairwise slab sums added in turn drift by a
-    unit in the last place near 1.  A matrix that is symmetric
-    (antisymmetric) bit for bit gives ``anti`` (``sym``) exactly 0.0.
+    Both are ``sum_i (r_i +- v_i) / 2`` of the row sums of
+    :func:`_matrix_row_sums`, added exactly by ``math.fsum``: ``sym - anti``
+    stays within ~2e-16 of the exactly summed overlap at n = 1025, where
+    pairwise sums drift by a unit in the last place near 1.  A matrix that
+    is symmetric (antisymmetric) bit for bit has ``v = r`` (``v = -r``), so
+    ``anti`` (``sym``) is exactly 0.0.
     """
+    r, v = _matrix_row_sums(c)
+    return 0.5 * math.fsum(r + v), 0.5 * math.fsum(r - v)
+
+
+def _matrix_row_sums(
+    c: np.ndarray, each_slab: Callable[[int, np.ndarray, np.ndarray], None] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``r_i = sum_j |c[i,j]|**2`` and ``v_i = Re sum_j conj(c[i,j]) c[j,i]`` of a square matrix.
+
+    ``v`` runs over slabs of rows of ``c`` against a copy of the same
+    columns, each summed by the ``einsum`` loop of ``r`` with no BLAS, so
+    rows equal bit for bit give equal sums and no n x n temporary is made.
+    ``each_slab(i, rows, cols)`` sees each slab of rows from row ``i`` and
+    its copied columns, which it may overwrite.
+    """
+    c = np.ascontiguousarray(c)
     n = c.shape[0]
-    sym, anti = np.empty(n), np.empty(n)
-    for i in range(0, n, _EXCHANGE_SLAB):
-        rows, cols = c[i : i + _EXCHANGE_SLAB], c[:, i : i + _EXCHANGE_SLAB].T
-        sym[i : i + _EXCHANGE_SLAB] = _row_squared_norms(rows + cols)
-        anti[i : i + _EXCHANGE_SLAB] = _row_squared_norms(rows - cols)
-    return 0.25 * math.fsum(sym), 0.25 * math.fsum(anti)
+    r = _row_squared_norms(c)
+    v = np.empty(n)
+    # half-size slabs keep a slab and its shifted copy in _matrix_sums under
+    # a tenth of an n x n matrix
+    size = _EXCHANGE_SLAB // 2
+    block = np.empty((size, n), dtype=np.complex128)
+    for i in range(0, n, size):
+        rows = c[i : i + size]
+        cols = block[: len(rows)]
+        np.copyto(cols, c[:, i : i + size].T)
+        v[i : i + len(rows)] = np.einsum("ij,ij->i", rows.view(np.float64), cols.view(np.float64))
+        if each_slab is not None:
+            each_slab(i, rows, cols)
+    return r, v
+
+
+def _row_sums(s: BiphotonSpectrum | _FactoredState) -> tuple[np.ndarray, np.ndarray]:
+    """``r`` and ``v`` of :func:`_matrix_row_sums`, of a spectrum or from the factors
+    of a state (:func:`_factored_row_sums`), with the norm checks of
+    :meth:`BiphotonSpectrum.from_array` for the factors."""
+    if not isinstance(s, _FactoredState):
+        return _matrix_row_sums(s.amplitudes)
+    r, v, _ = _factored_row_sums(s)(s.x)
+    _check_norm(float(np.sum(r)))
+    return r, v
+
+
+def _check_norm(norm_sq: float) -> None:
+    if not math.isfinite(norm_sq):
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    if norm_sq < _MIN_NORM**2:
+        raise DegenerateSpectrumError(
+            "degenerate spectrum: amplitude matrix is (effectively) zero"
+        )
 
 
 # Largest ratio (|a|^2 + |b|^2) sum_i r_i / N at which exchange_sweep reads a
@@ -343,10 +390,10 @@ def exchange_sweep(
                 + 2 Re[conj(a) b (sum_i r_i e^{-2i tau nu_i} - sum_m S_m e^{-i theta (m-n+1)})]
 
     A spectrum is reduced by slabs of its rows (:func:`_matrix_sums`).  A
-    factored state ``c[i,j] = x_i y_j p[i+j]``, as scans of the Gaussian pair
-    and the two-path source pass, is never built: its
-    ``G[i,j] = u_i conj(u_j) P[i+j]`` with ``u = conj(x) y`` and ``P = p**2``
-    gives every sum from O(n) vectors (:func:`_factored_sums`).  Both terms of
+    factored state ``c[i,j] = x_i y_j p[i+j]``, as scans of every model source
+    pass, is never built: its ``G[i,j] = u_i conj(u_j) P[i+j]`` with
+    ``u = conj(x) y`` and ``P = p**2`` gives every sum from O(n) vectors
+    (:func:`_factored_sums`).  Both terms of
     ``D`` are summed by one routine, so a bit-symmetric ``s`` gives
     ``w(1, 0, 0)`` exactly 0.  Near a node of ``d`` the terms cancel: where
     ``N`` is over ``_SWEEP_CANCELLATION`` times below
@@ -400,91 +447,139 @@ def _matrix_sums(s: BiphotonSpectrum) -> tuple:
     """
     c = np.ascontiguousarray(s.amplitudes)
     n = s.grid.n_points
-    r = _row_squared_norms(c)
-    v = np.empty(n)
     diag = np.zeros(2 * n - 1, dtype=np.complex128)
     antidiag = np.zeros(2 * n - 1, dtype=np.complex128)
-    # Slabs of rows of conj(G) = G^T, each made in one buffer from a copy of
-    # the same columns: its row k holds G's diagonals k - j and anti-diagonals
-    # k + j.  Copied into z with row r shifted by size - 1 - r, a slab's
-    # column sums are its diagonal sums, and those of its reversed rows its
-    # anti-diagonal sums, both in reverse order.  Half-size slabs keep the
-    # buffer and its shifted copy under a tenth of an n x n matrix.
+    # Slabs of rows of conj(G) = G^T, each made from the copy of the same
+    # columns: its row k holds G's diagonals k - j and anti-diagonals k + j.
+    # Copied into z with row r shifted by size - 1 - r, a slab's column sums
+    # are its diagonal sums, and those of its reversed rows its
+    # anti-diagonal sums, both in reverse order.
     size = _EXCHANGE_SLAB // 2
-    block = np.empty((size, n), dtype=np.complex128)
     z = np.zeros((size, n + size - 1), dtype=np.complex128)
     shifted = np.lib.stride_tricks.as_strided(
         z.reshape(-1)[size - 1 :], (size, n), (16 * (n + size - 2), 16)
     )
-    for i in range(0, n, size):
-        rows = c[i : i + size]
+
+    def diagonal_sums(i: int, rows: np.ndarray, g: np.ndarray) -> None:
         m = len(rows)
-        g = block[:m]
-        np.copyto(g, c[:, i : i + size].T)
-        # Re sum_j G[k, j], summed by the einsum loop of _row_squared_norms
-        v[i : i + m] = np.einsum("ij,ij->i", rows.view(np.float64), g.view(np.float64))
         np.conjugate(g, out=g)
         g *= rows
         for sums, part in ((diag, g), (antidiag, g[:, ::-1])):
             np.copyto(shifted[:m], part)
             sums[n - m - i : 2 * n - 1 - i] += z[:m, size - m :].sum(axis=0)
+
+    r, v = _matrix_row_sums(c, diagonal_sums)
     return r, v, diag[::-1][n:], antidiag[::-1].real, lambda d: exchange_weights(d[:, None] * c)
 
 
 def _factored_sums(f: _FactoredState) -> tuple:
     """:func:`_matrix_sums` of the state ``f`` from its factors, scaled to ``sum_i r_i = 1``.
 
-    With ``u = conj(x) y`` and ``P = p**2``, ``r_i = |x_i|**2 H[|y|**2]_i`` and
-    ``v_i = Re u_i H[Re u]_i + Im u_i H[Im u]_i`` come from the Hankel products
-    ``H[w]_i = sum_j P[i+j] w_j``, all three in one batched real FFT, so rows
-    ``w`` equal bit for bit give equal products.  ``S_m = P_m (u * conj u)_m``,
-    where the convolution is ``(Re u * Re u + Im u * Im u)_m``, comes from the
-    same transforms, and ``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` from slabs
-    of ``k`` over strided views of O(n) vectors.  Scaled rows ``d`` are
-    reduced as the factors ``(d x, y)``.
+    ``r`` and ``v`` come from :func:`_factored_row_sums`, with ``u = conj(x) y``
+    and ``P = p**2``.  ``S_m = P_m (u * conj u)_m``, where the convolution is
+    ``(Re u * Re u + Im u * Im u)_m``, comes from one batched real FFT, and
+    ``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` from slabs of ``k`` over strided
+    views of O(n) vectors.  A one-hot ``P`` has one term per sum, taken
+    exactly, in O(n).  Scaled rows ``d`` are reduced as the factors
+    ``(d x, y)``.
     """
     n = f.grid.n_points
-    p = np.ones(2 * n - 1) if f.pump is None else f.pump * f.pump
-    fft_size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1: no product wraps around
-    p_hat = np.fft.rfft(p, fft_size)
-
-    def row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        u = np.conj(x) * f.y
-        w_hat = np.fft.rfft(np.stack(((np.conj(f.y) * f.y).real, u.real, u.imag)), fft_size)
-        h = np.fft.irfft(p_hat * np.conj(w_hat), fft_size)[:, :n]
-        return (np.conj(x) * x).real * h[0], u.real * h[1] + u.imag * h[2], u, w_hat
-
-    r, v, u, w_hat = row_sums(f.x)
+    p = _squared_pump(f)
+    row_sums = _factored_row_sums(f)
+    r, v, u = row_sums(f.x)
     total = float(np.sum(r))
-    if not math.isfinite(total):
-        raise ValueError("amplitudes must be finite (no NaN/Inf)")
-    if total < _MIN_NORM**2:
-        raise DegenerateSpectrumError("degenerate spectrum: amplitude matrix is (effectively) zero")
-    antidiag = p * np.fft.irfft(w_hat[1] ** 2 + w_hat[2] ** 2, fft_size)[: 2 * n - 1]
-    # T_k for a slab of k = k0 .. k0 + size - 1: the row sums of a (size, n - k0)
-    # product of strided views, whose row k - k0 holds conj(u_{i+k}) P[2i+k];
-    # zeros padded to conj(u) and P end every diagonal past i + k = n - 1
-    size = _EXCHANGE_SLAB // 2
-    conj_u = np.zeros(n + size, dtype=np.complex128)
-    conj_u[:n] = np.conj(u)
-    pump = np.zeros(2 * n + size)
-    pump[: 2 * n - 1] = p
-    t = np.empty(n - 1, dtype=np.complex128)
-    block = np.empty((size, n), dtype=np.complex128)
-    strided = np.lib.stride_tricks.as_strided
-    for k0 in range(1, n, size):
-        m, width = min(size, n - k0), n - k0
-        g = block[:m, :width]
-        diagonals = strided(conj_u[k0:], (m, width), (16, 16))
-        np.multiply(diagonals, strided(pump[k0:], (m, width), (8, 16)), out=g)
-        g *= u[:width]
-        t[k0 - 1 : k0 - 1 + m] = g.sum(axis=1)
+    _check_norm(total)
+    t = np.zeros(n - 1, dtype=np.complex128)
+    support = np.flatnonzero(p)
+    if len(support) == 1:
+        # one anti-diagonal m: S_m = sum_i v_i, summed as exchange_sweep sums r
+        # so that a bit-symmetric state's row at tau = 0 cancels exactly; and
+        # T_k = P_m u_i conj(u_{i+k}) at 2i + k = m where both cells lie on the grid
+        (m,) = support
+        antidiag = np.zeros(2 * n - 1)
+        antidiag[m] = np.sum(v / total)
+        k = np.arange(m % 2 or 2, n, 2)
+        i = (m - k) // 2
+        on_grid = (i >= 0) & (i + k < n)
+        k, i = k[on_grid], i[on_grid]
+        t[k - 1] = np.conj(u[i + k]) * p[m] * u[i]
+    else:
+        fft_size = 1 << (2 * n - 2).bit_length()
+        w_hat = np.fft.rfft(np.stack((u.real, u.imag)), fft_size)
+        antidiag = p * np.fft.irfft(w_hat[0] ** 2 + w_hat[1] ** 2, fft_size)[: 2 * n - 1] / total
+        # T_k for a slab of k = k0 .. k0 + size - 1: the row sums of a (size, n - k0)
+        # product of strided views, whose row k - k0 holds conj(u_{i+k}) P[2i+k];
+        # zeros padded to conj(u) and P end every diagonal past i + k = n - 1
+        size = _EXCHANGE_SLAB // 2
+        conj_u = np.zeros(n + size, dtype=np.complex128)
+        conj_u[:n] = np.conj(u)
+        pump = np.zeros(2 * n + size)
+        pump[: 2 * n - 1] = p
+        block = np.empty((size, n), dtype=np.complex128)
+        strided = np.lib.stride_tricks.as_strided
+        for k0 in range(1, n, size):
+            m, width = min(size, n - k0), n - k0
+            g = block[:m, :width]
+            diagonals = strided(conj_u[k0:], (m, width), (16, 16))
+            np.multiply(diagonals, strided(pump[k0:], (m, width), (8, 16)), out=g)
+            g *= u[:width]
+            t[k0 - 1 : k0 - 1 + m] = g.sum(axis=1)
 
     def scaled(d: np.ndarray) -> tuple[float, float]:
         r_d, v_d = row_sums(d * f.x)[:2]
         return 0.5 * math.fsum(r_d + v_d) / total, 0.5 * math.fsum(r_d - v_d) / total
 
-    return r / total, v / total, t / total, antidiag / total, scaled
+    return r / total, v / total, t / total, antidiag, scaled
+
+
+def _squared_pump(f: _FactoredState) -> np.ndarray:
+    # P = p**2, ones for a flat pump
+    n = f.grid.n_points
+    return np.ones(2 * n - 1) if f.pump is None else f.pump * f.pump
+
+
+def _factored_row_sums(
+    f: _FactoredState,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``x -> (r, v, u)`` of the state ``(x, f.y, f.pump)``, with ``u = conj(x) y``.
+
+    ``r_i = |x_i|**2 H[|y|**2]_i`` and ``v_i = Re u_i H[Re u]_i + Im u_i H[Im u]_i``
+    with the Hankel products of :func:`_hankel` over ``P = p**2``, all three
+    in one call, so rows ``w`` equal bit for bit give equal products.
+    """
+    hankel = _hankel(_squared_pump(f), f.grid.n_points)
+    y2 = (np.conj(f.y) * f.y).real
+
+    def row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        u = np.conj(x) * f.y
+        h = hankel(np.stack((y2, u.real, u.imag)))
+        return (np.conj(x) * x).real * h[0], u.real * h[1] + u.imag * h[2], u
+
+    return row_sums
+
+
+def _hankel(p: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``w -> H[w]``, ``H[w]_i = sum_j p[i+j] w_j`` for ``i < n``, of each row of real ``w``.
+
+    A one-hot ``p`` (one nonzero ``p[m]``) gives ``p[m] w_{m-i}`` exactly.
+    Any other ``p`` takes one batched real FFT of size 2^ceil(log2(2n - 1)),
+    so that no product wraps around; it leaves rounding noise where the
+    product is 0, which would spoil the exact zeros of a one-hot pump.
+    """
+    support = np.flatnonzero(p)
+    if len(support) == 1:
+        (m,) = support
+        lo, hi = max(0, m - n + 1), min(n - 1, m)
+
+        def one_hot(w: np.ndarray) -> np.ndarray:
+            h = np.zeros(w.shape)
+            h[..., lo : hi + 1] = p[m] * w[..., m - hi : m - lo + 1][..., ::-1]
+            return h
+
+        return one_hot
+    fft_size = 1 << (2 * n - 2).bit_length()
+    p_hat = np.fft.rfft(p, fft_size)
+    return lambda w: np.fft.irfft(p_hat * np.conj(np.fft.rfft(w, fft_size)), fft_size)[..., :n]
 
 
 def _plane_waves(grid: FrequencyGrid, a: complex, b: complex, tau: float) -> np.ndarray:
@@ -560,44 +655,92 @@ _LANCZOS_SEED = 20000305
 
 
 def _leading_singular_pair(
-    c: np.ndarray,
+    c: np.ndarray | BiphotonSpectrum | _FactoredState,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Rank-1 fraction and leading singular triple ``(sigma, u, v)`` of ``c``.
+    """Rank-1 fraction and leading singular triple ``(sigma, u, v)`` of ``c / |c|_F``,
+    for a matrix, a spectrum's amplitudes or a factored state.
 
-    ``c v = sigma u`` with unit ``u`` and ``v``; the method is described in
-    :func:`separability_rank1_fraction`.  Each Lanczos step costs two
+    ``c v = sigma |c|_F u`` with unit ``u`` and ``v``; the method is described
+    in :func:`separability_rank1_fraction`.  Each Lanczos step costs two
     matrix-vector products, and the bound ``beta_k |s_k| <= 1e-14 theta``
     certifies an eigenvalue of ``c^H c`` within ``1e-14 theta`` of ``theta``.
+    A factored state is never built: its products are
+    ``q -> x o H(y o q)`` and ``w -> conj(y) o H(conj(x) o w)`` with the
+    Hankel matrix ``H[i, j] = p[i+j]`` (:func:`_hankel`), O(n log n) a step.
+    A one-hot pump leaves one cell in each row and column, so its singular
+    values are the moduli of the cells, read off exactly.
     """
-    n = c.shape[1]
+    if isinstance(c, _FactoredState):
+        r = _row_sums(c)[0]
+        total = float(np.sum(r))
+        n = c.grid.n_points
+        support = np.flatnonzero(_squared_pump(c))
+        if len(support) == 1:
+            # one cell per row and column: the singular values are the moduli
+            # |c[i, m - i]| = sqrt(r_i), and the largest is read off exactly
+            i = int(np.argmax(r))
+            j = int(support[0]) - i
+            u, v = np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
+            cell = c.x[i] * c.y[j] * c.pump[i + j]
+            u[i] = cell / abs(cell)
+            v[j] = 1.0
+            fraction = float(r[i]) / total
+            return fraction, math.sqrt(fraction), u, v
+        apply, adjoint = _factored_operator(c)
+    else:
+        c = c.amplitudes if isinstance(c, BiphotonSpectrum) else c
+        apply, adjoint = (lambda q: c @ q), (lambda p: np.conj(np.conj(p) @ c))
+        total = _squared_norm(c)
+        n = c.shape[1]
     steps = min(n, _LANCZOS_STEPS)
-    total = _squared_norm(c)
-    basis = np.empty((steps, n), dtype=np.complex128)
+    basis = np.empty((0, n), dtype=np.complex128)
     alpha = np.empty(steps)
     beta = np.empty(steps)
     rng = random.Random(_LANCZOS_SEED)
     q = np.array([rng.gauss(0.0, 1.0) for _ in range(n)], dtype=np.complex128)
     q /= math.sqrt(_squared_norm(q))
     for k in range(steps):
+        if k == len(basis):
+            # grown 16 rows at a time, so a short iteration keeps a short basis
+            grown = np.empty((min(k + 16, steps), n), dtype=np.complex128)
+            grown[:k] = basis
+            basis = grown
         basis[k] = q
-        p = c @ q
+        p = apply(q)
         alpha[k] = _squared_norm(p)
-        w = np.conj(np.conj(p) @ c)
+        w = adjoint(p)
         for _ in range(2):
-            w -= (np.conj(basis[: k + 1]) @ w) @ basis[: k + 1]
+            # the coefficients conj(basis) @ w, without a conjugated copy of the basis
+            w -= np.conj(basis[: k + 1] @ np.conj(w)) @ basis[: k + 1]
         beta[k] = math.sqrt(_squared_norm(w))
         t = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
         theta, s = np.linalg.eigh(t)
         if beta[k] * abs(s[-1, -1]) <= _RITZ_TOL * theta[-1]:
             # Rayleigh quotient of the Ritz vector y, without rounding y to unit norm first
             y = s[:, -1] @ basis[: k + 1]
-            cy = c @ y
+            cy = apply(y)
             y_sq, cy_sq = _squared_norm(y), _squared_norm(cy)
-            sigma = math.sqrt(cy_sq / y_sq)
-            return cy_sq / (y_sq * total), sigma, cy / math.sqrt(cy_sq), y / math.sqrt(y_sq)
+            fraction = cy_sq / (y_sq * total)
+            return fraction, math.sqrt(fraction), cy / math.sqrt(cy_sq), y / math.sqrt(y_sq)
         q = w / beta[k]
-    u, svals, vh = np.linalg.svd(c)
-    return float(svals[0] ** 2) / total, float(svals[0]), u[:, 0], np.conj(vh[0])
+    matrix = c.spectrum().amplitudes if isinstance(c, _FactoredState) else c
+    u, svals, vh = np.linalg.svd(matrix)
+    fraction = float(svals[0] ** 2) / _squared_norm(matrix)
+    return fraction, math.sqrt(fraction), u[:, 0], np.conj(vh[0])
+
+
+def _factored_operator(
+    f: _FactoredState,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    # q -> c q and w -> c^H w of c[i, j] = x_i y_j p[i+j], for complex vectors
+    n = f.grid.n_points
+    real = _hankel(np.ones(2 * n - 1) if f.pump is None else f.pump, n)
+
+    def hankel(w: np.ndarray) -> np.ndarray:
+        h = real(np.stack((w.real, w.imag)))
+        return h[0] + 1j * h[1]
+
+    return (lambda q: f.x * hankel(f.y * q)), (lambda w: np.conj(f.y) * hankel(np.conj(f.x) * w))
 
 
 def separability_rank1_fraction(s: BiphotonSpectrum) -> float:
@@ -614,9 +757,11 @@ def separability_rank1_fraction(s: BiphotonSpectrum) -> float:
     Ritz value ``theta`` has the residual bound ``beta_k |s_k| <= 1e-14 theta``,
     and the fraction is the Rayleigh quotient ``|c y|**2 / |c|_F**2`` of its
     Ritz vector ``y``.  A spectrum not certified within ``min(n, 200)``
-    steps falls back to the full SVD.
+    steps falls back to the full SVD.  Transform reports of model sources
+    run the same iteration on the factors, without the matrix
+    (:func:`_leading_singular_pair`).
     """
-    return _leading_singular_pair(s.amplitudes)[0]
+    return _leading_singular_pair(s)[0]
 
 
 def _time_twists(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -624,8 +769,14 @@ def _time_twists(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # products are reduced mod n first, so the phases stay exact at large n
     n = grid.n_points
     h = grid.center_index
+    dt = 2.0 * math.pi / (n * grid.spacing)
+    if not math.isfinite(h * dt):
+        raise ConfigError(
+            f"grid spacing {grid.spacing!r} is too fine for a time grid: its time step "
+            f"2*pi/(n*domega) = {dt:g} gives a time reach {h * dt:g} that is not finite"
+        )
     k = np.arange(n)
-    t = (k - h) * (2.0 * math.pi / (n * grid.spacing))
+    t = (k - h) * dt
     pre = np.exp((2j * math.pi / n) * ((k * h) % n))
     post = np.exp((2j * math.pi / n) * (((k - h) * h) % n) - 1j * grid.center * t)
     return t, pre, post
@@ -648,8 +799,21 @@ def time_domain(s: BiphotonSpectrum) -> TimeWavepacket:
     See :class:`TimeWavepacket` for the grid and Parseval conventions.
     """
     t, pre, post = _time_twists(s.grid)
-    values = np.fft.fft2(s.amplitudes * np.outer(pre, pre))
-    values *= np.outer(post, post)
+    n = len(t)
+    # fft2 as the FFTs of slabs of rows, then of columns, in the one matrix
+    # they are written to: the same bits, with no second n x n array
+    values = np.empty((n, n), dtype=np.complex128)
+    for i in range(0, n, _EXCHANGE_SLAB):
+        rows = slice(i, i + _EXCHANGE_SLAB)
+        np.multiply.outer(pre[rows], pre, out=values[rows])
+        values[rows] *= s.amplitudes[rows]
+        values[rows] = np.fft.fft(values[rows], axis=1)
+    for i in range(0, n, _EXCHANGE_SLAB):
+        cols = slice(i, i + _EXCHANGE_SLAB)
+        values[:, cols] = np.fft.fft(values[:, cols], axis=0)
+    for i in range(0, n, _EXCHANGE_SLAB):
+        rows = slice(i, i + _EXCHANGE_SLAB)
+        values[rows] *= np.multiply.outer(post[rows], post)
     t.flags.writeable = False
     values.flags.writeable = False
     return TimeWavepacket(time_axis=t, values=values)

@@ -13,7 +13,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 import biphoton as bp
-from biphoton.spectrum import _ZERO_WEIGHT
+from biphoton.scans import _delayed_state
+from biphoton.spectrum import _ZERO_WEIGHT, _FactoredState
 
 
 class SymmetryDecomposition(NamedTuple):
@@ -77,3 +78,9 @@ def symmetry_decompose(s: bp.BiphotonSpectrum) -> SymmetryDecomposition:
 def norm_squared(s: bp.BiphotonSpectrum) -> float:
     """``sum |c|**2`` of the amplitude matrix."""
     return float(np.sum(np.abs(s.amplitudes) ** 2))
+
+
+def delayed_spectrum(model: str, row: dict, grid_points: int, span: float) -> bp.BiphotonSpectrum:
+    """The state of one row's parameters with its path delays, built as a matrix."""
+    state = _delayed_state(model, row, grid_points, span)
+    return state.spectrum() if isinstance(state, _FactoredState) else state

@@ -12,9 +12,8 @@ from biphoton.beamsplitter import (
     _substitute_channels,
     exchange_report,
 )
-from biphoton.scans import _delayed_spectrum
 from conftest import make_random_spectrum
-from reference import symmetry_decompose
+from reference import delayed_spectrum, symmetry_decompose
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi)
@@ -237,7 +236,7 @@ OFF_BALANCE = [
 
 def model_state(name: str, n: int = 257) -> bp.BiphotonSpectrum:
     model, row = MODEL_ROWS[name]
-    return _delayed_spectrum(model, row, n, 6.0)
+    return delayed_spectrum(model, row, n, 6.0)
 
 
 def report_probabilities(s, p) -> tuple[float, float, float]:

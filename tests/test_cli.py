@@ -4,12 +4,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.cli import _parser, build_parser, main
+from biphoton.cli import _factorization_residual, _parser, build_parser, main
+from biphoton.spectrum import _leading_singular_pair, _time_transform
 
 
 def read_csv(path):
@@ -308,6 +311,34 @@ class TestWavepacket:
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
 
+    def test_factorization_residual_matches_the_whole_matrix(self):
+        grid = bp.make_grid(0.4, 7.2, 257)
+        s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.4, 1.2), grid, 0.8)
+        packet = bp.time_domain(s)
+        _, sigma, u, v = _leading_singular_pair(s.amplitudes)
+        outer = np.outer(_time_transform(sigma * u, grid), _time_transform(np.conj(v), grid))
+        whole = np.max(np.abs(packet.values - outer)) / np.max(np.abs(packet.values))
+        assert _factorization_residual(s, packet, sigma * u, np.conj(v)) == whole
+        # by slabs of rows: the whole-matrix differences held two matrices
+        tracemalloc.start()
+        try:
+            _factorization_residual(s, packet, sigma * u, np.conj(v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / s.amplitudes.nbytes <= 0.75
+
+    def test_time_grid_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # a 33-point grid of spacing 1.7e-309 has a time step of 1.1e308 and a
+        # reach past the largest float: no time axis, rather than inf and NaN
+        out = tmp_path / "x.csv"
+        code = main(["wavepacket", "--model", "bell", "--omega-a", "1e-308", "--omega-b", "-0",
+                     "--grid-points", "33", "--domain", "time", "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid spacing ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestFileErrors:
     def test_missing_spectrum_file_exits_2(self, tmp_path, capsys):
@@ -372,6 +403,69 @@ class TestShihScanPath:
             "error: paths must be finite (they set the relative delay dz = z1 - z2); "
             "got delta_l = inf, z1 = 0.0, z2 = 0.0\n"
         )
+
+
+    @pytest.mark.parametrize("command", [
+        _SHIH[:5] + ["--dl", "1e308", "--steps", "3"],
+        ["transform", "--model", "shih", "--beta", "0.1", "--center", "100", "--dl", "1e308"],
+    ], ids=["shih-scan", "transform"])
+    def test_overflowing_path_difference_names_dl(self, tmp_path, capsys, command):
+        # the phase omega * dl / c of a finite dl overflows: one error line that
+        # names dl, before any plane wave is formed
+        argv = command + ["--grid-points", "33", "-o", str(tmp_path / "x.csv")]
+        if command[0] == "shih-scan":
+            argv += ["--dz-min", "-1", "--dz-max", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: half path difference dl = 1e+308 must give a finite phase omega*dl/c\n"
+        )
+
+
+# extreme values of the tones and path differences of the one-hot factored
+# sources, each given as --flag=value so that argparse reads negative ones
+_EXTREMES = ["0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "inf"]
+_FACTORED_ONE_HOT = [
+    *(["--model", "bell", f"--omega-a={v}", "--omega-b", "1"] for v in _EXTREMES),
+    *(["--model", "bell", "--omega-a", "-1", f"--omega-b={v}"] for v in _EXTREMES),
+    *(["--model", "bell", "--omega-a", "-1", "--omega-b", "1", f"--dz={v}"] for v in _EXTREMES),
+    *(["--model", "delta_pump", "--parity", parity, f"--dl={v}"]
+      for parity in ("even", "odd") for v in _EXTREMES),
+    *(["--model", "delta_pump", "--parity", "odd", "--dl", "1", f"--dz={v}"] for v in _EXTREMES),
+]
+
+
+class TestExtremeFactoredInputs:
+    @pytest.mark.parametrize("command", [
+        ["transform"],
+        ["wavepacket", "--domain", "time"],
+    ], ids=["transform", "wavepacket"])
+    @pytest.mark.parametrize("flags", _FACTORED_ONE_HOT, ids=" ".join)
+    def test_documented_exit_and_finite_output(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(command + flags + ["--grid-points", "33", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+            return
+        assert captured.err == ""
+        text = out.read_text() + captured.out
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in the output")
+
+        json.loads(out.read_text() if command[0] == "transform" else captured.out,
+                   parse_constant=reject)
+        for token in re.split(r'[\s,:\[\]{}"]+', text):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(value), token
 
 
 class TestMalformedCommandLines:

@@ -10,8 +10,8 @@ import biphoton as bp
 from biphoton import fileio
 from biphoton.beamsplitter import exchange_report
 from biphoton.cli import main
-from biphoton.scans import MODELS, _delayed_spectrum
-from reference import symmetry_decompose
+from biphoton.scans import MODELS
+from reference import delayed_spectrum, symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -75,7 +75,7 @@ class TestFastPathAgainstPerRowOracle:
             grid_points=n, grid_span_sigmas=span,
         )
         result = bp.run_scan(spec)
-        base = _delayed_spectrum(model, fixed, n, span)
+        base = delayed_spectrum(model, fixed, n, span)
         assert_rows_match_oracle(result, externally_delayed(spec, base))
         assert_single_points_match(spec, result)
 

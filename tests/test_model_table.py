@@ -10,8 +10,8 @@ import pytest
 
 import biphoton as bp
 from biphoton.cli import build_parser, main
-from biphoton.scans import MODELS, _delayed_spectrum
-from reference import norm_squared
+from biphoton.scans import MODELS
+from reference import delayed_spectrum, norm_squared
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -78,7 +78,7 @@ class TestEveryModel:
         dz = 0.7
         assert main(["transform", *flags, "--dz", str(dz), "--grid-points", "65"]) == 0
         report = json.loads(capsys.readouterr().out)
-        delayed = bp.apply_path_delays(_delayed_spectrum(model, fixed, 65, 6.0), dz, 0.0)
+        delayed = bp.apply_path_delays(delayed_spectrum(model, fixed, 65, 6.0), dz, 0.0)
         assert abs(report["p_coinc"] - bp.coincidence_probability(delayed, BALANCED)) <= TOL
         assert report["p_coinc"] > 1e-3
 

