@@ -331,8 +331,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _negative_values_attached(argv: list[str]) -> list[str]:
+    """``argv`` with each negative number that follows a flag joined to it as ``flag=value``.
+
+    argparse reads only ``-1`` and ``-.5`` as negative numbers: it would take
+    ``-4e0``, ``-5e-324`` or ``-inf`` for a flag of its own.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (token.startswith("-") and _is_number(token)
+                and flag.startswith("-") and "=" not in flag and not _is_number(flag)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_negative_values_attached(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (DegenerateSpectrumError, ArithmeticError) as exc:

@@ -414,7 +414,10 @@ def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], l
         if spec.swept == "dl":
             return entry.row_factor(row, base.grid)
         # the carrier phase exp(i center dz / c) of a delay is global
-        return 1.0, 0.0, _path_delays(spec.model, row)[1] / c_light
+        dz = _path_delays(spec.model, row)[1]
+        if not math.isfinite(base.grid.half_span * (dz / c_light)):
+            raise ConfigError(f"relative delay dz = {dz!r} must give a finite phase nu*dz/c")
+        return 1.0, 0.0, dz / c_light
 
     ends = [_row(spec, spec.start), _row(spec, spec.stop)]
     warnings = list(base.warnings) + _alias_warnings(spec.model, ends, base.grid, c_light)

@@ -393,23 +393,42 @@ def exchange_sweep(
     factored state ``c[i,j] = x_i y_j p[i+j]``, as scans of every model source
     pass, is never built: its ``G[i,j] = u_i conj(u_j) P[i+j]`` with
     ``u = conj(x) y`` and ``P = p**2`` gives every sum from O(n) vectors
-    (:func:`_factored_sums`).  Both terms of
+    (:func:`_factored_sums`, which sums ``T_k`` over the band of the pump's
+    support).  Both terms of
     ``D`` are summed by one routine, so a bit-symmetric ``s`` gives
     ``w(1, 0, 0)`` exactly 0.  Near a node of ``d`` the terms cancel: where
     ``N`` is over ``_SWEEP_CANCELLATION`` times below
-    ``(|a|^2 + |b|^2) sum_i r_i`` the scaled state is reduced instead.
-    Below ``min_norm_squared`` (by default the zero-norm floor of
+    ``(|a|^2 + |b|^2) sum_i r_i`` the scaled state is reduced instead.  So is
+    every row of a one-hot pump (the delta pump and the Bell state), which
+    leaves one cell per row and costs O(n): its rows keep the exact zeros and
+    ones of a bit-symmetric or bit-antisymmetric scaled state.  Below
+    ``min_norm_squared`` (by default the zero-norm floor of
     :meth:`BiphotonSpectrum.from_array`) it is no state, and the call raises
-    :class:`DegenerateSpectrumError`.
+    :class:`DegenerateSpectrumError`.  Every row is a plain ``float``.
     """
     producer = _factored_sums if isinstance(s, _FactoredState) else _matrix_sums
     r, v, t, antidiag, scaled = producer(s)
     n = s.grid.n_points
+    one_hot = isinstance(s, _FactoredState) and np.count_nonzero(_squared_pump(s)) == 1
     d = math.fsum(r - v)
     r_total = float(np.sum(r))
     q = np.arange(-(n - 1), n, dtype=float)
 
+    def check(norm_sq: float) -> None:
+        if norm_sq < min_norm_squared:
+            raise DegenerateSpectrumError(
+                "degenerate spectrum: the row factors annihilate the sampled support"
+            )
+
+    def reduced(a: complex, b: complex, tau: float) -> float:
+        # the weight of the scaled state, reduced from its rows
+        sym, anti = scaled(_plane_waves(s.grid, a, b, tau))
+        check(sym + anti)
+        return _weight(anti / (sym + anti))
+
     def weight(a: complex, b: complex, tau: float) -> float:
+        if one_hot:
+            return reduced(a, b, tau)
         # numpy's pairwise sums, not BLAS dot products: the bits do not
         # depend on the BLAS build or its thread count
         a2, b2 = abs(a) ** 2, abs(b) ** 2
@@ -424,16 +443,12 @@ def exchange_sweep(
             rw = complex(np.sum(r * p.real[::2]), -np.sum(r * p.imag[::2]))
             norm_sq += 2.0 * (np.conj(a) * b * rw).real
             if min_norm_squared <= norm_sq < (a2 + b2) * r_total / _SWEEP_CANCELLATION:
-                sym, anti = scaled(_plane_waves(s.grid, a, b, tau))
-                return _weight(anti / (sym + anti))
+                return reduced(a, b, tau)
             waves += b2 * (1.0 - np.conj(e))
             pair = np.conj(a) * b * (rw - np.sum(antidiag * np.conj(p)))
-        if norm_sq < min_norm_squared:
-            raise DegenerateSpectrumError(
-                "degenerate spectrum: the row factors annihilate the sampled support"
-            )
+        check(norm_sq)
         twice = (a2 + b2) * d + 2.0 * float(np.sum((t * waves).real)) + 2.0 * float(np.real(pair))
-        return _weight(0.5 * twice / norm_sq)
+        return float(_weight(0.5 * twice / norm_sq))
 
     return weight
 
@@ -479,8 +494,10 @@ def _factored_sums(f: _FactoredState) -> tuple:
     and ``P = p**2``.  ``S_m = P_m (u * conj u)_m``, where the convolution is
     ``(Re u * Re u + Im u * Im u)_m``, comes from one batched real FFT, and
     ``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` from slabs of ``k`` over strided
-    views of O(n) vectors.  A one-hot ``P`` has one term per sum, taken
-    exactly, in O(n).  Scaled rows ``d`` are reduced as the factors
+    views of O(n) vectors, each slab cut to the band of columns ``i`` where
+    some ``2i + k`` lies in the support of ``P``: every cell left out is an
+    exact ``0 * finite``.  A narrow pump keeps a thin band, and a flat pump
+    the whole triangle.  Scaled rows ``d`` are reduced as the factors
     ``(d x, y)``.
     """
     n = f.grid.n_points
@@ -489,47 +506,47 @@ def _factored_sums(f: _FactoredState) -> tuple:
     r, v, u = row_sums(f.x)
     total = float(np.sum(r))
     _check_norm(total)
+    fft_size = 1 << (2 * n - 2).bit_length()
+    w_hat = np.fft.rfft(np.stack((u.real, u.imag)), fft_size)
+    antidiag = p * np.fft.irfft(w_hat[0] ** 2 + w_hat[1] ** 2, fft_size)[: 2 * n - 1] / total
+    # row k, column i of the strided views: conj(u_{i+k}) and P[2i+k], with
+    # zeros padded to both to end every diagonal past i + k = n - 1
+    conj_u = np.zeros(2 * n - 1, dtype=np.complex128)
+    conj_u[:n] = np.conj(u)
+    pump = np.zeros(3 * n - 2)
+    pump[: 2 * n - 1] = p
+    strided = np.lib.stride_tricks.as_strided
+    diagonals = strided(conj_u, (n, n), (16, 16))
+    pumps = strided(pump, (n, n), (8, 16))
+    lo, hi = _support(p)
+    size = _EXCHANGE_SLAB // 2
+    block = np.empty((size, n), dtype=np.complex128)
     t = np.zeros(n - 1, dtype=np.complex128)
-    support = np.flatnonzero(p)
-    if len(support) == 1:
-        # one anti-diagonal m: S_m = sum_i v_i, summed as exchange_sweep sums r
-        # so that a bit-symmetric state's row at tau = 0 cancels exactly; and
-        # T_k = P_m u_i conj(u_{i+k}) at 2i + k = m where both cells lie on the grid
-        (m,) = support
-        antidiag = np.zeros(2 * n - 1)
-        antidiag[m] = np.sum(v / total)
-        k = np.arange(m % 2 or 2, n, 2)
-        i = (m - k) // 2
-        on_grid = (i >= 0) & (i + k < n)
-        k, i = k[on_grid], i[on_grid]
-        t[k - 1] = np.conj(u[i + k]) * p[m] * u[i]
-    else:
-        fft_size = 1 << (2 * n - 2).bit_length()
-        w_hat = np.fft.rfft(np.stack((u.real, u.imag)), fft_size)
-        antidiag = p * np.fft.irfft(w_hat[0] ** 2 + w_hat[1] ** 2, fft_size)[: 2 * n - 1] / total
-        # T_k for a slab of k = k0 .. k0 + size - 1: the row sums of a (size, n - k0)
-        # product of strided views, whose row k - k0 holds conj(u_{i+k}) P[2i+k];
-        # zeros padded to conj(u) and P end every diagonal past i + k = n - 1
-        size = _EXCHANGE_SLAB // 2
-        conj_u = np.zeros(n + size, dtype=np.complex128)
-        conj_u[:n] = np.conj(u)
-        pump = np.zeros(2 * n + size)
-        pump[: 2 * n - 1] = p
-        block = np.empty((size, n), dtype=np.complex128)
-        strided = np.lib.stride_tricks.as_strided
-        for k0 in range(1, n, size):
-            m, width = min(size, n - k0), n - k0
-            g = block[:m, :width]
-            diagonals = strided(conj_u[k0:], (m, width), (16, 16))
-            np.multiply(diagonals, strided(pump[k0:], (m, width), (8, 16)), out=g)
-            g *= u[:width]
-            t[k0 - 1 : k0 - 1 + m] = g.sum(axis=1)
+    for k0 in range(1, n, size):
+        # T_k for k = k0 .. k0 + m - 1, over the columns i0 <= i < i1 that hold
+        # every cell of the slab with lo <= 2i + k < hi
+        m = min(size, n - k0)
+        i0 = max(0, (lo - k0 - m + 1) // 2)
+        i1 = min(n - k0, (hi - 1 - k0) // 2 + 1)
+        if i0 < i1:
+            g = block[:m, : i1 - i0]
+            ks = slice(k0, k0 + m)
+            np.multiply(diagonals[ks, i0:i1], pumps[ks, i0:i1], out=g)
+            g *= u[i0:i1]
+            g.sum(axis=1, out=t[k0 - 1 : k0 - 1 + m])
 
     def scaled(d: np.ndarray) -> tuple[float, float]:
         r_d, v_d = row_sums(d * f.x)[:2]
         return 0.5 * math.fsum(r_d + v_d) / total, 0.5 * math.fsum(r_d - v_d) / total
 
     return r / total, v / total, t / total, antidiag, scaled
+
+
+def _support(p: np.ndarray) -> tuple[int, int]:
+    """``(lo, hi)``: ``p[lo]`` is the first nonzero entry and ``p[hi - 1]`` the last; ``(0, 0)``
+    when there is none."""
+    nonzero = np.flatnonzero(p)
+    return (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
 
 
 def _squared_pump(f: _FactoredState) -> np.ndarray:

@@ -3,7 +3,9 @@
 Each helper is written from its definition, elementwise and over the whole
 matrix, with no slab or reduction shortcut: the exchange swap, the split
 into renormalized exchange-symmetric and -antisymmetric parts, sampling a
-function on the grid, and the squared norm of a spectrum.
+function on the grid, and the squared norm of a spectrum.  The diagonal
+sums of a factored state run over the whole triangle, by the slab loop
+that the library cuts to the band of the pump's support.
 """
 
 from __future__ import annotations
@@ -84,3 +86,33 @@ def delayed_spectrum(model: str, row: dict, grid_points: int, span: float) -> bp
     """The state of one row's parameters with its path delays, built as a matrix."""
     state = _delayed_state(model, row, grid_points, span)
     return state.spectrum() if isinstance(state, _FactoredState) else state
+
+
+def factored_diagonal_sums(f: _FactoredState) -> np.ndarray:
+    """``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` for ``k = 1..n-1``, unscaled, over every cell.
+
+    ``u = conj(x) y`` and ``P = p**2`` (ones for a flat pump).  Slabs of ``k``
+    take the row sums of a product of strided views of O(n) vectors, whose
+    row ``k - k0`` holds ``conj(u_{i+k}) P[2i+k]`` for every ``i < n - k0``;
+    zeros padded to ``conj(u)`` and ``P`` end each diagonal.  No n x n array
+    is made, so it runs on the largest grid.
+    """
+    n = f.grid.n_points
+    p = np.ones(2 * n - 1) if f.pump is None else f.pump * f.pump
+    u = np.conj(f.x) * f.y
+    size = 32
+    conj_u = np.zeros(n + size, dtype=np.complex128)
+    conj_u[:n] = np.conj(u)
+    pump = np.zeros(2 * n + size)
+    pump[: 2 * n - 1] = p
+    block = np.empty((size, n), dtype=np.complex128)
+    strided = np.lib.stride_tricks.as_strided
+    t = np.zeros(n - 1, dtype=np.complex128)
+    for k0 in range(1, n, size):
+        m, width = min(size, n - k0), n - k0
+        g = block[:m, :width]
+        diagonals = strided(conj_u[k0:], (m, width), (16, 16))
+        np.multiply(diagonals, strided(pump[k0:], (m, width), (8, 16)), out=g)
+        g *= u[:width]
+        t[k0 - 1 : k0 - 1 + m] = g.sum(axis=1)
+    return t

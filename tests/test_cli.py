@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 import tracemalloc
 import warnings
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -423,8 +427,12 @@ class TestShihScanPath:
         )
 
 
+def _reject(constant):
+    raise AssertionError(f"{constant} in the output")
+
+
 # extreme values of the tones and path differences of the one-hot factored
-# sources, each given as --flag=value so that argparse reads negative ones
+# sources, each given as --flag=value
 _EXTREMES = ["0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "inf"]
 _FACTORED_ONE_HOT = [
     *(["--model", "bell", f"--omega-a={v}", "--omega-b", "1"] for v in _EXTREMES),
@@ -454,18 +462,85 @@ class TestExtremeFactoredInputs:
             return
         assert captured.err == ""
         text = out.read_text() + captured.out
-
-        def reject(constant):
-            raise AssertionError(f"{constant} in the output")
-
         json.loads(out.read_text() if command[0] == "transform" else captured.out,
-                   parse_constant=reject)
+                   parse_constant=_reject)
         for token in re.split(r'[\s,:\[\]{}"]+', text):
             try:
                 value = float(token)
             except ValueError:
                 continue
             assert math.isfinite(value), token
+
+
+class TestNegativeNumbersInExponentForm:
+    # argparse alone reads only -1 and -.5 as negative numbers: these tokens
+    # are values, and the non-finite ones meet the one-line validation error
+    @pytest.mark.parametrize("argv,code,err", [
+        (["dip-scan", "--dz-min", "-4e0", "--dz-max", "4", "--steps", "3"], 0, ""),
+        (_SHIH + ["--dz-min", "-1E+1", "--dz-max", "10"], 0, ""),
+        (_SHIH + ["--dz-min", "-inf", "--dz-max", "1"],
+         2, "error: scan range [-inf, 1.0] must have a finite width\n"),
+        (["transform", "--model", "bell", "--omega-a", "-5e-324", "--omega-b", "1"], 0, ""),
+        (["wavepacket", "--model", "gaussian_pair", "--dz", "-1e0"], 0, ""),
+        (["validate", "--only", "-1e0"],
+         2, "error: --only expects comma-separated criterion numbers, got '-1e0'\n"),
+    ], ids=["dip-scan", "shih-scan", "shih-scan-inf", "transform", "wavepacket", "validate"])
+    def test_is_read_as_a_value(self, tmp_path, capsys, argv, code, err):
+        if argv[0] != "validate":
+            argv = argv + ["--grid-points", "33", "-o", str(tmp_path / "out")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+
+    def test_scan_starts_at_the_negative_value(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["dip-scan", "--dz-min", "-4e0", "--dz-max", "4", "--steps", "3",
+                     "--grid-points", "33", "-o", str(out)]) == 0
+        assert [row["param"] for row in read_csv(out)[0]] == [-4.0, 0.0, 4.0]
+
+
+# pump widths, carriers, path differences and delays at the float extremes,
+# the ordinary ones first: beta = 1e-30 leaves a one-entry pump support
+_EXTREME = st.sampled_from(["1e-3", "1e-30", "0", "5e-324", "1e308", "inf", "nan",
+                            "-0", "-5e-324", "-1e-30", "-1e-3", "-1e308", "-inf"])
+
+
+class TestExtremePumpWidths:
+    """The CLI contract of the scans over extreme inputs: a documented exit
+    code, one error line, no RuntimeWarning, and finite numbers on success."""
+
+    @staticmethod
+    def _check(argv, dz, out):
+        # a delay sweep from 0 to dz, each end given as drawn
+        ends = (dz, "0") if float(dz) < 0 else ("0", dz)
+        argv += ["--dz-min", ends[0], "--dz-max", ends[1]]
+        if out.exists():
+            out.unlink()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv + ["--steps", "3", "--grid-points", "33", "-o", str(out)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code in (0, 2, 3)
+        err = stderr.getvalue()
+        if code != 0:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            return
+        json.loads(stdout.getvalue(), parse_constant=_reject)
+        for line in out.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(token)) for token in line.split(",")), line
+
+    @hyp.settings(max_examples=100, derandomize=True, database=None)
+    @hyp.given(beta=_EXTREME, center=_EXTREME, dl=_EXTREME, dz=_EXTREME)
+    def test_shih_scan(self, tmp_path_factory, beta, center, dl, dz):
+        argv = ["shih-scan", "--beta", beta, "--center", center, "--dl", dl]
+        self._check(argv, dz, tmp_path_factory.getbasetemp() / "shih.csv")
+
+    @hyp.settings(max_examples=100, derandomize=True, database=None)
+    @hyp.given(beta=_EXTREME, center=_EXTREME, dz=_EXTREME)
+    def test_dip_scan_with_a_gaussian_pump(self, tmp_path_factory, beta, center, dz):
+        argv = ["dip-scan", "--pump", "gaussian", "--beta", beta, "--center", center]
+        self._check(argv, dz, tmp_path_factory.getbasetemp() / "dip.csv")
 
 
 class TestMalformedCommandLines:
@@ -478,6 +553,7 @@ class TestMalformedCommandLines:
             _BELL + ["--grid-span", "nan"],
             _DIP + ["--dz-min=-inf", "--dz-max=inf"],
             _DIP + ["--dz-min=-1e308", "--dz-max=1e308"],
+            _DIP + ["--dz-min", "-1e308", "--dz-max", "0"],
             _SHIH + ["--dz-min=-1", "--dz-max=inf"],
             ["transform", "--model", "gaussian_pair", "--dz", "inf"],
             ["transform", "--model", "delta_pump", "--dl", "nan"],
@@ -489,7 +565,8 @@ class TestMalformedCommandLines:
             ["transform", "--model", "gaussian_pair", "--center", "1e300"],
         ],
         ids=["bell-span-0", "bell-span-negative", "bell-span-inf", "bell-span-nan",
-             "dip-infinite-range", "dip-overflowing-range", "shih-infinite-stop",
+             "dip-infinite-range", "dip-overflowing-range", "dip-overflowing-delay-phase",
+             "shih-infinite-stop",
              "transform-dz-inf", "transform-dl-nan", "wavepacket-sigma-underflow",
              "shih-sigma-underflow", "pump-beta-underflow", "shih-beta-underflow",
              "transform-center-unresolvable"],
@@ -504,6 +581,8 @@ class TestMalformedCommandLines:
         "argv,name",
         [
             (["transform", "--model", "gaussian_pair", "--dz=-inf"], "dz"),
+            (_DIP + ["--pump", "gaussian", "--beta", "1e-3", "--dz-min", "-1e308",
+                     "--dz-max", "0", "--grid-points", "33"], "dz"),
             (["transform", "--model", "delta_pump", "--dl", "nan"], "dl"),
             (["transform", "--model", "delta_pump", "--dl", "inf"], "dl"),
             (["wavepacket", "--model", "gaussian_pair", "--sigma", "1e-300"], "sigma"),

@@ -88,6 +88,23 @@ class TestDlReductionAgainstPerRowOracle:
         assert_rows_match_oracle(spec, result, delta_row_spectrum)
         assert_single_points_match(spec, result, stride=1)
 
+    def test_odd_delta_pump_rows_are_exactly_one(self):
+        # every row is sin(nu dl / c) times the even envelope, antisymmetric bit
+        # for bit, and is reduced from its own factors
+        spec = bp.ScanSpec(model="delta_pump", swept="dl", start=-2.0, stop=3.0, n_steps=13,
+                           fixed={"parity": "odd"}, grid_points=257)
+        rows = [row.p_numeric for row in bp.run_scan(spec).rows]
+        assert rows == [1.0] * 13
+        assert {type(p) for p in rows} == {float}
+
+    @pytest.mark.parametrize("n", [9, 257])
+    def test_even_delta_pump_row_at_zero_dl_is_exactly_zero(self, n):
+        spec = bp.ScanSpec(model="delta_pump", swept="dl", start=-2.0, stop=2.0, n_steps=5,
+                           fixed={"parity": "even", "sigma": 0.7}, grid_points=n)
+        row = bp.run_scan(spec).rows[2]
+        assert row.param == 0.0
+        assert row.p_numeric == 0.0 and type(row.p_numeric) is float
+
     @pytest.mark.parametrize("seed,n", [(21, 5), (22, 33), (23, 65)])
     def test_kernel_matches_from_array_on_random_spectra(self, seed, n):
         # complex plane-wave pairs a exp(i tau nu) + b exp(-i tau nu) on
