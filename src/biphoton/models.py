@@ -123,13 +123,7 @@ class ShihModel:
         if not (math.isfinite(self.center) and self.center > 0):
             raise ValueError("center must be positive (it sets the carrier wavelength)")
         _check_c_light(self.c_light)
-        if self.delta_l < 0:
-            raise ValueError(f"delta_l must be >= 0, got {self.delta_l!r}")
-        if not (math.isfinite(self.delta_l) and math.isfinite(self.z1) and math.isfinite(self.z2)):
-            raise ConfigError(
-                f"paths must be finite (they set the relative delay dz = z1 - z2); "
-                f"got delta_l = {self.delta_l!r}, z1 = {self.z1!r}, z2 = {self.z2!r}"
-            )
+        _check_paths(self.delta_l, self.z1, self.z2)
 
     @property
     def beta(self) -> float:
@@ -138,6 +132,16 @@ class ShihModel:
     @property
     def wavelength(self) -> float:
         return 2.0 * math.pi * self.c_light / self.center
+
+
+def _check_paths(delta_l: float, z1: float = 0.0, z2: float = 0.0) -> None:
+    if delta_l < 0:
+        raise ValueError(f"delta_l must be >= 0, got {delta_l!r}")
+    if not (math.isfinite(delta_l) and math.isfinite(z1) and math.isfinite(z2)):
+        raise ConfigError(
+            f"paths must be finite (they set the relative delay dz = z1 - z2); "
+            f"got delta_l = {delta_l!r}, z1 = {z1!r}, z2 = {z2!r}"
+        )
 
 
 def _coverage_warnings(grid: FrequencyGrid, center: float, sigma: float) -> tuple[str, ...]:
@@ -153,7 +157,9 @@ def _coverage_warnings(grid: FrequencyGrid, center: float, sigma: float) -> tupl
 
 
 def _gaussian(w: np.ndarray, center: float, sigma: float) -> np.ndarray:
-    return np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
+    # a square past the float range is inf, and exp(-inf) its exact 0
+    with np.errstate(over="ignore"):
+        return np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
 
 
 def _pump(grid: FrequencyGrid, center: float, pump_sigma: float) -> np.ndarray:
@@ -250,7 +256,7 @@ def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
     phases = _path_phases(grid, m.z1, m.z2, m.c_light)
     pump = _pump(grid, m.center, m.sigma_p)
     a = _gaussian(grid.frequencies(), m.center, m.sigma)
-    modulation = _plane_waves(grid, *shih_row_factor(m, grid)).real
+    modulation = _plane_waves(grid, *shih_row_factor(grid, m.delta_l, m.c_light)).real
     # squared row norms of the unmodulated envelope, a_i**2 sum_j a_j**2 P[i+j] with
     # P = p**2, summed over the support [lo, hi) of P only: band[n - 1 + i - lo]
     # holds the sum of row i, and rows i >= hi have none of it
@@ -273,20 +279,24 @@ def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
     )
 
 
-def shih_row_factor(m: ShihModel, grid: FrequencyGrid) -> tuple[complex, complex, float]:
+def shih_row_factor(
+    grid: FrequencyGrid, delta_l: float, c_light: float = 1.0
+) -> tuple[complex, complex, float]:
     """Row factor ``cos(omega_i * delta_l / c)`` of the ``delta_l = 0`` spectrum, as
     plane waves ``(a, b, tau)`` in ``nu = omega - grid.center`` (see
-    :func:`~biphoton.spectrum.exchange_sweep`): ``a = exp(i grid.center tau) / 2 = conj(b)``."""
-    tau = m.delta_l / m.c_light
+    :func:`~biphoton.spectrum.exchange_sweep`): ``a = exp(i grid.center tau) / 2 = conj(b)``.
+    ``delta_l`` is checked as :class:`ShihModel` checks it."""
+    _check_paths(delta_l)
+    tau = delta_l / c_light
     if not math.isfinite((abs(grid.center) + grid.half_span) * tau):
         raise ConfigError(
-            f"half path difference dl = {m.delta_l!r} must give a finite phase omega*dl/c"
+            f"half path difference dl = {delta_l!r} must give a finite phase omega*dl/c"
         )
     a = 0.5 * cmath.exp(1j * (grid.center * tau))
     return a, a.conjugate(), tau
 
 
-def shih_norm_factor(m: ShihModel) -> float:
+def shih_norm_factor(m: ShihModel, delta_l: float | None = None) -> float:
     """Mean squared path modulation ``B`` under the Gaussian envelope.
 
     ``B = (1 + cos(4*pi*delta_l/lambda) * exp(-((1+beta^2)/(2+beta^2)) * (sigma*delta_l/c)**2)) / 2``.
@@ -294,14 +304,17 @@ def shih_norm_factor(m: ShihModel) -> float:
     It equals the squared norm of the two-path spectrum relative to the
     unmodulated envelope, is 1 at ``delta_l = 0`` and tends to 1/2 once the
     path difference far exceeds the single-photon coherence length.
+    ``delta_l`` replaces ``m.delta_l`` when given, as for every closed form
+    below: a scan of ``delta_l`` takes each row's from one model.
     """
+    dl = m.delta_l if delta_l is None else delta_l
     beta2 = m.beta**2
-    xl = m.sigma * m.delta_l / m.c_light
-    phase = 4.0 * math.pi * m.delta_l / m.wavelength
+    xl = m.sigma * dl / m.c_light
+    phase = 4.0 * math.pi * dl / m.wavelength
     return 0.5 * (1.0 + math.cos(phase) * math.exp(-(1.0 + beta2) / (2.0 + beta2) * xl * xl))
 
 
-def shih_exact(m: ShihModel, dz: float) -> float:
+def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
     """Exact balanced-splitter coincidence of the two-path spectrum.
 
     ``dz`` re-parameterizes the signal/idler path mismatch ``z1 - z2``.
@@ -310,7 +323,8 @@ def shih_exact(m: ShihModel, dz: float) -> float:
     + exp(-((dl+dz)*sigma/c)^2/2)/2 + exp(-((dl-dz)*sigma/c)^2/2)/2] / (2*B)) / 2``
     with ``B`` from :func:`shih_norm_factor`.
     """
-    b = shih_norm_factor(m)
+    dl = m.delta_l if delta_l is None else delta_l
+    b = shih_norm_factor(m, dl)
     if abs(b) < 1e-15:
         raise DegenerateSpectrumError(
             "degenerate spectrum: normalization factor vanishes (path modulation "
@@ -318,7 +332,6 @@ def shih_exact(m: ShihModel, dz: float) -> float:
         )
     beta2 = m.beta**2
     s_over_c = m.sigma / m.c_light
-    dl = m.delta_l
     phase = 4.0 * math.pi * dl / m.wavelength
     t_pump = math.cos(phase) * math.exp(
         -0.5 * ((beta2 / (2.0 + beta2)) * dl * dl + dz * dz) * s_over_c**2
@@ -328,7 +341,7 @@ def shih_exact(m: ShihModel, dz: float) -> float:
     return 0.5 * (1.0 - (t_pump + t_plus + t_minus) / (2.0 * b))
 
 
-def shih_reduced(m: ShihModel, dz: float) -> float:
+def shih_reduced(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
     """Limit form of :func:`shih_exact` for ``delta_l >> c/sigma`` and ``beta << 1``.
 
     ``P = (1 - cos(4*pi*delta_l/lambda) * exp(-(sigma*dz/c)^2/2)
@@ -337,8 +350,8 @@ def shih_reduced(m: ShihModel, dz: float) -> float:
     The regime is not enforced; outside it the value simply drifts from the
     exact curve.
     """
+    dl = m.delta_l if delta_l is None else delta_l
     s_over_c = m.sigma / m.c_light
-    dl = m.delta_l
     phase = 4.0 * math.pi * dl / m.wavelength
     t_pump = math.cos(phase) * math.exp(-0.5 * (dz * s_over_c) ** 2)
     t_plus = 0.5 * math.exp(-0.5 * ((dl + dz) * s_over_c) ** 2)
@@ -346,10 +359,10 @@ def shih_reduced(m: ShihModel, dz: float) -> float:
     return 0.5 * (1.0 - t_pump - t_plus - t_minus)
 
 
-def shih_regime_notes(m: ShihModel) -> tuple[str, ...]:
+def shih_regime_notes(m: ShihModel, delta_l: float | None = None) -> tuple[str, ...]:
     """Advisory notes when the reduced form is used outside its regime."""
     notes = []
-    xl = m.sigma * m.delta_l / m.c_light
+    xl = m.sigma * (m.delta_l if delta_l is None else delta_l) / m.c_light
     if xl < 5.0:
         notes.append(
             f"reduced form assumes sigma*delta_l/c >> 1; have {xl:g}"

@@ -14,12 +14,15 @@ the model at the swept value 0 once and reduces it once with
 :func:`~biphoton.spectrum.exchange_sweep`, whose docstring derives it.  A
 model source is reduced from its factors ``x``, ``y`` and pump ``p``,
 through ``u = conj(x) y``: its n x n state is never built.  A row scales
-port-1 row ``i`` of that base by ``a exp(i tau nu_i) + b exp(-i tau nu_i)``
-and is read off the reduction in O(n): a ``dz`` row is ``(1, 0, dz / c)``,
-a ``dl`` row the model's ``row_factor``.  Every row carries this numeric
-value and, where the model has one, its closed form.  Each row is computed
-on its own from the same inputs, so identical specs produce bit-identical
-tables, in any evaluation order.
+port-1 row ``i`` of that base by ``a exp(i tau nu_i) + b exp(-i tau nu_i)``:
+a ``dz`` row is ``(1, 0, dz / c)``, a ``dl`` row the model's ``row_factor``.
+The factors of all rows go to the reduction's kernel at once, which reads
+every row off it in one batched pass.  Every row carries this numeric
+value and, where the model has one, its closed form, taken with the
+model's metadata from one model per scan.  The kernel gives each row the
+same bits in any batch, so identical specs produce bit-identical tables,
+and a single point (:func:`evaluate_scan_point`, a batch of one) equals its
+row of the whole scan.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -79,12 +82,15 @@ class _Model:
 
     ``base(fixed, grid, z1, z2)`` is its state with port paths ``z1`` and
     ``z2``, in factored form where the model has one; with ``grid`` None (a
-    spectrum file) it gets no grid and brings its own.  A ``dl`` row sets
-    ``dl_key`` and scales port-1 row i of the base at ``dl_key = 0``
-    (updated by ``dl_base``) by ``a exp(i tau nu_i) + b exp(-i tau nu_i)``
-    with ``(a, b, tau) = row_factor(row, grid)``, down to a squared norm
-    ``row_floor``.  ``closed_form(row, dz)`` gives
-    ``(p_closed, p_reduced)``; ``metadata(row)`` is reported per row.
+    spectrum file) it gets no grid and brings its own.  ``params(row)`` is
+    built once per scan from its row at swept value 0 and handed to the
+    rest.  A ``dl`` row sets ``dl_key`` and scales port-1 row i of the base
+    at ``dl_key = 0`` (updated by ``dl_base``) by
+    ``a exp(i tau nu_i) + b exp(-i tau nu_i)`` with
+    ``(a, b, tau) = row_factor(params, grid, dl)``, down to a squared norm
+    ``row_floor``.  ``closed_form(params, dl, dz)`` gives
+    ``(p_closed, p_reduced)`` and ``metadata(params, dl)`` the model metadata
+    of a row.
     """
 
     keys: frozenset[str]
@@ -95,12 +101,11 @@ class _Model:
     required: tuple[str, ...] = ()
     dl_key: str | None = None
     dl_base: dict[str, Any] = field(default_factory=dict)
-    row_factor: (
-        Callable[[dict[str, Any], FrequencyGrid], tuple[complex, complex, float]] | None
-    ) = None
+    params: Callable[[dict[str, Any]], Any] = dict
+    row_factor: Callable[[Any, FrequencyGrid, float], tuple[complex, complex, float]] | None = None
     row_floor: float = _MIN_NORM**2
-    closed_form: Callable[[dict[str, Any], float], tuple[float, float | None]] | None = None
-    metadata: Callable[[dict[str, Any]], dict[str, Any]] | None = None
+    closed_form: Callable[[Any, float, float], tuple[float, float | None]] | None = None
+    metadata: Callable[[Any, float], dict[str, Any]] | None = None
 
 
 def _bell_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
@@ -130,7 +135,8 @@ def _shih_model(fixed: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> Shih
     """Two-path model of ``fixed`` with mean signal path ``z1`` and idler path ``z2``.
 
     Scans and input states take the paths from ``_path_delays``, not from
-    ``fixed``; the closed form and the row factors use the delay-free model.
+    ``fixed``; the closed forms and the row factors use the delay-free
+    model, built once per scan.
     """
     return ShihModel(
         center=_num(fixed, "center"),
@@ -143,17 +149,11 @@ def _shih_model(fixed: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> Shih
     )
 
 
-def _shih_closed_form(fixed: dict[str, Any], dz: float) -> tuple[float, float]:
-    m = _shih_model(fixed)
-    return shih_exact(m, dz), shih_reduced(m, dz)
-
-
-def _shih_metadata(fixed: dict[str, Any]) -> dict[str, Any]:
-    m = _shih_model(fixed)
+def _shih_metadata(m: ShihModel, dl: float) -> dict[str, Any]:
     return {
-        "norm_factor_b": shih_norm_factor(m),
-        "parity_4dl_over_lambda": math.fmod(4.0 * m.delta_l / m.wavelength, 2.0),
-        "regime_notes": list(shih_regime_notes(m)),
+        "norm_factor_b": shih_norm_factor(m, dl),
+        "parity_4dl_over_lambda": math.fmod(4.0 * dl / m.wavelength, 2.0),
+        "regime_notes": list(shih_regime_notes(m, dl)),
     }
 
 
@@ -169,7 +169,7 @@ MODELS: dict[str, _Model] = {
     "gaussian_pair": _Model(
         keys=frozenset({"center", "sigma", "pump_sigma", "c_light"}),
         base=_gaussian_pair,
-        closed_form=lambda fixed, dz: (
+        closed_form=lambda fixed, dl, dz: (
             hom_dip_closed(_num(fixed, "sigma"), dz, _num(fixed, "c_light")),
             None,
         ),
@@ -179,9 +179,10 @@ MODELS: dict[str, _Model] = {
         required=("center", "sigma_p"),
         base=lambda fixed, grid, z1, z2: _shih_state(_shih_model(fixed, z1, z2), grid),
         dl_key="delta_l",
-        row_factor=lambda fixed, grid: shih_row_factor(_shih_model(fixed), grid),
+        params=_shih_model,
+        row_factor=lambda m, grid, dl: shih_row_factor(grid, dl, m.c_light),
         row_floor=MIN_MODULATION_WEIGHT,
-        closed_form=_shih_closed_form,
+        closed_form=lambda m, dl, dz: (shih_exact(m, dz, dl), shih_reduced(m, dz, dl)),
         metadata=_shih_metadata,
     ),
     "delta_pump": _Model(
@@ -190,8 +191,8 @@ MODELS: dict[str, _Model] = {
         dl_key="dl",
         # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
         dl_base={"parity": "even"},
-        row_factor=lambda fixed, grid: delta_pump_row_factor(
-            grid, _num(fixed, "dl"), fixed.get("parity", "even"), _num(fixed, "c_light")
+        row_factor=lambda fixed, grid, dl: delta_pump_row_factor(
+            grid, dl, fixed.get("parity", "even"), _num(fixed, "c_light")
         ),
     ),
     "bell": _Model(
@@ -334,23 +335,6 @@ def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
     return {**spec.fixed, key: value}
 
 
-def _evaluate_point(
-    spec: ScanSpec, point_weight: Callable[[float], float], value: float
-) -> ScanRow:
-    """One row; ``point_weight`` is the scan's numeric kernel from ``_prepare``."""
-    # the balanced coincidence equals the antisymmetric weight
-    p_numeric = point_weight(value)
-    w_antisym = p_numeric if spec.include_w_antisym else None
-    p_closed = p_reduced = None
-    closed_form = MODELS[spec.model].closed_form
-    if closed_form is not None:
-        row = _row(spec, value)
-        p_closed, p_reduced = closed_form(row, _path_delays(spec.model, row)[1])
-    result = ScanRow(float(value), p_numeric, p_closed, p_reduced, w_antisym)
-    _check_row(result)
-    return result
-
-
 def _check_row(row: ScanRow) -> None:
     # p_reduced is exempt: the limit form may leave [0, 1] outside its
     # regime, which is advisory rather than an error.
@@ -382,6 +366,8 @@ def _alias_warnings(
         for row in rows
     )
     what = "relative delay |z1 - z2|" if dl_key is None else "path delay |dz| + |dl|"
+    if not math.isfinite(reach):
+        raise ConfigError(f"{what} must be finite; |dz| and |dl| add up past the float range")
     period = 2.0 * math.pi * c_light / grid.spacing
     if reach < 0.5 * period:
         return []
@@ -392,36 +378,68 @@ def _alias_warnings(
     ]
 
 
-def _prepare(spec: ScanSpec) -> tuple[FrequencyGrid, Callable[[float], float], list[str]]:
-    """Grid, numeric kernel and warnings of a scan.
+class _Scan(NamedTuple):
+    """What a scan's rows are read off: the kernel of its base reduction, on
+    ``grid``, the model's ``params``, and the ``dl`` and ``dz`` of its row at
+    swept value 0."""
 
-    The kernel maps a swept value to the balanced coincidence of its row,
-    read off one reduction of the scan's base spectrum: the spectrum at the
-    swept value 0, with the path delays of that row.
+    grid: FrequencyGrid
+    kernel: Callable[[Any, Any, Any], np.ndarray]
+    params: Any
+    dl: float
+    dz: float
+    warnings: list[str]
+
+
+def _prepare(spec: ScanSpec) -> _Scan:
+    """Reduce the scan's base spectrum once: the spectrum at the swept value 0,
+    with the path delays of that row."""
+    entry = MODELS[spec.model]
+    row = _row(spec, 0.0)
+    base_row = {**row, **entry.dl_base} if spec.swept == "dl" else row
+    base = _delayed_state(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
+    kernel = exchange_sweep(base, entry.row_floor)
+    ends = [_row(spec, spec.start), _row(spec, spec.stop)]
+    warnings = list(base.warnings) + _alias_warnings(
+        spec.model, ends, base.grid, _num(spec.fixed, "c_light")
+    )
+    dl = 0.0 if entry.dl_key is None else _num(row, entry.dl_key)
+    dz = _path_delays(spec.model, row)[1]
+    return _Scan(base.grid, kernel, entry.params(row), dl, dz, warnings)
+
+
+def _scan_rows(spec: ScanSpec, scan: _Scan, values) -> tuple[ScanRow, ...]:
+    """The rows at the swept ``values``, read off the scan's reduction in one batched pass.
+
+    Each check raises for its first offending row, in this order: the row
+    factors (a ``dl`` the model rejects, or a delay or path difference whose
+    phase is not finite), the reduction (a degenerate row), then the
+    closed forms and the probability bound.
     """
     entry = MODELS[spec.model]
-    base_row = _row(spec, 0.0)
+    values = [float(v) for v in values]
     if spec.swept == "dl":
-        base_row.update(entry.dl_base)
-    base = _delayed_state(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
-
-    kernel = exchange_sweep(base, entry.row_floor)
-    c_light = _num(spec.fixed, "c_light")
-
-    def factor(value: float) -> tuple[complex, complex, float]:
-        # the plane-wave row factor (a, b, tau) of a row of the base
-        row = _row(spec, value)
-        if spec.swept == "dl":
-            return entry.row_factor(row, base.grid)
+        a, b, tau = zip(*(entry.row_factor(scan.params, scan.grid, dl) for dl in values))
+        name = "half path difference dl"
+    else:
         # the carrier phase exp(i center dz / c) of a delay is global
-        dz = _path_delays(spec.model, row)[1]
-        if not math.isfinite(base.grid.half_span * (dz / c_light)):
-            raise ConfigError(f"relative delay dz = {dz!r} must give a finite phase nu*dz/c")
-        return 1.0, 0.0, dz / c_light
-
-    ends = [_row(spec, spec.start), _row(spec, spec.stop)]
-    warnings = list(base.warnings) + _alias_warnings(spec.model, ends, base.grid, c_light)
-    return base.grid, lambda value: kernel(*factor(value)), warnings
+        a, b, tau = 1.0, 0.0, [dz / _num(spec.fixed, "c_light") for dz in values]
+        name = "relative delay dz"
+    # the reduction's phases reach tau (nu_i - nu_j), up to twice the half
+    # span, and its phase tables half a block past that
+    for value, t in zip(values, tau):
+        if not math.isfinite(4.0 * (scan.grid.half_span * t)):
+            raise ConfigError(f"{name} = {value!r} must give a finite phase nu*{spec.swept}/c")
+    # the balanced coincidence equals the antisymmetric weight
+    p_numeric = scan.kernel(a, b, tau).tolist()
+    closed_form = entry.closed_form or (lambda params, dl, dz: (None, None))
+    rows = []
+    for value, p in zip(values, p_numeric):
+        dl, dz = (value, scan.dz) if spec.swept == "dl" else (scan.dl, value)
+        closed = closed_form(scan.params, dl, dz)
+        rows.append(ScanRow(value, p, *closed, p if spec.include_w_antisym else None))
+        _check_row(rows[-1])
+    return tuple(rows)
 
 
 def evaluate_scan_point(spec: ScanSpec, value: float) -> ScanRow:
@@ -429,43 +447,43 @@ def evaluate_scan_point(spec: ScanSpec, value: float) -> ScanRow:
 
     ``run_scan`` is equivalent to mapping this function over
     ``spec.values()``: both reduce the scan's base spectrum (here for the
-    one point, once per scan in ``run_scan``) and read the row off that
-    reduction with the same kernel, so the rows agree bit for bit.  Points
-    are pure and independent; callers may evaluate them in any order or
-    concurrently.
+    one point, once per scan in ``run_scan``) and read the rows off that
+    reduction with the same kernel, a batch of one here, and each row of a
+    batch has the same bits on its own, so the rows agree bit for bit.
+    Points are pure and independent; callers may evaluate them in any order
+    or concurrently.
     """
-    _, point_weight, _ = _prepare(spec)
-    return _evaluate_point(spec, point_weight, value)
+    return _scan_rows(spec, _prepare(spec), [value])[0]
 
 
 def run_scan(spec: ScanSpec) -> ScanResult:
     """Run the scan; the metadata times the base reduction and the rows apart."""
     t0 = time.perf_counter()
-    grid, point_weight, warnings = _prepare(spec)
+    scan = _prepare(spec)
     t1 = time.perf_counter()
-    rows = tuple(_evaluate_point(spec, point_weight, value) for value in spec.values())
+    rows = _scan_rows(spec, scan, spec.values())
     t2 = time.perf_counter()
 
     metadata: dict[str, Any] = {
         "model": spec.model,
         "swept": spec.swept,
         "grid": {
-            "center": grid.center,
-            "half_span": grid.half_span,
-            "n_points": grid.n_points,
+            "center": scan.grid.center,
+            "half_span": scan.grid.half_span,
+            "n_points": scan.grid.n_points,
         },
-        "truncation_warnings": warnings,
+        "truncation_warnings": scan.warnings,
         "prepare_s": t1 - t0,
         "rows_s": t2 - t1,
         "wall_time_s": time.perf_counter() - t0,
     }
-    row_metadata = MODELS[spec.model].metadata
-    if row_metadata is not None:
+    model_metadata = MODELS[spec.model].metadata
+    if model_metadata is not None:
         # a delay leaves the model metadata unchanged; a dl sweep lists it per row
-        per_row = [row_metadata(_row(spec, value)) for value in spec.values()]
         if spec.swept == "dz":
-            metadata.update(per_row[0])
+            metadata.update(model_metadata(scan.params, scan.dl))
         else:
+            per_row = [model_metadata(scan.params, row.param) for row in rows]
             metadata.update({key: [meta[key] for meta in per_row] for key in per_row[0]})
     return ScanResult(spec=spec, rows=rows, metadata=metadata)
 

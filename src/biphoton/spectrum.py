@@ -98,7 +98,8 @@ class FrequencyGrid:
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.half_span / (self.n_points - 1)
+        # the bits of 2 * half_span / (n - 1), without its overflow past 9e307
+        return self.half_span / self.center_index
 
     @property
     def center_index(self) -> int:
@@ -367,14 +368,20 @@ def _check_norm(norm_sq: float) -> None:
 _SWEEP_CANCELLATION = 10.0
 
 
+# Phase-table cells (rows times blocked coefficients) per slab of the rows of
+# exchange_sweep: a slab's products stay near 1 MB on any grid.
+_SWEEP_CELLS = 2**16
+
+
 def exchange_sweep(
     s: BiphotonSpectrum | _FactoredState, min_norm_squared: float = _MIN_NORM**2
-) -> Callable[[complex, complex, float], float]:
-    """Antisymmetric weight of ``s`` with port-1 rows scaled by two plane waves.
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Antisymmetric weights of ``s`` with port-1 rows scaled by two plane waves.
 
-    Returns ``w(a, b, tau)``, the antisymmetric weight (``anti`` of
-    :func:`exchange_weights`, 0 at or below ``_ZERO_WEIGHT``) of ``s`` with row
-    ``i`` scaled by ``d_i = a exp(i tau nu_i) + b exp(-i tau nu_i)`` and
+    Returns ``w(a, b, tau)``: for each row of the 1-D arrays ``a``, ``b``
+    and ``tau`` (scalars broadcast), the antisymmetric weight (``anti`` of
+    :func:`exchange_weights`, 0 at or below ``_ZERO_WEIGHT``) of ``s`` with
+    row ``i`` scaled by ``d_i = a exp(i tau nu_i) + b exp(-i tau nu_i)`` and
     renormalized: the balanced-splitter coincidence of that state.  A delay
     ``dz`` is ``(1, 0, dz / c)``, since its carrier phase is global.
 
@@ -383,28 +390,43 @@ def exchange_sweep(
     through its diagonal sums ``T_k`` (``k = j - i``) and anti-diagonal sums
     ``S_m`` (``m = i + j``).  So one O(n^2) pass to ``T``, ``S``, ``r`` and
     ``D = sum_i (r_i - v_i)``, ``v_i = Re sum_j G[i,j]``, leaves O(n) per
-    call, with ``theta = tau domega``:
+    row.  With ``theta = tau domega``, ``e_q = exp(i q theta)``,
+    ``R = sum_i r_i``, ``r'_{2i} = r_i`` (0 at odd indices) and
+    ``rw = R - conj(sum_m r'_m (1 - e_{m-n+1}))``:
 
+        N = (|a|^2 + |b|^2) R + 2 Re[conj(a) b rw]
         2 w N = (|a|^2 + |b|^2) D
-                + Re sum_k T_k (|a|^2 (1 - e^{ik theta}) + |b|^2 (1 - e^{-ik theta}))
-                + 2 Re[conj(a) b (sum_i r_i e^{-2i tau nu_i} - sum_m S_m e^{-i theta (m-n+1)})]
+                + 2 Re sum_k T_k (|a|^2 (1 - e_k) + |b|^2 (1 - conj e_k))
+                + 2 Re[conj(a) b (rw - sum_m S_m conj e_{m-n+1})]
+
+    Each phase sum ``sum_q c_q (1 - e_q)`` is taken for all rows at once by
+    :func:`_phase_sums`: with ``q = A B + b``, an odd block ``B`` near
+    ``sqrt(n)``, ``|b| <= B // 2`` and the tables ``E_A = exp(i A B theta)``
+    and ``E_b = exp(i b theta)``,
+
+        sum_q c_q (1 - e_q) = sum_A (1 - E_A) sum_b c[A,b] + sum_A E_A sum_b c[A,b] (1 - E_b),
+
+    about ``2 sqrt(n)`` complex exponentials a row instead of ``n``.  The
+    form keeps two identities exact: at ``theta = 0`` every table entry is 1
+    and every sum exactly 0, so a bit-symmetric ``s`` (both terms of ``D``
+    summed by one routine) gives ``w(1, 0, 0) = 0``; and at ``tau = 0``
+    ``rw = R``, so a norm whose two waves cancel there (``a = -b``) is
+    exactly 0.  No BLAS runs, and each row has the same bits in any batch.
 
     A spectrum is reduced by slabs of its rows (:func:`_matrix_sums`).  A
     factored state ``c[i,j] = x_i y_j p[i+j]``, as scans of every model source
     pass, is never built: its ``G[i,j] = u_i conj(u_j) P[i+j]`` with
     ``u = conj(x) y`` and ``P = p**2`` gives every sum from O(n) vectors
     (:func:`_factored_sums`, which sums ``T_k`` over the band of the pump's
-    support).  Both terms of
-    ``D`` are summed by one routine, so a bit-symmetric ``s`` gives
-    ``w(1, 0, 0)`` exactly 0.  Near a node of ``d`` the terms cancel: where
-    ``N`` is over ``_SWEEP_CANCELLATION`` times below
-    ``(|a|^2 + |b|^2) sum_i r_i`` the scaled state is reduced instead.  So is
-    every row of a one-hot pump (the delta pump and the Bell state), which
-    leaves one cell per row and costs O(n): its rows keep the exact zeros and
-    ones of a bit-symmetric or bit-antisymmetric scaled state.  Below
-    ``min_norm_squared`` (by default the zero-norm floor of
-    :meth:`BiphotonSpectrum.from_array`) it is no state, and the call raises
-    :class:`DegenerateSpectrumError`.  Every row is a plain ``float``.
+    support).  Near a node of ``d`` the terms cancel: a row whose ``N`` is
+    over ``_SWEEP_CANCELLATION`` times below ``(|a|^2 + |b|^2) R``, or below
+    ``min_norm_squared``, has its scaled state reduced instead.  So has every
+    row of a one-hot pump (the delta pump and the Bell state), which leaves
+    one cell per row and costs O(n): its rows keep the exact zeros and ones
+    of a bit-symmetric or bit-antisymmetric scaled state.  A scaled state
+    below ``min_norm_squared`` (by default the zero-norm floor of
+    :meth:`BiphotonSpectrum.from_array`) is no state: the call raises
+    :class:`DegenerateSpectrumError` at the first such row.
     """
     producer = _factored_sums if isinstance(s, _FactoredState) else _matrix_sums
     r, v, t, antidiag, scaled = producer(s)
@@ -412,45 +434,88 @@ def exchange_sweep(
     one_hot = isinstance(s, _FactoredState) and np.count_nonzero(_squared_pump(s)) == 1
     d = math.fsum(r - v)
     r_total = float(np.sum(r))
-    q = np.arange(-(n - 1), n, dtype=float)
-
-    def check(norm_sq: float) -> None:
-        if norm_sq < min_norm_squared:
-            raise DegenerateSpectrumError(
-                "degenerate spectrum: the row factors annihilate the sampled support"
-            )
+    r_even = np.zeros(2 * n - 1)
+    r_even[::2] = r
+    diagonals = _phase_sums(t[None], 1)
+    anti_diagonals = _phase_sums(np.stack((r_even, antidiag)), 1 - n)
+    s_total = float(np.sum(antidiag))
 
     def reduced(a: complex, b: complex, tau: float) -> float:
         # the weight of the scaled state, reduced from its rows
         sym, anti = scaled(_plane_waves(s.grid, a, b, tau))
-        check(sym + anti)
+        if sym + anti < min_norm_squared:
+            raise DegenerateSpectrumError(
+                "degenerate spectrum: the row factors annihilate the sampled support"
+            )
         return _weight(anti / (sym + anti))
 
-    def weight(a: complex, b: complex, tau: float) -> float:
+    def weights(a, b, tau) -> np.ndarray:
+        a, b, tau = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(a, dtype=complex)),
+            np.asarray(b, dtype=complex),
+            np.asarray(tau, dtype=float),
+        )
         if one_hot:
-            return reduced(a, b, tau)
-        # numpy's pairwise sums, not BLAS dot products: the bits do not
-        # depend on the BLAS build or its thread count
-        a2, b2 = abs(a) ** 2, abs(b) ** 2
-        # e^{ik theta} for k > 0, and for a second wave for every k = m - n + 1
-        p = np.exp((q if b else q[n:]) * (1j * tau * s.grid.spacing))
-        e = p[-(n - 1) :]
-        waves = a2 * (1.0 - e)
-        norm_sq, pair = (a2 + b2) * r_total, 0.0
-        if b:
-            # sum_i r_i e^{-2i tau nu_i}, with its real part summed as r_total is,
-            # so that N is exactly 0 where the two waves cancel at tau = 0
-            rw = complex(np.sum(r * p.real[::2]), -np.sum(r * p.imag[::2]))
-            norm_sq += 2.0 * (np.conj(a) * b * rw).real
-            if min_norm_squared <= norm_sq < (a2 + b2) * r_total / _SWEEP_CANCELLATION:
-                return reduced(a, b, tau)
-            waves += b2 * (1.0 - np.conj(e))
-            pair = np.conj(a) * b * (rw - np.sum(antidiag * np.conj(p)))
-        check(norm_sq)
-        twice = (a2 + b2) * d + 2.0 * float(np.sum((t * waves).real)) + 2.0 * float(np.real(pair))
-        return float(_weight(0.5 * twice / norm_sq))
+            return np.array([reduced(*row) for row in zip(a, b, tau)], dtype=float)
+        a2, b2 = np.abs(a) ** 2, np.abs(b) ** 2
+        theta = tau * s.grid.spacing
+        norm_sq = (a2 + b2) * r_total
+        twice = (a2 + b2) * d + 2.0 * a2 * diagonals(theta)[:, 0].real
+        if np.any(b):
+            pair = np.conj(a) * b
+            sums = anti_diagonals(theta)
+            rw = r_total - np.conj(sums[:, 0])
+            norm_sq += 2.0 * (pair * rw).real
+            twice += 2.0 * b2 * diagonals(-theta)[:, 0].real
+            twice += 2.0 * (pair * (rw - (s_total - np.conj(sums[:, 1])))).real
+        reduce = (norm_sq < min_norm_squared) | (
+            norm_sq < (a2 + b2) * r_total / _SWEEP_CANCELLATION
+        )
+        out = np.empty(len(theta))
+        for i in np.flatnonzero(reduce):
+            out[i] = reduced(a[i], b[i], tau[i])
+        w = 0.5 * twice[~reduce] / norm_sq[~reduce]
+        out[~reduce] = np.where(w <= _ZERO_WEIGHT, 0.0, np.minimum(w, 1.0))
+        return out
 
-    return weight
+    return weights
+
+
+def _phase_sums(c: np.ndarray, q0: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``theta -> sum_j c[k, j] (1 - exp(i (q0 + j) theta_r))``, shape ``(rows, k)``.
+
+    The blocked sums of :func:`exchange_sweep`: index ``q = q0 + j`` is cell
+    ``(A, b)`` of zero-padded blocks ``c[k, A, b]`` with ``q = A B + b``, odd
+    ``B`` near ``sqrt(len(c[k]))`` and ``|b| <= B // 2``.  Each slab of rows
+    builds the tables ``E_A`` and ``E_b`` and sums each block against
+    ``1 - E_b`` along its last axis, so no BLAS runs and a row's bits do not
+    depend on the other rows of its batch.
+    """
+    k, length = c.shape
+    size = 2 * (math.isqrt(length) // 2) + 1
+    half = size // 2
+    first = (q0 + half) // size
+    count = (q0 + length - 1 + half) // size - first + 1
+    cells = np.zeros((k, count * size), dtype=np.complex128)
+    offset = q0 - first * size + half
+    cells[:, offset : offset + length] = c
+    cells = cells.reshape(k, count, size)
+    block_sums = cells.sum(axis=2)
+    b_index = np.arange(-half, half + 1, dtype=float)
+    a_index = np.arange(first, first + count, dtype=float) * size
+    slab = max(1, _SWEEP_CELLS // cells.size)
+
+    def sums(theta: np.ndarray) -> np.ndarray:
+        out = np.empty((len(theta), k), dtype=np.complex128)
+        for i in range(0, len(theta), slab):
+            rows = theta[i : i + slab]
+            inner = 1.0 - np.exp(1j * np.multiply.outer(rows, b_index))
+            inner = (cells * inner[:, None, None, :]).sum(axis=3)
+            e = np.exp(1j * np.multiply.outer(rows, a_index))[:, None, :]
+            out[i : i + slab] = ((1.0 - e) * block_sums + e * inner).sum(axis=2)
+        return out
+
+    return sums
 
 
 def _matrix_sums(s: BiphotonSpectrum) -> tuple:

@@ -5,18 +5,32 @@ matrix, with no slab or reduction shortcut: the exchange swap, the split
 into renormalized exchange-symmetric and -antisymmetric parts, sampling a
 function on the grid, and the squared norm of a spectrum.  The diagonal
 sums of a factored state run over the whole triangle, by the slab loop
-that the library cuts to the band of the pump's support.
+that the library cuts to the band of the pump's support.  The row kernel
+of a sweep reads each row off the reduction on its own, with one complex
+exponential per diagonal, where the library takes all rows in one blocked
+pass.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 import biphoton as bp
 from biphoton.scans import _delayed_state
-from biphoton.spectrum import _ZERO_WEIGHT, _FactoredState
+from biphoton.spectrum import (
+    _MIN_NORM,
+    _SWEEP_CANCELLATION,
+    _ZERO_WEIGHT,
+    _factored_sums,
+    _FactoredState,
+    _matrix_sums,
+    _plane_waves,
+    _squared_pump,
+    _weight,
+)
 
 
 class SymmetryDecomposition(NamedTuple):
@@ -116,3 +130,54 @@ def factored_diagonal_sums(f: _FactoredState) -> np.ndarray:
         g *= u[:width]
         t[k0 - 1 : k0 - 1 + m] = g.sum(axis=1)
     return t
+
+
+def exchange_sweep_row(
+    s: bp.BiphotonSpectrum | _FactoredState, min_norm_squared: float = _MIN_NORM**2
+) -> Callable[[complex, complex, float], float]:
+    """``w(a, b, tau)`` of :func:`biphoton.spectrum.exchange_sweep`, one row per call.
+
+    Each row takes ``e^{ik theta}`` for ``k = 1..n-1`` (``-(n-1)..n-1`` for a
+    second wave) from its own complex exponentials and sums
+    ``sum_k T_k (|a|^2 (1 - e^{ik theta}) + |b|^2 (1 - e^{-ik theta}))`` and
+    ``sum_i r_i e^{-2i tau nu_i} - sum_m S_m e^{-i theta (m-n+1)}`` directly.
+    """
+    producer = _factored_sums if isinstance(s, _FactoredState) else _matrix_sums
+    r, v, t, antidiag, scaled = producer(s)
+    n = s.grid.n_points
+    one_hot = isinstance(s, _FactoredState) and np.count_nonzero(_squared_pump(s)) == 1
+    d = math.fsum(r - v)
+    r_total = float(np.sum(r))
+    q = np.arange(-(n - 1), n, dtype=float)
+
+    def check(norm_sq: float) -> None:
+        if norm_sq < min_norm_squared:
+            raise bp.DegenerateSpectrumError(
+                "degenerate spectrum: the row factors annihilate the sampled support"
+            )
+
+    def reduced(a: complex, b: complex, tau: float) -> float:
+        sym, anti = scaled(_plane_waves(s.grid, a, b, tau))
+        check(sym + anti)
+        return _weight(anti / (sym + anti))
+
+    def weight(a: complex, b: complex, tau: float) -> float:
+        if one_hot:
+            return reduced(a, b, tau)
+        a2, b2 = abs(a) ** 2, abs(b) ** 2
+        p = np.exp((q if b else q[n:]) * (1j * tau * s.grid.spacing))
+        e = p[-(n - 1) :]
+        waves = a2 * (1.0 - e)
+        norm_sq, pair = (a2 + b2) * r_total, 0.0
+        if b:
+            rw = complex(np.sum(r * p.real[::2]), -np.sum(r * p.imag[::2]))
+            norm_sq += 2.0 * (np.conj(a) * b * rw).real
+            if min_norm_squared <= norm_sq < (a2 + b2) * r_total / _SWEEP_CANCELLATION:
+                return reduced(a, b, tau)
+            waves += b2 * (1.0 - np.conj(e))
+            pair = np.conj(a) * b * (rw - np.sum(antidiag * np.conj(p)))
+        check(norm_sq)
+        twice = (a2 + b2) * d + 2.0 * float(np.sum((t * waves).real)) + 2.0 * float(np.real(pair))
+        return float(_weight(0.5 * twice / norm_sq))
+
+    return weight

@@ -504,31 +504,48 @@ _EXTREME = st.sampled_from(["1e-3", "1e-30", "0", "5e-324", "1e308", "inf", "nan
                             "-0", "-5e-324", "-1e-30", "-1e-3", "-1e308", "-inf"])
 
 
+def _check_contract(argv, out):
+    """``main(argv)`` on 33 points keeps the CLI contract: a documented exit
+    code, one error line, no RuntimeWarning, and on success strict JSON (the
+    ``transform`` report, or stdout) and finite numbers."""
+    if out.exists():
+        out.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--grid-points", "33", "-o", str(out)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 2, 3)
+    err = stderr.getvalue()
+    if code != 0:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        return
+    text = out.read_text()
+    report = text if argv[0] == "transform" else stdout.getvalue()
+    json.loads(report, parse_constant=_reject, parse_float=_finite)
+    if argv[0] != "transform":
+        # a CSV table: every cell, and the axis of a matrix's header line
+        lines = text.splitlines()
+        axis = lines[0].split(",")[1:] if argv[0] == "wavepacket" else []
+        for token in axis + [token for line in lines[1:] for token in line.split(",")]:
+            _finite(token)
+
+
+def _finite(token):
+    value = float(token)
+    assert math.isfinite(value), token
+    return value
+
+
 class TestExtremePumpWidths:
-    """The CLI contract of the scans over extreme inputs: a documented exit
-    code, one error line, no RuntimeWarning, and finite numbers on success."""
+    """The CLI contract of the scans over extreme inputs."""
 
     @staticmethod
     def _check(argv, dz, out):
         # a delay sweep from 0 to dz, each end given as drawn
         ends = (dz, "0") if float(dz) < 0 else ("0", dz)
-        argv += ["--dz-min", ends[0], "--dz-max", ends[1]]
-        if out.exists():
-            out.unlink()
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv + ["--steps", "3", "--grid-points", "33", "-o", str(out)])
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert code in (0, 2, 3)
-        err = stderr.getvalue()
-        if code != 0:
-            assert err.count("\n") == 1 and err.endswith("\n"), err
-            return
-        json.loads(stdout.getvalue(), parse_constant=_reject)
-        for line in out.read_text().splitlines()[1:]:
-            assert all(math.isfinite(float(token)) for token in line.split(",")), line
+        _check_contract(argv + ["--dz-min", ends[0], "--dz-max", ends[1], "--steps", "3"], out)
 
     @hyp.settings(max_examples=100, derandomize=True, database=None)
     @hyp.given(beta=_EXTREME, center=_EXTREME, dl=_EXTREME, dz=_EXTREME)
@@ -541,6 +558,47 @@ class TestExtremePumpWidths:
     def test_dip_scan_with_a_gaussian_pump(self, tmp_path_factory, beta, center, dz):
         argv = ["dip-scan", "--pump", "gaussian", "--beta", beta, "--center", center]
         self._check(argv, dz, tmp_path_factory.getbasetemp() / "dip.csv")
+
+
+# every model source, with "{}" for each drawn flag value
+_SOURCES = {
+    "flat pair": ["--model", "gaussian_pair", "--sigma", "{}", "--center", "{}", "--dz", "{}"],
+    "pumped pair": ["--model", "gaussian_pair", "--pump", "gaussian", "--beta", "{}",
+                    "--center", "{}", "--dz", "{}"],
+    "shih": ["--model", "shih", "--beta", "{}", "--center", "{}", "--dl", "{}", "--dz", "{}"],
+    "even delta pump": ["--model", "delta_pump", "--sigma", "{}", "--dl", "{}", "--dz", "{}"],
+    "odd delta pump": ["--model", "delta_pump", "--parity", "odd", "--center", "{}",
+                       "--dl", "{}", "--dz", "{}"],
+    "bell": ["--model", "bell", "--omega-a", "{}", "--omega-b", "{}", "--dz", "{}"],
+}
+_REPORTS = {
+    "transform": ["transform"],
+    "frequency": ["wavepacket", "--domain", "frequency"],
+    "time": ["wavepacket", "--domain", "time"],
+}
+
+
+class TestExtremeReports:
+    """The CLI contract of ``transform`` and ``wavepacket`` in both domains,
+    for every model source, over extreme inputs."""
+
+    @hyp.settings(max_examples=150, derandomize=True, database=None)
+    @hyp.given(report=st.sampled_from(sorted(_REPORTS)), source=st.sampled_from(sorted(_SOURCES)),
+               values=st.lists(_EXTREME, min_size=4, max_size=4))
+    def test_documented_exit_and_finite_output(self, tmp_path_factory, report, source, values):
+        flags = [values.pop() if flag == "{}" else flag for flag in _SOURCES[source]]
+        _check_contract(_REPORTS[report] + flags, tmp_path_factory.getbasetemp() / "report")
+
+    # a spacing 2 * span / (n - 1) past the float range made a NaN grid, and
+    # a Gaussian exponent past it an overflow warning before its exact 0
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--model", "gaussian_pair", "--grid-span", "1e308"],
+        ["wavepacket", "--domain", "time", "--model", "gaussian_pair", "--grid-span", "1e200",
+         "--sigma", "1e15"],
+    ], ids=["spacing-past-half-the-float-range", "gaussian-exponent-past-the-float-range"])
+    def test_grid_past_the_float_range_answers(self, tmp_path, argv):
+        _check_contract(argv, tmp_path / "report")
+        assert (tmp_path / "report").exists()
 
 
 class TestMalformedCommandLines:
@@ -563,13 +621,18 @@ class TestMalformedCommandLines:
             ["transform", "--model", "gaussian_pair", "--pump", "gaussian", "--beta", "1e-300"],
             ["transform", "--model", "shih", "--beta", "1e-200", "--center", "90"],
             ["transform", "--model", "gaussian_pair", "--center", "1e300"],
+            _DIP + ["--dz-min", "1e-3", "--dz-max", "1", "--grid-span", "1e308",
+                    "--grid-points", "3"],
+            ["transform", "--model", "delta_pump", "--sigma", "1e-3", "--dl", "-1e308",
+             "--dz", "1e308", "--grid-points", "33"],
         ],
         ids=["bell-span-0", "bell-span-negative", "bell-span-inf", "bell-span-nan",
              "dip-infinite-range", "dip-overflowing-range", "dip-overflowing-delay-phase",
              "shih-infinite-stop",
              "transform-dz-inf", "transform-dl-nan", "wavepacket-sigma-underflow",
              "shih-sigma-underflow", "pump-beta-underflow", "shih-beta-underflow",
-             "transform-center-unresolvable"],
+             "transform-center-unresolvable", "dip-overflowing-difference-phase",
+             "transform-overflowing-delay-reach"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         assert main(argv + ["-o", str(tmp_path / "out")]) == 2
@@ -590,6 +653,10 @@ class TestMalformedCommandLines:
              "pump_sigma"),
             (["transform", "--model", "shih", "--beta", "1e-200", "--center", "90"], "sigma_p"),
             (["wavepacket", "--model", "gaussian_pair", "--center", "1e300"], "center"),
+            (_DIP + ["--dz-min", "1e-3", "--dz-max", "1", "--grid-span", "1e308",
+                     "--grid-points", "3"], "dz"),
+            (["transform", "--model", "delta_pump", "--sigma", "1e-3", "--dl", "-1e308",
+              "--dz", "1e308", "--grid-points", "33"], "dl"),
         ],
     )
     def test_error_names_the_parameter(self, tmp_path, capsys, argv, name):

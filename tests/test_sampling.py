@@ -219,7 +219,7 @@ def test_factored_sums_match_matrix_sums(base, n):
 def test_dark_fringe_row_reduces_the_scaled_factors(n, span):
     model, fixed, dl = _DARK_FRINGE
     base = _delayed_state(model, fixed, n, span)
-    a, b, tau = shih_row_factor(bp.ShihModel(sigma=1.0, delta_l=dl, **fixed), base.grid)
+    a, b, tau = shih_row_factor(base.grid, dl)
     d = _plane_waves(base.grid, a, b, tau)
     factored, matrix = _factored_sums(base), _matrix_sums(base.spectrum())
     # the row's norm sum_i r_i |d_i|**2 is in the cancellation branch of exchange_sweep
@@ -228,8 +228,8 @@ def test_dark_fringe_row_reduces_the_scaled_factors(n, span):
     assert norm < (abs(a) ** 2 + abs(b) ** 2) * r_total / _SWEEP_CANCELLATION
     for new, old in zip(factored[4](d), matrix[4](d)):
         assert abs(new - old) <= 1e-15 * r_total
-    p_factored = exchange_sweep(base)(a, b, tau)
-    assert abs(p_factored - exchange_sweep(base.spectrum())(a, b, tau)) <= 1e-15
+    (p_factored,) = exchange_sweep(base)([a], [b], [tau])
+    assert abs(p_factored - exchange_sweep(base.spectrum())([a], [b], [tau])[0]) <= 1e-15
     # the row's own state, reduced from its factors and as a matrix
     _assert_sums_agree(_FactoredState(base.grid, d * base.x, base.y, base.pump))
 
@@ -252,6 +252,24 @@ def test_scan_working_set(model, swept, fixed):
         grid_points=n, grid_span_sigmas=4.5,
     )
     assert _peak_matrices(lambda: bp.run_scan(spec), n) <= 0.15
+
+
+@pytest.mark.parametrize(
+    "swept,fixed,start,stop",
+    [
+        ("dz", {"center": 90.0, "sigma_p": 0.01, "delta_l": 20.0}, -30.0, 30.0),
+        ("dl", {"center": 90.0, "sigma_p": 0.01, "dz": 2.5}, 4.0, 15.0),
+    ],
+)
+def test_long_scan_rows_run_in_slabs(swept, fixed, start, stop):
+    # 1001 rows on the largest grid are read off the reduction in slabs of
+    # rows, so they stay under a tenth of one n x n matrix, as the reduction does
+    n = 4095
+    spec = bp.ScanSpec(
+        model="shih", swept=swept, start=start, stop=stop, n_steps=1001, fixed=fixed,
+        grid_points=n, grid_span_sigmas=4.5,
+    )
+    assert _peak_matrices(lambda: bp.run_scan(spec), n) <= 0.1
 
 
 _BAD_WIDTHS = [0.0, -1.0, math.nan, math.inf, 1e-300, 1e-154, 1e154, 1e200]

@@ -423,3 +423,13 @@ class TestFiniteAndNormChecks:
         squares = raw.view(np.float64) ** 2
         exact = math.fsum(squares.ravel())
         assert abs(spectrum._finite_squared_norm(raw) - exact) <= 1e-15 * exact
+
+
+def test_grid_spacing_is_twice_the_half_span_over_the_gaps():
+    # half_span / center_index: the bits of 2 * half_span / (n - 1), which
+    # overflows for a half span past 9e307
+    for half_span, n in [(6.0, 257), (4.5, 1025), (math.pi, 33), (3.0, 3), (1e-300, 4095)]:
+        assert bp.make_grid(0.0, half_span, n).spacing == 2.0 * half_span / (n - 1)
+    grid = bp.make_grid(0.0, 1e308, 33)
+    assert grid.spacing == 6.25e306
+    assert np.all(np.isfinite(grid.offsets())) and grid.offsets()[-1] == 1e308
