@@ -90,40 +90,53 @@ def _c_light(args: argparse.Namespace) -> float:
     return 1.0
 
 
+# The fixed keys each source flag can set, by destination.
+_SOURCE_FLAGS = {"sigma": {"sigma"}, "center": {"center"}, "pump": {"pump_sigma"},
+                 "beta": {"sigma_p", "pump_sigma"}, "dl": {"delta_l", "dl"},
+                 "parity": {"parity"}, "omega_a": {"omega_a"}, "omega_b": {"omega_b"}}
+
+
 def _model_fixed(args: argparse.Namespace, c_light: float) -> tuple[str, dict[str, Any]]:
     """Translate CLI flags into a (model, fixed-parameters) pair.
 
-    Each model keeps the parameters its ``MODELS`` entry accepts.  ``--dz``
-    is not among them: it is the relative delay of the input state.
+    Each model keeps the parameters its ``MODELS`` entry accepts, and a
+    source flag set off its parser default that sets none of them is
+    refused.  ``--dz`` is not among them: it is the relative delay of the
+    input state.
     """
     opts = vars(args)
     if opts.get("spectrum_file") is not None:
-        return "spectrum_file", {"path": args.spectrum_file, "c_light": c_light}
-    beta = opts.get("beta")
-    scaled_beta = None if beta is None else beta * args.sigma
-    gaussian_pump = opts.get("pump") == "gaussian"
-    if gaussian_pump and beta is None:
-        raise ConfigError("--pump gaussian requires --beta")
-    flags = {  # fixed key: (flag, value)
-        "sigma": ("--sigma", args.sigma),
-        "sigma_p": ("--beta", scaled_beta),
-        "center": ("--center", args.center),
-        "delta_l": ("--dl", opts.get("dl")),
-        "dl": ("--dl", opts.get("dl")),
-        "parity": ("--parity", opts.get("parity")),
-        "omega_a": ("--omega-a", opts.get("omega_a")),
-        "omega_b": ("--omega-b", opts.get("omega_b")),
-        "c_light": ("--c-light", c_light),
-        "pump_sigma": ("--beta", scaled_beta if gaussian_pump else None),
-    }
-    entry = MODELS[args.model]
-    for key in entry.required:
-        if flags[key][1] is None:
-            raise ConfigError(f"model {args.model} requires {flags[key][0]}")
-    fixed = {key: v for key, (_, v) in flags.items() if key in entry.keys and v is not None}
-    if beta is not None and not {"sigma_p", "pump_sigma"} & fixed.keys():
-        raise ConfigError("--beta is only meaningful with --pump gaussian or model shih")
-    return args.model, fixed
+        model, fixed = "spectrum_file", {"path": args.spectrum_file, "c_light": c_light}
+    else:
+        beta = opts.get("beta")
+        scaled_beta = None if beta is None else beta * args.sigma
+        gaussian_pump = opts.get("pump") == "gaussian"
+        if gaussian_pump and beta is None:
+            raise ConfigError("--pump gaussian requires --beta")
+        flags = {  # fixed key: (flag, value)
+            "sigma": ("--sigma", args.sigma),
+            "sigma_p": ("--beta", scaled_beta),
+            "center": ("--center", args.center),
+            "delta_l": ("--dl", opts.get("dl")),
+            "dl": ("--dl", opts.get("dl")),
+            "parity": ("--parity", opts.get("parity")),
+            "omega_a": ("--omega-a", opts.get("omega_a")),
+            "omega_b": ("--omega-b", opts.get("omega_b")),
+            "c_light": ("--c-light", c_light),
+            "pump_sigma": ("--beta", scaled_beta if gaussian_pump else None),
+        }
+        model, entry = args.model, MODELS[args.model]
+        for key in entry.required:
+            if flags[key][1] is None:
+                raise ConfigError(f"model {model} requires {flags[key][0]}")
+        fixed = {key: v for key, (_, v) in flags.items() if key in entry.keys and v is not None}
+    # every command declares its source flags with the defaults of transform's
+    defaults = vars(_parser().parse_args(["transform", "--model", "bell"]))
+    for dest, keys in _SOURCE_FLAGS.items():
+        if opts.get(dest, defaults[dest]) != defaults[dest] and not keys & fixed.keys():
+            source = "a spectrum file" if model == "spectrum_file" else f"model {model}"
+            raise ConfigError(f"--{dest.replace('_', '-')} sets no parameter of {source}")
+    return model, fixed
 
 
 def _write_json(payload: dict[str, Any], path: str | None) -> None:

@@ -50,9 +50,9 @@ from .spectrum import (
     FrequencyGrid,
     _FactoredState,
     _check_c_light,
+    _hankel,
     _path_phases,
     _plane_waves,
-    _support,
 )
 
 # Minimum grid coverage (in units of sigma) below which model builders
@@ -257,18 +257,10 @@ def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
     pump = _pump(grid, m.center, m.sigma_p)
     a = _gaussian(grid.frequencies(), m.center, m.sigma)
     modulation = _plane_waves(grid, *shih_row_factor(grid, m.delta_l, m.c_light)).real
-    # squared row norms of the unmodulated envelope, a_i**2 sum_j a_j**2 P[i+j] with
-    # P = p**2, summed over the support [lo, hi) of P only: band[n - 1 + i - lo]
-    # holds the sum of row i, and rows i >= hi have none of it
+    # squared row norms of the unmodulated envelope, a_i**2 sum_j P[i+j] a_j**2
+    # with P = p**2: the Hankel product of the scans' row sums
     a2 = a * a
-    p2 = pump * pump
-    lo, hi = _support(p2)
-    n = grid.n_points
-    row_norms = np.zeros(n)
-    if lo < hi:
-        band = np.correlate(p2[lo:hi], a2, "full")
-        i0, i1 = max(0, lo - n + 1), min(n, hi)
-        row_norms[i0:i1] = a2[i0:i1] * band[n - 1 + i0 - lo : n - 1 + i1 - lo]
+    row_norms = a2 * _hankel(pump * pump, grid.n_points)(a2)
     env_norm = float(np.sum(row_norms))
     if env_norm > 0.0 and float(modulation**2 @ row_norms) / env_norm < MIN_MODULATION_WEIGHT:
         raise DegenerateSpectrumError(

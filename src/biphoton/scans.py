@@ -64,6 +64,12 @@ from .spectrum import (
 
 SWEEPABLE = ("dz", "dl")
 
+# Largest accepted step count, refused before the sweep values are allocated.
+# A row holds ~450 bytes of Python objects and one table line: a 10**5-row
+# scan peaks ~45 MB above a 2-row one and takes ~1.5 s (2-core x86), 100
+# times the 1,001 rows of the largest documented or checked scan.
+MAX_SCAN_STEPS = 10**5
+
 # Values of the optional parameters that ``fixed`` leaves out.
 _DEFAULTS = {"center": 0.0, "sigma": 1.0, "c_light": 1.0, "delta_l": 0.0, "dl": 0.0}
 
@@ -243,6 +249,8 @@ class ScanSpec:
             raise ConfigError(f"swept must be one of {SWEEPABLE}, got {self.swept!r}")
         if self.n_steps < 2:
             raise ConfigError("steps must be >= 2")
+        if self.n_steps > MAX_SCAN_STEPS:
+            raise ConfigError(f"steps must be <= {MAX_SCAN_STEPS}, got {self.n_steps}")
         if not (self.start < self.stop):
             raise ConfigError("scan range must satisfy start < stop")
         if not math.isfinite(self.stop - self.start):

@@ -219,18 +219,13 @@ class _FactoredState:
     warnings: tuple[str, ...] = ()
 
     def spectrum(self) -> BiphotonSpectrum:
-        """The unit-norm matrix: the outer product and the pump (read as a Hankel
-        matrix by a strided view) are written slab by slab into one complex
-        matrix, which is normalized in place, so no other n x n array is made."""
+        """The unit-norm matrix: the outer product is written into one complex
+        matrix, multiplied in place by the pump (read as a Hankel matrix by a
+        strided view) and normalized in place, so no other n x n array is made."""
         n = self.grid.n_points
-        c = np.empty((n, n), dtype=np.complex128)
-        pump = self.pump
-        hankel = None if pump is None else np.lib.stride_tricks.sliding_window_view(pump, n)
-        for i in range(0, n, _EXCHANGE_SLAB):
-            rows = c[i : i + _EXCHANGE_SLAB]
-            np.multiply.outer(self.x[i : i + _EXCHANGE_SLAB], self.y, out=rows)
-            if hankel is not None:
-                rows *= hankel[i : i + _EXCHANGE_SLAB]
+        c = np.multiply.outer(self.x, self.y, out=np.empty((n, n), dtype=np.complex128))
+        if self.pump is not None:
+            c *= np.lib.stride_tricks.sliding_window_view(self.pump, n)
         return BiphotonSpectrum._normalized(self.grid, c, self.warnings)
 
 
@@ -288,10 +283,10 @@ def _weight(w: float) -> float:
     return 0.0 if w <= _ZERO_WEIGHT else min(w, 1.0)
 
 
-# Rows (and columns) per slab of the factored model builders and of
-# time_domain, and twice those of the row sums of a matrix: a slab is ~1 MB
-# at n = 1025, a sixteenth of one n x n matrix, and stays in cache while it
-# is worked on.
+# Rows per slab of the output twist of time_domain and of the factorization
+# residual of time-domain exports, and twice those of the row and diagonal
+# sums of the scan reductions: a slab is ~1 MB at n = 1025, a sixteenth of
+# one n x n matrix, and stays in cache while it is worked on.
 _EXCHANGE_SLAB = 64
 
 
@@ -750,7 +745,9 @@ def _leading_singular_pair(
     ``q -> x o H(y o q)`` and ``w -> conj(y) o H(conj(x) o w)`` with the
     Hankel matrix ``H[i, j] = p[i+j]`` (:func:`_hankel`), O(n log n) a step.
     A one-hot pump leaves one cell in each row and column, so its singular
-    values are the moduli of the cells, read off exactly.
+    values are the moduli of the cells, read off exactly.  The quotient of
+    an exactly rank-1 state can round past 1: the fraction is clamped to 1,
+    as :func:`_weight` clamps a weight, and ``sigma`` keeps the quotient.
     """
     if isinstance(c, _FactoredState):
         r = _row_sums(c)[0]
@@ -803,12 +800,12 @@ def _leading_singular_pair(
             cy = apply(y)
             y_sq, cy_sq = _squared_norm(y), _squared_norm(cy)
             fraction = cy_sq / (y_sq * total)
-            return fraction, math.sqrt(fraction), cy / math.sqrt(cy_sq), y / math.sqrt(y_sq)
+            return min(fraction, 1.0), math.sqrt(fraction), cy / math.sqrt(cy_sq), y / math.sqrt(y_sq)
         q = w / beta[k]
     matrix = c.spectrum().amplitudes if isinstance(c, _FactoredState) else c
     u, svals, vh = np.linalg.svd(matrix)
     fraction = float(svals[0] ** 2) / _squared_norm(matrix)
-    return fraction, math.sqrt(fraction), u[:, 0], np.conj(vh[0])
+    return min(fraction, 1.0), math.sqrt(fraction), u[:, 0], np.conj(vh[0])
 
 
 def _factored_operator(
@@ -882,17 +879,12 @@ def time_domain(s: BiphotonSpectrum) -> TimeWavepacket:
     """
     t, pre, post = _time_twists(s.grid)
     n = len(t)
-    # fft2 as the FFTs of slabs of rows, then of columns, in the one matrix
-    # they are written to: the same bits, with no second n x n array
-    values = np.empty((n, n), dtype=np.complex128)
-    for i in range(0, n, _EXCHANGE_SLAB):
-        rows = slice(i, i + _EXCHANGE_SLAB)
-        np.multiply.outer(pre[rows], pre, out=values[rows])
-        values[rows] *= s.amplitudes[rows]
-        values[rows] = np.fft.fft(values[rows], axis=1)
-    for i in range(0, n, _EXCHANGE_SLAB):
-        cols = slice(i, i + _EXCHANGE_SLAB)
-        values[:, cols] = np.fft.fft(values[:, cols], axis=0)
+    # fft2 as in-place FFTs of the rows, then the columns, of the one matrix:
+    # the same bits, and the output twist by slabs makes no second n x n array
+    values = np.multiply.outer(pre, pre, out=np.empty((n, n), dtype=np.complex128))
+    values *= s.amplitudes
+    np.fft.fft(values, axis=1, out=values)
+    np.fft.fft(values, axis=0, out=values)
     for i in range(0, n, _EXCHANGE_SLAB):
         rows = slice(i, i + _EXCHANGE_SLAB)
         values[rows] *= np.multiply.outer(post[rows], post)

@@ -68,6 +68,14 @@ class TestDipScan:
         rows, _ = read_csv(out)
         assert rows[2]["P_numeric"] < 1e-12
 
+    def test_huge_step_count_exits_2_before_allocating(self, tmp_path, capsys):
+        code = main(["dip-scan", "--dz-min", "-1", "--dz-max", "1", "--steps", str(10**12),
+                     "--grid-points", "33", "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.search(r"\bsteps\b", err)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_single_step_exits_2(self, tmp_path, capsys):
         code = main(["dip-scan", "--dz-min", "-4", "--dz-max", "4", "--steps", "1",
                      "-o", str(tmp_path / "x.csv")])
@@ -504,26 +512,37 @@ _EXTREME = st.sampled_from(["1e-3", "1e-30", "0", "5e-324", "1e308", "inf", "nan
                             "-0", "-5e-324", "-1e-30", "-1e-3", "-1e308", "-inf"])
 
 
-def _check_contract(argv, out):
-    """``main(argv)`` on 33 points keeps the CLI contract: a documented exit
-    code, one error line, no RuntimeWarning, and on success strict JSON (the
-    ``transform`` report, or stdout) and finite numbers."""
-    if out.exists():
-        out.unlink()
+def _run_contract(argv):
+    """``main(argv)`` keeps the CLI contract: no traceback, a documented exit
+    code, one error line and no RuntimeWarning.  Returns the code and stdout."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv + ["--grid-points", "33", "-o", str(out)])
+            code = main(argv)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code in (0, 2, 3)
     err = stderr.getvalue()
     if code != 0:
         assert err.count("\n") == 1 and err.endswith("\n"), err
+    return code, stdout.getvalue()
+
+
+def _check_contract(argv, out):
+    """``main(argv)`` on 33 points keeps the CLI contract of :func:`_run_contract`,
+    and on success writes strict JSON (the ``transform`` report, or stdout),
+    finite numbers and a rank-1 fraction in [0, 1]."""
+    if out.exists():
+        out.unlink()
+    code, stdout = _run_contract(argv + ["--grid-points", "33", "-o", str(out)])
+    if code != 0:
         return
     text = out.read_text()
-    report = text if argv[0] == "transform" else stdout.getvalue()
-    json.loads(report, parse_constant=_reject, parse_float=_finite)
+    report = text if argv[0] == "transform" else stdout
+    parsed = json.loads(report, parse_constant=_reject, parse_float=_finite)
+    if argv[0] in ("transform", "wavepacket"):
+        fields = parsed if argv[0] == "transform" else parsed["metadata"]
+        assert 0.0 <= fields["rank1_fraction"] <= 1.0, fields["rank1_fraction"]
     if argv[0] != "transform":
         # a CSV table: every cell, and the axis of a matrix's header line
         lines = text.splitlines()
@@ -600,6 +619,27 @@ class TestExtremeReports:
         _check_contract(argv, tmp_path / "report")
         assert (tmp_path / "report").exists()
 
+    # the Rayleigh quotient of this exact product state rounds to 1 + 2.2e-16
+    @pytest.mark.parametrize("report", sorted(_REPORTS))
+    def test_rank1_fraction_of_a_product_state_is_at_most_1(self, tmp_path, report):
+        _check_contract(_REPORTS[report] + ["--model", "gaussian_pair"], tmp_path / "report")
+        assert (tmp_path / "report").exists()
+
+
+# a source flag that sets no parameter of the chosen source, one per source,
+# with the flag the error names; the spectrum file is refused before it is read
+_UNUSED_FLAGS = [
+    (["transform", "--model", "gaussian_pair", "--dl", "5", "--parity", "odd"], "dl"),
+    (["transform", "--model", "shih", "--beta", "0.1", "--center", "20", "--pump", "gaussian"],
+     "pump"),
+    (["wavepacket", "--model", "delta_pump", "--dl", "1", "--omega-a", "3"], "omega-a"),
+    (_BELL + ["--sigma", "5", "--center", "9"], "sigma"),
+    (["transform", "--spectrum-file", "absent.csv", "--beta", "0.5"], "beta"),
+    (["dip-scan", "--beta", "0.5", "--dz-min", "-1", "--dz-max", "1", "--steps", "3"], "beta"),
+]
+_UNUSED_FLAG_IDS = ["pair-dl", "shih-pump", "delta-pump-omega-a", "bell-sigma",
+                    "spectrum-file-beta", "dip-beta-without-pump"]
+
 
 class TestMalformedCommandLines:
     @pytest.mark.parametrize(
@@ -625,6 +665,7 @@ class TestMalformedCommandLines:
                     "--grid-points", "3"],
             ["transform", "--model", "delta_pump", "--sigma", "1e-3", "--dl", "-1e308",
              "--dz", "1e308", "--grid-points", "33"],
+            *(argv for argv, _ in _UNUSED_FLAGS),
         ],
         ids=["bell-span-0", "bell-span-negative", "bell-span-inf", "bell-span-nan",
              "dip-infinite-range", "dip-overflowing-range", "dip-overflowing-delay-phase",
@@ -632,7 +673,7 @@ class TestMalformedCommandLines:
              "transform-dz-inf", "transform-dl-nan", "wavepacket-sigma-underflow",
              "shih-sigma-underflow", "pump-beta-underflow", "shih-beta-underflow",
              "transform-center-unresolvable", "dip-overflowing-difference-phase",
-             "transform-overflowing-delay-reach"],
+             "transform-overflowing-delay-reach", *_UNUSED_FLAG_IDS],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         assert main(argv + ["-o", str(tmp_path / "out")]) == 2
@@ -657,6 +698,7 @@ class TestMalformedCommandLines:
                      "--grid-points", "3"], "dz"),
             (["transform", "--model", "delta_pump", "--sigma", "1e-3", "--dl", "-1e308",
               "--dz", "1e308", "--grid-points", "33"], "dl"),
+            *_UNUSED_FLAGS,
         ],
     )
     def test_error_names_the_parameter(self, tmp_path, capsys, argv, name):
@@ -710,6 +752,19 @@ class TestValidateCommand:
     def test_bad_selector_exits_2(self, capsys):
         code = main(["validate", "--only", "three"])
         assert code == 2
+
+    # malformed and out-of-range selectors, and criterion 8, the one fast criterion
+    @hyp.settings(max_examples=40, derandomize=True, database=None)
+    @hyp.given(only=st.sampled_from([",", "0", "-1", "10", "1e3", "nan", "1_0", "8,8",
+                                     "9" * 5000, "8"]), as_json=st.booleans())
+    def test_selectors_keep_the_contract(self, only, as_json):
+        code, stdout = _run_contract(["validate", "--only", only] + ["--json"] * as_json)
+        if code == 2:
+            return
+        if as_json:
+            json.loads(stdout, parse_constant=_reject, parse_float=_finite)
+        else:
+            assert re.fullmatch(r"(criterion 8 \[PASS\] .*\n)+(\d)/\2 criteria passed\n", stdout)
 
     def test_json_report(self, capsys):
         # criterion 7 fails by design, so the exit code stays 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.scans import ScanRow
+from biphoton.scans import MAX_SCAN_STEPS, ScanRow
 
 
 def dip_spec(n_steps=21, pump_sigma=None, grid_points=257, **kwargs):
@@ -185,6 +185,13 @@ class TestScanSpecValidation:
     def test_single_step_rejected(self):
         with pytest.raises(bp.ConfigError, match="steps must be >= 2"):
             dip_spec(n_steps=1)
+
+    def test_step_count_above_the_cap_rejected(self):
+        # a spec allocates nothing, so the cap itself is cheap to accept
+        assert dip_spec(n_steps=MAX_SCAN_STEPS).n_steps == MAX_SCAN_STEPS
+        for n_steps in (MAX_SCAN_STEPS + 1, 10**12):
+            with pytest.raises(bp.ConfigError, match=r"\bsteps must be <="):
+                dip_spec(n_steps=n_steps)
 
     def test_reversed_range_rejected(self):
         with pytest.raises(bp.ConfigError, match="start < stop"):
