@@ -44,7 +44,7 @@ from .spectrum import (
     _time_transform,
     time_domain,
 )
-from .validation import run_criteria
+from .validation import ALL_CRITERIA, run_criteria
 
 
 def _add_common_flags(p: argparse.ArgumentParser, with_format: bool = True) -> None:
@@ -130,8 +130,7 @@ def _model_fixed(args: argparse.Namespace, c_light: float) -> tuple[str, dict[st
             if flags[key][1] is None:
                 raise ConfigError(f"model {model} requires {flags[key][0]}")
         fixed = {key: v for key, (_, v) in flags.items() if key in entry.keys and v is not None}
-    # every command declares its source flags with the defaults of transform's
-    defaults = vars(_parser().parse_args(["transform", "--model", "bell"]))
+    defaults = _source_defaults()
     for dest, keys in _SOURCE_FLAGS.items():
         if opts.get(dest, defaults[dest]) != defaults[dest] and not keys & fixed.keys():
             source = "a spectrum file" if model == "spectrum_file" else f"model {model}"
@@ -212,9 +211,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_wavepacket(args: argparse.Namespace) -> int:
-    state = _load_input_state(args)
-    rank1, sigma, u, v = _leading_singular_pair(state)
-    s = state.spectrum() if isinstance(state, _FactoredState) else state
+    s = _load_input_state(args)
+    rank1, sigma, u, v = _leading_singular_pair(s)
+    if isinstance(s, _FactoredState):
+        s = s.spectrum()
     metadata: dict[str, Any] = {
         "domain": args.domain,
         "rank1_fraction": rank1,
@@ -224,14 +224,17 @@ def cmd_wavepacket(args: argparse.Namespace) -> int:
         axis_label, axis = "omega", s.grid.frequencies()
         magnitudes = np.abs(s.amplitudes)
     else:
-        packet = time_domain(s)
+        grid, packet = s.grid, time_domain(s)
+        # the frequency matrix is freed, and the power and the residual are
+        # taken before the magnitudes are made: at most two n x n matrices
+        del s
         axis_label, axis = "time", packet.time_axis
-        magnitudes = np.abs(packet.values)
         metadata["parseval_power"] = packet.total_power()
         if rank1 > 1.0 - 1e-6:
             metadata["factorization_residual"] = _factorization_residual(
-                s, packet, sigma * u, np.conj(v)
+                grid, packet, sigma * u, np.conj(v)
             )
+        magnitudes = np.abs(packet.values)
     if args.format == "csv":
         fileio.save_magnitude_matrix(axis_label, axis, magnitudes, args.output)
         sys.stdout.write(json.dumps({"metadata": metadata}) + "\n")
@@ -246,12 +249,12 @@ def cmd_wavepacket(args: argparse.Namespace) -> int:
     return 0
 
 
-def _factorization_residual(s, packet, left, right) -> float:
-    # Rank-1 input c = outer(left, right): the time wavepacket must factor
-    # into the 1D transforms of the two factors.  Slabs of rows keep the
-    # differences out of an n x n temporary.
-    left = _time_transform(left, s.grid)
-    right = _time_transform(right, s.grid)
+def _factorization_residual(grid, packet, left, right) -> float:
+    # Rank-1 input c = outer(left, right) on ``grid``: the time wavepacket
+    # must factor into the 1D transforms of the two factors.  Slabs of rows
+    # keep the differences out of an n x n temporary.
+    left = _time_transform(left, grid)
+    right = _time_transform(right, grid)
     residual = peak = 0.0
     for i in range(0, len(left), _EXCHANGE_SLAB):
         rows = slice(i, i + _EXCHANGE_SLAB)
@@ -266,7 +269,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             numbers = [int(tok) for tok in args.only.split(",")]
         except ValueError:
-            raise ConfigError(f"--only expects comma-separated criterion numbers, got {args.only!r}")
+            numbers = []
+        if not numbers or not set(numbers) <= ALL_CRITERIA.keys():
+            echo = repr(args.only[:40]) + "..." * (len(args.only) > 40)  # one short line
+            raise ConfigError(f"--only expects comma-separated criterion numbers, got {echo}")
     results = run_criteria(numbers)
     failed = [r for r in results if not r.passed]
     if args.json:
@@ -344,6 +350,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _source_defaults() -> dict[str, Any]:
+    # every command declares its source flags with the defaults of transform's
+    return vars(_parser().parse_args(["transform", "--model", "bell"]))
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -356,12 +368,14 @@ def _negative_values_attached(argv: list[str]) -> list[str]:
     """``argv`` with each negative number that follows a flag joined to it as ``flag=value``.
 
     argparse reads only ``-1`` and ``-.5`` as negative numbers: it would take
-    ``-4e0``, ``-5e-324`` or ``-inf`` for a flag of its own.
+    ``-4e0``, ``-5e-324``, ``-inf`` or a list such as ``-1,8`` for a flag of
+    its own.  A token counts as a number when its first comma-separated item
+    does.
     """
     out: list[str] = []
     for token in argv:
         flag = out[-1] if out else ""
-        if (token.startswith("-") and _is_number(token)
+        if (token.startswith("-") and _is_number(token.split(",", 1)[0])
                 and flag.startswith("-") and "=" not in flag and not _is_number(flag)):
             out[-1] = f"{flag}={token}"
         else:

@@ -10,23 +10,15 @@ header row and one header column carrying the frequency axis::
 
 All numbers are written with 17 significant digits so doubles survive a
 text round trip.  CSV output uses LF line endings, a header row, and no
-trailing commas.  Spectrum files and matrix exports of at least
-``_SPLIT_MIN_CELLS`` numbers are formatted by two processes where the
-platform can fork and two CPUs are usable: a forked child formats the second
-half of the rows while this process formats the first.  The bytes are the
-same as those of the one-process path.
+trailing commas.  Spectrum files and matrix exports are formatted in this
+process one row at a time, with one format string per file, so the text of
+at most one row is held.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import math
-import os
-import shutil
-import signal
-import tempfile
 from typing import Any, Sequence
 
 import numpy as np
@@ -39,76 +31,11 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-# Exports of fewer numbers are formatted in one process.  The split breaks
-# even near 1e4 numbers (n ~ 100 for a magnitude matrix, 2 cores): the fork
-# and the copy of the child's rows cost about what it saves there.  At n=129
-# (16,641 numbers) it takes 0.83-0.87 of the one-process time, at n=513 0.6.
-_SPLIT_MIN_CELLS = 1 << 14
-# the child's rows are copied through a buffer this small, so the copy adds
-# nothing to the parent's peak memory beyond what formatting a row takes
-_COPY_CHUNK = 16 * 1024
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _format_rows(write, fmt: str, labels: np.ndarray, matrix: np.ndarray) -> None:
-    for label, row in zip(labels.tolist(), matrix):
-        write(fmt % (label, *row.tolist()))
-
-
 def _write_rows(fh, fmt: str, labels: np.ndarray, matrix: np.ndarray) -> None:
-    """Write ``fmt % (label, *row)`` for every row of the real ``matrix``.
-
-    One row at a time, so no text copy of the matrix is held.  A large
-    matrix is split: a forked child formats rows ``[h, n)`` into an unnamed
-    file beside the output while this process streams rows ``[0, h)``, then
-    appends the child's file.  If no child can be forked or the child fails,
-    its rows are formatted here, so errors and bytes are those of the
-    one-process loop.
-    """
-    tmp = None
-    if hasattr(os, "fork") and matrix.size >= _SPLIT_MIN_CELLS and _usable_cpus() >= 2:
-        with contextlib.suppress(OSError):  # no file for the child: one process writes
-            tmp = tempfile.TemporaryFile(
-                "w+", dir=os.path.dirname(os.path.abspath(fh.name)), newline="\n"
-            )
-    if tmp is None:
-        _format_rows(fh.write, fmt, labels, matrix)
-        return
-    h = (len(matrix) + 1) // 2
-    with tmp:
-        pid = status = None
-        try:
-            with contextlib.suppress(OSError):  # no process to spare
-                pid = os.fork()
-            if pid == 0:
-                gc.disable()  # finalizers of inherited garbage could flush its buffers
-                _format_rows(tmp.write, fmt, labels[h:], matrix[h:])
-                tmp.flush()
-                status = 0
-            else:
-                _format_rows(fh.write, fmt, labels[:h], matrix[:h])
-                if pid is not None:
-                    status = os.waitpid(pid, 0)[1]
-        finally:
-            if pid == 0:
-                # the child touches no stdio and no BLAS, and leaves only
-                # here: it never returns into the caller's stack and never
-                # flushes the buffers it inherited
-                os._exit(0 if status == 0 else 1)
-            if pid is not None and status is None:  # this process failed first
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if status == 0:
-            fh.flush()
-            tmp.seek(0)
-            shutil.copyfileobj(tmp.buffer, fh.buffer, _COPY_CHUNK)
-        else:
-            _format_rows(fh.write, fmt, labels[h:], matrix[h:])
+    """Write ``fmt % (label, *row)`` for every row of the real ``matrix``,
+    one row at a time, so no text copy of the matrix is held."""
+    for label, row in zip(labels.tolist(), matrix):
+        fh.write(fmt % (label, *row.tolist()))
 
 
 def save_spectrum(s: BiphotonSpectrum, path: str) -> None:

@@ -283,10 +283,10 @@ def _weight(w: float) -> float:
     return 0.0 if w <= _ZERO_WEIGHT else min(w, 1.0)
 
 
-# Rows per slab of the output twist of time_domain and of the factorization
-# residual of time-domain exports, and twice those of the row and diagonal
-# sums of the scan reductions: a slab is ~1 MB at n = 1025, a sixteenth of
-# one n x n matrix, and stays in cache while it is worked on.
+# Rows per slab of the factorization residual of time-domain exports, and
+# twice those of the row and diagonal sums of the scan reductions: a slab is
+# ~1 MB at n = 1025, a sixteenth of one n x n matrix, and stays in cache
+# while it is worked on.
 _EXCHANGE_SLAB = 64
 
 
@@ -880,14 +880,16 @@ def time_domain(s: BiphotonSpectrum) -> TimeWavepacket:
     t, pre, post = _time_twists(s.grid)
     n = len(t)
     # fft2 as in-place FFTs of the rows, then the columns, of the one matrix:
-    # the same bits, and the output twist by slabs makes no second n x n array
-    values = np.multiply.outer(pre, pre, out=np.empty((n, n), dtype=np.complex128))
-    values *= s.amplitudes
+    # the same bits.  Both twists go a row at a time: a broadcast product of
+    # many rows also allocates two iterator buffers of up to 8192 cells, a
+    # quarter of a matrix at n = 257.
+    values = np.empty((n, n), dtype=np.complex128)
+    for row, c, p in zip(values, s.amplitudes, pre):
+        np.multiply(p * pre, c, out=row)
     np.fft.fft(values, axis=1, out=values)
     np.fft.fft(values, axis=0, out=values)
-    for i in range(0, n, _EXCHANGE_SLAB):
-        rows = slice(i, i + _EXCHANGE_SLAB)
-        values[rows] *= np.multiply.outer(post[rows], post)
+    for row, p in zip(values, post):
+        row *= p * post
     t.flags.writeable = False
     values.flags.writeable = False
     return TimeWavepacket(time_axis=t, values=values)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton import cli
 from biphoton.cli import _factorization_residual, _parser, build_parser, main
 from biphoton.spectrum import _leading_singular_pair, _time_transform
 
@@ -282,24 +283,21 @@ class TestWavepacket:
         assert payload["metadata"]["factorization_residual"] < 1e-9
         assert abs(payload["metadata"]["parseval_power"] - 1.0) < 1e-9
 
-    def test_split_export_is_fork_safe_with_a_live_blas_pool(self, tmp_path, capsys,
-                                                             monkeypatch):
-        # a fresh process with a two-thread BLAS pool forks the row writer;
-        # warnings are errors there, and the child must neither print nor
-        # flush what it inherited
+    def test_fresh_process_export_with_a_live_blas_pool(self, tmp_path, capsys):
+        # a fresh process with a two-thread BLAS pool and warnings as errors
+        # prints one metadata line and writes the bytes of this process
         argv = ["wavepacket", "--model", "gaussian_pair", "--sigma", "1.3", "--dz", "0.4",
                 "--grid-points", "513", "--domain", "time"]
-        forked, here = tmp_path / "forked.csv", tmp_path / "here.csv"
+        fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": os.path.dirname(os.path.dirname(bp.__file__))}
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "biphoton", *argv, "-o", str(forked)],
+            [sys.executable, "-W", "error", "-m", "biphoton", *argv, "-o", str(fresh)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        monkeypatch.delattr(os, "fork")  # the one-process path
         assert main(argv + ["-o", str(here)]) == 0
-        assert forked.read_bytes() == here.read_bytes()
+        assert fresh.read_bytes() == here.read_bytes()
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and proc.stdout.count("metadata") == 1
         assert json.loads(lines[0]).keys() == json.loads(capsys.readouterr().out).keys()
@@ -323,6 +321,56 @@ class TestWavepacket:
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["model", "spectrum file"])
+    def test_time_export_holds_two_matrices(self, tmp_path, capsys, monkeypatch, source):
+        # from the loaded input on, the frequency matrix and the time matrix
+        # are the only n x n arrays alive at once; the CSV and the metadata
+        # are those of the library's time wavepacket
+        n = 257
+        if source == "model":
+            src = ["--model", "gaussian_pair", "--center", "0.4", "--sigma", "1.2", "--dz", "0.8",
+                   "--grid-points", str(n)]
+        else:
+            grid = bp.make_grid(0.4, 7.2, n)
+            s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.4, 1.2), grid, 0.8)
+            s = bp.BiphotonSpectrum.from_array(grid, s.amplitudes + 0.1 * s.amplitudes.T)
+            bp.save_spectrum(s, str(tmp_path / "s.csv"))
+            src = ["--spectrum-file", str(tmp_path / "s.csv")]
+        out = tmp_path / "wp.csv"
+        argv = ["wavepacket", *src, "--domain", "time", "-o", str(out)]
+        load = cli._load_input_state
+
+        def loaded(args):
+            state = load(args)
+            tracemalloc.reset_peak()
+            return state
+
+        monkeypatch.setattr(cli, "_load_input_state", loaded)
+        assert main(argv) == 0  # warm the caches
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * n * n) <= 2.05  # measured 2.03, 3.03 with the matrix kept
+
+        state = load(_parser().parse_args(argv))
+        rank1, sigma, u, v = _leading_singular_pair(state)
+        packet = bp.time_domain(state.spectrum() if source == "model" else state)
+        metadata = {"domain": "time", "rank1_fraction": rank1, "warnings": [],
+                    "parseval_power": packet.total_power()}
+        if source == "model":
+            metadata["factorization_residual"] = _factorization_residual(
+                state.grid, packet, sigma * u, np.conj(v))
+        expected = "time," + ",".join(f"{x:.17g}" for x in packet.time_axis) + "\n" + "".join(
+            f"{x:.17g}," + ",".join(f"{m:.17g}" for m in row) + "\n"
+            for x, row in zip(packet.time_axis, np.abs(packet.values))
+        )
+        assert out.read_bytes() == expected.encode()
+        assert capsys.readouterr().out == json.dumps({"metadata": metadata}) + "\n"
+
     def test_factorization_residual_matches_the_whole_matrix(self):
         grid = bp.make_grid(0.4, 7.2, 257)
         s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.4, 1.2), grid, 0.8)
@@ -330,11 +378,11 @@ class TestWavepacket:
         _, sigma, u, v = _leading_singular_pair(s.amplitudes)
         outer = np.outer(_time_transform(sigma * u, grid), _time_transform(np.conj(v), grid))
         whole = np.max(np.abs(packet.values - outer)) / np.max(np.abs(packet.values))
-        assert _factorization_residual(s, packet, sigma * u, np.conj(v)) == whole
+        assert _factorization_residual(grid, packet, sigma * u, np.conj(v)) == whole
         # by slabs of rows: the whole-matrix differences held two matrices
         tracemalloc.start()
         try:
-            _factorization_residual(s, packet, sigma * u, np.conj(v))
+            _factorization_residual(grid, packet, sigma * u, np.conj(v))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -711,6 +759,18 @@ class TestParserReuse:
         assert _parser() is _parser()
         assert build_parser() is not build_parser()
 
+    def test_one_parse_per_call(self, tmp_path, monkeypatch, capsys):
+        # the source-flag defaults are read once per process, not per call
+        parser, parses = _parser(), []
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda *a: parses.append(a) or parse_args(*a))
+        argv = ["transform", "--model", "gaussian_pair", "--grid-points", "33",
+                "-o", str(tmp_path / "r.json")]
+        main(argv)
+        parses.clear()
+        assert main(argv) == 0
+        assert len(parses) == 1
+
     def test_commands_in_one_process_match_fresh_processes(self, tmp_path, capsys):
         runs = [
             ["dip-scan", "--dz-min=-2", "--dz-max", "2", "--steps", "9", "--pump", "gaussian",
@@ -752,6 +812,15 @@ class TestValidateCommand:
     def test_bad_selector_exits_2(self, capsys):
         code = main(["validate", "--only", "three"])
         assert code == 2
+
+    # a list that starts with a negative number is the value of --only, not a
+    # flag, and a long selector is echoed in part
+    @pytest.mark.parametrize("only", ["-1,8", "-0,3", "9" * 5000],
+                             ids=["negative-list", "negative-zero-list", "5000-digits"])
+    def test_rejected_selector_gives_one_short_line(self, capsys, only):
+        assert main(["validate", "--only", only]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --only ") and len(err) < 200
 
     # malformed and out-of-range selectors, and criterion 8, the one fast criterion
     @hyp.settings(max_examples=40, derandomize=True, database=None)

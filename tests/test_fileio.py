@@ -11,21 +11,6 @@ from biphoton import fileio
 from conftest import make_random_spectrum
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The forks the writers make, on a host with two usable CPUs."""
-    calls = []
-    fork = os.fork
-
-    def counted_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return calls
-
-
 class TestSpectrumFileRoundTrip:
     def test_random_spectrum_round_trips(self, rng, tmp_path):
         s = make_random_spectrum(rng, 9)
@@ -223,9 +208,8 @@ class TestScanSerialization:
 
 
 @pytest.mark.parametrize("n", [33, 129])
-def test_save_spectrum_matches_per_cell_formatting(rng, tmp_path, forks, n):
-    # n=33 lies below the split threshold, 129 above it; every cell is
-    # written as the f-string below and parses back to the same bits
+def test_save_spectrum_matches_per_cell_formatting(rng, tmp_path, n):
+    # every cell is written as the f-string below and parses back to the same bits
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     raw *= 10.0 ** rng.integers(-300, 1, size=(n, n))
     raw[0, :4] = [0.0, -0.0, 5e-324 - 0.0j, complex(-0.0, 2.5e-310)]
@@ -240,7 +224,6 @@ def test_save_spectrum_matches_per_cell_formatting(rng, tmp_path, forks, n):
         for i in range(n)
     )
     assert path.read_bytes() == expected.encode()
-    assert len(forks) == int(2 * n * n >= fileio._SPLIT_MIN_CELLS)
     lines = path.read_text().splitlines()[1:]
     parsed = np.array([[complex(tok) for tok in line.split(",")[1:]] for line in lines])
     assert np.array_equal(parsed.view(np.float64), s.amplitudes.view(np.float64))
@@ -293,61 +276,26 @@ class TestMagnitudeMatrix:
         assert float(lines[2].split(",")[2]) == 4.0
 
     @pytest.mark.parametrize("n", [65, 257, 513])
-    def test_matches_per_entry_formatting(self, tmp_path, forks, n):
-        # n=65 lies below the split threshold, 257 and 513 above it
+    def test_matches_per_entry_formatting(self, tmp_path, n):
         axis, matrix = _magnitude_matrix(n)
         path = tmp_path / "m.csv"
         fileio.save_magnitude_matrix("omega", axis, matrix, str(path))
         assert path.read_bytes() == _per_entry_text("omega", axis, matrix).encode()
-        assert len(forks) == int(matrix.size >= fileio._SPLIT_MIN_CELLS)
         assert os.listdir(tmp_path) == ["m.csv"]
 
-    @pytest.mark.parametrize("host", ["one usable cpu", "no fork"])
-    def test_in_process_path_gives_the_same_bytes(self, tmp_path, forks, monkeypatch, host):
-        if host == "one usable cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        else:
-            monkeypatch.delattr(os, "fork")
-        axis, matrix = _magnitude_matrix(257)
+    def test_writes_in_this_process(self, tmp_path, monkeypatch):
+        # a large export starts no process and leaves no file beside its output
+        def no_fork():
+            raise AssertionError("the writer forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        axis, matrix = _magnitude_matrix(513)
         path = tmp_path / "m.csv"
         fileio.save_magnitude_matrix("time", axis, matrix, str(path))
         assert path.read_bytes() == _per_entry_text("time", axis, matrix).encode()
-        assert forks == []
-
-    def test_failed_child_rows_are_written_by_the_parent(self, tmp_path, forks, monkeypatch):
-        parent = os.getpid()
-        format_rows = fileio._format_rows
-
-        def fail_in_child(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("child fails")
-            format_rows(*args)
-
-        monkeypatch.setattr(fileio, "_format_rows", fail_in_child)
-        axis, matrix = _magnitude_matrix(257)
-        path = tmp_path / "m.csv"
-        fileio.save_magnitude_matrix("time", axis, matrix, str(path))
-        assert path.read_bytes() == _per_entry_text("time", axis, matrix).encode()
-        assert forks == [parent]  # the autouse fixture checks that it was reaped
         assert os.listdir(tmp_path) == ["m.csv"]
 
-    def test_interrupted_parent_reaps_the_child(self, tmp_path, forks, monkeypatch):
-        parent = os.getpid()
-        format_rows = fileio._format_rows
-
-        def interrupt_in_parent(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            format_rows(*args)
-
-        monkeypatch.setattr(fileio, "_format_rows", interrupt_in_parent)
-        axis, matrix = _magnitude_matrix(257)
-        with pytest.raises(KeyboardInterrupt):
-            fileio.save_magnitude_matrix("time", axis, matrix, str(tmp_path / "m.csv"))
-        assert forks == [parent]  # the autouse fixture checks that it was reaped
-        assert os.listdir(tmp_path) == ["m.csv"]
-
-    def test_parent_peak_memory_is_a_small_share_of_the_matrix(self, tmp_path, forks):
+    def test_parent_peak_memory_is_a_small_share_of_the_matrix(self, tmp_path):
         axis, matrix = _magnitude_matrix(513)
         path = str(tmp_path / "m.csv")
         fileio.save_magnitude_matrix("time", axis, matrix, path)  # warm the caches
@@ -357,7 +305,7 @@ class TestMagnitudeMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert forks and peak <= 0.05 * matrix.nbytes  # measured 0.026
+        assert peak <= 0.05 * matrix.nbytes  # measured 0.026
 
 
 class TestFloatFormatting:
