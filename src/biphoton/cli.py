@@ -22,8 +22,9 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
-from typing import Any
+from typing import Any, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -50,8 +51,6 @@ from .validation import ALL_CRITERIA, run_criteria
 def _add_common_flags(p: argparse.ArgumentParser, with_format: bool = True) -> None:
     p.add_argument("--units", choices=("natural", "si"), default="natural",
                    help="unit convention (natural: sigma = c = 1)")
-    p.add_argument("--c-light", type=float, default=None,
-                   help="speed of light, required with --units si")
     p.add_argument("--grid-points", type=int, default=257,
                    help="odd number of frequency grid points")
     p.add_argument("--grid-span", type=float, default=6.0,
@@ -61,80 +60,94 @@ def _add_common_flags(p: argparse.ArgumentParser, with_format: bool = True) -> N
                        help="output format for tables/matrices")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model", choices=[name for name in MODELS if name != "spectrum_file"])
-    source.add_argument("--spectrum-file", help="CSV spectrum file as input state")
-    p.add_argument("--sigma", type=float, default=1.0, help="single-photon bandwidth")
-    p.add_argument("--center", type=float, default=0.0, help="center angular frequency")
-    p.add_argument("--pump", choices=("constant", "gaussian"), default="constant",
-                   help="pump envelope of the gaussian_pair model")
-    p.add_argument("--beta", type=float, default=None, help="pump/photon bandwidth ratio")
-    p.add_argument("--dl", type=float, default=0.0, help="half path-length difference")
-    p.add_argument("--parity", choices=("even", "odd"), default="even",
-                   help="path-difference parity of the delta_pump model")
-    p.add_argument("--omega-a", type=float, default=None, help="first bell tone")
-    p.add_argument("--omega-b", type=float, default=None, help="second bell tone")
-    p.add_argument("--dz", type=float, default=0.0, help="relative path delay z1 - z2")
-
-
-def _c_light(args: argparse.Namespace) -> float:
-    if args.units == "si":
-        if args.c_light is None:
+def _c_light(opts: dict[str, Any]) -> float:
+    if opts["units"] == "si":
+        if opts["c_light"] is None:
             raise ConfigError("--units si requires --c-light")
-        if not (math.isfinite(args.c_light) and args.c_light > 0):
+        if not (math.isfinite(opts["c_light"]) and opts["c_light"] > 0):
             raise ConfigError("--c-light must be positive and finite")
-        return args.c_light
-    if args.c_light is not None:
+        return opts["c_light"]
+    if opts["c_light"] is not None:
         raise ConfigError("--c-light is only meaningful with --units si")
     return 1.0
 
 
-# The fixed keys each source flag can set, by destination.
-_SOURCE_FLAGS = {"sigma": {"sigma"}, "center": {"center"}, "pump": {"pump_sigma"},
-                 "beta": {"sigma_p", "pump_sigma"}, "dl": {"delta_l", "dl"},
-                 "parity": {"parity"}, "omega_a": {"omega_a"}, "omega_b": {"omega_b"}}
+def _pump_width(opts: dict[str, Any]) -> float | None:
+    if opts["beta"] is None and opts["pump"] == "gaussian":
+        raise ConfigError("--pump gaussian requires --beta")
+    return None if opts["beta"] is None else opts["beta"] * opts["sigma"]
 
 
-def _model_fixed(args: argparse.Namespace, c_light: float) -> tuple[str, dict[str, Any]]:
+class _SourceFlag(NamedTuple):
+    keys: tuple[str, ...]  # the fixed keys it sets
+    help: str
+    default: Any = None
+    choices: tuple[str, ...] | None = None  # else a float
+    value: Callable[[dict[str, Any]], Any] | None = None  # else its own value
+
+
+# Every source flag by destination, in the order of the fixed keys it sets.
+# The parser leaves a flag that was not given at None, and ``value`` reads
+# the flags with each source flag at its default instead.  A key that two
+# flags set takes its value and its place from the later one: --beta gives
+# pump_sigma its width only under --pump gaussian.
+_SOURCE_FLAGS = {
+    "sigma": _SourceFlag(("sigma",), "single-photon bandwidth", 1.0),
+    "beta": _SourceFlag(("sigma_p", "pump_sigma"), "pump/photon bandwidth ratio",
+                        value=_pump_width),
+    "center": _SourceFlag(("center",), "center angular frequency", 0.0),
+    "dl": _SourceFlag(("delta_l", "dl"), "half path-length difference", 0.0),
+    "parity": _SourceFlag(("parity",), "path-difference parity of the delta_pump model",
+                          "even", ("even", "odd")),
+    "omega_a": _SourceFlag(("omega_a",), "first bell tone"),
+    "omega_b": _SourceFlag(("omega_b",), "second bell tone"),
+    "c_light": _SourceFlag(("c_light",), "speed of light, required with --units si",
+                           value=_c_light),
+    "pump": _SourceFlag(("pump_sigma",), "pump envelope of the gaussian_pair model",
+                        "constant", ("constant", "gaussian"),
+                        lambda opts: _pump_width(opts) if opts["pump"] == "gaussian" else None),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_source_flags(p: argparse.ArgumentParser, only: tuple[str, ...] = tuple(_SOURCE_FLAGS),
+                      required: tuple[str, ...] = ()) -> None:
+    for dest in only:
+        row = _SOURCE_FLAGS[dest]
+        p.add_argument(_flag(dest), type=None if row.choices else float, choices=row.choices,
+                       required=dest in required, help=row.help)
+
+
+def _model_fixed(args: argparse.Namespace) -> tuple[str, dict[str, Any]]:
     """Translate CLI flags into a (model, fixed-parameters) pair.
 
-    Each model keeps the parameters its ``MODELS`` entry accepts, and a
-    source flag set off its parser default that sets none of them is
-    refused.  ``--dz`` is not among them: it is the relative delay of the
-    input state.
+    Each model keeps the parameters its ``MODELS`` entry accepts.  A
+    parameter the model requires whose flag was not given is refused, and
+    so is a source flag given off its default that sets none of them.
+    ``--dz`` is not among them: it is the relative delay of the input state.
     """
-    opts = vars(args)
-    if opts.get("spectrum_file") is not None:
-        model, fixed = "spectrum_file", {"path": args.spectrum_file, "c_light": c_light}
-    else:
-        beta = opts.get("beta")
-        scaled_beta = None if beta is None else beta * args.sigma
-        gaussian_pump = opts.get("pump") == "gaussian"
-        if gaussian_pump and beta is None:
-            raise ConfigError("--pump gaussian requires --beta")
-        flags = {  # fixed key: (flag, value)
-            "sigma": ("--sigma", args.sigma),
-            "sigma_p": ("--beta", scaled_beta),
-            "center": ("--center", args.center),
-            "delta_l": ("--dl", opts.get("dl")),
-            "dl": ("--dl", opts.get("dl")),
-            "parity": ("--parity", opts.get("parity")),
-            "omega_a": ("--omega-a", opts.get("omega_a")),
-            "omega_b": ("--omega-b", opts.get("omega_b")),
-            "c_light": ("--c-light", c_light),
-            "pump_sigma": ("--beta", scaled_beta if gaussian_pump else None),
-        }
-        model, entry = args.model, MODELS[args.model]
-        for key in entry.required:
-            if flags[key][1] is None:
-                raise ConfigError(f"model {model} requires {flags[key][0]}")
-        fixed = {key: v for key, (_, v) in flags.items() if key in entry.keys and v is not None}
-    defaults = _source_defaults()
-    for dest, keys in _SOURCE_FLAGS.items():
-        if opts.get(dest, defaults[dest]) != defaults[dest] and not keys & fixed.keys():
+    given = vars(args)
+    opts = given | {dest: row.default if given.get(dest) is None else given[dest]
+                    for dest, row in _SOURCE_FLAGS.items()}
+    model = "spectrum_file" if given.get("spectrum_file") is not None else args.model
+    fixed = {"path": args.spectrum_file} if model == "spectrum_file" else {}
+    entry = MODELS[model]
+    for dest, row in _SOURCE_FLAGS.items():
+        for key in row.keys:
+            if key in entry.required and given.get(dest) is None:
+                raise ConfigError(f"model {model} requires {_flag(dest)}")
+            if key in entry.keys:
+                fixed.pop(key, None)
+                value = opts[dest] if row.value is None else row.value(opts)
+                if value is not None:
+                    fixed[key] = value
+    for dest, row in _SOURCE_FLAGS.items():
+        if given.get(dest) not in (None, row.default) and not fixed.keys() & row.keys:
             source = "a spectrum file" if model == "spectrum_file" else f"model {model}"
-            raise ConfigError(f"--{dest.replace('_', '-')} sets no parameter of {source}")
+            raise ConfigError(f"{_flag(dest)} sets no parameter of {source}")
     return model, fixed
 
 
@@ -155,7 +168,7 @@ _SHIH_COLUMNS = (("param", "param"), ("P_numeric", "p_numeric"), ("P_exact", "p_
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     """Delay scan of the subcommand's model, written as ``args.columns``."""
-    model, fixed = _model_fixed(args, _c_light(args))
+    model, fixed = _model_fixed(args)
     spec = ScanSpec(
         model=model,
         swept="dz",
@@ -165,7 +178,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         fixed=fixed,
         grid_points=args.grid_points,
         grid_span_sigmas=args.grid_span,
-        include_w_antisym=("w_antisym", "w_antisym") in args.columns,
     )
     result = run_scan(spec)
     if args.format == "csv":
@@ -179,11 +191,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _load_input_state(args: argparse.Namespace):
     """The input state of the flags, warned when one of its path delays aliases:
     its factors where the source is a model, else the spectrum of its file."""
-    c_light = _c_light(args)
-    model, fixed = _model_fixed(args, c_light)
+    model, fixed = _model_fixed(args)
     row = {**fixed, "dz": args.dz}
     state = _delayed_state(model, row, args.grid_points, args.grid_span)
-    aliasing = _alias_warnings(model, [row], state.grid, c_light)
+    aliasing = _alias_warnings(model, [row], state.grid, fixed["c_light"])
     if aliasing:
         state = dataclasses.replace(state, warnings=(*state.warnings, *aliasing))
     return state
@@ -288,8 +299,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if not failed else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """The CLI's parser: a usage error is one ``error: ...`` line, as every
+    other error, and a token that starts like a negative number is a value.
+
+    argparse alone reads only ``-1`` and ``-.5`` as negative numbers: it
+    would take ``-4e0``, ``-5e-324``, ``-inf`` or a list such as ``-1,8``
+    for a flag of its own.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token this pattern matches at its start for a value
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message: str) -> NoReturn:
+        # an unrecognized token is echoed as given: a line break in it is escaped
+        raise ConfigError(message.replace("\n", "\\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biphoton",
         description="Two-photon interference at a lossless beam splitter: "
         "coincidence probabilities, delay scans, wavepacket exports.",
@@ -297,17 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dip = sub.add_parser("dip-scan", help="delay scan of the Gaussian pair")
-    dip.add_argument("--sigma", type=float, default=1.0, help="single-photon bandwidth")
-    dip.add_argument("--center", type=float, default=0.0, help="center angular frequency")
-    dip.add_argument("--pump", choices=("constant", "gaussian"), default="constant")
-    dip.add_argument("--beta", type=float, default=None, help="pump/photon bandwidth ratio")
+    _add_source_flags(dip, only=("sigma", "beta", "center", "c_light", "pump"))
     dip.set_defaults(model="gaussian_pair", columns=_DIP_COLUMNS)
 
     shih = sub.add_parser("shih-scan", help="delay scan of the two-path model")
-    shih.add_argument("--sigma", type=float, default=1.0)
-    shih.add_argument("--beta", type=float, required=True, help="pump/photon bandwidth ratio")
-    shih.add_argument("--center", type=float, required=True, help="carrier angular frequency")
-    shih.add_argument("--dl", type=float, required=True, help="half path-length difference")
+    _add_source_flags(shih, only=("sigma", "beta", "center", "dl", "c_light"),
+                      required=("beta", "center", "dl"))
     shih.set_defaults(model="shih", columns=_SHIH_COLUMNS)
 
     for p in (dip, shih):
@@ -318,22 +343,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", required=True, help="output table path")
         p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("transform", help="single-shot beam-splitter report")
-    _add_common_flags(p, with_format=False)
-    _add_model_flags(p)
-    p.add_argument("--theta", type=float, default=math.pi / 4.0,
-                   help="splitting angle in radians (default: balanced)")
-    p.add_argument("--phi-tau", type=float, default=0.0)
-    p.add_argument("--phi-rho", type=float, default=0.0)
-    p.add_argument("-o", "--output", default=None, help="report path (default: stdout)")
-    p.set_defaults(handler=cmd_transform)
+    transform = sub.add_parser("transform", help="single-shot beam-splitter report")
+    _add_common_flags(transform, with_format=False)
+    wavepacket = sub.add_parser("wavepacket", help="export |amplitude| matrices")
+    _add_common_flags(wavepacket)
+    for p in (transform, wavepacket):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--model", choices=[name for name in MODELS if name != "spectrum_file"])
+        source.add_argument("--spectrum-file", help="CSV spectrum file as input state")
+        _add_source_flags(p)
+        p.add_argument("--dz", type=float, default=0.0, help="relative path delay z1 - z2")
 
-    p = sub.add_parser("wavepacket", help="export |amplitude| matrices")
-    _add_common_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--domain", choices=("frequency", "time"), default="frequency")
-    p.add_argument("-o", "--output", required=True, help="matrix output path")
-    p.set_defaults(handler=cmd_wavepacket)
+    transform.add_argument("--theta", type=float, default=math.pi / 4.0,
+                           help="splitting angle in radians (default: balanced)")
+    transform.add_argument("--phi-tau", type=float, default=0.0)
+    transform.add_argument("--phi-rho", type=float, default=0.0)
+    transform.add_argument("-o", "--output", default=None,
+                           help="report path (default: stdout)")
+    transform.set_defaults(handler=cmd_transform)
+
+    wavepacket.add_argument("--domain", choices=("frequency", "time"), default="frequency")
+    wavepacket.add_argument("-o", "--output", required=True, help="matrix output path")
+    wavepacket.set_defaults(handler=cmd_wavepacket)
 
     p = sub.add_parser("validate", help="run the built-in verification suite")
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
@@ -346,51 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # one parser per process: building it costs ~2 ms, and parsing leaves it unchanged
+    # one parser per process: building it costs ~1 ms, and parsing leaves it unchanged
     return build_parser()
 
 
-@functools.cache
-def _source_defaults() -> dict[str, Any]:
-    # every command declares its source flags with the defaults of transform's
-    return vars(_parser().parse_args(["transform", "--model", "bell"]))
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _negative_values_attached(argv: list[str]) -> list[str]:
-    """``argv`` with each negative number that follows a flag joined to it as ``flag=value``.
-
-    argparse reads only ``-1`` and ``-.5`` as negative numbers: it would take
-    ``-4e0``, ``-5e-324``, ``-inf`` or a list such as ``-1,8`` for a flag of
-    its own.  A token counts as a number when its first comma-separated item
-    does.
-    """
-    out: list[str] = []
-    for token in argv:
-        flag = out[-1] if out else ""
-        if (token.startswith("-") and _is_number(token.split(",", 1)[0])
-                and flag.startswith("-") and "=" not in flag and not _is_number(flag)):
-            out[-1] = f"{flag}={token}"
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(_negative_values_attached(sys.argv[1:] if argv is None else argv))
     try:
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except (DegenerateSpectrumError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    # configuration errors and spectrum-file errors are ValueErrors; an
+    # usage, configuration and spectrum-file errors are ValueErrors; an
     # OSError is an unreadable input or an unwritable output path
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

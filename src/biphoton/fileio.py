@@ -182,7 +182,6 @@ def _spec_as_dict(spec) -> dict[str, Any]:
         "stop": spec.stop,
         "n_steps": spec.n_steps,
         "fixed": dict(spec.fixed),
-        "evaluation": list(spec.resolved_evaluation()),
         "grid_points": spec.grid_points,
         "grid_span_sigmas": spec.grid_span_sigmas,
     }

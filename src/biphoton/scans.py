@@ -227,7 +227,9 @@ class ScanSpec:
     ``fixed`` holds the model parameters that do not vary along the sweep;
     each entry of :data:`MODELS` lists the keys its model allows and
     requires.  A fixed key may not name the swept parameter.  Every row
-    gets the numeric value and, where the model has one, its closed form.
+    gets the numeric value and, where the model has one, its closed form;
+    its ``w_antisym`` is the numeric value unless ``include_w_antisym`` is
+    False.
     A swept ``dz`` delays port 1 of a model without its own paths; a
     two-path row takes its relative delay ``z1 - z2`` from its own paths,
     where ``z2`` is ``fixed["z2"]`` or ``z1 - dz``.
@@ -255,11 +257,6 @@ class ScanSpec:
             raise ConfigError("scan range must satisfy start < stop")
         if not math.isfinite(self.stop - self.start):
             raise ConfigError(f"scan range [{self.start}, {self.stop}] must have a finite width")
-
-    def resolved_evaluation(self) -> tuple[str, ...]:
-        """Columns every row carries: numeric, plus closed form where the model has one."""
-        closed_form = () if MODELS[self.model].closed_form is None else ("closed_form",)
-        return ("numeric", *closed_form)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_steps)

@@ -232,7 +232,6 @@ def _shih_scan(beta: float, x_dl: float, center: float, n_points: int, span: flo
         fixed={"center": center, "sigma": 1.0, "sigma_p": beta, "delta_l": x_dl},
         grid_points=n_points,
         grid_span_sigmas=span,
-        include_w_antisym=False,
     )
 
 

@@ -2,6 +2,7 @@
 only for the tests."""
 
 import ast
+import dataclasses
 import inspect
 import tomllib
 from pathlib import Path
@@ -37,6 +38,14 @@ def test_removed_names_are_gone():
     assert not hasattr(bp.BiphotonSpectrum, "norm_squared")
     assert not hasattr(bp.ShihModel, "from_path_difference")
     assert "in_place" not in inspect.signature(bp.BiphotonSpectrum._normalized).parameters
+    assert not hasattr(bp.ScanSpec, "resolved_evaluation")
+
+
+def test_scan_spec_fields():
+    assert [f.name for f in dataclasses.fields(bp.ScanSpec)] == [
+        "model", "swept", "start", "stop", "n_steps", "fixed", "grid_points",
+        "grid_span_sigmas", "include_w_antisym",
+    ]
 
 
 def _script_names() -> set[str]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -83,11 +84,10 @@ class TestDipScan:
         assert code == 2
         assert "steps must be >= 2" in capsys.readouterr().err
 
-    def test_unknown_flag_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["dip-scan", "--dz-min", "-4", "--dz-max", "4", "--steps", "5",
-                  "--sideband", "3", "-o", str(tmp_path / "x.csv")])
-        assert excinfo.value.code == 2
+    def test_unknown_flag_exits_2(self, tmp_path, capsys):
+        assert main(["dip-scan", "--dz-min", "-4", "--dz-max", "4", "--steps", "5",
+                     "--sideband", "3", "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --sideband 3\n"
 
     def test_gaussian_pump_requires_beta(self, tmp_path, capsys):
         code = main(["dip-scan", "--pump", "gaussian", "--dz-min", "-1", "--dz-max", "1",
@@ -193,10 +193,11 @@ class TestTransform:
         assert code == 2
         assert "line 2, column 3" in capsys.readouterr().err
 
-    def test_model_and_file_are_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["transform", "--model", "bell", "--spectrum-file", "x.csv"])
-        assert excinfo.value.code == 2
+    def test_model_and_file_are_exclusive(self, capsys):
+        assert main(["transform", "--model", "bell", "--spectrum-file", "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --spectrum-file: not allowed with argument --model\n"
+        )
 
     def test_delayed_gaussian_pair_report(self, capsys):
         code = main(["transform", "--model", "gaussian_pair", "--dz", "1.0",
@@ -754,13 +755,130 @@ class TestMalformedCommandLines:
         assert re.search(rf"\b{name}\b", capsys.readouterr().err)
 
 
+# argparse's own usage errors, each with a word the one line must name
+_USAGE_ERRORS = [
+    (["dip-scan", "--dz-min", "-1", "--dz-max", "1", "--steps", "3"], "-o/--output"),
+    (["transform", "--model", "nosuch"], "nosuch"),
+    (["transform", "--model", "gaussian_pair", "--grid-points", "abc"], "abc"),
+    (["transform"], "--spectrum-file"),
+    (["transform", "--model", "gaussian_pair", "--sideband", "3"], "--sideband"),
+    (["nosuch"], "nosuch"),
+    ([], "command"),
+]
+_USAGE_ERROR_IDS = ["dip-scan-without-output", "unknown-model", "non-integer-grid-points",
+                    "transform-without-source", "unknown-flag", "unknown-subcommand",
+                    "no-subcommand"]
+
+# the source flags each subcommand lists in -h
+_SOURCE_FLAGS = {"--model", "--spectrum-file", "--sigma", "--beta", "--center", "--dl",
+                 "--parity", "--omega-a", "--omega-b", "--c-light", "--pump", "--dz"}
+_HELP_FLAGS = {
+    "dip-scan": {"--sigma", "--beta", "--center", "--c-light", "--pump"},
+    "shih-scan": {"--sigma", "--beta", "--center", "--dl", "--c-light"},
+    "transform": _SOURCE_FLAGS,
+    "wavepacket": _SOURCE_FLAGS,
+    "validate": set(),
+}
+
+# minimal command lines, as (flag, value) pairs: without any one pair, a
+# flag the command requires is missing
+_MINIMAL = {
+    "dip-scan": [("--dz-min", "-1"), ("--dz-max", "1"), ("--steps", "3"), ("-o", "{out}")],
+    "shih-scan": [("--beta", "0.1"), ("--center", "20"), ("--dl", "2"), ("--dz-min", "-1"),
+                  ("--dz-max", "1"), ("--steps", "3"), ("-o", "{out}")],
+    "transform": [("--model", "shih"), ("--beta", "0.1"), ("--center", "20")],
+    "wavepacket": [("--model", "bell"), ("--omega-a", "-1"), ("--omega-b", "1"),
+                   ("-o", "{out}")],
+}
+
+
+def _options(command):
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.option_strings]
+
+
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _malformed_command_lines(draw):
+    """A minimal command line with one malformed token: a value that is no
+    number for a numeric flag, a value off a flag's choices, an unknown flag,
+    or a required flag left out."""
+    command = draw(st.sampled_from(sorted(_MINIMAL)))
+    pairs = _MINIMAL[command]
+    kind = draw(st.sampled_from(["number", "choice", "flag", "missing"]))
+    if kind == "missing":
+        pairs = pairs[:]
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    argv = [command, *(token for pair in pairs for token in pair)]
+    if kind == "number":
+        option = draw(st.sampled_from([a for a in _options(command) if a.type in (int, float)]))
+        return argv + [option.option_strings[-1],
+                       draw(st.text(max_size=6).filter(lambda t: not _is_float(t)))]
+    if kind == "choice":
+        option = draw(st.sampled_from([a for a in _options(command) if a.choices]))
+        return argv + [option.option_strings[-1],
+                       draw(st.text(max_size=8).filter(lambda t: t not in option.choices))]
+    if kind == "flag":
+        return argv + ["--no-such-" + draw(st.text(max_size=6))]
+    return argv
+
+
+class TestUsageErrors:
+    """argparse's own usage errors keep the one-line contract of every other
+    error, and -h keeps its usage text."""
+
+    @pytest.mark.parametrize("argv,name", _USAGE_ERRORS, ids=_USAGE_ERROR_IDS)
+    def test_exits_2_with_one_error_line(self, capsys, argv, name):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize("command", sorted(_HELP_FLAGS))
+    def test_help_lists_the_source_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "-h"])
+        assert excinfo.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: biphoton {command} ") and captured.err == ""
+        listed = set(re.findall(r"--[a-z-]+", captured.out)) & _SOURCE_FLAGS
+        assert listed == _HELP_FLAGS[command]
+
+    @pytest.mark.parametrize("argv,err", [
+        (["transform", "--model", "shih", "--beta", "0.1"],
+         "error: model shih requires --center\n"),
+        (["transform", "--model", "shih", "--beta", "0.1", "--center", "0"],
+         "error: center must be positive (it sets the carrier wavelength)\n"),
+        (["wavepacket", "--model", "shih", "--center", "20", "-o", "unwritten.csv"],
+         "error: model shih requires --beta\n"),
+    ], ids=["center-missing", "center-zero", "beta-missing"])
+    def test_two_path_source_names_its_missing_flag(self, capsys, argv, err):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+
+    @hyp.settings(max_examples=200, derandomize=True, database=None)
+    @hyp.given(argv=_malformed_command_lines())
+    def test_malformed_tokens_keep_the_contract(self, tmp_path_factory, argv):
+        out = str(tmp_path_factory.getbasetemp() / "malformed.out")
+        code, stdout = _run_contract([out if token == "{out}" else token for token in argv])
+        assert code == 2 and stdout == ""
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert _parser() is _parser()
         assert build_parser() is not build_parser()
 
     def test_one_parse_per_call(self, tmp_path, monkeypatch, capsys):
-        # the source-flag defaults are read once per process, not per call
+        # the source-flag defaults come from the flag table, not from a parse
         parser, parses = _parser(), []
         parse_args = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda *a: parses.append(a) or parse_args(*a))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.cli import build_parser, main
+from biphoton.cli import _model_fixed, _parser, build_parser, main
 from biphoton.scans import MODELS
 from reference import delayed_spectrum, norm_squared
 
@@ -85,6 +85,38 @@ class TestEveryModel:
 
 def test_every_model_has_a_cli_case():
     assert set(CLI_CASES) == set(MODELS)
+
+
+# the fixed dict the CLI builds, key order included: the JSON spec block of a
+# scan writes it in this order
+_SCAN = ["--dz-min", "-1", "--dz-max", "1", "--steps", "3", "-o", "unwritten"]
+_SHIH_FLAGS = ["--beta", "0.1", "--center", "20", "--dl", "2"]
+_SI = ["--units", "si", "--c-light", "3e8"]
+CLI_FIXED = [
+    (["transform", *CLI_CASES["gaussian_pair"][0]],
+     {"sigma": 1.2, "center": 0.0, "c_light": 1.0, "pump_sigma": 0.5 * 1.2}),
+    (["transform", *CLI_CASES["shih"][0]],
+     {"sigma": 1.0, "sigma_p": 0.1, "center": 20.0, "delta_l": 2.0, "c_light": 1.0}),
+    (["transform", *CLI_CASES["delta_pump"][0]],
+     {"sigma": 1.0, "center": 0.0, "dl": 1.5, "parity": "odd", "c_light": 1.0}),
+    (["transform", *CLI_CASES["bell"][0]], {"omega_a": -2.0, "omega_b": 3.0, "c_light": 1.0}),
+    (["transform", "--spectrum-file", "s.csv"], {"path": "s.csv", "c_light": 1.0}),
+    (["dip-scan", *_SCAN], {"sigma": 1.0, "center": 0.0, "c_light": 1.0}),
+    (["dip-scan", "--pump", "gaussian", "--beta", "0.5", *_SCAN],
+     {"sigma": 1.0, "center": 0.0, "c_light": 1.0, "pump_sigma": 0.5}),
+    (["dip-scan", *_SI, "--pump", "gaussian", "--beta", "0.5", *_SCAN],
+     {"sigma": 1.0, "center": 0.0, "c_light": 3e8, "pump_sigma": 0.5}),
+    (["shih-scan", *_SHIH_FLAGS, *_SCAN],
+     {"sigma": 1.0, "sigma_p": 0.1, "center": 20.0, "delta_l": 2.0, "c_light": 1.0}),
+    (["shih-scan", *_SI, *_SHIH_FLAGS, *_SCAN],
+     {"sigma": 1.0, "sigma_p": 0.1, "center": 20.0, "delta_l": 2.0, "c_light": 3e8}),
+]
+
+
+@pytest.mark.parametrize("argv,fixed", CLI_FIXED, ids=[" ".join(argv) for argv, _ in CLI_FIXED])
+def test_cli_fixed_dicts_do_not_change(argv, fixed):
+    built = _model_fixed(_parser().parse_args(argv))[1]
+    assert list(built.items()) == list(fixed.items())
 
 
 def shih_dl_rows(**fixed):
