@@ -33,9 +33,11 @@ from .beamsplitter import BeamSplitterParams, exchange_report
 from .errors import ConfigError, DegenerateSpectrumError
 from .scans import (
     MODELS,
+    REQUIRED,
     ScanSpec,
     _alias_warnings,
     _delayed_state,
+    model_params,
     run_scan,
 )
 from .spectrum import (
@@ -69,7 +71,7 @@ def _c_light(opts: dict[str, Any]) -> float:
         return opts["c_light"]
     if opts["c_light"] is not None:
         raise ConfigError("--c-light is only meaningful with --units si")
-    return 1.0
+    return _DEFAULT_OF["c_light"]
 
 
 def _pump_width(opts: dict[str, Any]) -> float | None:
@@ -86,19 +88,23 @@ class _SourceFlag(NamedTuple):
     value: Callable[[dict[str, Any]], Any] | None = None  # else its own value
 
 
+# The source keys' defaults in the MODELS params, on which the models agree.
+_DEFAULT_OF = {key: default for entry in MODELS.values()
+               for key, default in entry.params.items() if default not in (None, REQUIRED)}
+
 # Every source flag by destination, in the order of the fixed keys it sets.
 # The parser leaves a flag that was not given at None, and ``value`` reads
 # the flags with each source flag at its default instead.  A key that two
 # flags set takes its value and its place from the later one: --beta gives
 # pump_sigma its width only under --pump gaussian.
 _SOURCE_FLAGS = {
-    "sigma": _SourceFlag(("sigma",), "single-photon bandwidth", 1.0),
+    "sigma": _SourceFlag(("sigma",), "single-photon bandwidth", _DEFAULT_OF["sigma"]),
     "beta": _SourceFlag(("sigma_p", "pump_sigma"), "pump/photon bandwidth ratio",
                         value=_pump_width),
-    "center": _SourceFlag(("center",), "center angular frequency", 0.0),
-    "dl": _SourceFlag(("delta_l", "dl"), "half path-length difference", 0.0),
+    "center": _SourceFlag(("center",), "center angular frequency", _DEFAULT_OF["center"]),
+    "dl": _SourceFlag(("delta_l", "dl"), "half path-length difference", _DEFAULT_OF["dl"]),
     "parity": _SourceFlag(("parity",), "path-difference parity of the delta_pump model",
-                          "even", ("even", "odd")),
+                          _DEFAULT_OF["parity"], ("even", "odd")),
     "omega_a": _SourceFlag(("omega_a",), "first bell tone"),
     "omega_b": _SourceFlag(("omega_b",), "second bell tone"),
     "c_light": _SourceFlag(("c_light",), "speed of light, required with --units si",
@@ -137,9 +143,9 @@ def _model_fixed(args: argparse.Namespace) -> tuple[str, dict[str, Any]]:
     entry = MODELS[model]
     for dest, row in _SOURCE_FLAGS.items():
         for key in row.keys:
-            if key in entry.required and given.get(dest) is None:
+            if entry.params.get(key) is REQUIRED and given.get(dest) is None:
                 raise ConfigError(f"model {model} requires {_flag(dest)}")
-            if key in entry.keys:
+            if key in entry.params:
                 fixed.pop(key, None)
                 value = opts[dest] if row.value is None else row.value(opts)
                 if value is not None:
@@ -192,9 +198,9 @@ def _load_input_state(args: argparse.Namespace):
     """The input state of the flags, warned when one of its path delays aliases:
     its factors where the source is a model, else the spectrum of its file."""
     model, fixed = _model_fixed(args)
-    row = {**fixed, "dz": args.dz}
+    row = {**model_params(model, fixed), "dz": args.dz}
     state = _delayed_state(model, row, args.grid_points, args.grid_span)
-    aliasing = _alias_warnings(model, [row], state.grid, fixed["c_light"])
+    aliasing = _alias_warnings(model, [row], state.grid)
     if aliasing:
         state = dataclasses.replace(state, warnings=(*state.warnings, *aliasing))
     return state
@@ -385,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit:  # argparse exits only after -h printed its usage text
+        return 0
     except (DegenerateSpectrumError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

@@ -1,12 +1,13 @@
 """Source models and the parameter-scan engine for coincidence-probability curves.
 
 :data:`MODELS` has one entry per source model: the ``fixed`` parameters it
-accepts, the grid they imply, its delay-free spectrum and, where they exist,
-its ``dl`` row factors, closed form and metadata.  Every source, in scans and
-CLI input states alike, is built with the path delays of its row in one
-place, :func:`_delayed_state`: every model source is a factored state with
-the path phases folded into its factors (see :mod:`biphoton.models`), and
-a spectrum file gets them from :func:`~biphoton.spectrum.apply_path_delays`.
+accepts with their defaults (filled in by :func:`model_params`), the grid
+they imply, its delay-free spectrum and, where they exist, its ``dl`` row
+factors, closed form and metadata.  Every source, in scans and CLI input
+states alike, is built with the path delays of its row in one place,
+:func:`_delayed_state`: every model source is a factored state with the
+path phases folded into its factors (see :mod:`biphoton.models`), and a
+spectrum file gets them from :func:`~biphoton.spectrum.apply_path_delays`.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference) and the sweep range.  A scan takes
@@ -28,6 +29,7 @@ row of the whole scan.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
@@ -70,53 +72,54 @@ SWEEPABLE = ("dz", "dl")
 # times the 1,001 rows of the largest documented or checked scan.
 MAX_SCAN_STEPS = 10**5
 
-# Values of the optional parameters that ``fixed`` leaves out.
-_DEFAULTS = {"center": 0.0, "sigma": 1.0, "c_light": 1.0, "delta_l": 0.0, "dl": 0.0}
+# The default of a required key in a model's ``params``; a key whose absence
+# means something (a flat pump, paths not fixed) has the default None.
+REQUIRED = ...
+
+# The keys whose values are text; the value of any other key is a number.
+_TEXT_KEYS = ("parity", "path")
 
 
-def _num(fixed: dict[str, Any], key: str) -> float:
-    return float(fixed[key] if key in fixed else _DEFAULTS[key])
-
-
-def _sigma_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
-    return make_grid(_num(fixed, "center"), span_mult * _num(fixed, "sigma"), n_points)
+def _sigma_grid(row: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
+    return make_grid(row["center"], span_mult * row["sigma"], n_points)
 
 
 @dataclass(frozen=True)
 class _Model:
     """One source model.
 
-    ``base(fixed, grid, z1, z2)`` is its state with port paths ``z1`` and
+    ``params`` maps each ``fixed`` key the model accepts to its default; a
+    row is :func:`model_params` of ``fixed`` plus the swept value.
+    ``base(row, grid, z1, z2)`` is its state with port paths ``z1`` and
     ``z2``, in factored form where the model has one; with ``grid`` None (a
-    spectrum file) it gets no grid and brings its own.  ``params(row)`` is
-    built once per scan from its row at swept value 0 and handed to the
+    spectrum file) it gets no grid and brings its own.  ``scan_params(row)``
+    is built once per scan from its row at swept value 0 and handed to the
     rest.  A ``dl`` row sets ``dl_key`` and scales port-1 row i of the base
     at ``dl_key = 0`` (updated by ``dl_base``) by
     ``a exp(i tau nu_i) + b exp(-i tau nu_i)`` with
-    ``(a, b, tau) = row_factor(params, grid, dl)``, down to a squared norm
-    ``row_floor``.  ``closed_form(params, dl, dz)`` gives
-    ``(p_closed, p_reduced)`` and ``metadata(params, dl)`` the model metadata
-    of a row.
+    ``(a, b, tau) = row_factor(scan_params, grid, dl)``, down to a squared
+    norm ``row_floor``.  ``closed_form(scan_params, dl, dz)`` gives
+    ``(p_closed, p_reduced)`` and ``metadata(scan_params, dl)`` the model
+    metadata of a row.
     """
 
-    keys: frozenset[str]
+    params: dict[str, Any]
     base: Callable[
         [dict[str, Any], FrequencyGrid | None, float, float], BiphotonSpectrum | _FactoredState
     ]
     grid: Callable[[dict[str, Any], int, float], FrequencyGrid] | None = _sigma_grid
-    required: tuple[str, ...] = ()
     dl_key: str | None = None
     dl_base: dict[str, Any] = field(default_factory=dict)
-    params: Callable[[dict[str, Any]], Any] = dict
+    scan_params: Callable[[dict[str, Any]], Any] = dict
     row_factor: Callable[[Any, FrequencyGrid, float], tuple[complex, complex, float]] | None = None
     row_floor: float = _MIN_NORM**2
     closed_form: Callable[[Any, float, float], tuple[float, float | None]] | None = None
     metadata: Callable[[Any, float], dict[str, Any]] | None = None
 
 
-def _bell_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
+def _bell_grid(row: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
     # Spacing chosen so both tones land exactly on grid cells.
-    omega_a, omega_b = fixed["omega_a"], fixed["omega_b"]
+    omega_a, omega_b = row["omega_a"], row["omega_b"]
     center = 0.5 * (omega_a + omega_b)
     half_gap = 0.5 * abs(omega_b - omega_a)
     if half_gap == 0.0:
@@ -128,30 +131,21 @@ def _bell_grid(fixed: dict[str, Any], n_points: int, span_mult: float) -> Freque
     return make_grid(center, spacing * (n_points - 1) / 2.0, n_points)
 
 
-def _gaussian_pair(
-    fixed: dict[str, Any], grid: FrequencyGrid, z1: float, z2: float
-) -> _FactoredState:
-    pump = fixed.get("pump_sigma")
-    pump_sigma = None if pump is None else float(pump)
-    m = GaussianPairModel(_num(fixed, "center"), _num(fixed, "sigma"), pump_sigma)
-    return _gaussian_pair_state(m, grid, z1, z2, _num(fixed, "c_light"))
-
-
-def _shih_model(fixed: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> ShihModel:
-    """Two-path model of ``fixed`` with mean signal path ``z1`` and idler path ``z2``.
+def _shih_model(row: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> ShihModel:
+    """Two-path model of ``row`` with mean signal path ``z1`` and idler path ``z2``.
 
     Scans and input states take the paths from ``_path_delays``, not from
-    ``fixed``; the closed forms and the row factors use the delay-free
+    ``row``; the closed forms and the row factors use the delay-free
     model, built once per scan.
     """
     return ShihModel(
-        center=_num(fixed, "center"),
-        sigma=_num(fixed, "sigma"),
-        sigma_p=_num(fixed, "sigma_p"),
-        delta_l=_num(fixed, "delta_l"),
+        center=row["center"],
+        sigma=row["sigma"],
+        sigma_p=row["sigma_p"],
+        delta_l=row["delta_l"],
         z1=z1,
         z2=z2,
-        c_light=_num(fixed, "c_light"),
+        c_light=row["c_light"],
     )
 
 
@@ -163,57 +157,49 @@ def _shih_metadata(m: ShihModel, dl: float) -> dict[str, Any]:
     }
 
 
-def _delta_pump(
-    fixed: dict[str, Any], grid: FrequencyGrid, z1: float, z2: float
-) -> _FactoredState:
-    sigma, center, dl, c_light = (_num(fixed, key) for key in ("sigma", "center", "dl", "c_light"))
-    parity = fixed.get("parity", "even")
-    return _delta_pump_state(sigma, center, dl, parity, grid, c_light, z1, z2)
-
-
 MODELS: dict[str, _Model] = {
     "gaussian_pair": _Model(
-        keys=frozenset({"center", "sigma", "pump_sigma", "c_light"}),
-        base=_gaussian_pair,
-        closed_form=lambda fixed, dl, dz: (
-            hom_dip_closed(_num(fixed, "sigma"), dz, _num(fixed, "c_light")),
-            None,
+        params={"center": 0.0, "sigma": 1.0, "pump_sigma": None, "c_light": 1.0},
+        base=lambda row, grid, z1, z2: _gaussian_pair_state(
+            GaussianPairModel(row["center"], row["sigma"], row.get("pump_sigma")),
+            grid, z1, z2, row["c_light"],
         ),
+        closed_form=lambda row, dl, dz: (hom_dip_closed(row["sigma"], dz, row["c_light"]), None),
     ),
     "shih": _Model(
-        keys=frozenset({"center", "sigma", "sigma_p", "delta_l", "z1", "z2", "dz", "c_light"}),
-        required=("center", "sigma_p"),
-        base=lambda fixed, grid, z1, z2: _shih_state(_shih_model(fixed, z1, z2), grid),
+        params={"center": REQUIRED, "sigma": 1.0, "sigma_p": REQUIRED, "delta_l": 0.0,
+                "z1": None, "z2": None, "dz": None, "c_light": 1.0},
+        base=lambda row, grid, z1, z2: _shih_state(_shih_model(row, z1, z2), grid),
         dl_key="delta_l",
-        params=_shih_model,
+        scan_params=_shih_model,
         row_factor=lambda m, grid, dl: shih_row_factor(grid, dl, m.c_light),
         row_floor=MIN_MODULATION_WEIGHT,
         closed_form=lambda m, dl, dz: (shih_exact(m, dz, dl), shih_reduced(m, dz, dl)),
         metadata=_shih_metadata,
     ),
     "delta_pump": _Model(
-        keys=frozenset({"center", "sigma", "dl", "parity", "c_light"}),
-        base=_delta_pump,
+        params={"center": 0.0, "sigma": 1.0, "dl": 0.0, "parity": "even", "c_light": 1.0},
+        base=lambda row, grid, z1, z2: _delta_pump_state(
+            row["sigma"], row["center"], row["dl"], row["parity"], grid, row["c_light"], z1, z2
+        ),
         dl_key="dl",
         # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
         dl_base={"parity": "even"},
-        row_factor=lambda fixed, grid, dl: delta_pump_row_factor(
-            grid, dl, fixed.get("parity", "even"), _num(fixed, "c_light")
+        row_factor=lambda row, grid, dl: delta_pump_row_factor(
+            grid, dl, row["parity"], row["c_light"]
         ),
     ),
     "bell": _Model(
-        keys=frozenset({"omega_a", "omega_b", "c_light"}),
-        required=("omega_a", "omega_b"),
+        params={"omega_a": REQUIRED, "omega_b": REQUIRED, "c_light": 1.0},
         grid=_bell_grid,
-        base=lambda fixed, grid, z1, z2: _bell_state(
-            fixed["omega_a"], fixed["omega_b"], grid, z1, z2, _num(fixed, "c_light")
+        base=lambda row, grid, z1, z2: _bell_state(
+            row["omega_a"], row["omega_b"], grid, z1, z2, row["c_light"]
         ),
     ),
     "spectrum_file": _Model(
-        keys=frozenset({"path", "c_light"}),
-        required=("path",),
-        base=lambda fixed, grid, z1, z2: apply_path_delays(
-            fileio.load_spectrum(fixed["path"]), z1, z2, _num(fixed, "c_light")
+        params={"path": REQUIRED, "c_light": 1.0},
+        base=lambda row, grid, z1, z2: apply_path_delays(
+            fileio.load_spectrum(row["path"]), z1, z2, row["c_light"]
         ),
         grid=None,
     ),
@@ -225,11 +211,11 @@ class ScanSpec:
     """Declarative description of one scan.
 
     ``fixed`` holds the model parameters that do not vary along the sweep;
-    each entry of :data:`MODELS` lists the keys its model allows and
-    requires.  A fixed key may not name the swept parameter.  Every row
-    gets the numeric value and, where the model has one, its closed form;
-    its ``w_antisym`` is the numeric value unless ``include_w_antisym`` is
-    False.
+    the ``params`` of each entry of :data:`MODELS` give the keys its model
+    accepts, with their defaults.  A fixed key may not name the swept
+    parameter.  Every row gets the numeric value and, where the model has
+    one, its closed form; its ``w_antisym`` is the numeric value unless
+    ``include_w_antisym`` is False.
     A swept ``dz`` delays port 1 of a model without its own paths; a
     two-path row takes its relative delay ``z1 - z2`` from its own paths,
     where ``z2`` is ``fixed["z2"]`` or ``z1 - dz``.
@@ -246,7 +232,7 @@ class ScanSpec:
     include_w_antisym: bool = True
 
     def __post_init__(self):
-        validate_model_params(self.model, self.fixed)
+        model_params(self.model, self.fixed)
         if self.swept not in SWEEPABLE:
             raise ConfigError(f"swept must be one of {SWEEPABLE}, got {self.swept!r}")
         if self.n_steps < 2:
@@ -287,16 +273,29 @@ class ScanComparison:
     rms: float
 
 
-def validate_model_params(model: str, fixed: dict[str, Any]) -> None:
-    """Reject unknown models, unknown fixed-parameter keys and missing required ones."""
+def model_params(model: str, fixed: dict[str, Any]) -> dict[str, Any]:
+    """``fixed``, checked against the ``params`` of ``model``, with the defaults
+    of the keys it leaves out; a value that is not text is a float, and a key
+    whose default is None may be given as None."""
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
-    unknown = set(fixed) - MODELS[model].keys
+    params = MODELS[model].params
+    unknown = fixed.keys() - params.keys()
     if unknown:
         raise ConfigError(f"unknown parameter(s) for model {model!r}: {sorted(unknown)}")
-    for key in MODELS[model].required:
-        if key not in fixed:
+    row = {}
+    for key, default in params.items():
+        value = fixed.get(key, default)
+        if value is REQUIRED:
             raise ConfigError(f"model {model!r} requires parameter {key!r}")
+        if value is None and default is None:
+            continue
+        if key not in _TEXT_KEYS:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+            value = float(value)
+        row[key] = value
+    return row
 
 
 def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
@@ -308,7 +307,7 @@ def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
     port 1, so ``z1 = dz`` and ``z2 = 0``.
     """
     dz = float(row.get("dz", 0.0))
-    if "z2" not in MODELS[model].keys:
+    if "z2" not in MODELS[model].params:
         return dz, dz
     if "z2" in row and "dz" in row:
         raise ConfigError("give the two-path model either z2 or dz, not both")
@@ -337,7 +336,7 @@ def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
         raise ConfigError(f"model {spec.model!r} cannot sweep 'dl'")
     if key in spec.fixed:
         raise ConfigError(f"fixed parameter {key!r} names the swept parameter {spec.swept!r}")
-    return {**spec.fixed, key: value}
+    return {**model_params(spec.model, spec.fixed), key: float(value)}
 
 
 def _check_row(row: ScanRow) -> None:
@@ -355,25 +354,24 @@ def _check_row(row: ScanRow) -> None:
         raise ArithmeticError(f"p_reduced is not finite at param {row.param!r}")
 
 
-def _alias_warnings(
-    model: str, rows: list[dict[str, Any]], grid: FrequencyGrid, c_light: float
-) -> list[str]:
+def _alias_warnings(model: str, rows: list[dict[str, Any]], grid: FrequencyGrid) -> list[str]:
     """Warning when a path delay of the ``rows`` of ``model`` aliases on ``grid``.
 
     A sampled spectrum is periodic in the relative delay with period
-    ``2 pi c / domega``, so delays from half that period on alias onto
+    ``2 pi c / domega``, ``c`` the ``c_light`` that every row of one scan or
+    input state shares, so delays from half that period on alias onto
     shorter ones.  A model with a path difference ``dl`` splits port 1 over
     the delays ``dz +- dl``, so its reach is ``|dz| + |dl|``.
     """
     dl_key = MODELS[model].dl_key
     reach = max(
-        abs(_path_delays(model, row)[1]) + (0.0 if dl_key is None else abs(_num(row, dl_key)))
+        abs(_path_delays(model, row)[1]) + (0.0 if dl_key is None else abs(row[dl_key]))
         for row in rows
     )
     what = "relative delay |z1 - z2|" if dl_key is None else "path delay |dz| + |dl|"
     if not math.isfinite(reach):
         raise ConfigError(f"{what} must be finite; |dz| and |dl| add up past the float range")
-    period = 2.0 * math.pi * c_light / grid.spacing
+    period = 2.0 * math.pi * rows[0]["c_light"] / grid.spacing
     if reach < 0.5 * period:
         return []
     return [
@@ -385,14 +383,12 @@ def _alias_warnings(
 
 class _Scan(NamedTuple):
     """What a scan's rows are read off: the kernel of its base reduction, on
-    ``grid``, the model's ``params``, and the ``dl`` and ``dz`` of its row at
-    swept value 0."""
+    ``grid``, its row at swept value 0 and the model's ``scan_params`` of it."""
 
     grid: FrequencyGrid
     kernel: Callable[[Any, Any, Any], np.ndarray]
+    row: dict[str, Any]
     params: Any
-    dl: float
-    dz: float
     warnings: list[str]
 
 
@@ -405,12 +401,8 @@ def _prepare(spec: ScanSpec) -> _Scan:
     base = _delayed_state(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
     kernel = exchange_sweep(base, entry.row_floor)
     ends = [_row(spec, spec.start), _row(spec, spec.stop)]
-    warnings = list(base.warnings) + _alias_warnings(
-        spec.model, ends, base.grid, _num(spec.fixed, "c_light")
-    )
-    dl = 0.0 if entry.dl_key is None else _num(row, entry.dl_key)
-    dz = _path_delays(spec.model, row)[1]
-    return _Scan(base.grid, kernel, entry.params(row), dl, dz, warnings)
+    warnings = list(base.warnings) + _alias_warnings(spec.model, ends, base.grid)
+    return _Scan(base.grid, kernel, row, entry.scan_params(row), warnings)
 
 
 def _scan_rows(spec: ScanSpec, scan: _Scan, values) -> tuple[ScanRow, ...]:
@@ -428,7 +420,7 @@ def _scan_rows(spec: ScanSpec, scan: _Scan, values) -> tuple[ScanRow, ...]:
         name = "half path difference dl"
     else:
         # the carrier phase exp(i center dz / c) of a delay is global
-        a, b, tau = 1.0, 0.0, [dz / _num(spec.fixed, "c_light") for dz in values]
+        a, b, tau = 1.0, 0.0, [dz / scan.row["c_light"] for dz in values]
         name = "relative delay dz"
     # the reduction's phases reach tau (nu_i - nu_j), up to twice the half
     # span, and its phase tables half a block past that
@@ -438,9 +430,10 @@ def _scan_rows(spec: ScanSpec, scan: _Scan, values) -> tuple[ScanRow, ...]:
     # the balanced coincidence equals the antisymmetric weight
     p_numeric = scan.kernel(a, b, tau).tolist()
     closed_form = entry.closed_form or (lambda params, dl, dz: (None, None))
+    dl0, dz0 = scan.row.get(entry.dl_key, 0.0), _path_delays(spec.model, scan.row)[1]
     rows = []
     for value, p in zip(values, p_numeric):
-        dl, dz = (value, scan.dz) if spec.swept == "dl" else (scan.dl, value)
+        dl, dz = (value, dz0) if spec.swept == "dl" else (dl0, value)
         closed = closed_form(scan.params, dl, dz)
         rows.append(ScanRow(value, p, *closed, p if spec.include_w_antisym else None))
         _check_row(rows[-1])
@@ -486,7 +479,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     if model_metadata is not None:
         # a delay leaves the model metadata unchanged; a dl sweep lists it per row
         if spec.swept == "dz":
-            metadata.update(model_metadata(scan.params, scan.dl))
+            metadata.update(model_metadata(scan.params, scan.row[MODELS[spec.model].dl_key]))
         else:
             per_row = [model_metadata(scan.params, row.param) for row in rows]
             metadata.update({key: [meta[key] for meta in per_row] for key in per_row[0]})

@@ -64,16 +64,13 @@ class CriterionResult:
 
 
 def _dip_scan_checks(pump_sigma: float | None) -> dict[str, float]:
-    fixed = {"sigma": 1.0, "center": 0.0}
-    if pump_sigma is not None:
-        fixed["pump_sigma"] = pump_sigma
     spec = ScanSpec(
         model="gaussian_pair",
         swept="dz",
         start=-4.0,
         stop=4.0,
         n_steps=81,
-        fixed=fixed,
+        fixed={"sigma": 1.0, "center": 0.0, "pump_sigma": pump_sigma},
         grid_points=257,
         grid_span_sigmas=6.0,
     )

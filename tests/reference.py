@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 import biphoton as bp
-from biphoton.scans import _delayed_state
+from biphoton.scans import _delayed_state, model_params
 from biphoton.spectrum import (
     _MIN_NORM,
     _SWEEP_CANCELLATION,
@@ -96,9 +96,18 @@ def norm_squared(s: bp.BiphotonSpectrum) -> float:
     return float(np.sum(np.abs(s.amplitudes) ** 2))
 
 
+def delayed_state(model: str, row: dict, grid_points: int, span: float):
+    """The state of one row with its path delays, as the scans build it; the
+    model parameters that ``row`` leaves out take their defaults, and its
+    ``dz`` is the row's delay."""
+    fixed = {key: value for key, value in row.items() if key != "dz"}
+    delay = {key: value for key, value in row.items() if key == "dz"}
+    return _delayed_state(model, {**model_params(model, fixed), **delay}, grid_points, span)
+
+
 def delayed_spectrum(model: str, row: dict, grid_points: int, span: float) -> bp.BiphotonSpectrum:
     """The state of one row's parameters with its path delays, built as a matrix."""
-    state = _delayed_state(model, row, grid_points, span)
+    state = delayed_state(model, row, grid_points, span)
     return state.spectrum() if isinstance(state, _FactoredState) else state
 
 

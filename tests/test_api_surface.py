@@ -8,6 +8,8 @@ import tomllib
 from pathlib import Path
 
 import biphoton as bp
+from biphoton.cli import _SOURCE_FLAGS
+from biphoton.scans import MODELS, REQUIRED
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "biphoton"
@@ -46,6 +48,30 @@ def test_scan_spec_fields():
         "model", "swept", "start", "stop", "n_steps", "fixed", "grid_points",
         "grid_span_sigmas", "include_w_antisym",
     ]
+
+
+def test_model_params():
+    # every fixed key of each model with its default: REQUIRED keys must be
+    # given, and a key whose default is None means something when left out
+    assert {name: list(entry.params.items()) for name, entry in MODELS.items()} == {
+        "gaussian_pair": [("center", 0.0), ("sigma", 1.0), ("pump_sigma", None), ("c_light", 1.0)],
+        "shih": [("center", REQUIRED), ("sigma", 1.0), ("sigma_p", REQUIRED), ("delta_l", 0.0),
+                 ("z1", None), ("z2", None), ("dz", None), ("c_light", 1.0)],
+        "delta_pump": [("center", 0.0), ("sigma", 1.0), ("dl", 0.0), ("parity", "even"),
+                       ("c_light", 1.0)],
+        "bell": [("omega_a", REQUIRED), ("omega_b", REQUIRED), ("c_light", 1.0)],
+        "spectrum_file": [("path", REQUIRED), ("c_light", 1.0)],
+    }
+    defaults = [d for entry in MODELS.values() for d in entry.params.values()]
+    assert {type(d) for d in defaults} == {float, str, type(None), type(REQUIRED)}
+    # a source flag writes one default into every model it sets a key of, and
+    # natural units one c_light: the models agree on each
+    for keys, default in [(("sigma",), 1.0), (("center",), 0.0), (("delta_l", "dl"), 0.0),
+                          (("parity",), "even"), (("c_light",), 1.0)]:
+        assert {entry.params[key] for entry in MODELS.values() for key in keys
+                if entry.params.get(key) not in (None, REQUIRED)} == {default}, keys
+    assert [_SOURCE_FLAGS[dest].default for dest in ("sigma", "center", "dl", "parity")] == [
+        1.0, 0.0, 0.0, "even"]
 
 
 def _script_names() -> set[str]:

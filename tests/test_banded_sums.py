@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.scans import _delayed_state
 from biphoton.spectrum import _FactoredState, _factored_row_sums, _factored_sums
-from reference import factored_diagonal_sums
+from reference import delayed_state, factored_diagonal_sums
 
 CENTER = 78.61835615608457
 
@@ -68,7 +67,7 @@ def _photons(n: int) -> tuple[bp.FrequencyGrid, np.ndarray, np.ndarray]:
 def _state(name: str, n: int) -> _FactoredState:
     if name in _MODEL_STATES:
         model, row = _MODEL_STATES[name]
-        return _delayed_state(model, row, n, 4.5)
+        return delayed_state(model, row, n, 4.5)
     grid, x, y = _photons(n)
     return _FactoredState(grid, x, y, np.sqrt(_PUMPS[name](n)))
 
@@ -91,6 +90,6 @@ def test_banded_sums_match_the_whole_triangle(name, n):
 @pytest.mark.parametrize("n", [3, 257, 1025, 4095])
 @pytest.mark.parametrize("dz", [0.0, 1.3])
 def test_flat_pump_sums_every_cell_bit_for_bit(n, dz):
-    f = _delayed_state("gaussian_pair", {"center": 0.7, "dz": dz}, n, 4.5)
+    f = delayed_state("gaussian_pair", {"center": 0.7, "dz": dz}, n, 4.5)
     assert f.pump is None
     assert np.array_equal(_factored_sums(f)[2], factored_diagonal_sums(f) / _total(f))

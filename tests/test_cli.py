@@ -844,13 +844,21 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", sorted(_HELP_FLAGS))
     def test_help_lists_the_source_flags(self, capsys, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "-h"])
-        assert excinfo.value.code == 0
+        assert main([command, "-h"]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith(f"usage: biphoton {command} ") and captured.err == ""
         listed = set(re.findall(r"--[a-z-]+", captured.out)) & _SOURCE_FLAGS
         assert listed == _HELP_FLAGS[command]
+
+    def test_help_returns_0_in_process_and_exits_0(self, capsys):
+        # an in-process caller gets 0 back; the console script still exits 0
+        assert main(["-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: biphoton ")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bp.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "biphoton", "dip-scan", "-h"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: biphoton dip-scan ")
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("argv,err", [
         (["transform", "--model", "shih", "--beta", "0.1"],

@@ -10,7 +10,7 @@ import biphoton as bp
 from biphoton import fileio
 from biphoton.beamsplitter import exchange_report
 from biphoton.cli import main
-from biphoton.scans import MODELS
+from biphoton.scans import MODELS, model_params
 from reference import delayed_spectrum, symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
@@ -111,7 +111,7 @@ class TestFastPathAgainstPerRowOracle:
             fixed=fixed, grid_points=n, grid_span_sigmas=4.5,
         )
         result = bp.run_scan(spec)
-        grid = MODELS["shih"].grid(fixed, n, 4.5)
+        grid = MODELS["shih"].grid(model_params("shih", fixed), n, 4.5)
         delayed = (
             bp.shih_spectrum(
                 bp.ShihModel(
@@ -153,7 +153,7 @@ class TestDlSweepWeight:
             model="delta_pump", swept="dl", start=0.5, stop=2.0, n_steps=4, fixed=fixed,
             grid_points=129,
         )
-        grid = MODELS["delta_pump"].grid(fixed, 129, 6.0)
+        grid = MODELS["delta_pump"].grid(model_params("delta_pump", fixed), 129, 6.0)
         for row in bp.run_scan(spec).rows:
             s = bp.delta_pump_spectrum(1.0, 0.0, row.param, "even", grid)
             assert abs(row.w_antisym - symmetry_decompose(s).w_antisym) <= TOL

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.scans import MODELS
+from biphoton.scans import MODELS, model_params
 from biphoton.spectrum import exchange_sweep
 from reference import symmetry_decompose
 
@@ -37,7 +37,8 @@ def delta_row_spectrum(fixed, grid, dl):
 
 
 def assert_rows_match_oracle(spec, result, row_spectrum):
-    grid = MODELS[spec.model].grid(spec.fixed, spec.grid_points, spec.grid_span_sigmas)
+    params = model_params(spec.model, spec.fixed)
+    grid = MODELS[spec.model].grid(params, spec.grid_points, spec.grid_span_sigmas)
     for row in result.rows:
         p, w = oracle(row_spectrum(spec.fixed, grid, row.param))
         assert abs(row.p_numeric - p) <= TOL, row.param

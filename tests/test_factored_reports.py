@@ -10,7 +10,6 @@ import pytest
 import biphoton as bp
 from biphoton.beamsplitter import _weights, exchange_report
 from biphoton.cli import main
-from biphoton.scans import _delayed_state
 from biphoton.spectrum import (
     _factored_sums,
     _FactoredState,
@@ -18,6 +17,7 @@ from biphoton.spectrum import (
     _matrix_sums,
     exchange_weights,
 )
+from reference import delayed_state
 
 # every model source: (model, row, grid span in sigma)
 SOURCES = {
@@ -36,7 +36,7 @@ SPLITTERS = [
 
 def state(name: str, n: int, dz: float = 0.0) -> _FactoredState:
     model, row, span = SOURCES[name]
-    s = _delayed_state(model, {**row, "dz": dz}, n, span)
+    s = delayed_state(model, {**row, "dz": dz}, n, span)
     assert isinstance(s, _FactoredState)
     return s
 
@@ -70,7 +70,7 @@ def test_factored_report_matches_the_built_state(name, n, dz):
 def test_one_hot_sources_keep_exact_values(n):
     balanced = bp.BeamSplitterParams.balanced()
     # the even delta pump at dl = 0 is exchange-symmetric bit for bit
-    even = exchange_report(_delayed_state("delta_pump", {"dl": 0.0}, n, 6.0), balanced)
+    even = exchange_report(delayed_state("delta_pump", {"dl": 0.0}, n, 6.0), balanced)
     assert even["w_antisym"] == 0.0 and even["trapping_fidelity"] == 0.0
     assert even["exchange_overlap"] == 1.0
     # the odd delta pump and the Bell state are antisymmetric bit for bit

@@ -10,7 +10,7 @@ import pytest
 
 import biphoton as bp
 from biphoton.cli import _model_fixed, _parser, build_parser, main
-from biphoton.scans import MODELS
+from biphoton.scans import MODELS, REQUIRED, model_params
 from reference import delayed_spectrum, norm_squared
 
 BALANCED = bp.BeamSplitterParams.balanced()
@@ -63,11 +63,20 @@ class TestEveryModel:
         with pytest.raises(bp.ConfigError, match="unknown parameter"):
             bp.ScanSpec(model=model, swept="dz", start=0.0, stop=1.0, n_steps=2,
                         fixed={**fixed, "bandwidth": 1.0})
-        for key in MODELS[model].required:
+        for key in (key for key, default in MODELS[model].params.items() if default is REQUIRED):
             partial = {k: v for k, v in fixed.items() if k != key}
             with pytest.raises(bp.ConfigError, match=f"requires parameter '{key}'"):
                 bp.ScanSpec(model=model, swept="dz", start=0.0, stop=1.0, n_steps=2,
                             fixed=partial)
+
+    def test_non_numeric_values_rejected(self, model):
+        # every key but the text ones takes a number; a bool is no number here
+        _, fixed = CLI_CASES[model]
+        for key in MODELS[model].params.keys() - {"parity", "path"}:
+            for bad in ("1", True, [1.0]):
+                with pytest.raises(bp.ConfigError, match=f"^{key} must be a number"):
+                    bp.ScanSpec(model=model, swept="dz", start=0.0, stop=1.0, n_steps=2,
+                                fixed={**fixed, key: bad})
 
     def test_transform_delay_matches_apply_path_delays(self, model, tmp_path, capsys):
         path = str(tmp_path / "spectrum.csv")
@@ -119,6 +128,73 @@ def test_cli_fixed_dicts_do_not_change(argv, fixed):
     assert list(built.items()) == list(fixed.items())
 
 
+# model -> (CLI source flags that give only its required parameters, the
+# same parameters as fixed); the CLI writes every default out
+REQUIRED_ONLY = {
+    "gaussian_pair": (["--model", "gaussian_pair"], {}),
+    "shih": (["--model", "shih", "--beta", "0.1", "--center", "20"],
+             {"center": 20.0, "sigma_p": 0.1}),
+    "delta_pump": (["--model", "delta_pump"], {}),
+    "bell": (["--model", "bell", "--omega-a", "-2", "--omega-b", "3"],
+             {"omega_a": -2.0, "omega_b": 3.0}),
+    "spectrum_file": (["--spectrum-file", "{path}"], {"path": "{path}"}),
+}
+TIMING = ("prepare_s", "rows_s", "wall_time_s")
+
+
+def scan_bits(spec):
+    result = bp.run_scan(spec)
+    metadata = {k: v for k, v in result.metadata.items() if k not in TIMING}
+    return repr(result.rows), repr(metadata)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_omitted_defaults_give_the_bits_of_explicit_ones(model, tmp_path):
+    path = str(tmp_path / "spectrum.csv")
+    write_random_spectrum(path)
+    flags, required = REQUIRED_ONLY[model]
+    flags = [path if f == "{path}" else f for f in flags]
+    required = {k: path if v == "{path}" else v for k, v in required.items()}
+    explicit = _model_fixed(_parser().parse_args(["transform", *flags]))[1]
+    assert explicit.keys() > required.keys()
+    dl_key = MODELS[model].dl_key
+    # a delay sweep keeps the default dl of a model with one; a dl sweep sweeps it
+    sweeps = [("dz", "dz", -2.0, 2.0)] + ([("dl", dl_key, 0.5, 2.0)] if dl_key else [])
+    for swept, key, start, stop in sweeps:
+        omitted, written = (
+            bp.ScanSpec(model=model, swept=swept, start=start, stop=stop, n_steps=5,
+                        fixed={k: v for k, v in fixed.items() if k != key}, grid_points=65)
+            for fixed in (required, explicit)
+        )
+        assert scan_bits(omitted) == scan_bits(written), swept
+
+
+@pytest.mark.parametrize("model,fixed,key", [
+    ("gaussian_pair", {"sigma": "1.5"}, "sigma"),
+    ("gaussian_pair", {"sigma": True}, "sigma"),
+    ("bell", {"omega_a": "-2", "omega_b": 3.0}, "omega_a"),
+], ids=["string-sigma", "bool-sigma", "string-bell-tone"])
+def test_non_numeric_value_rejected_by_run_scan(model, fixed, key):
+    # these ran as 1.5, as 1.0 and raised a bare TypeError before
+    with pytest.raises(bp.ConfigError, match=f"^{key} must be a number"):
+        bp.run_scan(bp.ScanSpec(model=model, swept="dz", start=0.0, stop=1.0, n_steps=2,
+                                fixed=fixed, grid_points=33))
+
+
+def test_resolved_params():
+    # defaults filled in, numbers as floats, text kept, None where it means absence
+    assert model_params("shih", {"center": 20, "sigma_p": np.float32(0.5), "z2": np.int64(1)}) == {
+        "center": 20.0, "sigma": 1.0, "sigma_p": 0.5, "delta_l": 0.0, "z2": 1.0, "c_light": 1.0,
+    }
+    bell = model_params("bell", {"omega_a": -2, "omega_b": np.int64(3)})
+    assert [type(v) for v in bell.values()] == [float, float, float]
+    assert model_params("delta_pump", {"parity": "odd"})["parity"] == "odd"
+    assert model_params("spectrum_file", {"path": "s.csv"}) == {"path": "s.csv", "c_light": 1.0}
+    assert model_params("gaussian_pair", {"pump_sigma": None}) == model_params("gaussian_pair", {})
+    with pytest.raises(bp.ConfigError, match="^sigma must be a number, got None"):
+        model_params("gaussian_pair", {"sigma": None})
+
+
 def shih_dl_rows(**fixed):
     # the reproduction of the ignored fixed z2
     spec = bp.ScanSpec(
@@ -145,7 +221,7 @@ class TestFixedZ2:
             assert abs(a.p_reduced - b.p_reduced) <= TOL
 
     def test_z2_rows_match_the_per_row_oracle(self):
-        grid = MODELS["shih"].grid({"center": 20.0, "sigma_p": 0.1}, 65, 6.0)
+        grid = MODELS["shih"].grid(model_params("shih", {"center": 20.0, "sigma_p": 0.1}), 65, 6.0)
         for row in shih_dl_rows(z1=1.0, z2=-2.0):
             m = bp.ShihModel(
                 center=20.0, sigma=1.0, sigma_p=0.1, delta_l=row.param, z1=1.0, z2=-2.0

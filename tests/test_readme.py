@@ -1,5 +1,6 @@
 """The README quick starts run as written and give the values they state."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from biphoton.cli import main
+from biphoton.scans import MODELS, REQUIRED
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,3 +54,17 @@ def test_library_quick_start():
             assert abs(value - float(digits)) <= 1e-12, line
         checked.append(digits)
     assert checked == ["0.0", "0.19673", "1.0", "1.0"]
+
+
+def test_model_table_matches_models():
+    section = README.read_text().split("## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        model, required, defaults, optional = (cell.strip() for cell in line.split("|")[1:-1])
+        params = {key: REQUIRED for key in re.findall(r"`(\w+)`", required)}
+        params |= {k: ast.literal_eval(v) for k, v in re.findall(r"`(\w+)=([^`]+)`", defaults)}
+        params |= {key: None for key in re.findall(r"`(\w+)`", optional)}
+        table[model.strip("`")] = params
+    assert table == {name: entry.params for name, entry in MODELS.items()}

@@ -8,7 +8,6 @@ import pytest
 
 import biphoton as bp
 from biphoton.models import delta_pump_row_factor, shih_row_factor
-from biphoton.scans import _delayed_state
 from biphoton.spectrum import (
     _SWEEP_CANCELLATION,
     _factored_sums,
@@ -17,7 +16,7 @@ from biphoton.spectrum import (
     _plane_waves,
     exchange_sweep,
 )
-from reference import delayed_spectrum
+from reference import delayed_spectrum, delayed_state
 
 
 def _mesh_phases(w1, w2, z1, z2, c_light=1.0):
@@ -208,7 +207,7 @@ def _assert_sums_agree(state):
 def test_factored_sums_match_matrix_sums(base, n):
     # the sums of exchange_sweep from the factors and from the built state
     model, row = _FACTORED_BASES[base]
-    state = _delayed_state(model, row, n, 4.5)
+    state = delayed_state(model, row, n, 4.5)
     assert isinstance(state, _FactoredState)
     _assert_sums_agree(state)
 
@@ -218,7 +217,7 @@ def test_factored_sums_match_matrix_sums(base, n):
 @pytest.mark.parametrize("n,span", [(3, 1.5), (257, 4.5), (1025, 4.5)])
 def test_dark_fringe_row_reduces_the_scaled_factors(n, span):
     model, fixed, dl = _DARK_FRINGE
-    base = _delayed_state(model, fixed, n, span)
+    base = delayed_state(model, fixed, n, span)
     a, b, tau = shih_row_factor(base.grid, dl)
     d = _plane_waves(base.grid, a, b, tau)
     factored, matrix = _factored_sums(base), _matrix_sums(base.spectrum())

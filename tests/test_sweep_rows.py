@@ -8,9 +8,9 @@ import pytest
 
 import biphoton as bp
 from biphoton.models import delta_pump_row_factor, shih_row_factor
-from biphoton.scans import MODELS, _delayed_state
+from biphoton.scans import MODELS
 from biphoton.spectrum import _SWEEP_CANCELLATION, _plane_waves, _row_sums, exchange_sweep
-from reference import exchange_sweep_row
+from reference import delayed_state, exchange_sweep_row
 
 TOL = 1e-15
 ROWS = 81
@@ -57,9 +57,9 @@ def _model_rows(name, n):
     entry = MODELS[model]
     values = np.linspace(start, stop, ROWS)
     if swept == "dz":
-        base = _delayed_state(model, {**fixed, "dz": 0.0}, n, span)
+        base = delayed_state(model, {**fixed, "dz": 0.0}, n, span)
         return base, [(1.0, 0.0, dz) for dz in values], entry.row_floor
-    base = _delayed_state(model, {**fixed, entry.dl_key: 0.0, **entry.dl_base}, n, span)
+    base = delayed_state(model, {**fixed, entry.dl_key: 0.0, **entry.dl_base}, n, span)
     if model == "shih":
         factors = [shih_row_factor(base.grid, dl) for dl in values]
     else:
@@ -74,7 +74,7 @@ def _file_rows(tmp_path, n):
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     path = tmp_path / "spectrum.csv"
     bp.save_spectrum(bp.BiphotonSpectrum.from_array(grid, raw), str(path))
-    base = _delayed_state("spectrum_file", {"path": str(path), "dz": 0.0}, n, 4.5)
+    base = delayed_state("spectrum_file", {"path": str(path), "dz": 0.0}, n, 4.5)
     waves = rng.standard_normal((ROWS, 2)) + 1j * rng.standard_normal((ROWS, 2))
     waves[: ROWS // 2, :] = (1.0, 0.0)
     return base, list(zip(waves[:, 0], waves[:, 1], np.linspace(-4.0, 4.0, ROWS))), 1e-300
