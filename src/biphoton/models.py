@@ -24,8 +24,9 @@ only ``2n - 1`` distinct values.  The delta pump and the Bell state have a
 one-hot ``p`` that keeps a single anti-diagonal.  So sampling evaluates
 ``exp`` on O(n) points into a private factored state.  Scans and transform
 reports reduce that state from its factors and never build it; the public
-builders write it into one n x n complex array and normalize it there,
-with the path phases folded in rather than applied by a second pass.  With
+builders write it into one n x n complex array and normalize it there.  A
+state is built without path delays: :func:`~biphoton.spectrum.apply_path_delays`
+folds their phases into ``x`` and ``y``, before any matrix is built.  With
 real factors ``x[i] * y[j]`` equals ``x[j] * y[i]`` bit for bit whenever
 ``x`` equals ``y``, so such a state is exactly exchange-symmetric.
 
@@ -51,8 +52,8 @@ from .spectrum import (
     _FactoredState,
     _check_c_light,
     _hankel,
-    _path_phases,
     _plane_waves,
+    apply_path_delays,
 )
 
 # Minimum grid coverage (in units of sigma) below which model builders
@@ -169,21 +170,6 @@ def _pump(grid: FrequencyGrid, center: float, pump_sigma: float) -> np.ndarray:
     return _gaussian(np.concatenate((w[0] + w, w[-1] + w[1:])), 2.0 * center, pump_sigma)
 
 
-def _factored_state(
-    grid: FrequencyGrid,
-    x: np.ndarray,
-    y: np.ndarray,
-    pump: np.ndarray | None,
-    phases: tuple[np.ndarray, np.ndarray] | None,
-    warnings: tuple[str, ...],
-) -> _FactoredState:
-    """``c[i, j] = x[i] * y[j] * pump[i + j]`` with the port phases, when not None,
-    folded into ``x`` and ``y``."""
-    if phases is not None:
-        x, y = x * phases[0], y * phases[1]
-    return _FactoredState(grid, x, y, pump, warnings)
-
-
 def _one_hot(grid: FrequencyGrid, m: int) -> np.ndarray:
     # a pump term that keeps only the anti-diagonal i + j = m
     pump = np.zeros(2 * grid.n_points - 1)
@@ -191,13 +177,10 @@ def _one_hot(grid: FrequencyGrid, m: int) -> np.ndarray:
     return pump
 
 
-def _gaussian_pair_state(
-    m: GaussianPairModel, grid: FrequencyGrid, z1: float, z2: float, c_light: float
-) -> _FactoredState:
-    phases = _path_phases(grid, z1, z2, c_light)
+def _gaussian_pair_state(m: GaussianPairModel, grid: FrequencyGrid) -> _FactoredState:
     pump = None if m.pump_sigma is None else _pump(grid, m.center, m.pump_sigma)
     a = _gaussian(grid.frequencies(), m.center, m.sigma)
-    return _factored_state(grid, a, a, pump, phases, _coverage_warnings(grid, m.center, m.sigma))
+    return _FactoredState(grid, a, a, pump, _coverage_warnings(grid, m.center, m.sigma))
 
 
 def gaussian_pair_spectrum(
@@ -209,14 +192,14 @@ def gaussian_pair_spectrum(
 ) -> BiphotonSpectrum:
     """Sample the (optionally pump-entangled) Gaussian pair on ``grid``.
 
-    Port 1 travels a path ``z1`` and port 2 a path ``z2``: the result equals
-    :func:`~biphoton.spectrum.apply_path_delays` of the delay-free pair,
-    with the phases folded into the factors.  Without delays it is
+    Port 1 travels a path ``z1`` and port 2 a path ``z2``:
+    :func:`~biphoton.spectrum.apply_path_delays` folds their phases into the
+    factors of the delay-free pair before it is built.  Without delays it is
     exchange-symmetric bit for bit; with a flat pump it is an exact outer
     product of two 1D factors (rank-1, un-entangled).  See the module
     docstring for the factored build.
     """
-    return _gaussian_pair_state(m, grid, z1, z2, c_light).spectrum()
+    return apply_path_delays(_gaussian_pair_state(m, grid), z1, z2, c_light).spectrum()
 
 
 def hom_dip_closed(sigma: float, dz: float, c_light: float = 1.0) -> float:
@@ -242,18 +225,16 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         * exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))
         * exp(i*(w1*z1 + w2*z2)/c) * cos(w1*delta_l/c)
 
-    Built in factored form (see the module docstring): the cosine and the
-    port-1 phase scale the rows, the port-2 phase the columns, so the
-    result equals :func:`~biphoton.spectrum.apply_path_delays` of the
-    delay-free spectrum, and at ``delta_l = 0`` without delays it is
-    exactly symmetric.  Raises :class:`DegenerateSpectrumError` when the
+    Built in factored form (see the module docstring): the cosine scales the
+    rows, and :func:`~biphoton.spectrum.apply_path_delays` folds the phases
+    of the paths ``m.z1`` and ``m.z2`` into the rows and the columns of the
+    delay-free state.  At ``delta_l = 0`` without delays it is exactly symmetric.  Raises :class:`DegenerateSpectrumError` when the
     cosine node wipes out the entire sampled support.
     """
-    return _shih_state(m, grid).spectrum()
+    return apply_path_delays(_shih_state(m, grid), m.z1, m.z2, m.c_light).spectrum()
 
 
 def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
-    phases = _path_phases(grid, m.z1, m.z2, m.c_light)
     pump = _pump(grid, m.center, m.sigma_p)
     a = _gaussian(grid.frequencies(), m.center, m.sigma)
     modulation = _plane_waves(grid, *shih_row_factor(grid, m.delta_l, m.c_light)).real
@@ -266,8 +247,8 @@ def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
         raise DegenerateSpectrumError(
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
-    return _factored_state(
-        grid, a * modulation, a, pump, phases, _coverage_warnings(grid, m.center, m.sigma)
+    return _FactoredState(
+        grid, a * modulation, a, pump, _coverage_warnings(grid, m.center, m.sigma)
     )
 
 
@@ -405,8 +386,6 @@ def _delta_pump_state(
     parity: str,
     grid: FrequencyGrid,
     c_light: float = 1.0,
-    z1: float = 0.0,
-    z2: float = 0.0,
 ) -> _FactoredState:
     modulation = _plane_waves(grid, *delta_pump_row_factor(grid, dl, parity, c_light)).real
     _check_bandwidth("sigma", sigma)
@@ -417,9 +396,8 @@ def _delta_pump_state(
     nu = grid.offsets()
     profile = np.exp(-(nu**2) / sigma**2) * modulation
     n = grid.n_points
-    return _factored_state(
-        grid, profile, np.ones(n), _one_hot(grid, n - 1), _path_phases(grid, z1, z2, c_light),
-        _coverage_warnings(grid, center, sigma),
+    return _FactoredState(
+        grid, profile, np.ones(n), _one_hot(grid, n - 1), _coverage_warnings(grid, center, sigma)
     )
 
 
@@ -437,14 +415,7 @@ def bell_antisymmetric_spectrum(
     return _bell_state(omega_a, omega_b, grid).spectrum()
 
 
-def _bell_state(
-    omega_a: float,
-    omega_b: float,
-    grid: FrequencyGrid,
-    z1: float = 0.0,
-    z2: float = 0.0,
-    c_light: float = 1.0,
-) -> _FactoredState:
+def _bell_state(omega_a: float, omega_b: float, grid: FrequencyGrid) -> _FactoredState:
     warnings = []
     indices = []
     for name, omega in (("omega_a", omega_a), ("omega_b", omega_b)):
@@ -467,5 +438,4 @@ def _bell_state(
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     x[ia], x[ib] = inv_sqrt2, -inv_sqrt2
     y[[ia, ib]] = 1.0
-    phases = _path_phases(grid, z1, z2, c_light)
-    return _factored_state(grid, x, y, _one_hot(grid, ia + ib), phases, tuple(warnings))
+    return _FactoredState(grid, x, y, _one_hot(grid, ia + ib), tuple(warnings))

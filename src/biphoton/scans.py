@@ -5,9 +5,9 @@ accepts with their defaults (filled in by :func:`model_params`), the grid
 they imply, its delay-free spectrum and, where they exist, its ``dl`` row
 factors, closed form and metadata.  Every source, in scans and CLI input
 states alike, is built with the path delays of its row in one place,
-:func:`_delayed_state`: every model source is a factored state with the
-path phases folded into its factors (see :mod:`biphoton.models`), and a
-spectrum file gets them from :func:`~biphoton.spectrum.apply_path_delays`.
+:func:`_delayed_state`, by :func:`~biphoton.spectrum.apply_path_delays`: a
+model source is a factored state that takes the path phases into its
+factors (see :mod:`biphoton.models`), a spectrum file into its cells.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference) and the sweep range.  A scan takes
@@ -90,9 +90,9 @@ class _Model:
 
     ``params`` maps each ``fixed`` key the model accepts to its default; a
     row is :func:`model_params` of ``fixed`` plus the swept value.
-    ``base(row, grid, z1, z2)`` is its state with port paths ``z1`` and
-    ``z2``, in factored form where the model has one; with ``grid`` None (a
-    spectrum file) it gets no grid and brings its own.  ``scan_params(row)``
+    ``base(row, grid)`` is its state without path delays, in factored form
+    where the model has one; with ``grid`` None (a spectrum file) it gets no
+    grid and brings its own.  ``scan_params(row)``
     is built once per scan from its row at swept value 0 and handed to the
     rest.  A ``dl`` row sets ``dl_key`` and scales port-1 row i of the base
     at ``dl_key = 0`` (updated by ``dl_base``) by
@@ -104,9 +104,7 @@ class _Model:
     """
 
     params: dict[str, Any]
-    base: Callable[
-        [dict[str, Any], FrequencyGrid | None, float, float], BiphotonSpectrum | _FactoredState
-    ]
+    base: Callable[[dict[str, Any], FrequencyGrid | None], BiphotonSpectrum | _FactoredState]
     grid: Callable[[dict[str, Any], int, float], FrequencyGrid] | None = _sigma_grid
     dl_key: str | None = None
     dl_base: dict[str, Any] = field(default_factory=dict)
@@ -131,20 +129,18 @@ def _bell_grid(row: dict[str, Any], n_points: int, span_mult: float) -> Frequenc
     return make_grid(center, spacing * (n_points - 1) / 2.0, n_points)
 
 
-def _shih_model(row: dict[str, Any], z1: float = 0.0, z2: float = 0.0) -> ShihModel:
-    """Two-path model of ``row`` with mean signal path ``z1`` and idler path ``z2``.
+def _shih_model(row: dict[str, Any]) -> ShihModel:
+    """Delay-free two-path model of ``row``.
 
     Scans and input states take the paths from ``_path_delays``, not from
-    ``row``; the closed forms and the row factors use the delay-free
-    model, built once per scan.
+    the model; the closed forms and the row factors use this model, built
+    once per scan.
     """
     return ShihModel(
         center=row["center"],
         sigma=row["sigma"],
         sigma_p=row["sigma_p"],
         delta_l=row["delta_l"],
-        z1=z1,
-        z2=z2,
         c_light=row["c_light"],
     )
 
@@ -160,16 +156,15 @@ def _shih_metadata(m: ShihModel, dl: float) -> dict[str, Any]:
 MODELS: dict[str, _Model] = {
     "gaussian_pair": _Model(
         params={"center": 0.0, "sigma": 1.0, "pump_sigma": None, "c_light": 1.0},
-        base=lambda row, grid, z1, z2: _gaussian_pair_state(
-            GaussianPairModel(row["center"], row["sigma"], row.get("pump_sigma")),
-            grid, z1, z2, row["c_light"],
+        base=lambda row, grid: _gaussian_pair_state(
+            GaussianPairModel(row["center"], row["sigma"], row.get("pump_sigma")), grid
         ),
         closed_form=lambda row, dl, dz: (hom_dip_closed(row["sigma"], dz, row["c_light"]), None),
     ),
     "shih": _Model(
         params={"center": REQUIRED, "sigma": 1.0, "sigma_p": REQUIRED, "delta_l": 0.0,
                 "z1": None, "z2": None, "dz": None, "c_light": 1.0},
-        base=lambda row, grid, z1, z2: _shih_state(_shih_model(row, z1, z2), grid),
+        base=lambda row, grid: _shih_state(_shih_model(row), grid),
         dl_key="delta_l",
         scan_params=_shih_model,
         row_factor=lambda m, grid, dl: shih_row_factor(grid, dl, m.c_light),
@@ -179,8 +174,8 @@ MODELS: dict[str, _Model] = {
     ),
     "delta_pump": _Model(
         params={"center": 0.0, "sigma": 1.0, "dl": 0.0, "parity": "even", "c_light": 1.0},
-        base=lambda row, grid, z1, z2: _delta_pump_state(
-            row["sigma"], row["center"], row["dl"], row["parity"], grid, row["c_light"], z1, z2
+        base=lambda row, grid: _delta_pump_state(
+            row["sigma"], row["center"], row["dl"], row["parity"], grid, row["c_light"]
         ),
         dl_key="dl",
         # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
@@ -192,15 +187,11 @@ MODELS: dict[str, _Model] = {
     "bell": _Model(
         params={"omega_a": REQUIRED, "omega_b": REQUIRED, "c_light": 1.0},
         grid=_bell_grid,
-        base=lambda row, grid, z1, z2: _bell_state(
-            row["omega_a"], row["omega_b"], grid, z1, z2, row["c_light"]
-        ),
+        base=lambda row, grid: _bell_state(row["omega_a"], row["omega_b"], grid),
     ),
     "spectrum_file": _Model(
         params={"path": REQUIRED, "c_light": 1.0},
-        base=lambda row, grid, z1, z2: apply_path_delays(
-            fileio.load_spectrum(row["path"]), z1, z2, row["c_light"]
-        ),
+        base=lambda row, grid: fileio.load_spectrum(row["path"]),
         grid=None,
     ),
 }
@@ -318,15 +309,16 @@ def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
 def _delayed_state(
     model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float
 ) -> BiphotonSpectrum | _FactoredState:
-    """State of one row's parameters, with the row's path delays: its factors
-    where the model is built in factored form, else its spectrum.
+    """State of one row's parameters, with the row's path delays applied by
+    :func:`~biphoton.spectrum.apply_path_delays`: its factors where the model
+    is built in factored form, else its spectrum.
 
     A spectrum file is read once and brings its own grid.
     """
     entry = MODELS[model]
     z1, dz = _path_delays(model, row)
     grid = None if entry.grid is None else entry.grid(row, grid_points, grid_span_sigmas)
-    return entry.base(row, grid, z1, z1 - dz)
+    return apply_path_delays(entry.base(row, grid), z1, z1 - dz, row["c_light"])
 
 
 def _row(spec: ScanSpec, value: float) -> dict[str, Any]:

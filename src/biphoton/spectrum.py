@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -670,15 +670,19 @@ def _check_c_light(c_light: float) -> None:
         raise ValueError("c_light must be positive and finite")
 
 
-def _path_phases(
-    grid: FrequencyGrid, z1: float, z2: float, c_light: float = 1.0
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Port phases ``exp(i omega z1 / c_light)`` and ``exp(i omega z2 / c_light)``.
+def apply_path_delays(
+    s: BiphotonSpectrum | _FactoredState, z1: float, z2: float, c_light: float = 1.0
+) -> BiphotonSpectrum | _FactoredState:
+    """Propagate port 1 over path ``z1`` and port 2 over ``z2``.
 
-    None when both paths are zero.  Paths that are not finite, or whose
+    Multiplies each entry by ``exp(i (omega_i z1 + omega_j z2) / c_light)``;
+    a pure phase, so every modulus and the total norm are unchanged.  A
+    factored state gets the port phases in its factors ``x`` and ``y``.
+    Zero delays return ``s`` itself.  Paths that are not finite, or whose
     phase ``omega * z / c_light`` overflows, raise :class:`ConfigError`.
     """
     _check_c_light(c_light)
+    grid = s.grid
     reach = abs(grid.center) + grid.half_span
     if not (math.isfinite(reach * (z1 / c_light)) and math.isfinite(reach * (z2 / c_light))):
         raise ConfigError(
@@ -686,25 +690,11 @@ def _path_phases(
             f"omega*z/c; got z1 = {z1!r}, z2 = {z2!r}"
         )
     if z1 == 0.0 and z2 == 0.0:
-        return None
-    w = grid.frequencies()
-    return np.exp(1j * w * (z1 / c_light)), np.exp(1j * w * (z2 / c_light))
-
-
-def apply_path_delays(
-    s: BiphotonSpectrum, z1: float, z2: float, c_light: float = 1.0
-) -> BiphotonSpectrum:
-    """Propagate port 1 over path ``z1`` and port 2 over ``z2``.
-
-    Multiplies each entry by ``exp(i (omega_i z1 + omega_j z2) / c_light)``;
-    a pure phase, so every modulus and the total norm are unchanged.  Zero
-    delays return ``s`` itself.  Paths that are not finite, or whose phase
-    ``omega * z / c_light`` overflows, raise :class:`ConfigError`.
-    """
-    phases = _path_phases(s.grid, z1, z2, c_light)
-    if phases is None:
         return s
-    phase1, phase2 = phases
+    w = grid.frequencies()
+    phase1, phase2 = np.exp(1j * w * (z1 / c_light)), np.exp(1j * w * (z2 / c_light))
+    if isinstance(s, _FactoredState):
+        return replace(s, x=s.x * phase1, y=s.y * phase2)
     amp = s.amplitudes * phase1[:, None]
     amp *= phase2[None, :]
     amp.flags.writeable = False

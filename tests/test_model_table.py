@@ -11,7 +11,7 @@ import pytest
 import biphoton as bp
 from biphoton.cli import _model_fixed, _parser, build_parser, main
 from biphoton.scans import MODELS, REQUIRED, model_params
-from reference import delayed_spectrum, norm_squared
+from reference import delayed_spectrum, delayed_state, norm_squared
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -269,3 +269,12 @@ def test_zero_delays_return_the_spectrum():
     assert bp.apply_path_delays(s, 0.0, 0.0) is s
     assert bp.apply_path_delays(s, 0.0, 1.0) is not s
     assert math.isclose(norm_squared(bp.apply_path_delays(s, 0.0, 1.0)), 1.0, rel_tol=1e-12)
+    # a factored state of every model takes the port phases in its factors
+    for model in sorted(set(MODELS) - {"spectrum_file"}):
+        state = delayed_state(model, CLI_CASES[model][1], 33, 6.0)
+        assert not isinstance(state, bp.BiphotonSpectrum)
+        assert bp.apply_path_delays(state, 0.0, 0.0) is state
+        for z1, z2 in ((0.7, 0.0), (-2.5, 1.1), (0.0, 0.3)):
+            delayed = bp.apply_path_delays(state, z1, z2, 1.5)
+            expected = bp.apply_path_delays(state.spectrum(), z1, z2, 1.5).amplitudes
+            assert np.max(np.abs(delayed.spectrum().amplitudes - expected)) <= 1e-15

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.models import delta_pump_row_factor, shih_row_factor
+from biphoton.models import _gaussian_pair_state, delta_pump_row_factor, shih_row_factor
 from biphoton.spectrum import (
     _SWEEP_CANCELLATION,
     _factored_sums,
@@ -305,6 +305,8 @@ def test_non_finite_path_delays_rejected(z1, z2):
     s = bp.gaussian_pair_spectrum(pair, grid)
     with pytest.raises(bp.ConfigError, match="dz"):
         bp.apply_path_delays(s, z1, z2)
+    with pytest.raises(bp.ConfigError, match="dz"):
+        bp.apply_path_delays(_gaussian_pair_state(pair, grid), z1, z2)
     with pytest.raises(bp.ConfigError, match="dz"):
         bp.gaussian_pair_spectrum(pair, grid, z1, z2)
     with pytest.raises(bp.ConfigError, match="dz"):
