@@ -306,11 +306,14 @@ def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
     beta2 = m.beta**2
     s_over_c = m.sigma / m.c_light
     phase = 4.0 * math.pi * dl / m.wavelength
+    # products, not ** 2, so that a square past the float range is inf and
+    # its exp(-inf) an exact 0
     t_pump = math.cos(phase) * math.exp(
-        -0.5 * ((beta2 / (2.0 + beta2)) * dl * dl + dz * dz) * s_over_c**2
+        -0.5 * ((beta2 / (2.0 + beta2)) * dl * dl + dz * dz) * (s_over_c * s_over_c)
     )
-    t_plus = 0.5 * math.exp(-0.5 * ((dl + dz) * s_over_c) ** 2)
-    t_minus = 0.5 * math.exp(-0.5 * ((dl - dz) * s_over_c) ** 2)
+    plus, minus = (dl + dz) * s_over_c, (dl - dz) * s_over_c
+    t_plus = 0.5 * math.exp(-0.5 * (plus * plus))
+    t_minus = 0.5 * math.exp(-0.5 * (minus * minus))
     return 0.5 * (1.0 - (t_pump + t_plus + t_minus) / (2.0 * b))
 
 
@@ -326,9 +329,10 @@ def shih_reduced(m: ShihModel, dz: float, delta_l: float | None = None) -> float
     dl = m.delta_l if delta_l is None else delta_l
     s_over_c = m.sigma / m.c_light
     phase = 4.0 * math.pi * dl / m.wavelength
-    t_pump = math.cos(phase) * math.exp(-0.5 * (dz * s_over_c) ** 2)
-    t_plus = 0.5 * math.exp(-0.5 * ((dl + dz) * s_over_c) ** 2)
-    t_minus = 0.5 * math.exp(-0.5 * ((dl - dz) * s_over_c) ** 2)
+    x, plus, minus = dz * s_over_c, (dl + dz) * s_over_c, (dl - dz) * s_over_c
+    t_pump = math.cos(phase) * math.exp(-0.5 * (x * x))
+    t_plus = 0.5 * math.exp(-0.5 * (plus * plus))
+    t_minus = 0.5 * math.exp(-0.5 * (minus * minus))
     return 0.5 * (1.0 - t_pump - t_plus - t_minus)
 
 

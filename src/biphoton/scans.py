@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
@@ -76,8 +77,9 @@ MAX_SCAN_STEPS = 10**5
 # means something (a flat pump, paths not fixed) has the default None.
 REQUIRED = ...
 
-# The keys whose values are text; the value of any other key is a number.
-_TEXT_KEYS = ("parity", "path")
+# The keys whose values are text, with the types each accepts; the value of
+# any other key is a number.
+_TEXT_KEYS = {"parity": (str,), "path": (str, os.PathLike)}
 
 
 def _sigma_grid(row: dict[str, Any], n_points: int, span_mult: float) -> FrequencyGrid:
@@ -266,8 +268,8 @@ class ScanComparison:
 
 def model_params(model: str, fixed: dict[str, Any]) -> dict[str, Any]:
     """``fixed``, checked against the ``params`` of ``model``, with the defaults
-    of the keys it leaves out; a value that is not text is a float, and a key
-    whose default is None may be given as None."""
+    of the keys it leaves out; a text value is kept, any other value is a
+    float, and a key whose default is None may be given as None."""
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
     params = MODELS[model].params
@@ -281,10 +283,17 @@ def model_params(model: str, fixed: dict[str, Any]) -> dict[str, Any]:
             raise ConfigError(f"model {model!r} requires parameter {key!r}")
         if value is None and default is None:
             continue
-        if key not in _TEXT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-            value = float(value)
+        if key in _TEXT_KEYS:
+            if not isinstance(value, _TEXT_KEYS[key]):
+                types = " or ".join(t.__name__ for t in _TEXT_KEYS[key])
+                raise ConfigError(f"{key} must be {types}, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        else:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{key} must be a number in the float range") from None
         row[key] = value
     return row
 

@@ -466,6 +466,17 @@ class TestShihScanPath:
         )
 
 
+    def test_delays_past_the_square_range_exit_0(self, tmp_path, capsys):
+        # (sigma dz / c)**2 past the float range raised OverflowError in the
+        # closed forms; as a product it is inf, and each term exp(-inf) = 0
+        out = tmp_path / "x.csv"
+        assert main(["shih-scan", "--beta", "0.1", "--center", "90", "--dl", "3",
+                     "--dz-min", "-1e200", "--dz-max", "1e200", "--steps", "3",
+                     "--grid-points", "33", "-o", str(out)]) == 0
+        rows = read_csv(out)[0]
+        for row in (rows[0], rows[-1]):
+            assert (row["P_exact"], row["P_reduced"]) == (0.5, 0.5)
+
     @pytest.mark.parametrize("command", [
         _SHIH[:5] + ["--dl", "1e308", "--steps", "3"],
         ["transform", "--model", "shih", "--beta", "0.1", "--center", "100", "--dl", "1e308"],

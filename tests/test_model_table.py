@@ -4,6 +4,7 @@ delays of a row (the two-path model's fixed z2 included)."""
 import argparse
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -73,8 +74,18 @@ class TestEveryModel:
         # every key but the text ones takes a number; a bool is no number here
         _, fixed = CLI_CASES[model]
         for key in MODELS[model].params.keys() - {"parity", "path"}:
-            for bad in ("1", True, [1.0]):
+            for bad in ("1", True, [1.0], 10**400):
                 with pytest.raises(bp.ConfigError, match=f"^{key} must be a number"):
+                    bp.ScanSpec(model=model, swept="dz", start=0.0, stop=1.0, n_steps=2,
+                                fixed={**fixed, key: bad})
+
+    def test_non_text_values_rejected(self, model):
+        # a path that is no str or path object could reach open() as a file
+        # descriptor; neither value here can
+        _, fixed = CLI_CASES[model]
+        for key in MODELS[model].params.keys() & {"parity", "path"}:
+            for bad in (["s.csv"], 1.5):
+                with pytest.raises(bp.ConfigError, match=f"^{key} must be str"):
                     bp.ScanSpec(model=model, swept="dz", start=0.0, stop=1.0, n_steps=2,
                                 fixed={**fixed, key: bad})
 
@@ -190,6 +201,8 @@ def test_resolved_params():
     assert [type(v) for v in bell.values()] == [float, float, float]
     assert model_params("delta_pump", {"parity": "odd"})["parity"] == "odd"
     assert model_params("spectrum_file", {"path": "s.csv"}) == {"path": "s.csv", "c_light": 1.0}
+    assert model_params("spectrum_file", {"path": pathlib.Path("s.csv")})["path"] == pathlib.Path(
+        "s.csv")
     assert model_params("gaussian_pair", {"pump_sigma": None}) == model_params("gaussian_pair", {})
     with pytest.raises(bp.ConfigError, match="^sigma must be a number, got None"):
         model_params("gaussian_pair", {"sigma": None})
