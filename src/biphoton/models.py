@@ -228,8 +228,9 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
     Built in factored form (see the module docstring): the cosine scales the
     rows, and :func:`~biphoton.spectrum.apply_path_delays` folds the phases
     of the paths ``m.z1`` and ``m.z2`` into the rows and the columns of the
-    delay-free state.  At ``delta_l = 0`` without delays it is exactly symmetric.  Raises :class:`DegenerateSpectrumError` when the
-    cosine node wipes out the entire sampled support.
+    delay-free state.  At ``delta_l = 0`` without delays it is exactly
+    symmetric.  Raises :class:`DegenerateSpectrumError` when the cosine node
+    wipes out the entire sampled support.
     """
     return apply_path_delays(_shih_state(m, grid), m.z1, m.z2, m.c_light).spectrum()
 

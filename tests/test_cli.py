@@ -466,7 +466,7 @@ class TestShihScanPath:
         )
 
 
-    def test_delays_past_the_square_range_exit_0(self, tmp_path, capsys):
+    def test_delays_past_the_square_range_exit_0(self, tmp_path):
         # (sigma dz / c)**2 past the float range raised OverflowError in the
         # closed forms; as a product it is inf, and each term exp(-inf) = 0
         out = tmp_path / "x.csv"

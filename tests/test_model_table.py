@@ -201,8 +201,8 @@ def test_resolved_params():
     assert [type(v) for v in bell.values()] == [float, float, float]
     assert model_params("delta_pump", {"parity": "odd"})["parity"] == "odd"
     assert model_params("spectrum_file", {"path": "s.csv"}) == {"path": "s.csv", "c_light": 1.0}
-    assert model_params("spectrum_file", {"path": pathlib.Path("s.csv")})["path"] == pathlib.Path(
-        "s.csv")
+    path = pathlib.Path("s.csv")
+    assert model_params("spectrum_file", {"path": path})["path"] is path
     assert model_params("gaussian_pair", {"pump_sigma": None}) == model_params("gaussian_pair", {})
     with pytest.raises(bp.ConfigError, match="^sigma must be a number, got None"):
         model_params("gaussian_pair", {"sigma": None})
