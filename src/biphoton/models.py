@@ -30,10 +30,10 @@ folds their phases into ``x`` and ``y``, before any matrix is built.  With
 real factors ``x[i] * y[j]`` equals ``x[j] * y[i]`` bit for bit whenever
 ``x`` equals ``y``, so such a state is exactly exchange-symmetric.
 
-Everything uses angular frequencies; lengths and ``c_light`` only enter via
-the dimensionless groups ``sigma*dz/c``, ``sigma*dl/c``, ``beta`` and
-``dl/lambda``, so natural units (``sigma = c = 1``) and SI values give
-identical physics.
+Everything uses angular frequencies, sampled as grid offsets from one scalar
+carrier; lengths and ``c_light`` only enter via the dimensionless groups
+``sigma*dz/c``, ``sigma*dl/c``, ``beta`` and ``dl/lambda``, so natural units
+(``sigma = c = 1``) and SI values give identical physics.
 """
 
 from __future__ import annotations
@@ -146,28 +146,29 @@ def _check_paths(delta_l: float, z1: float = 0.0, z2: float = 0.0) -> None:
 
 
 def _coverage_warnings(grid: FrequencyGrid, center: float, sigma: float) -> tuple[str, ...]:
-    lo = grid.center - grid.half_span
-    hi = grid.center + grid.half_span
-    if lo > center - _COVERAGE_SIGMAS * sigma or hi < center + _COVERAGE_SIGMAS * sigma:
+    # decided on the offset of the grid center, which no carrier rounds away
+    shift, reach = grid.center - center, _COVERAGE_SIGMAS * sigma
+    if shift - grid.half_span > -reach or shift + grid.half_span < reach:
+        lo, hi = grid.center - grid.half_span, grid.center + grid.half_span
         return (
             f"grid [{lo:g}, {hi:g}] does not cover the model support "
-            f"[{center - _COVERAGE_SIGMAS * sigma:g}, {center + _COVERAGE_SIGMAS * sigma:g}] "
+            f"[{center - reach:g}, {center + reach:g}] "
             f"(center +- {_COVERAGE_SIGMAS:g} sigma); the sampled spectrum is truncated",
         )
     return ()
 
 
-def _gaussian(w: np.ndarray, center: float, sigma: float) -> np.ndarray:
+def _gaussian(d: np.ndarray, sigma: float) -> np.ndarray:
     # a square past the float range is inf, and exp(-inf) its exact 0
     with np.errstate(over="ignore"):
-        return np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
+        return np.exp(-(d**2) / (2.0 * sigma**2))
 
 
 def _pump(grid: FrequencyGrid, center: float, pump_sigma: float) -> np.ndarray:
-    """Pump term ``exp(-(w1+w2-2*center)**2 / (2*pump_sigma**2))`` on the ``2n - 1``
-    sums ``w_0 + w_j`` and ``w_(n-1) + w_j``; entry ``i + j`` belongs to cell ``(i, j)``."""
-    w = grid.frequencies()
-    return _gaussian(np.concatenate((w[0] + w, w[-1] + w[1:])), 2.0 * center, pump_sigma)
+    """Pump term ``exp(-(d_i+d_j)**2 / (2*pump_sigma**2))``, ``d = omega - center``, on the
+    ``2n - 1`` sums ``d_0 + d_j`` and ``d_(n-1) + d_j``; entry ``i + j`` serves cell ``(i, j)``."""
+    d = grid.offsets() + (grid.center - center)
+    return _gaussian(np.concatenate((d[0] + d, d[-1] + d[1:])), pump_sigma)
 
 
 def _one_hot(grid: FrequencyGrid, m: int) -> np.ndarray:
@@ -179,7 +180,7 @@ def _one_hot(grid: FrequencyGrid, m: int) -> np.ndarray:
 
 def _gaussian_pair_state(m: GaussianPairModel, grid: FrequencyGrid) -> _FactoredState:
     pump = None if m.pump_sigma is None else _pump(grid, m.center, m.pump_sigma)
-    a = _gaussian(grid.frequencies(), m.center, m.sigma)
+    a = _gaussian(grid.offsets() + (grid.center - m.center), m.sigma)
     return _FactoredState(grid, a, a, pump, _coverage_warnings(grid, m.center, m.sigma))
 
 
@@ -237,7 +238,7 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
 
 def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
     pump = _pump(grid, m.center, m.sigma_p)
-    a = _gaussian(grid.frequencies(), m.center, m.sigma)
+    a = _gaussian(grid.offsets() + (grid.center - m.center), m.sigma)
     modulation = _plane_waves(grid, *shih_row_factor(grid, m.delta_l, m.c_light)).real
     # squared row norms of the unmodulated envelope, a_i**2 sum_j P[i+j] a_j**2
     # with P = p**2: the Hankel product of the scans' row sums
@@ -270,6 +271,12 @@ def shih_row_factor(
     return a, a.conjugate(), tau
 
 
+def _beta_ratio(m: ShihModel) -> float:
+    # r = beta^2 / (2 + beta^2), and its limit 1 where the product beta^2 is inf
+    beta2 = m.beta * m.beta
+    return beta2 / (2.0 + beta2) if beta2 < math.inf else 1.0
+
+
 def shih_norm_factor(m: ShihModel, delta_l: float | None = None) -> float:
     """Mean squared path modulation ``B`` under the Gaussian envelope.
 
@@ -282,10 +289,10 @@ def shih_norm_factor(m: ShihModel, delta_l: float | None = None) -> float:
     below: a scan of ``delta_l`` takes each row's from one model.
     """
     dl = m.delta_l if delta_l is None else delta_l
-    beta2 = m.beta**2
     xl = m.sigma * dl / m.c_light
     phase = 4.0 * math.pi * dl / m.wavelength
-    return 0.5 * (1.0 + math.cos(phase) * math.exp(-(1.0 + beta2) / (2.0 + beta2) * xl * xl))
+    # (1 + beta^2) / (2 + beta^2) = (1 + r) / 2
+    return 0.5 * (1.0 + math.cos(phase) * math.exp(-0.5 * (1.0 + _beta_ratio(m)) * xl * xl))
 
 
 def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
@@ -304,13 +311,12 @@ def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
             "degenerate spectrum: normalization factor vanishes (path modulation "
             "annihilates the state)"
         )
-    beta2 = m.beta**2
     s_over_c = m.sigma / m.c_light
     phase = 4.0 * math.pi * dl / m.wavelength
     # products, not ** 2, so that a square past the float range is inf and
     # its exp(-inf) an exact 0
     t_pump = math.cos(phase) * math.exp(
-        -0.5 * ((beta2 / (2.0 + beta2)) * dl * dl + dz * dz) * (s_over_c * s_over_c)
+        -0.5 * (_beta_ratio(m) * dl * dl + dz * dz) * (s_over_c * s_over_c)
     )
     plus, minus = (dl + dz) * s_over_c, (dl - dz) * s_over_c
     t_plus = 0.5 * math.exp(-0.5 * (plus * plus))

@@ -62,9 +62,9 @@ class FrequencyGrid:
         Odd number of grid points, at least 3 and at most 4095 (see
         ``MAX_MATRIX_BYTES``).
 
-    A center so far from zero that neighbouring floats near it lie more than
-    ``REL_AXIS_TOL`` of the spacing apart cannot hold distinct grid
-    frequencies and raises :class:`ConfigError`.
+    Envelopes and phases are built from the offsets and the scalar center, so any
+    finite center is accepted; only :meth:`frequencies`, for frequency-axis writers,
+    refuses one whose floats lie more than ``REL_AXIS_TOL`` of the spacing apart.
     """
 
     center: float
@@ -89,12 +89,6 @@ class FrequencyGrid:
             raise ValueError(f"half_span must be positive and finite, got {self.half_span}")
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
-        reach = abs(self.center) + self.half_span
-        if math.ulp(reach) > REL_AXIS_TOL * self.spacing:
-            raise ConfigError(
-                f"grid center {self.center!r} cannot be resolved: floats near {reach:g} lie "
-                f"{math.ulp(reach):g} apart, over {REL_AXIS_TOL:g} of the spacing {self.spacing:g}"
-            )
 
     @property
     def spacing(self) -> float:
@@ -113,7 +107,13 @@ class FrequencyGrid:
         return out
 
     def frequencies(self) -> np.ndarray:
-        """Grid frequencies ``omega_k = center + nu_k``."""
+        """Grid frequencies ``omega_k = center + nu_k``, where floats resolve them."""
+        reach = abs(self.center) + self.half_span
+        if math.ulp(reach) > REL_AXIS_TOL * self.spacing:
+            raise ConfigError(
+                f"grid center {self.center!r} cannot be resolved: floats near {reach:g} lie "
+                f"{math.ulp(reach):g} apart, over {REL_AXIS_TOL:g} of the spacing {self.spacing:g}"
+            )
         out = self.center + self.offsets()
         out.flags.writeable = False
         return out
@@ -676,10 +676,10 @@ def apply_path_delays(
     """Propagate port 1 over path ``z1`` and port 2 over ``z2``.
 
     Multiplies each entry by ``exp(i (omega_i z1 + omega_j z2) / c_light)``;
-    a pure phase, so every modulus and the total norm are unchanged.  A
-    factored state gets the port phases in its factors ``x`` and ``y``.
-    Zero delays return ``s`` itself.  Paths that are not finite, or whose
-    phase ``omega * z / c_light`` overflows, raise :class:`ConfigError`.
+    a pure phase, so every modulus and the total norm are unchanged.  A port phase is
+    the scalar ``exp(i center z / c)`` times ``exp(i nu z / c)``; a factored state gets
+    them in its factors ``x`` and ``y``.  Zero delays return ``s`` itself.  Paths that
+    are not finite, or whose phase ``omega * z / c_light`` overflows, raise :class:`ConfigError`.
     """
     _check_c_light(c_light)
     grid = s.grid
@@ -691,8 +691,8 @@ def apply_path_delays(
         )
     if z1 == 0.0 and z2 == 0.0:
         return s
-    w = grid.frequencies()
-    phase1, phase2 = np.exp(1j * w * (z1 / c_light)), np.exp(1j * w * (z2 / c_light))
+    taus = (z1 / c_light, z2 / c_light)
+    phase1, phase2 = (np.exp(1j * grid.center * t) * np.exp(1j * grid.offsets() * t) for t in taus)
     if isinstance(s, _FactoredState):
         return replace(s, x=s.x * phase1, y=s.y * phase2)
     amp = s.amplitudes * phase1[:, None]
@@ -843,6 +843,11 @@ def _time_twists(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise ConfigError(
             f"grid spacing {grid.spacing!r} is too fine for a time grid: its time step "
             f"2*pi/(n*domega) = {dt:g} gives a time reach {h * dt:g} that is not finite"
+        )
+    if not math.isfinite(grid.center * (h * dt)):
+        raise ConfigError(
+            f"grid center {grid.center!r} gives a carrier phase center*t that is not finite "
+            f"at the time reach {h * dt:g}"
         )
     k = np.arange(n)
     t = (k - h) * dt

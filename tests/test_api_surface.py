@@ -118,3 +118,25 @@ def test_every_public_definition_is_used():
                 if not any(name in _used_names(t, skip=node) for t in trees.values()):
                     unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def _frequency_readers(node: ast.AST, owner: str, found: set[str]) -> set[str]:
+    """``module.function`` of every innermost def under ``node`` that names
+    ``.frequencies``; ``owner`` outside any def."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = f"{owner.partition('.')[0]}.{node.name}"
+    elif isinstance(node, ast.Attribute) and node.attr == "frequencies":
+        found.add(owner)
+    for child in ast.iter_child_nodes(node):
+        _frequency_readers(child, owner, found)
+    return found
+
+
+def test_only_frequency_axis_writers_read_absolute_frequencies():
+    # every envelope and phase is built from the grid offsets and the scalar
+    # center; absolute frequencies, and the float-resolution refusal of
+    # FrequencyGrid.frequencies, belong to the two writers of a frequency axis
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        _frequency_readers(ast.parse(path.read_text()), path.stem, found)
+    assert found == {"fileio.save_spectrum", "cli.cmd_wavepacket"}

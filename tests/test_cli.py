@@ -119,6 +119,74 @@ class TestDipScan:
             assert abs(a["P_numeric"] - b["P_numeric"]) < 1e-9
 
 
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+# an 800 nm carrier with a 1e10 rad/s bandwidth, in SI units; --dz 3e-2 is c/sigma
+_SI = ["--units", "si", "--c-light", "3e8", "--center", "2.35e15", "--sigma", "1e10"]
+
+
+class TestCarrierFreeFrequencies:
+    """Envelopes and phases come from the grid offsets and one scalar carrier,
+    so any finite center answers; only a frequency axis is refused."""
+
+    def test_si_transform_matches_natural_units(self):
+        si = _report(["transform", "--model", "gaussian_pair", *_SI, "--dz", "3e-2"])
+        natural = _report(["transform", "--model", "gaussian_pair", "--sigma", "1", "--dz", "1"])
+        assert si.keys() == natural.keys()
+        for key, value in natural.items():
+            if isinstance(value, float):
+                assert abs(si[key] - value) <= 1e-15, key
+        assert si["warnings"] == natural["warnings"] == []
+
+    def test_si_dip_scan_matches_natural_units(self, tmp_path):
+        natural, si = tmp_path / "nat.csv", tmp_path / "si.csv"
+        assert main(["dip-scan", "--dz-min", "-2", "--dz-max", "2", "--steps", "5",
+                     "--grid-points", "65", "-o", str(natural)]) == 0
+        assert main(["dip-scan", *_SI, "--dz-min", "-6e-2", "--dz-max", "6e-2", "--steps", "5",
+                     "--grid-points", "65", "-o", str(si)]) == 0
+        nat_rows, headers = read_csv(natural)
+        si_rows, _ = read_csv(si)
+        for a, b in zip(nat_rows, si_rows, strict=True):
+            for key in headers[1:]:
+                assert abs(a[key] - b[key]) <= 1e-15, key
+
+    @pytest.mark.parametrize("dz", ["0", "0.7"])
+    def test_far_center_answers(self, dz):
+        report = _report(["transform", "--model", "gaussian_pair", "--center", "1e300",
+                          "--dz", dz])
+        assert abs(report["p_coinc"] - bp.hom_dip_closed(1.0, float(dz))) <= 1e-15
+
+    @pytest.mark.parametrize("center", ["0", "1e17"])
+    def test_truncation_is_flagged_at_any_carrier(self, center):
+        # a 2-sigma grid truncates the 4-sigma support; floats near 1e17 lie
+        # 16 apart, so the absolute bounds would round the truncation away
+        report = _report(["transform", "--model", "gaussian_pair", "--center", center,
+                          "--grid-span", "2", "--grid-points", "33"])
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].endswith("the sampled spectrum is truncated")
+
+    def test_si_time_export_answers(self, tmp_path, capsys):
+        out = tmp_path / "wp.csv"
+        assert main(["wavepacket", "--domain", "time", "--model", "gaussian_pair", *_SI,
+                     "--grid-points", "65", "-o", str(out)]) == 0
+        metadata = json.loads(capsys.readouterr().out)["metadata"]
+        assert abs(metadata["parseval_power"] - 1.0) < 1e-12
+        assert out.read_text().startswith("time,")
+
+    def test_si_frequency_export_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "wp.csv"
+        assert main(["wavepacket", "--domain", "frequency", "--model", "gaussian_pair", *_SI,
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(r"\bcenter\b", err)
+        assert not out.exists()
+
+
 class TestShihScan:
     def test_zero_path_difference_reproduces_dip(self, tmp_path, capsys):
         out = tmp_path / "shih.csv"
@@ -134,6 +202,17 @@ class TestShihScan:
         assert rows[3]["P_exact"] == 0.0
         metadata = json.loads(capsys.readouterr().out)["metadata"]
         assert metadata["norm_factor_b"] == 1.0
+
+    def test_overflowing_beta_squared(self, tmp_path, capsys):
+        # beta**2 past the float range: the pump ratio takes its limit 1, and
+        # dl = 0 keeps every row of the 1e-150 bandwidth at P_exact = 0
+        out = tmp_path / "x.csv"
+        assert main(["shih-scan", "--beta", "1e300", "--sigma", "1e-150", "--center", "1e-149",
+                     "--dl", "0", "--dz-min", "-1", "--dz-max", "1", "--steps", "3",
+                     "--grid-points", "33", "-o", str(out)]) == 0
+        rows, _ = read_csv(out)
+        assert [row["P_exact"] for row in rows] == [0.0, 0.0, 0.0]
+        assert json.loads(capsys.readouterr().out)["metadata"]["norm_factor_b"] == 1.0
 
     def test_odd_parity_peak(self, tmp_path, capsys):
         center = 319.0 * math.pi / 10.0
@@ -701,6 +780,11 @@ _UNUSED_FLAG_IDS = ["pair-dl", "shih-pump", "delta-pump-omega-a", "bell-sigma",
                     "spectrum-file-beta", "dip-beta-without-pump"]
 
 
+# a carrier whose phase center*t overflows on the time axis
+_HUGE_CARRIER_TIME_EXPORT = ["wavepacket", "--domain", "time", "--model", "gaussian_pair",
+                             "--center", "1e308", "--grid-points", "33"]
+
+
 class TestMalformedCommandLines:
     @pytest.mark.parametrize(
         "argv",
@@ -720,7 +804,7 @@ class TestMalformedCommandLines:
              "--sigma", "1e-300"],
             ["transform", "--model", "gaussian_pair", "--pump", "gaussian", "--beta", "1e-300"],
             ["transform", "--model", "shih", "--beta", "1e-200", "--center", "90"],
-            ["transform", "--model", "gaussian_pair", "--center", "1e300"],
+            _HUGE_CARRIER_TIME_EXPORT,
             _DIP + ["--dz-min", "1e-3", "--dz-max", "1", "--grid-span", "1e308",
                     "--grid-points", "3"],
             ["transform", "--model", "delta_pump", "--sigma", "1e-3", "--dl", "-1e308",
@@ -732,7 +816,7 @@ class TestMalformedCommandLines:
              "shih-infinite-stop",
              "transform-dz-inf", "transform-dl-nan", "wavepacket-sigma-underflow",
              "shih-sigma-underflow", "pump-beta-underflow", "shih-beta-underflow",
-             "transform-center-unresolvable", "dip-overflowing-difference-phase",
+             "time-export-carrier-overflow", "dip-overflowing-difference-phase",
              "transform-overflowing-delay-reach", *_UNUSED_FLAG_IDS],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
@@ -759,6 +843,7 @@ class TestMalformedCommandLines:
             (["transform", "--model", "delta_pump", "--sigma", "1e-3", "--dl", "-1e308",
               "--dz", "1e308", "--grid-points", "33"], "dl"),
             *_UNUSED_FLAGS,
+            (_HUGE_CARRIER_TIME_EXPORT, "center"),
         ],
     )
     def test_error_names_the_parameter(self, tmp_path, capsys, argv, name):

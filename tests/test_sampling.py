@@ -19,35 +19,44 @@ from biphoton.spectrum import (
 from reference import delayed_spectrum, delayed_state
 
 
-def _mesh_phases(w1, w2, z1, z2, c_light=1.0):
-    # the port phases exp(i w z / c) of every cell, as apply_path_delays forms them
-    return np.exp(1j * w1 * (z1 / c_light)) * np.exp(1j * w2 * (z2 / c_light))
+def _carrier_wave(grid, nu, tau):
+    # exp(i (center + nu) tau) on offsets nu: the scalar carrier phase times
+    # the phase of the offset
+    return np.exp(1j * grid.center * tau) * np.exp(1j * nu * tau)
+
+
+def _mesh_phases(grid, nu1, nu2, z1, z2, c_light=1.0):
+    # the port phases exp(i omega z / c) of every cell
+    return _carrier_wave(grid, nu1, z1 / c_light) * _carrier_wave(grid, nu2, z2 / c_light)
+
+
+def _mesh_detunings(grid, center):
+    # omega - center of every cell, and the offsets nu = omega - grid.center
+    nu1, nu2 = np.meshgrid(grid.offsets(), grid.offsets(), indexing="ij")
+    shift = grid.center - center
+    return nu1 + shift, nu2 + shift, nu1, nu2
 
 
 def _mesh_gaussian_pair(
     m: bp.GaussianPairModel, grid: bp.FrequencyGrid, z1: float = 0.0, z2: float = 0.0
 ) -> bp.BiphotonSpectrum:
-    """The delayed Gaussian pair evaluated cell by cell on two meshgrids."""
-    w = grid.frequencies()
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    raw = np.exp(
-        -((w1 - m.center) ** 2 + (w2 - m.center) ** 2) / (2.0 * m.sigma**2)
-    ).astype(np.complex128)
+    """The delayed Gaussian pair evaluated cell by cell on two meshgrids of offsets."""
+    d1, d2, nu1, nu2 = _mesh_detunings(grid, m.center)
+    raw = np.exp(-(d1**2 + d2**2) / (2.0 * m.sigma**2)).astype(np.complex128)
     if m.pump_sigma is not None:
-        raw *= np.exp(-((w1 + w2 - 2.0 * m.center) ** 2) / (2.0 * m.pump_sigma**2))
-    return bp.BiphotonSpectrum.from_array(grid, raw * _mesh_phases(w1, w2, z1, z2))
+        raw *= np.exp(-((d1 + d2) ** 2) / (2.0 * m.pump_sigma**2))
+    return bp.BiphotonSpectrum.from_array(grid, raw * _mesh_phases(grid, nu1, nu2, z1, z2))
 
 
 def _mesh_shih(m: bp.ShihModel, grid: bp.FrequencyGrid) -> bp.BiphotonSpectrum:
-    """The two-path spectrum evaluated cell by cell on two meshgrids."""
-    w = grid.frequencies()
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    """The two-path spectrum evaluated cell by cell on two meshgrids of offsets."""
+    d1, d2, nu1, nu2 = _mesh_detunings(grid, m.center)
     envelope = np.exp(
-        -((w1 + w2 - 2.0 * m.center) ** 2) / (2.0 * m.sigma_p**2)
-        - ((w1 - m.center) ** 2 + (w2 - m.center) ** 2) / (2.0 * m.sigma**2)
+        -((d1 + d2) ** 2) / (2.0 * m.sigma_p**2) - (d1**2 + d2**2) / (2.0 * m.sigma**2)
     )
-    raw = envelope * np.cos(w1 * (m.delta_l / m.c_light))
-    raw = raw * _mesh_phases(w1, w2, m.z1, m.z2, m.c_light)
+    # cos(omega_1 dl / c)
+    raw = envelope * _carrier_wave(grid, nu1, m.delta_l / m.c_light).real
+    raw = raw * _mesh_phases(grid, nu1, nu2, m.z1, m.z2, m.c_light)
     return bp.BiphotonSpectrum.from_array(grid, raw)
 
 

@@ -48,11 +48,31 @@ class TestFrequencyGrid:
         assert np.array_equal(nu, -nu[::-1])
 
     @pytest.mark.parametrize("center", [1e300, -1e300, 1e12, 1e6])
-    def test_unresolvable_center_rejected(self, center):
+    def test_unresolvable_center_rejected(self, tmp_path, center):
         # floats near the center lie further apart than 1e-9 of the spacing
-        # (1e6: 1.2e-10 apart, spacing 0.047)
+        # (1e6: 1.2e-10 apart, spacing 0.047): the grid is built, and only
+        # its absolute frequency axis, and the file that writes it, are refused
+        grid = bp.make_grid(center, 6.0, 257)
         with pytest.raises(bp.ConfigError, match="center"):
-            bp.make_grid(center, 6.0, 257)
+            grid.frequencies()
+        s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(center, 1.0), grid)
+        path = tmp_path / "s.csv"
+        with pytest.raises(bp.ConfigError, match="center"):
+            bp.save_spectrum(s, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("center", [1e300, -1e300, 2.35e15, 90.0])
+    def test_envelopes_depend_only_on_offsets(self, center):
+        # a model on a grid of its own center samples the offsets alone, so
+        # without delays it has the bits of the same model at center 0
+        for pump_sigma in (None, 0.3):
+            far, zero = (
+                bp.gaussian_pair_spectrum(
+                    bp.GaussianPairModel(c, 1.0, pump_sigma), bp.make_grid(c, 6.0, 257)
+                ).amplitudes
+                for c in (center, 0.0)
+            )
+            assert np.array_equal(far, zero)
 
     @pytest.mark.parametrize(
         "center,half_span", [(2.35e15, 6e13), (90.0, 4.5), (-1e4, 6.0), (1e3, 1.0)]
