@@ -229,6 +229,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_wavepacket(args: argparse.Namespace) -> int:
     s = _load_input_state(args)
+    # a frequency axis the floats cannot resolve is refused before any matrix is built
+    axis = s.grid.frequencies() if args.domain == "frequency" else None
     rank1, sigma, u, v = _leading_singular_pair(s)
     if isinstance(s, _FactoredState):
         s = s.spectrum()
@@ -238,7 +240,7 @@ def cmd_wavepacket(args: argparse.Namespace) -> int:
         "warnings": list(s.warnings),
     }
     if args.domain == "frequency":
-        axis_label, axis = "omega", s.grid.frequencies()
+        axis_label = "omega"
         magnitudes = np.abs(s.amplitudes)
     else:
         grid, packet = s.grid, time_domain(s)

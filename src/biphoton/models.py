@@ -25,10 +25,11 @@ one-hot ``p`` that keeps a single anti-diagonal.  So sampling evaluates
 ``exp`` on O(n) points into a private factored state.  Scans and transform
 reports reduce that state from its factors and never build it; the public
 builders write it into one n x n complex array and normalize it there.  A
-state is built without path delays: :func:`~biphoton.spectrum.apply_path_delays`
-folds their phases into ``x`` and ``y``, before any matrix is built.  With
-real factors ``x[i] * y[j]`` equals ``x[j] * y[i]`` bit for bit whenever
-``x`` equals ``y``, so such a state is exactly exchange-symmetric.
+state is built at ``dl = 0`` without delays: :func:`_path_difference` and
+:func:`~biphoton.spectrum.apply_path_delays` fold the ``dl`` row factor and
+the path phases into ``x`` and ``y``, before any matrix is built.  With real
+factors ``x[i] * y[j]`` equals ``x[j] * y[i]`` bit for bit whenever ``x``
+equals ``y``, so such a state is exactly exchange-symmetric.
 
 Everything uses angular frequencies, sampled as grid offsets from one scalar
 carrier; lengths and ``c_light`` only enter via the dimensionless groups
@@ -41,18 +42,20 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError
 from .spectrum import (
+    _MIN_NORM,
     BiphotonSpectrum,
     FrequencyGrid,
     _FactoredState,
     _check_c_light,
     _hankel,
     _plane_waves,
+    _squared_pump,
     apply_path_delays,
 )
 
@@ -226,32 +229,37 @@ def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
         * exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))
         * exp(i*(w1*z1 + w2*z2)/c) * cos(w1*delta_l/c)
 
-    Built in factored form (see the module docstring): the cosine scales the
-    rows, and :func:`~biphoton.spectrum.apply_path_delays` folds the phases
-    of the paths ``m.z1`` and ``m.z2`` into the rows and the columns of the
-    delay-free state.  At ``delta_l = 0`` without delays it is exactly
-    symmetric.  Raises :class:`DegenerateSpectrumError` when the cosine node
-    wipes out the entire sampled support.
+    Built in factored form (see the module docstring): :func:`_path_difference`
+    scales the rows of the ``delta_l = 0`` state by the cosine, and
+    :func:`~biphoton.spectrum.apply_path_delays` folds the phases of the paths
+    ``m.z1`` and ``m.z2`` into its rows and columns.  At ``delta_l = 0`` without
+    delays it is exactly symmetric.  Raises :class:`DegenerateSpectrumError`
+    when the cosine node wipes out the entire sampled support.
     """
-    return apply_path_delays(_shih_state(m, grid), m.z1, m.z2, m.c_light).spectrum()
+    factor = shih_row_factor(grid, m.delta_l, m.c_light)
+    state = _path_difference(_shih_state(m, grid), factor, MIN_MODULATION_WEIGHT)
+    return apply_path_delays(state, m.z1, m.z2, m.c_light).spectrum()
 
 
 def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
     pump = _pump(grid, m.center, m.sigma_p)
     a = _gaussian(grid.offsets() + (grid.center - m.center), m.sigma)
-    modulation = _plane_waves(grid, *shih_row_factor(grid, m.delta_l, m.c_light)).real
-    # squared row norms of the unmodulated envelope, a_i**2 sum_j P[i+j] a_j**2
-    # with P = p**2: the Hankel product of the scans' row sums
-    a2 = a * a
-    row_norms = a2 * _hankel(pump * pump, grid.n_points)(a2)
-    env_norm = float(np.sum(row_norms))
-    if env_norm > 0.0 and float(modulation**2 @ row_norms) / env_norm < MIN_MODULATION_WEIGHT:
+    return _FactoredState(grid, a, a, pump, _coverage_warnings(grid, m.center, m.sigma))
+
+
+def _path_difference(state: _FactoredState, factor: tuple, floor: float) -> _FactoredState:
+    """``state`` at ``dl = 0`` with port-1 row ``i`` scaled by a model's real row factor
+    ``a exp(i tau nu_i) + b exp(-i tau nu_i)``, ``factor = (a, b, tau)``: a path difference,
+    fixed or swept.  Raises :class:`DegenerateSpectrumError` when the scaled state keeps less
+    than ``floor`` of the squared norm ``sum_i |x_i|**2 sum_j p[i+j]**2 |y_j|**2``."""
+    modulation = _plane_waves(state.grid, *factor).real
+    y2 = (np.conj(state.y) * state.y).real
+    row_norms = (np.conj(state.x) * state.x).real * _hankel(_squared_pump(state), len(y2))(y2)
+    if float(modulation**2 @ row_norms) < floor * float(np.sum(row_norms)):
         raise DegenerateSpectrumError(
             "degenerate spectrum: path-difference modulation annihilates the sampled support"
         )
-    return _FactoredState(
-        grid, a * modulation, a, pump, _coverage_warnings(grid, m.center, m.sigma)
-    )
+    return replace(state, x=state.x * modulation)
 
 
 def shih_row_factor(
@@ -302,7 +310,8 @@ def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
 
     ``P = (1 - [cos(4*pi*delta_l/lambda) * exp(-((beta^2/(2+beta^2))*dl^2 + dz^2)*(sigma/c)^2/2)
     + exp(-((dl+dz)*sigma/c)^2/2)/2 + exp(-((dl-dz)*sigma/c)^2/2)/2] / (2*B)) / 2``
-    with ``B`` from :func:`shih_norm_factor`.
+    with ``B`` from :func:`shih_norm_factor`, clamped to ``[0, 1]`` as the numeric
+    weight is: near a zero, rounding can leave it just outside.
     """
     dl = m.delta_l if delta_l is None else delta_l
     b = shih_norm_factor(m, dl)
@@ -321,7 +330,7 @@ def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
     plus, minus = (dl + dz) * s_over_c, (dl - dz) * s_over_c
     t_plus = 0.5 * math.exp(-0.5 * (plus * plus))
     t_minus = 0.5 * math.exp(-0.5 * (minus * minus))
-    return 0.5 * (1.0 - (t_pump + t_plus + t_minus) / (2.0 * b))
+    return min(max(0.5 * (1.0 - (t_pump + t_plus + t_minus) / (2.0 * b)), 0.0), 1.0)
 
 
 def shih_reduced(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
@@ -330,8 +339,8 @@ def shih_reduced(m: ShihModel, dz: float, delta_l: float | None = None) -> float
     ``P = (1 - cos(4*pi*delta_l/lambda) * exp(-(sigma*dz/c)^2/2)
     - exp(-((dl+dz)*sigma/c)^2/2)/2 - exp(-((dl-dz)*sigma/c)^2/2)/2) / 2``.
 
-    The regime is not enforced; outside it the value simply drifts from the
-    exact curve.
+    The regime is not enforced, and outside it the value can leave ``[0, 1]``:
+    at ``delta_l = 0`` it is ``1/2 - exp(-(sigma*dz/c)^2/2)``, -1/2 at ``dz = 0``.
     """
     dl = m.delta_l if delta_l is None else delta_l
     s_over_c = m.sigma / m.c_light
@@ -384,31 +393,23 @@ def delta_pump_spectrum(
     ``exp(-nu**2/sigma**2) * cos(nu*dl/c)`` for ``parity="even"`` (symmetric)
     or ``... * sin(nu*dl/c)`` for ``parity="odd"`` (antisymmetric, which has
     an exact zero at the degenerate cell ``nu = 0``).  It is the factored
-    state ``x`` = the profile, ``y = 1`` and a pump that keeps only the
-    anti-diagonal, built.
+    state ``x`` = the Gaussian times the row factor (:func:`_path_difference`),
+    ``y = 1`` and a pump that keeps only the anti-diagonal, built.
     """
-    return _delta_pump_state(sigma, center, dl, parity, grid, c_light).spectrum()
+    factor = delta_pump_row_factor(grid, dl, parity, c_light)
+    return _path_difference(_delta_pump_state(sigma, center, grid), factor, _MIN_NORM**2).spectrum()
 
 
-def _delta_pump_state(
-    sigma: float,
-    center: float,
-    dl: float,
-    parity: str,
-    grid: FrequencyGrid,
-    c_light: float = 1.0,
-) -> _FactoredState:
-    modulation = _plane_waves(grid, *delta_pump_row_factor(grid, dl, parity, c_light)).real
+def _delta_pump_state(sigma: float, center: float, grid: FrequencyGrid) -> _FactoredState:
     _check_bandwidth("sigma", sigma)
     if not math.isclose(grid.center, center, rel_tol=1e-12, abs_tol=1e-300):
         raise ValueError(
             f"grid center {grid.center!r} must coincide with the model center {center!r}"
         )
-    nu = grid.offsets()
-    profile = np.exp(-(nu**2) / sigma**2) * modulation
-    n = grid.n_points
+    nu, n = grid.offsets(), grid.n_points
+    envelope = np.exp(-(nu**2) / sigma**2)
     return _FactoredState(
-        grid, profile, np.ones(n), _one_hot(grid, n - 1), _coverage_warnings(grid, center, sigma)
+        grid, envelope, np.ones(n), _one_hot(grid, n - 1), _coverage_warnings(grid, center, sigma)
     )
 
 

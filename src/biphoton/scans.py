@@ -2,12 +2,13 @@
 
 :data:`MODELS` has one entry per source model: the ``fixed`` parameters it
 accepts with their defaults (filled in by :func:`model_params`), the grid
-they imply, its delay-free spectrum and, where they exist, its ``dl`` row
-factors, closed form and metadata.  Every source, in scans and CLI input
-states alike, is built with the path delays of its row in one place,
-:func:`_delayed_state`, by :func:`~biphoton.spectrum.apply_path_delays`: a
-model source is a factored state that takes the path phases into its
-factors (see :mod:`biphoton.models`), a spectrum file into its cells.
+they imply, its ``dl = 0`` spectrum without delays and, where they exist,
+its ``dl`` row factors, closed form and metadata.  Every source, in scans
+and CLI input states alike, is built with the path difference and delays of
+its row in one place, :func:`_delayed_state`: a ``dl``, fixed as swept, scales
+the rows by the row factor (:func:`~biphoton.models._path_difference`), and
+:func:`~biphoton.spectrum.apply_path_delays` takes the path phases into the
+factors of a model source (see :mod:`biphoton.models`) or the cells of a file.
 
 A :class:`ScanSpec` names a source model, the swept parameter (``dz`` path
 delay or ``dl`` half path difference) and the sweep range.  A scan takes
@@ -46,6 +47,7 @@ from .models import (
     _bell_state,
     _delta_pump_state,
     _gaussian_pair_state,
+    _path_difference,
     _shih_state,
     delta_pump_row_factor,
     hom_dip_closed,
@@ -92,24 +94,21 @@ class _Model:
 
     ``params`` maps each ``fixed`` key the model accepts to its default; a
     row is :func:`model_params` of ``fixed`` plus the swept value.
-    ``base(row, grid)`` is its state without path delays, in factored form
-    where the model has one; with ``grid`` None (a spectrum file) it gets no
-    grid and brings its own.  ``scan_params(row)``
-    is built once per scan from its row at swept value 0 and handed to the
-    rest.  A ``dl`` row sets ``dl_key`` and scales port-1 row i of the base
-    at ``dl_key = 0`` (updated by ``dl_base``) by
-    ``a exp(i tau nu_i) + b exp(-i tau nu_i)`` with
-    ``(a, b, tau) = row_factor(scan_params, grid, dl)``, down to a squared
+    ``scan_params(row)`` is built once per row and handed to the rest;
+    ``base(scan_params, grid)`` is its state at ``dl = 0`` without path delays, in
+    factored form where the model has one; with ``grid`` None (a spectrum file) it
+    gets no grid and brings its own.  A row that holds ``dl_key``, fixed or swept,
+    scales port-1 row i of the base by ``a exp(i tau nu_i) + b exp(-i tau nu_i)``
+    with ``(a, b, tau) = row_factor(scan_params, grid, dl)``, down to a squared
     norm ``row_floor``.  ``closed_form(scan_params, dl, dz)`` gives
     ``(p_closed, p_reduced)`` and ``metadata(scan_params, dl)`` the model
     metadata of a row.
     """
 
     params: dict[str, Any]
-    base: Callable[[dict[str, Any], FrequencyGrid | None], BiphotonSpectrum | _FactoredState]
+    base: Callable[[Any, FrequencyGrid | None], BiphotonSpectrum | _FactoredState]
     grid: Callable[[dict[str, Any], int, float], FrequencyGrid] | None = _sigma_grid
     dl_key: str | None = None
-    dl_base: dict[str, Any] = field(default_factory=dict)
     scan_params: Callable[[dict[str, Any]], Any] = dict
     row_factor: Callable[[Any, FrequencyGrid, float], tuple[complex, complex, float]] | None = None
     row_floor: float = _MIN_NORM**2
@@ -132,17 +131,17 @@ def _bell_grid(row: dict[str, Any], n_points: int, span_mult: float) -> Frequenc
 
 
 def _shih_model(row: dict[str, Any]) -> ShihModel:
-    """Delay-free two-path model of ``row``.
+    """Two-path model of ``row`` without paths or path difference.
 
-    Scans and input states take the paths from ``_path_delays``, not from
-    the model; the closed forms and the row factors use this model, built
-    once per scan.
+    Scans and input states take the paths from ``_path_delays`` and ``dl``
+    from the row; the base, the closed forms and the row factors use this
+    model, built once per row.
     """
     return ShihModel(
         center=row["center"],
         sigma=row["sigma"],
         sigma_p=row["sigma_p"],
-        delta_l=row["delta_l"],
+        delta_l=0.0,
         c_light=row["c_light"],
     )
 
@@ -166,7 +165,7 @@ MODELS: dict[str, _Model] = {
     "shih": _Model(
         params={"center": REQUIRED, "sigma": 1.0, "sigma_p": REQUIRED, "delta_l": 0.0,
                 "z1": None, "z2": None, "dz": None, "c_light": 1.0},
-        base=lambda row, grid: _shih_state(_shih_model(row), grid),
+        base=_shih_state,
         dl_key="delta_l",
         scan_params=_shih_model,
         row_factor=lambda m, grid, dl: shih_row_factor(grid, dl, m.c_light),
@@ -176,12 +175,8 @@ MODELS: dict[str, _Model] = {
     ),
     "delta_pump": _Model(
         params={"center": 0.0, "sigma": 1.0, "dl": 0.0, "parity": "even", "c_light": 1.0},
-        base=lambda row, grid: _delta_pump_state(
-            row["sigma"], row["center"], row["dl"], row["parity"], grid, row["c_light"]
-        ),
+        base=lambda row, grid: _delta_pump_state(row["sigma"], row["center"], grid),
         dl_key="dl",
-        # odd-parity rows are sin(nu dl / c) times the even dl = 0 envelope
-        dl_base={"parity": "even"},
         row_factor=lambda row, grid, dl: delta_pump_row_factor(
             grid, dl, row["parity"], row["c_light"]
         ),
@@ -318,16 +313,21 @@ def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
 def _delayed_state(
     model: str, row: dict[str, Any], grid_points: int, grid_span_sigmas: float
 ) -> BiphotonSpectrum | _FactoredState:
-    """State of one row's parameters, with the row's path delays applied by
-    :func:`~biphoton.spectrum.apply_path_delays`: its factors where the model
-    is built in factored form, else its spectrum.
+    """State of one row: the model's base scaled by the row factor of its ``dl``
+    (:func:`~biphoton.models._path_difference`), with the path delays applied by
+    :func:`~biphoton.spectrum.apply_path_delays`; factored where the model is.
 
     A spectrum file is read once and brings its own grid.
     """
     entry = MODELS[model]
     z1, dz = _path_delays(model, row)
     grid = None if entry.grid is None else entry.grid(row, grid_points, grid_span_sigmas)
-    return apply_path_delays(entry.base(row, grid), z1, z1 - dz, row["c_light"])
+    params = entry.scan_params(row)
+    # the row factor is checked before the base is built
+    factor = entry.row_factor(params, grid, row[entry.dl_key]) if entry.dl_key in row else None
+    state = entry.base(params, grid)
+    state = state if factor is None else _path_difference(state, factor, entry.row_floor)
+    return apply_path_delays(state, z1, z1 - dz, row["c_light"])
 
 
 def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
@@ -395,10 +395,10 @@ class _Scan(NamedTuple):
 
 def _prepare(spec: ScanSpec) -> _Scan:
     """Reduce the scan's base spectrum once: the spectrum at the swept value 0,
-    with the path delays of that row."""
+    with the path delays of that row, and without the ``dl`` of a ``dl`` sweep."""
     entry = MODELS[spec.model]
     row = _row(spec, 0.0)
-    base_row = {**row, **entry.dl_base} if spec.swept == "dl" else row
+    base_row = {k: v for k, v in row.items() if k != entry.dl_key} if spec.swept == "dl" else row
     base = _delayed_state(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
     kernel = exchange_sweep(base, entry.row_floor)
     ends = [_row(spec, spec.start), _row(spec, spec.stop)]

@@ -8,6 +8,7 @@ import tomllib
 from pathlib import Path
 
 import biphoton as bp
+from biphoton import scans
 from biphoton.cli import _SOURCE_FLAGS
 from biphoton.scans import MODELS, REQUIRED
 
@@ -140,3 +141,28 @@ def test_only_frequency_axis_writers_read_absolute_frequencies():
     for path in sorted(SRC.glob("*.py")):
         _frequency_readers(ast.parse(path.read_text()), path.stem, found)
     assert found == {"fileio.save_spectrum", "cli.cmd_wavepacket"}
+
+
+def _callers(name: str) -> set[str]:
+    """``module.function`` of every top-level def in src that calls ``name``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+                for call in ast.walk(node)
+            ):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_one_path_for_a_path_difference():
+    # a fixed dl and a swept one both scale the dl = 0 state by the model's
+    # row factor: the plane waves are formed by the one helper that applies
+    # it to a state and by the scan reduction that applies it to a base
+    assert _callers("_plane_waves") == {"models._path_difference", "spectrum.exchange_sweep"}
+    assert [f.name for f in dataclasses.fields(scans._Model)] == [
+        "params", "base", "grid", "dl_key", "scan_params", "row_factor", "row_floor",
+        "closed_form", "metadata",
+    ]

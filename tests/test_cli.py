@@ -186,6 +186,17 @@ class TestCarrierFreeFrequencies:
         assert err.startswith("error: ") and re.search(r"\bcenter\b", err)
         assert not out.exists()
 
+    def test_si_frequency_export_is_refused_before_any_matrix(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_matrix(s):
+            raise AssertionError("a matrix reduction ran before the axis was refused")
+
+        monkeypatch.setattr(cli, "_leading_singular_pair", no_matrix)
+        assert main(["wavepacket", "--domain", "frequency", "--model", "gaussian_pair", *_SI,
+                     "--grid-points", "2049", "-o", str(tmp_path / "wp.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(r"\bcenter\b", err)
+
 
 class TestShihScan:
     def test_zero_path_difference_reproduces_dip(self, tmp_path, capsys):
@@ -534,6 +545,26 @@ class TestShihScanPath:
             "the sampled support\n"
         )
 
+    def test_odd_delta_pump_at_zero_dl_exits_3(self, tmp_path, capsys):
+        # sin(nu * 0) annihilates the state, as any path-difference node does
+        code = main(["transform", "--model", "delta_pump", "--parity", "odd", "--dl", "0",
+                     "-o", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: degenerate spectrum: path-difference modulation annihilates "
+            "the sampled support\n"
+        )
+
+    def test_exact_probability_is_clamped_to_zero(self, tmp_path):
+        # near dz = dl = 0 the closed form rounded to -1.1e-16
+        out = tmp_path / "x.csv"
+        assert main(["shih-scan", "--beta", "1e-3", "--center", "1e-3", "--dl", "1e-3",
+                     "--dz-min", "0", "--dz-max", "1e-3", "--steps", "3", "--grid-points", "33",
+                     "-o", str(out)]) == 0
+        p_exact = [row["P_exact"] for row in read_csv(out)[0]]
+        assert p_exact[0] == 0.0
+        assert all(0.0 <= p <= 1.0 for p in p_exact)
+
     def test_non_finite_path_difference_exits_2(self, tmp_path, capsys):
         code = main(["shih-scan", "--beta", "0.1", "--center", "100", "--dl", "inf",
                      "--steps", "3", "--dz-min", "-1", "--dz-max", "1",
@@ -670,7 +701,7 @@ def _run_contract(argv):
 def _check_contract(argv, out):
     """``main(argv)`` on 33 points keeps the CLI contract of :func:`_run_contract`,
     and on success writes strict JSON (the ``transform`` report, or stdout),
-    finite numbers and a rank-1 fraction in [0, 1]."""
+    finite numbers, probabilities in [0, 1] and a rank-1 fraction in [0, 1]."""
     if out.exists():
         out.unlink()
     code, stdout = _run_contract(argv + ["--grid-points", "33", "-o", str(out)])
@@ -682,12 +713,34 @@ def _check_contract(argv, out):
     if argv[0] in ("transform", "wavepacket"):
         fields = parsed if argv[0] == "transform" else parsed["metadata"]
         assert 0.0 <= fields["rank1_fraction"] <= 1.0, fields["rank1_fraction"]
+        if "parseval_power" in fields:
+            assert abs(fields["parseval_power"] - 1.0) <= 1e-12, fields["parseval_power"]
+    if argv[0] == "transform":
+        for key in ("p_11", "p_22", "p_coinc", "w_antisym", "trapping_fidelity"):
+            assert 0.0 <= parsed[key] <= 1.0, (key, parsed[key])
+        assert -1.0 <= parsed["exchange_overlap"] <= 1.0, parsed["exchange_overlap"]
+        assert abs(parsed["p_11"] + parsed["p_22"] + parsed["p_coinc"] - 1.0) <= 1e-12, parsed
     if argv[0] != "transform":
         # a CSV table: every cell, and the axis of a matrix's header line
         lines = text.splitlines()
         axis = lines[0].split(",")[1:] if argv[0] == "wavepacket" else []
         for token in axis + [token for line in lines[1:] for token in line.split(",")]:
             _finite(token)
+    if argv[0] in ("dip-scan", "shih-scan"):
+        _check_scan_probabilities(read_csv(out)[0], parsed["metadata"])
+
+
+def _check_scan_probabilities(rows, metadata):
+    # the limit form P_reduced is a probability only inside its regime
+    bounded = ["P_numeric", "P_closed", "P_exact"]
+    if not metadata.get("regime_notes"):
+        bounded.append("P_reduced")
+    for row in rows:
+        for key in bounded:
+            if key in row:
+                assert 0.0 <= row[key] <= 1.0, (key, row)
+        if "w_antisym" in row:
+            assert row["w_antisym"] == row["P_numeric"], row
 
 
 def _finite(token):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.scans import MODELS, model_params
+from biphoton.beamsplitter import exchange_report
+from biphoton.scans import MODELS, _delayed_state, model_params
 from biphoton.spectrum import exchange_sweep
 from reference import symmetry_decompose
 
@@ -139,8 +140,12 @@ class TestDlErrorsAtTheSameRow:
             grid_points=3, grid_span_sigmas=math.pi,
         )
         grid = bp.make_grid(1.5 * math.pi, math.pi, 3)
-        with pytest.raises(bp.DegenerateSpectrumError):
+        # refused as a fixed dl, by the public builder and as an input state,
+        # and as a swept row
+        with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
             shih_row_spectrum(fixed, grid, 1.0)
+        with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
+            _delayed_state("shih", {**model_params("shih", fixed), "delta_l": 1.0}, 3, math.pi)
         with pytest.raises(bp.DegenerateSpectrumError):
             bp.run_scan(spec)
         with pytest.raises(bp.DegenerateSpectrumError):
@@ -155,7 +160,8 @@ class TestDlErrorsAtTheSameRow:
             grid_points=65,
         )
         grid = bp.make_grid(0.0, 6.0, 65)
-        with pytest.raises(bp.DegenerateSpectrumError):
+        # sin(nu * 0) wipes the envelope out, a node as any other
+        with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
             delta_row_spectrum(fixed, grid, 0.0)
         with pytest.raises(bp.DegenerateSpectrumError):
             bp.run_scan(spec)
@@ -191,6 +197,44 @@ class TestDlErrorsAtTheSameRow:
             bp.run_scan(spec)
         with pytest.raises(bp.ConfigError, match="cannot sweep 'dl'"):
             bp.evaluate_scan_point(spec, 0.5)
+
+
+class TestOnePathForAPathDifference:
+    """A fixed ``dl`` and a swept one both scale the ``dl = 0`` state by the
+    model's row factor, so a fixed ``dl`` reads its swept row; ``w_antisym`` is
+    compared, since ``p_coinc`` leaves ~5e-32 on an exactly symmetric state."""
+
+    @staticmethod
+    def fixed_dl_weights(spec):
+        key = MODELS[spec.model].dl_key
+        row = model_params(spec.model, spec.fixed)
+        return [
+            exchange_report(
+                _delayed_state(spec.model, {**row, key: dl}, spec.grid_points,
+                               spec.grid_span_sigmas),
+                BALANCED,
+            )["w_antisym"]
+            for dl in spec.values()
+        ]
+
+    @pytest.mark.parametrize("n,beta,dz", [(257, 0.1, 1.5), (1025, 0.01, -2.0)])
+    def test_shih(self, n, beta, dz):
+        spec = bp.ScanSpec(
+            model="shih", swept="dl", start=0.0, stop=6.0, n_steps=9,
+            fixed={"center": 90.0, "sigma_p": beta, "dz": dz}, grid_points=n,
+            grid_span_sigmas=4.5,
+        )
+        swept = [row.p_numeric for row in bp.run_scan(spec).rows]
+        assert np.max(np.abs(np.subtract(self.fixed_dl_weights(spec), swept))) <= 1e-15
+
+    @pytest.mark.parametrize("parity,start,want", [("even", -2.0, 0.0), ("odd", 0.25, 1.0)])
+    def test_delta_pump_bit_for_bit(self, parity, start, want):
+        spec = bp.ScanSpec(
+            model="delta_pump", swept="dl", start=start, stop=3.0, n_steps=9,
+            fixed={"sigma": 0.8, "center": 1.5, "parity": parity, "c_light": 1.3},
+        )
+        swept = [row.p_numeric for row in bp.run_scan(spec).rows]
+        assert self.fixed_dl_weights(spec) == swept == [want] * 9
 
 
 class TestDlAliasGuard:

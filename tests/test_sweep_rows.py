@@ -8,7 +8,7 @@ import pytest
 
 import biphoton as bp
 from biphoton.models import delta_pump_row_factor, shih_row_factor
-from biphoton.scans import MODELS
+from biphoton.scans import MODELS, _delayed_state, model_params
 from biphoton.spectrum import _SWEEP_CANCELLATION, _plane_waves, _row_sums, exchange_sweep
 from reference import delayed_state, exchange_sweep_row
 
@@ -59,7 +59,9 @@ def _model_rows(name, n):
     if swept == "dz":
         base = delayed_state(model, {**fixed, "dz": 0.0}, n, span)
         return base, [(1.0, 0.0, dz) for dz in values], entry.row_floor
-    base = delayed_state(model, {**fixed, entry.dl_key: 0.0, **entry.dl_base}, n, span)
+    # a dl sweep scales the state without a path difference
+    row = {k: v for k, v in model_params(model, fixed).items() if k != entry.dl_key}
+    base = _delayed_state(model, row, n, span)
     if model == "shih":
         factors = [shih_row_factor(base.grid, dl) for dl in values]
     else:
