@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError
 from .spectrum import (
+    _ANNIHILATED,
     _MIN_NORM,
     BiphotonSpectrum,
     FrequencyGrid,
@@ -256,9 +257,7 @@ def _path_difference(state: _FactoredState, factor: tuple, floor: float) -> _Fac
     y2 = (np.conj(state.y) * state.y).real
     row_norms = (np.conj(state.x) * state.x).real * _hankel(_squared_pump(state), len(y2))(y2)
     if float(modulation**2 @ row_norms) < floor * float(np.sum(row_norms)):
-        raise DegenerateSpectrumError(
-            "degenerate spectrum: path-difference modulation annihilates the sampled support"
-        )
+        raise DegenerateSpectrumError(_ANNIHILATED)
     return replace(state, x=state.x * modulation)
 
 

@@ -12,6 +12,7 @@ All types are immutable value objects; every operation returns a new value.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -364,8 +365,12 @@ _SWEEP_CANCELLATION = 10.0
 
 
 # Phase-table cells (rows times blocked coefficients) per slab of the rows of
-# exchange_sweep: a slab's products stay near 1 MB on any grid.
+# exchange_sweep, and cells per slab of the anti-diagonal sums of a narrow
+# pump: a slab's products stay near 1 MB on any grid.
 _SWEEP_CELLS = 2**16
+
+# The refusal of a path difference, fixed or swept, that leaves no state.
+_ANNIHILATED = "degenerate spectrum: path-difference modulation annihilates the sampled support"
 
 
 def exchange_sweep(
@@ -412,16 +417,18 @@ def exchange_sweep(
     factored state ``c[i,j] = x_i y_j p[i+j]``, as scans of every model source
     pass, is never built: its ``G[i,j] = u_i conj(u_j) P[i+j]`` with
     ``u = conj(x) y`` and ``P = p**2`` gives every sum from O(n) vectors
-    (:func:`_factored_sums`, which sums ``T_k`` over the band of the pump's
-    support).  Near a node of ``d`` the terms cancel: a row whose ``N`` is
-    over ``_SWEEP_CANCELLATION`` times below ``(|a|^2 + |b|^2) R``, or below
-    ``min_norm_squared``, has its scaled state reduced instead.  So has every
+    (:func:`_factored_sums`, which sums ``T_k`` over the pump's support only,
+    along its anti-diagonals when it is narrow).  Near a node of ``d`` the
+    terms cancel: a row whose ``N`` is over ``_SWEEP_CANCELLATION`` times
+    below ``(|a|^2 + |b|^2) R``, or below ``min_norm_squared``, has its scaled
+    state reduced instead.  So has every
     row of a one-hot pump (the delta pump and the Bell state), which leaves
     one cell per row and costs O(n): its rows keep the exact zeros and ones
     of a bit-symmetric or bit-antisymmetric scaled state.  A scaled state
     below ``min_norm_squared`` (by default the zero-norm floor of
     :meth:`BiphotonSpectrum.from_array`) is no state: the call raises
-    :class:`DegenerateSpectrumError` at the first such row.
+    :class:`DegenerateSpectrumError` at the first such row, with the message
+    that refuses a fixed path difference annihilating its state.
     """
     producer = _factored_sums if isinstance(s, _FactoredState) else _matrix_sums
     r, v, t, antidiag, scaled = producer(s)
@@ -439,9 +446,7 @@ def exchange_sweep(
         # the weight of the scaled state, reduced from its rows
         sym, anti = scaled(_plane_waves(s.grid, a, b, tau))
         if sym + anti < min_norm_squared:
-            raise DegenerateSpectrumError(
-                "degenerate spectrum: the row factors annihilate the sampled support"
-            )
+            raise DegenerateSpectrumError(_ANNIHILATED)
         return _weight(anti / (sym + anti))
 
     def weights(a, b, tau) -> np.ndarray:
@@ -552,13 +557,14 @@ def _factored_sums(f: _FactoredState) -> tuple:
 
     ``r`` and ``v`` come from :func:`_factored_row_sums`, with ``u = conj(x) y``
     and ``P = p**2``.  ``S_m = P_m (u * conj u)_m``, where the convolution is
-    ``(Re u * Re u + Im u * Im u)_m``, comes from one batched real FFT, and
-    ``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` from slabs of ``k`` over strided
-    views of O(n) vectors, each slab cut to the band of columns ``i`` where
-    some ``2i + k`` lies in the support of ``P``: every cell left out is an
-    exact ``0 * finite``.  A narrow pump keeps a thin band, and a flat pump
-    the whole triangle.  Scaled rows ``d`` are reduced as the factors
-    ``(d x, y)``.
+    ``(Re u * Re u + Im u * Im u)_m``, comes from one batched real FFT of
+    length :func:`_fft_length` ``(2n - 1)``.  ``T_k = sum_i P[2i+k] u_i
+    conj(u_{i+k})`` is summed over the support ``[lo, hi)`` of ``P`` only,
+    every cell left out being an exact ``0 * finite``: along its
+    anti-diagonals (:func:`_band_sums`) when ``hi - lo <= n``, as for the
+    narrow pumps of entangled two-path states, and otherwise by slabs of
+    diagonals (:func:`_diagonal_sums`), as for a flat pump, which keeps the
+    whole triangle.  Scaled rows ``d`` are reduced as the factors ``(d x, y)``.
     """
     n = f.grid.n_points
     p = _squared_pump(f)
@@ -566,9 +572,29 @@ def _factored_sums(f: _FactoredState) -> tuple:
     r, v, u = row_sums(f.x)
     total = float(np.sum(r))
     _check_norm(total)
-    fft_size = 1 << (2 * n - 2).bit_length()
+    fft_size = _fft_length(2 * n - 1)
     w_hat = np.fft.rfft(np.stack((u.real, u.imag)), fft_size)
     antidiag = p * np.fft.irfft(w_hat[0] ** 2 + w_hat[1] ** 2, fft_size)[: 2 * n - 1] / total
+    lo, hi = _support(p)
+    # along the anti-diagonals of a support of at most about half the 2n - 1
+    # sums, where that costs less; a wider support keeps the slab loop's bits
+    t = (_band_sums if hi - lo <= n else _diagonal_sums)(u, p, lo, hi)
+
+    def scaled(d: np.ndarray) -> tuple[float, float]:
+        r_d, v_d = row_sums(d * f.x)[:2]
+        return 0.5 * math.fsum(r_d + v_d) / total, 0.5 * math.fsum(r_d - v_d) / total
+
+    return r / total, v / total, t / total, antidiag, scaled
+
+
+def _diagonal_sums(u: np.ndarray, p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` for ``k = 1..n-1`` from slabs of ``k``.
+
+    Each slab multiplies strided views of O(n) vectors over the columns ``i``
+    where some ``2i + k`` of the slab lies in ``[lo, hi)``, the support of ``P``:
+    every cell left out is an exact ``0 * finite``.
+    """
+    n = len(u)
     # row k, column i of the strided views: conj(u_{i+k}) and P[2i+k], with
     # zeros padded to both to end every diagonal past i + k = n - 1
     conj_u = np.zeros(2 * n - 1, dtype=np.complex128)
@@ -578,7 +604,6 @@ def _factored_sums(f: _FactoredState) -> tuple:
     strided = np.lib.stride_tricks.as_strided
     diagonals = strided(conj_u, (n, n), (16, 16))
     pumps = strided(pump, (n, n), (8, 16))
-    lo, hi = _support(p)
     size = _EXCHANGE_SLAB // 2
     block = np.empty((size, n), dtype=np.complex128)
     t = np.zeros(n - 1, dtype=np.complex128)
@@ -594,12 +619,63 @@ def _factored_sums(f: _FactoredState) -> tuple:
             np.multiply(diagonals[ks, i0:i1], pumps[ks, i0:i1], out=g)
             g *= u[i0:i1]
             g.sum(axis=1, out=t[k0 - 1 : k0 - 1 + m])
+    return t
 
-    def scaled(d: np.ndarray) -> tuple[float, float]:
-        r_d, v_d = row_sums(d * f.x)[:2]
-        return 0.5 * math.fsum(r_d + v_d) / total, 0.5 * math.fsum(r_d - v_d) / total
 
-    return r / total, v / total, t / total, antidiag, scaled
+def _band_sums(u: np.ndarray, p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """:func:`_diagonal_sums` along the anti-diagonals ``lo <= m < hi`` of a narrow pump.
+
+    With ``m = 2s + par``, ``i = s - q`` and ``j = s + q + par``, ``T_{2q+par}``
+    is ``sum_s P[m] u_{s-q} conj(u_{s+q+par})``.  For each parity, slabs of
+    ``s`` multiply strided views of zero-padded ``u`` and ``conj(u)`` with
+    ``q`` as the long contiguous axis, cut to the ``q`` of the slab's valid
+    triangle (``s - q >= 0``, ``s + q + par < n``), and sum over ``s``.
+    """
+    n = len(u)
+    # row s, column q of the strided views: u_{s-q} and conj(u_{s+q}), with
+    # zeros padded to both past either end of u
+    padded = np.zeros(3 * n, dtype=np.complex128)
+    padded[n : 2 * n] = u
+    reversed_u = padded[::-1].copy()
+    np.conjugate(padded, out=padded)
+    strided = np.lib.stride_tricks.as_strided
+    left = strided(reversed_u[2 * n - 1 :], (n, n // 2 + 1), (-16, 16))
+    right = strided(padded[n:], (n, n // 2 + 1), (16, 16))
+    t = np.zeros(n - 1, dtype=np.complex128)
+    # slabs of at most _SWEEP_CELLS cells, or one row of s, over the n // 2 or
+    # fewer q of a parity; a parity has at most (hi - lo + 1) // 2 rows of s
+    rows = max(1, min(_SWEEP_CELLS // (n // 2), (hi - lo + 1) // 2))
+    block = np.empty(rows * (n // 2), dtype=np.complex128)
+    for par in (0, 1):
+        s_lo, s_hi = (lo - par + 1) // 2, (hi - 1 - par) // 2 + 1
+        q0 = 1 - par
+        sums = t[1 - par :: 2]  # T_{2q+par} at q - q0
+        for s0 in range(s_lo, s_hi, rows):
+            s1 = min(s_hi, s0 + rows)
+            # q < q1 holds every cell of the triangle in rows s0 .. s1 - 1, whose
+            # longest row is the one nearest s = (n - 1 - par) / 2
+            peak = min(max((n - 1 - par) // 2, s0), s1 - 1)
+            q1 = min(peak, n - 1 - par - peak) + 1
+            g = block[: (s1 - s0) * (q1 - q0)].reshape(s1 - s0, q1 - q0)
+            np.multiply(left[s0:s1, q0:q1], right[s0 + par : s1 + par, q0:q1], out=g)
+            # scaled as pairs of reals: a complex times a real array casts every cell
+            pairs = g.view(np.float64)
+            pairs *= p[2 * s0 + par : 2 * s1 + par : 2, None]
+            sums[: q1 - q0] += g.sum(axis=0)
+    return t
+
+
+@functools.cache
+def _fft_length(m: int) -> int:
+    """The smallest ``2^a 3^b 5^c >= m``: an FFT length of small radices only."""
+    best, five = 1 << (m - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << ((m - 1) // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def _support(p: np.ndarray) -> tuple[int, int]:
@@ -639,9 +715,9 @@ def _hankel(p: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """``w -> H[w]``, ``H[w]_i = sum_j p[i+j] w_j`` for ``i < n``, of each row of real ``w``.
 
     A one-hot ``p`` (one nonzero ``p[m]``) gives ``p[m] w_{m-i}`` exactly.
-    Any other ``p`` takes one batched real FFT of size 2^ceil(log2(2n - 1)),
-    so that no product wraps around; it leaves rounding noise where the
-    product is 0, which would spoil the exact zeros of a one-hot pump.
+    Any other ``p`` takes one batched real FFT of length :func:`_fft_length`
+    ``(2n - 1)``, so that no product wraps around; it leaves rounding noise
+    where the product is 0, which would spoil the exact zeros of a one-hot pump.
     """
     support = np.flatnonzero(p)
     if len(support) == 1:
@@ -654,7 +730,7 @@ def _hankel(p: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
             return h
 
         return one_hot
-    fft_size = 1 << (2 * n - 2).bit_length()
+    fft_size = _fft_length(2 * n - 1)
     p_hat = np.fft.rfft(p, fft_size)
     return lambda w: np.fft.irfft(p_hat * np.conj(np.fft.rfft(w, fft_size)), fft_size)[..., :n]
 

@@ -5,10 +5,10 @@ matrix, with no slab or reduction shortcut: the exchange swap, the split
 into renormalized exchange-symmetric and -antisymmetric parts, sampling a
 function on the grid, and the squared norm of a spectrum.  The diagonal
 sums of a factored state run over the whole triangle, by the slab loop
-that the library cuts to the band of the pump's support.  The row kernel
-of a sweep reads each row off the reduction on its own, with one complex
-exponential per diagonal, where the library takes all rows in one blocked
-pass.
+that the library cuts to the pump's support, or replaces by anti-diagonal
+sums for a narrow pump.  The row kernel of a sweep reads each row off the
+reduction on its own, with one complex exponential per diagonal, where the
+library takes all rows in one blocked pass.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def exchange_sweep_row(
     def check(norm_sq: float) -> None:
         if norm_sq < min_norm_squared:
             raise bp.DegenerateSpectrumError(
-                "degenerate spectrum: the row factors annihilate the sampled support"
+                "degenerate spectrum: path-difference modulation annihilates the sampled support"
             )
 
     def reduced(a: complex, b: complex, tau: float) -> float:

@@ -1,11 +1,16 @@
 """The diagonal sums ``T_k`` of a factored state, summed over the band of the
-pump's support, against the whole-triangle slab loop of ``reference.py``."""
+pump's support, against the whole-triangle slab loop of ``reference.py``; which
+pumps are summed along their anti-diagonals; the FFT length of the reduction
+and its memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.spectrum import _FactoredState, _factored_row_sums, _factored_sums
+from biphoton import spectrum
+from biphoton.spectrum import _FactoredState, _factored_row_sums, _factored_sums, _fft_length
 from reference import delayed_state, factored_diagonal_sums
 
 CENTER = 78.61835615608457
@@ -19,12 +24,22 @@ _MODEL_STATES = {
 }
 
 
-def _gaussian_band(center: float, width: float):
+def _gaussian_band(center: float, width: float, scale: float = 4.0):
     # a pump over the 2n - 1 sums m that is exactly 0 more than `width` from `center`
     def pump(n: int) -> np.ndarray:
         m = np.arange(2 * n - 1, dtype=float)
         d = m - center(n)
-        return np.where(np.abs(d) <= width, np.exp(-((d / 4.0) ** 2)), 0.0)
+        return np.where(np.abs(d) <= width, np.exp(-((d / scale) ** 2)), 0.0)
+
+    return pump
+
+
+def _band_fraction(fraction: float, where: str):
+    # a Gaussian pump over `fraction` of the 2n - 1 sums, centred or touching sum 0
+    def pump(n: int) -> np.ndarray:
+        width = fraction * (2 * n - 1) / 2
+        center = n - 1 if where == "centred" else width
+        return _gaussian_band(lambda _: center, width, width / 2)(n)
 
     return pump
 
@@ -93,3 +108,75 @@ def test_flat_pump_sums_every_cell_bit_for_bit(n, dz):
     f = delayed_state("gaussian_pair", {"center": 0.7, "dz": dz}, n, 4.5)
     assert f.pump is None
     assert np.array_equal(_factored_sums(f)[2], factored_diagonal_sums(f) / _total(f))
+
+
+@pytest.mark.parametrize("n", [257, 1025, 4095])
+@pytest.mark.parametrize("where", ["centred", "touching 0"])
+@pytest.mark.parametrize("fraction", [0.05, 0.3, 0.5])
+def test_band_fractions_match_the_whole_triangle(fraction, where, n):
+    grid, x, y = _photons(n)
+    f = _FactoredState(grid, x, y, np.sqrt(_band_fraction(fraction, where)(n)))
+    t = _factored_sums(f)[2]
+    assert np.max(np.abs(t - factored_diagonal_sums(f) / _total(f))) <= 1e-15
+
+
+def _flat(n: int) -> _FactoredState:
+    return delayed_state("gaussian_pair", {"center": 0.7, "dz": 1.3}, n, 4.5)
+
+
+@pytest.mark.parametrize(
+    "name, n, along_anti_diagonals",
+    [
+        ("flat", 257, False),
+        ("flat", 4095, False),
+        ("pair beta 3", 257, False),
+        ("wide, off-centre, touching 0 and 2n-2", 1025, False),
+        ("shih beta 0.1", 257, True),
+        ("shih beta 0.01", 1025, True),
+    ],
+)
+def test_narrow_pumps_are_summed_along_anti_diagonals(monkeypatch, name, n, along_anti_diagonals):
+    def refuse(*args):
+        raise RuntimeError("summed along the anti-diagonals")
+
+    monkeypatch.setattr(spectrum, "_band_sums", refuse)
+    f = _flat(n) if name == "flat" else _state(name, n)
+    if along_anti_diagonals:
+        with pytest.raises(RuntimeError, match="anti-diagonals"):
+            _factored_sums(f)
+    else:
+        _factored_sums(f)
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    def smooth(k: int) -> bool:
+        for radix in (2, 3, 5):
+            while k % radix == 0:
+                k //= radix
+        return k == 1
+
+    for n in range(3, 4096, 2):
+        length = _fft_length(2 * n - 1)
+        assert smooth(length) and length >= 2 * n - 1
+        assert not any(smooth(k) for k in range(2 * n - 1, length))
+        assert length <= 1 << (2 * n - 2).bit_length()
+
+
+@pytest.mark.parametrize("pump", ["narrow", "0.3", "full", "flat"])
+def test_sums_at_4095_points_hold_no_matrix(pump):
+    n = 4095
+    if pump == "flat":
+        f = _flat(n)
+    else:
+        grid, x, y = _photons(n)
+        fraction = {"narrow": 0.02, "0.3": 0.3, "full": 1.0}[pump]
+        f = _FactoredState(grid, x, y, np.sqrt(_band_fraction(fraction, "centred")(n)))
+    _factored_sums(f)
+    tracemalloc.start()
+    try:
+        _factored_sums(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 4095 x 4095 complex matrix is 256 MiB
+    assert peak < 4 * 2**20
