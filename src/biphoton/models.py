@@ -54,15 +54,18 @@ from .spectrum import (
     FrequencyGrid,
     _FactoredState,
     _check_c_light,
-    _hankel,
+    _factored_row_sums,
     _plane_waves,
-    _squared_pump,
     apply_path_delays,
 )
 
 # Minimum grid coverage (in units of sigma) below which model builders
 # attach a truncation warning to the result.
 _COVERAGE_SIGMAS = 4.0
+
+# beta*sigma*dl/c above which shih_reduced is noted: the pump-width factor it omits,
+# exp(-(beta*sigma*dl/c)**2 / (2*(2 + beta**2))), moves it by up to 0.0303 at the limit.
+_PUMP_WIDTH_LIMIT = 0.5
 
 # On-grid snap tolerance for the Bell tones, relative to the grid spacing.
 _SNAP_TOL = 1e-9
@@ -254,8 +257,7 @@ def _path_difference(state: _FactoredState, factor: tuple, floor: float) -> _Fac
     fixed or swept.  Raises :class:`DegenerateSpectrumError` when the scaled state keeps less
     than ``floor`` of the squared norm ``sum_i |x_i|**2 sum_j p[i+j]**2 |y_j|**2``."""
     modulation = _plane_waves(state.grid, *factor).real
-    y2 = (np.conj(state.y) * state.y).real
-    row_norms = (np.conj(state.x) * state.x).real * _hankel(_squared_pump(state), len(y2))(y2)
+    row_norms = _factored_row_sums(state)(state.x)[0]
     if float(modulation**2 @ row_norms) < floor * float(np.sum(row_norms)):
         raise DegenerateSpectrumError(_ANNIHILATED)
     return replace(state, x=state.x * modulation)
@@ -361,6 +363,8 @@ def shih_regime_notes(m: ShihModel, delta_l: float | None = None) -> tuple[str, 
         )
     if m.beta > 0.1:
         notes.append(f"reduced form assumes beta << 1; have {m.beta:g}")
+    if m.beta * xl > _PUMP_WIDTH_LIMIT:
+        notes.append(f"reduced form assumes beta*sigma*delta_l/c << 1; have {m.beta * xl:g}")
     return tuple(notes)
 
 

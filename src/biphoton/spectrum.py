@@ -285,7 +285,7 @@ def _weight(w: float) -> float:
 
 
 # Rows per slab of the factorization residual of time-domain exports, and
-# twice those of the row and diagonal sums of the scan reductions: a slab is
+# twice those of the row and diagonal sums of a spectrum's reduction: a slab is
 # ~1 MB at n = 1025, a sixteenth of one n x n matrix, and stays in cache
 # while it is worked on.
 _EXCHANGE_SLAB = 64
@@ -365,8 +365,8 @@ _SWEEP_CANCELLATION = 10.0
 
 
 # Phase-table cells (rows times blocked coefficients) per slab of the rows of
-# exchange_sweep, and cells per slab of the anti-diagonal sums of a narrow
-# pump: a slab's products stay near 1 MB on any grid.
+# exchange_sweep, and cells per slab of the anti-diagonal sums of a factored
+# state: a slab's products stay near 1 MB on any grid.
 _SWEEP_CELLS = 2**16
 
 # The refusal of a path difference, fixed or swept, that leaves no state.
@@ -417,8 +417,8 @@ def exchange_sweep(
     factored state ``c[i,j] = x_i y_j p[i+j]``, as scans of every model source
     pass, is never built: its ``G[i,j] = u_i conj(u_j) P[i+j]`` with
     ``u = conj(x) y`` and ``P = p**2`` gives every sum from O(n) vectors
-    (:func:`_factored_sums`, which sums ``T_k`` over the pump's support only,
-    along its anti-diagonals when it is narrow).  Near a node of ``d`` the
+    (:func:`_factored_sums`, which sums ``T_k`` along the anti-diagonals of
+    the pump's support only).  Near a node of ``d`` the
     terms cancel: a row whose ``N`` is over ``_SWEEP_CANCELLATION`` times
     below ``(|a|^2 + |b|^2) R``, or below ``min_norm_squared``, has its scaled
     state reduced instead.  So has every
@@ -559,12 +559,11 @@ def _factored_sums(f: _FactoredState) -> tuple:
     and ``P = p**2``.  ``S_m = P_m (u * conj u)_m``, where the convolution is
     ``(Re u * Re u + Im u * Im u)_m``, comes from one batched real FFT of
     length :func:`_fft_length` ``(2n - 1)``.  ``T_k = sum_i P[2i+k] u_i
-    conj(u_{i+k})`` is summed over the support ``[lo, hi)`` of ``P`` only,
-    every cell left out being an exact ``0 * finite``: along its
-    anti-diagonals (:func:`_band_sums`) when ``hi - lo <= n``, as for the
-    narrow pumps of entangled two-path states, and otherwise by slabs of
-    diagonals (:func:`_diagonal_sums`), as for a flat pump, which keeps the
-    whole triangle.  Scaled rows ``d`` are reduced as the factors ``(d x, y)``.
+    conj(u_{i+k})`` is summed along the anti-diagonals of the support
+    ``[lo, hi)`` of ``P`` only (:func:`_band_sums`), every cell left out being
+    an exact ``0 * finite``: a narrow band for the pump of an entangled
+    two-path state, the whole triangle for a flat pump.  Scaled rows ``d``
+    are reduced as the factors ``(d x, y)``.
     """
     n = f.grid.n_points
     p = _squared_pump(f)
@@ -575,10 +574,7 @@ def _factored_sums(f: _FactoredState) -> tuple:
     fft_size = _fft_length(2 * n - 1)
     w_hat = np.fft.rfft(np.stack((u.real, u.imag)), fft_size)
     antidiag = p * np.fft.irfft(w_hat[0] ** 2 + w_hat[1] ** 2, fft_size)[: 2 * n - 1] / total
-    lo, hi = _support(p)
-    # along the anti-diagonals of a support of at most about half the 2n - 1
-    # sums, where that costs less; a wider support keeps the slab loop's bits
-    t = (_band_sums if hi - lo <= n else _diagonal_sums)(u, p, lo, hi)
+    t = _band_sums(u, p, *_support(p))
 
     def scaled(d: np.ndarray) -> tuple[float, float]:
         r_d, v_d = row_sums(d * f.x)[:2]
@@ -587,43 +583,9 @@ def _factored_sums(f: _FactoredState) -> tuple:
     return r / total, v / total, t / total, antidiag, scaled
 
 
-def _diagonal_sums(u: np.ndarray, p: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` for ``k = 1..n-1`` from slabs of ``k``.
-
-    Each slab multiplies strided views of O(n) vectors over the columns ``i``
-    where some ``2i + k`` of the slab lies in ``[lo, hi)``, the support of ``P``:
-    every cell left out is an exact ``0 * finite``.
-    """
-    n = len(u)
-    # row k, column i of the strided views: conj(u_{i+k}) and P[2i+k], with
-    # zeros padded to both to end every diagonal past i + k = n - 1
-    conj_u = np.zeros(2 * n - 1, dtype=np.complex128)
-    conj_u[:n] = np.conj(u)
-    pump = np.zeros(3 * n - 2)
-    pump[: 2 * n - 1] = p
-    strided = np.lib.stride_tricks.as_strided
-    diagonals = strided(conj_u, (n, n), (16, 16))
-    pumps = strided(pump, (n, n), (8, 16))
-    size = _EXCHANGE_SLAB // 2
-    block = np.empty((size, n), dtype=np.complex128)
-    t = np.zeros(n - 1, dtype=np.complex128)
-    for k0 in range(1, n, size):
-        # T_k for k = k0 .. k0 + m - 1, over the columns i0 <= i < i1 that hold
-        # every cell of the slab with lo <= 2i + k < hi
-        m = min(size, n - k0)
-        i0 = max(0, (lo - k0 - m + 1) // 2)
-        i1 = min(n - k0, (hi - 1 - k0) // 2 + 1)
-        if i0 < i1:
-            g = block[:m, : i1 - i0]
-            ks = slice(k0, k0 + m)
-            np.multiply(diagonals[ks, i0:i1], pumps[ks, i0:i1], out=g)
-            g *= u[i0:i1]
-            g.sum(axis=1, out=t[k0 - 1 : k0 - 1 + m])
-    return t
-
-
 def _band_sums(u: np.ndarray, p: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """:func:`_diagonal_sums` along the anti-diagonals ``lo <= m < hi`` of a narrow pump.
+    """``T_k = sum_i P[2i+k] u_i conj(u_{i+k})`` for ``k = 1..n-1``, along the anti-diagonals
+    ``lo <= m < hi`` that hold the support of ``P``.
 
     With ``m = 2s + par``, ``i = s - q`` and ``j = s + q + par``, ``T_{2q+par}``
     is ``sum_s P[m] u_{s-q} conj(u_{s+q+par})``.  For each parity, slabs of

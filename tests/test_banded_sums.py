@@ -1,7 +1,7 @@
-"""The diagonal sums ``T_k`` of a factored state, summed over the band of the
-pump's support, against the whole-triangle slab loop of ``reference.py``; which
-pumps are summed along their anti-diagonals; the FFT length of the reduction
-and its memory."""
+"""The diagonal sums ``T_k`` of a factored state, summed along the anti-diagonals
+of the pump's support (a thin band, a wide one or, for a flat pump, the whole
+triangle), against the whole-triangle slab loop of ``reference.py``; the FFT
+length of the reduction and its memory."""
 
 import tracemalloc
 
@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton import spectrum
 from biphoton.spectrum import _FactoredState, _factored_row_sums, _factored_sums, _fft_length
 from reference import delayed_state, factored_diagonal_sums
 
 CENTER = 78.61835615608457
 
-# scan bases of model sources with a Gaussian pump: (model, row)
+# scan bases of model sources with a flat or a Gaussian pump: (model, row)
 _MODEL_STATES = {
+    "flat, dz 0": ("gaussian_pair", {"center": 0.7, "dz": 0.0}),
+    "flat, dz 1.3": ("gaussian_pair", {"center": 0.7, "dz": 1.3}),
     "shih beta 0.01": ("shih", {"center": CENTER, "sigma_p": 0.01, "delta_l": 0.4, "dz": 2.5}),
     "shih beta 0.1": ("shih", {"center": CENTER, "sigma_p": 0.1, "delta_l": 0.4, "dz": -1.5}),
     "pair beta 0.3": ("gaussian_pair", {"center": 0.7, "pump_sigma": 0.3, "dz": 1.3}),
@@ -95,19 +96,12 @@ def _total(f: _FactoredState) -> float:
 @pytest.mark.parametrize("name", [*_MODEL_STATES, *_PUMPS])
 def test_banded_sums_match_the_whole_triangle(name, n):
     f = _state(name, n)
+    assert (f.pump is None) == name.startswith("flat")
     t = _factored_sums(f)[2]
     oracle = factored_diagonal_sums(f) / _total(f)
     assert t.shape == oracle.shape
     assert np.max(np.abs(t - oracle)) <= 1e-15
     assert np.any(t != 0.0) or not np.any(oracle != 0.0)
-
-
-@pytest.mark.parametrize("n", [3, 257, 1025, 4095])
-@pytest.mark.parametrize("dz", [0.0, 1.3])
-def test_flat_pump_sums_every_cell_bit_for_bit(n, dz):
-    f = delayed_state("gaussian_pair", {"center": 0.7, "dz": dz}, n, 4.5)
-    assert f.pump is None
-    assert np.array_equal(_factored_sums(f)[2], factored_diagonal_sums(f) / _total(f))
 
 
 @pytest.mark.parametrize("n", [257, 1025, 4095])
@@ -118,34 +112,6 @@ def test_band_fractions_match_the_whole_triangle(fraction, where, n):
     f = _FactoredState(grid, x, y, np.sqrt(_band_fraction(fraction, where)(n)))
     t = _factored_sums(f)[2]
     assert np.max(np.abs(t - factored_diagonal_sums(f) / _total(f))) <= 1e-15
-
-
-def _flat(n: int) -> _FactoredState:
-    return delayed_state("gaussian_pair", {"center": 0.7, "dz": 1.3}, n, 4.5)
-
-
-@pytest.mark.parametrize(
-    "name, n, along_anti_diagonals",
-    [
-        ("flat", 257, False),
-        ("flat", 4095, False),
-        ("pair beta 3", 257, False),
-        ("wide, off-centre, touching 0 and 2n-2", 1025, False),
-        ("shih beta 0.1", 257, True),
-        ("shih beta 0.01", 1025, True),
-    ],
-)
-def test_narrow_pumps_are_summed_along_anti_diagonals(monkeypatch, name, n, along_anti_diagonals):
-    def refuse(*args):
-        raise RuntimeError("summed along the anti-diagonals")
-
-    monkeypatch.setattr(spectrum, "_band_sums", refuse)
-    f = _flat(n) if name == "flat" else _state(name, n)
-    if along_anti_diagonals:
-        with pytest.raises(RuntimeError, match="anti-diagonals"):
-            _factored_sums(f)
-    else:
-        _factored_sums(f)
 
 
 def test_fft_length_is_the_smallest_5_smooth_length():
@@ -166,7 +132,7 @@ def test_fft_length_is_the_smallest_5_smooth_length():
 def test_sums_at_4095_points_hold_no_matrix(pump):
     n = 4095
     if pump == "flat":
-        f = _flat(n)
+        f = _state("flat, dz 1.3", n)
     else:
         grid, x, y = _photons(n)
         fraction = {"narrow": 0.02, "0.3": 0.3, "full": 1.0}[pump]

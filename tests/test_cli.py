@@ -565,6 +565,17 @@ class TestShihScanPath:
         assert p_exact[0] == 0.0
         assert all(0.0 <= p <= 1.0 for p in p_exact)
 
+    def test_omitted_pump_width_factor_is_noted(self, tmp_path, capsys):
+        # sigma*dl/c = 20 and beta = 0.1 pass the first two notes, but the limit
+        # form's omitted factor exp(-(beta*sigma*dl/c)**2 / (2(2 + beta**2))) is 0.37
+        out = tmp_path / "x.csv"
+        assert main(["shih-scan", "--beta", "0.1", "--center", "90", "--dl", "20",
+                     "--dz-min", "-3", "--dz-max", "3", "--steps", "7", "-o", str(out)]) == 0
+        notes = json.loads(capsys.readouterr().out)["metadata"]["regime_notes"]
+        assert notes == ["reduced form assumes beta*sigma*delta_l/c << 1; have 2"]
+        gap = max(abs(row["P_exact"] - row["P_reduced"]) for row in read_csv(out)[0])
+        assert gap > 0.3
+
     def test_non_finite_path_difference_exits_2(self, tmp_path, capsys):
         code = main(["shih-scan", "--beta", "0.1", "--center", "100", "--dl", "inf",
                      "--steps", "3", "--dz-min", "-1", "--dz-max", "1",
