@@ -234,6 +234,31 @@ class TestShihReduced:
             _shih(center=_odd_center(20.0, 1001), beta=0.01, delta_l=20.0)
         )
 
+    @pytest.mark.parametrize(
+        "beta, x_dl, noted",
+        [
+            (0.001, 20.0, False),
+            (0.01, 20.0, False),
+            (0.02, 20.0, False),
+            (0.1, 5.0, False),
+            (0.026, 20.0, True),
+            (0.05, 20.0, True),
+            (0.1, 9.0, True),
+            (0.1, 20.0, True),
+        ],
+    )
+    def test_pump_width_note_bounds_the_gap(self, beta, x_dl, noted):
+        # the omitted pump-width factor is noted past beta*sigma*dl/c = 0.5, where it
+        # moves the reduced form by just over 0.03; 0.1 * 5 sits on the limit itself
+        m = _shih(center=_odd_center(x_dl, 1001), beta=beta, delta_l=x_dl)
+        notes = bp.models.shih_regime_notes(m)
+        assert any(note.startswith("reduced form assumes beta*sigma") for note in notes) == noted
+        gap = max(
+            abs(bp.shih_exact(m, dz) - bp.shih_reduced(m, dz))
+            for dz in np.linspace(-3.0 * x_dl, 3.0 * x_dl, 601)
+        )
+        assert (gap > 0.0303) == noted
+
 
 class TestDeltaPumpSpectrum:
     def test_even_parity_is_symmetric_and_coalesces(self, balanced):
