@@ -54,8 +54,9 @@ from .spectrum import (
     FrequencyGrid,
     _FactoredState,
     _check_c_light,
-    _factored_row_sums,
+    _hankel,
     _plane_waves,
+    _squared_pump,
     apply_path_delays,
 )
 
@@ -63,6 +64,10 @@ from .spectrum import (
 # attach a truncation warning to the result.
 _COVERAGE_SIGMAS = 4.0
 
+# shih_reduced is the sigma*dl/c >> 1, beta << 1 limit of shih_exact, and is noted
+# below this sigma*dl/c and above this beta.
+_PATH_DIFFERENCE_LIMIT = 5.0
+_BETA_LIMIT = 0.1
 # beta*sigma*dl/c above which shih_reduced is noted: the pump-width factor it omits,
 # exp(-(beta*sigma*dl/c)**2 / (2*(2 + beta**2))), moves it by up to 0.0303 at the limit.
 _PUMP_WIDTH_LIMIT = 0.5
@@ -257,7 +262,8 @@ def _path_difference(state: _FactoredState, factor: tuple, floor: float) -> _Fac
     fixed or swept.  Raises :class:`DegenerateSpectrumError` when the scaled state keeps less
     than ``floor`` of the squared norm ``sum_i |x_i|**2 sum_j p[i+j]**2 |y_j|**2``."""
     modulation = _plane_waves(state.grid, *factor).real
-    row_norms = _factored_row_sums(state)(state.x)[0]
+    hankel = _hankel(_squared_pump(state), state.grid.n_points)
+    row_norms = (np.conj(state.x) * state.x).real * hankel((np.conj(state.y) * state.y).real)
     if float(modulation**2 @ row_norms) < floor * float(np.sum(row_norms)):
         raise DegenerateSpectrumError(_ANNIHILATED)
     return replace(state, x=state.x * modulation)
@@ -353,18 +359,23 @@ def shih_reduced(m: ShihModel, dz: float, delta_l: float | None = None) -> float
     return 0.5 * (1.0 - t_pump - t_plus - t_minus)
 
 
+def _shih_regime(m: ShihModel, delta_l: float | None = None) -> dict[str, float]:
+    """The numbers that place the reduced form in or out of its regime."""
+    xl = m.sigma * (m.delta_l if delta_l is None else delta_l) / m.c_light
+    return {"sigma_dl_over_c": xl, "beta": m.beta, "beta_sigma_dl_over_c": m.beta * xl}
+
+
 def shih_regime_notes(m: ShihModel, delta_l: float | None = None) -> tuple[str, ...]:
     """Advisory notes when the reduced form is used outside its regime."""
+    regime = _shih_regime(m, delta_l)
+    xl, beta_xl = regime["sigma_dl_over_c"], regime["beta_sigma_dl_over_c"]
     notes = []
-    xl = m.sigma * (m.delta_l if delta_l is None else delta_l) / m.c_light
-    if xl < 5.0:
-        notes.append(
-            f"reduced form assumes sigma*delta_l/c >> 1; have {xl:g}"
-        )
-    if m.beta > 0.1:
+    if xl < _PATH_DIFFERENCE_LIMIT:
+        notes.append(f"reduced form assumes sigma*delta_l/c >> 1; have {xl:g}")
+    if m.beta > _BETA_LIMIT:
         notes.append(f"reduced form assumes beta << 1; have {m.beta:g}")
-    if m.beta * xl > _PUMP_WIDTH_LIMIT:
-        notes.append(f"reduced form assumes beta*sigma*delta_l/c << 1; have {m.beta * xl:g}")
+    if beta_xl > _PUMP_WIDTH_LIMIT:
+        notes.append(f"reduced form assumes beta*sigma*delta_l/c << 1; have {beta_xl:g}")
     return tuple(notes)
 
 

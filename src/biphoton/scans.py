@@ -48,6 +48,7 @@ from .models import (
     _delta_pump_state,
     _gaussian_pair_state,
     _path_difference,
+    _shih_regime,
     _shih_state,
     delta_pump_row_factor,
     hom_dip_closed,
@@ -151,6 +152,7 @@ def _shih_metadata(m: ShihModel, dl: float) -> dict[str, Any]:
         "norm_factor_b": shih_norm_factor(m, dl),
         "parity_4dl_over_lambda": math.fmod(4.0 * dl / m.wavelength, 2.0),
         "regime_notes": list(shih_regime_notes(m, dl)),
+        **_shih_regime(m, dl),
     }
 
 

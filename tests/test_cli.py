@@ -576,6 +576,40 @@ class TestShihScanPath:
         gap = max(abs(row["P_exact"] - row["P_reduced"]) for row in read_csv(out)[0])
         assert gap > 0.3
 
+    @pytest.mark.parametrize("argv", [
+        _README_SHIH,
+        # criterion 7's point: 4*dl/lambda = 1001 at beta = 0.01 and sigma*dl/c = 20
+        [*_README_SHIH[:3], "--center", repr(1001.0 * math.pi / 40.0), *_README_SHIH[5:]],
+        # dl = 0, where P_reduced reads -0.5 at dz = 0
+        ["shih-scan", "--beta", "1e300", "--sigma", "1e-150", "--center", "1e-149", "--dl", "0",
+         "--dz-min", "-1", "--dz-max", "1", "--steps", "3", "--grid-points", "33"],
+        ["shih-scan", "--beta", "0.5", "--center", "100", "--dl", "2", "--dz-min", "-1",
+         "--dz-max", "1", "--steps", "3", "--grid-points", "65"],
+    ], ids=["readme", "criterion-7", "dl-0", "every-note"])
+    def test_each_regime_note_is_present_exactly_when_its_number_crosses(
+        self, tmp_path, capsys, argv
+    ):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "-o", str(out)]) == 0
+        metadata = json.loads(capsys.readouterr().out)["metadata"]
+        beta, xl, beta_xl = (metadata[key] for key in
+                             ("beta", "sigma_dl_over_c", "beta_sigma_dl_over_c"))
+        sigma = float(argv[argv.index("--sigma") + 1]) if "--sigma" in argv else 1.0
+        assert beta == pytest.approx(float(argv[argv.index("--beta") + 1]), rel=1e-15)
+        assert xl == pytest.approx(sigma * float(argv[argv.index("--dl") + 1]), rel=1e-15)
+        assert beta_xl == beta * xl
+        crossed = {
+            "reduced form assumes sigma*delta_l/c": xl < bp.models._PATH_DIFFERENCE_LIMIT,
+            "reduced form assumes beta <<": beta > bp.models._BETA_LIMIT,
+            "reduced form assumes beta*sigma": beta_xl > bp.models._PUMP_WIDTH_LIMIT,
+        }
+        for prefix, expected in crossed.items():
+            present = any(note.startswith(prefix) for note in metadata["regime_notes"])
+            assert present == expected, prefix
+        if xl == 0.0:
+            p_reduced = {row["param"]: row["P_reduced"] for row in read_csv(out)[0]}
+            assert p_reduced[0.0] == -0.5
+
     def test_non_finite_path_difference_exits_2(self, tmp_path, capsys):
         code = main(["shih-scan", "--beta", "0.1", "--center", "100", "--dl", "inf",
                      "--steps", "3", "--dz-min", "-1", "--dz-max", "1",

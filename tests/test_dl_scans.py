@@ -292,6 +292,10 @@ class TestScanMetadata:
         result = bp.run_scan(spec)
         notes = result.metadata["regime_notes"]
         assert len(notes) == len(result.metadata["norm_factor_b"]) == 5
+        # the regime numbers are listed per row as well (sigma = c = 1)
+        assert result.metadata["sigma_dl_over_c"] == [row.param for row in result.rows]
+        assert result.metadata["beta"] == [0.1] * 5
+        assert result.metadata["beta_sigma_dl_over_c"] == [0.1 * row.param for row in result.rows]
         for row, row_notes in zip(result.rows, notes):
             m = bp.ShihModel(
                 center=319.0 * math.pi / 10.0, sigma=1.0, sigma_p=0.1, delta_l=row.param

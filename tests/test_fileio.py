@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -275,9 +279,11 @@ class TestMagnitudeMatrix:
         assert lines[2].split(",")[0] == "1"
         assert float(lines[2].split(",")[2]) == 4.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9], ids=["fixed", "exponent"])
     @pytest.mark.parametrize("n", [65, 257, 513])
-    def test_matches_per_entry_formatting(self, tmp_path, n):
+    def test_matches_per_entry_formatting(self, tmp_path, n, scale):
         axis, matrix = _magnitude_matrix(n)
+        matrix = matrix * scale
         path = tmp_path / "m.csv"
         fileio.save_magnitude_matrix("omega", axis, matrix, str(path))
         assert path.read_bytes() == _per_entry_text("omega", axis, matrix).encode()
@@ -307,6 +313,26 @@ class TestMagnitudeMatrix:
             tracemalloc.stop()
         assert peak <= 0.05 * matrix.nbytes  # measured 0.026
 
+    def test_float32_matrix_is_written_as_its_doubles(self, tmp_path):
+        axis = np.array([0.0, 1.0])
+        matrix = (np.array([[1.0, 3.0], [0.0, 7.0]]) * 1e-9).astype(np.float32)
+        path = tmp_path / "m.csv"
+        fileio.save_magnitude_matrix("time", axis, matrix, str(path))
+        assert path.read_bytes() == _per_entry_text("time", axis, matrix.tolist()).encode()
+
+    def test_exponent_form_peak_memory_is_a_small_share_of_the_matrix(self, tmp_path):
+        axis, matrix = _magnitude_matrix(513)
+        matrix = matrix * 1e-9  # every row but the first is laid out from its digits
+        path = str(tmp_path / "m.csv")
+        fileio.save_magnitude_matrix("time", axis, matrix, path)  # warm the caches
+        tracemalloc.start()
+        try:
+            fileio.save_magnitude_matrix("time", axis, matrix, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.08 * matrix.nbytes
+
 
 class TestFloatFormatting:
     def test_seventeen_digit_round_trip(self, rng):
@@ -314,3 +340,73 @@ class TestFloatFormatting:
             x = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
             assert float(fileio.format_float(x)) == x
 
+
+def _assert_laid_out_as_format_float(values):
+    """``_exponent_row`` of ``values``, padded with as many exponent-form
+    cells so that the row is laid out from its digits, is the per-cell text."""
+    row = np.array([*values, *[1.2345e-9] * len(values)])
+    assert fileio._exponent_row(row) == "".join("," + fileio.format_float(v) for v in row)
+
+
+def _edge_values():
+    values = [1e-270, 1e290, 1e16, 1e17, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 5e-324, 2.5e-310]
+    values += [np.nextafter(x, t) for x in (1e-270, 1e290, 1e16, 1e17) for t in (0.0, np.inf)]
+    for k in range(-300, 301):
+        x = float(f"1e{k}")
+        values += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    values += [2.0**k for k in range(-1074, 1024)]
+    # ties: 17- and 18-digit decimals that end in 5, and dyadic exact ties
+    rng = np.random.default_rng(11)
+    for k in rng.integers(-280, 280, size=300).tolist():
+        values.append(float(f"{rng.integers(10**15, 10**16)}5e{k}"))
+        values.append(float(f"{rng.integers(10**16, 10**17)}5e{k}"))
+    values += [m * 2.0**-j for m in (1, 3, 12345, 2**53 - 1) for j in range(1, 80)]
+    return values
+
+
+class TestExponentRow:
+    def test_edge_values_match_format_float(self):
+        values = _edge_values()
+        _assert_laid_out_as_format_float(values)
+        _assert_laid_out_as_format_float([-v for v in values])
+
+    @hyp.given(st.lists(st.floats() | st.floats(1e-270, 1e-4) | st.floats(-1e290, -1e17),
+                        min_size=1, max_size=40))
+    def test_every_float_matches_format_float(self, values):
+        _assert_laid_out_as_format_float(values)
+
+    def test_powers_of_ten_that_round_up_carry(self):
+        # 10**k rounds to a double below 10**k whose 17 digits round up to
+        # 10**17 at exponent k - 1: certified, and carried to 1e16 at k
+        ks = [-243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220]
+        x = np.array([float(f"1e{k}") for k in ks])
+        d, e, ok = fileio._digits17(x)
+        assert ok.all() and (d == 10**16).all() and e.tolist() == ks
+
+    def test_no_double_below_1e_4_rounds_up_to_it(self):
+        # so the cells chosen by magnitude stay in exponent form: 1e-4 rounds
+        # to a double above it, and the next double down is more than half a
+        # 17th digit (5e-22) below it
+        num, den = (1e-4).as_integer_ratio()
+        assert num * 10**4 > den
+        num, den = np.nextafter(1e-4, 0.0).as_integer_ratio()
+        assert den * 10**18 - num * 10**22 > 5 * den
+
+    def test_rows_of_mostly_fixed_cells_are_left_to_percent(self):
+        assert fileio._exponent_row(np.array([0.0, 0.0, 1e-9])) is None
+        assert fileio._exponent_row(np.array([0.5, 0.25, 1e-9])) is None
+        assert fileio._exponent_row(np.array([0.5, 1e-9])) is not None
+
+
+def test_import_builds_no_table_and_imports_no_extra_module():
+    # the digit tables are built from Python integers on first use, never at import
+    code = (
+        "import sys, biphoton.cli, biphoton.fileio as f; "
+        "print(sorted({'fractions', 'decimal', 'numpy.random'} & set(sys.modules)), "
+        "f._pow10.cache_info().currsize, f._ascii4.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bp.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0 0\n"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton import models
 from biphoton.models import delta_pump_row_factor
+from biphoton.spectrum import _factored_row_sums, _hankel, _squared_pump
 from reference import symmetry_decompose
 
 
@@ -349,3 +351,19 @@ class TestBellSpectrum:
         grid = bp.make_grid(0.0, 8.0, 17)
         with pytest.raises(ValueError, match="outside"):
             bp.bell_antisymmetric_spectrum(-2.0, 11.0, grid)
+
+
+@pytest.mark.parametrize("n", [3, 33, 257, 1025, 4095])
+def test_path_difference_row_norms_from_one_hankel_row(n):
+    # _path_difference takes |x|**2 H[|y|**2] from a one-row Hankel product; it
+    # is row 0 of the three-row product of the scan reduction, bit for bit
+    states = [
+        models._shih_state(bp.ShihModel(center=90.0, sigma=1.0, sigma_p=beta, delta_l=0.0),
+                           bp.make_grid(90.0, 4.5, n))
+        for beta in (0.01, 0.1, 3.0)
+    ]
+    states.append(models._delta_pump_state(1.0, 0.0, bp.make_grid(0.0, 6.0, n)))
+    for state in states:
+        one_row = _hankel(_squared_pump(state), n)((np.conj(state.y) * state.y).real)
+        row_norms = (np.conj(state.x) * state.x).real * one_row
+        assert np.array_equal(row_norms, _factored_row_sums(state)(state.x)[0])
