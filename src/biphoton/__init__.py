@@ -28,7 +28,6 @@ from .models import (
     shih_exact,
     shih_norm_factor,
     shih_reduced,
-    shih_spectrum,
 )
 from .scans import (
     ScanComparison,
@@ -88,7 +87,6 @@ __all__ = [
     "shih_exact",
     "shih_norm_factor",
     "shih_reduced",
-    "shih_spectrum",
     "time_domain",
     "transform",
     "transform_decomposition",

@@ -8,7 +8,10 @@ Four families:
   is the classic dip ``P = (1 - exp(-(sigma*dz/c)**2 / 2)) / 2``.
 * Two-path (Shih-type) pair — the pump-entangled Gaussian pair with the
   port-1 photon split over a short and a long path, giving a
-  ``cos(omega_1 * dl / c)`` modulation.  ``shih_exact`` is its exact
+  ``cos(omega_1 * dl / c)`` modulation.  :class:`ShihModel` is the source,
+  its bandwidths and carrier; the half path difference ``dl`` and the paths
+  are values of a row, taken by the closed forms as arguments and put on a
+  state by :func:`shih_row_factor`.  ``shih_exact`` is its exact
   coincidence probability; ``shih_reduced`` the wide-separation,
   narrow-pump limit.
 * Delta pump — the infinitesimal-pump-bandwidth limit: support exactly on
@@ -42,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -113,21 +116,27 @@ class GaussianPairModel:
 
 @dataclass(frozen=True)
 class ShihModel:
-    """Pump-entangled Gaussian pair with a two-path (short/long) signal arm.
+    """Pump-entangled Gaussian pair of a two-path (short/long) source.
 
-    The signal paths are ``z1 - delta_l`` and ``z1 + delta_l``: ``delta_l``
-    is the half path difference and ``z1`` the mean signal path; ``z2`` is
-    the idler path.  Derived quantities: pump-to-photon bandwidth ratio
-    ``beta = sigma_p / sigma`` and carrier wavelength
-    ``wavelength = 2*pi*c_light/center``.
+    The source is its bandwidths and carrier.  The half path difference
+    ``delta_l`` (signal paths ``z1 -+ delta_l``) and the paths ``z1`` and
+    ``z2`` (idler) are values of a row, not of the model: the closed forms
+    take ``delta_l`` as an argument, and a row's amplitude, up to normalization
+
+        exp(-(w1+w2-2*center)**2 / (2*sigma_p**2))
+        * exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))
+        * exp(i*(w1*z1 + w2*z2)/c) * cos(w1*delta_l/c),
+
+    is the ``delta_l = 0`` state scaled by :func:`shih_row_factor`, with the
+    paths applied by :func:`~biphoton.spectrum.apply_path_delays`.  Derived
+    quantities: pump-to-photon bandwidth ratio ``beta = sigma_p / sigma`` and
+    carrier wavelength ``wavelength = 2*pi*c_light/center``.
     """
 
     center: float
     sigma: float
     sigma_p: float
-    delta_l: float
-    z1: float = 0.0
-    z2: float = 0.0
+    _: KW_ONLY
     c_light: float = 1.0
 
     def __post_init__(self):
@@ -136,7 +145,6 @@ class ShihModel:
         if not (math.isfinite(self.center) and self.center > 0):
             raise ValueError("center must be positive (it sets the carrier wavelength)")
         _check_c_light(self.c_light)
-        _check_paths(self.delta_l, self.z1, self.z2)
 
     @property
     def beta(self) -> float:
@@ -145,16 +153,6 @@ class ShihModel:
     @property
     def wavelength(self) -> float:
         return 2.0 * math.pi * self.c_light / self.center
-
-
-def _check_paths(delta_l: float, z1: float = 0.0, z2: float = 0.0) -> None:
-    if delta_l < 0:
-        raise ValueError(f"delta_l must be >= 0, got {delta_l!r}")
-    if not (math.isfinite(delta_l) and math.isfinite(z1) and math.isfinite(z2)):
-        raise ConfigError(
-            f"paths must be finite (they set the relative delay dz = z1 - z2); "
-            f"got delta_l = {delta_l!r}, z1 = {z1!r}, z2 = {z2!r}"
-        )
 
 
 def _coverage_warnings(grid: FrequencyGrid, center: float, sigma: float) -> tuple[str, ...]:
@@ -229,27 +227,6 @@ def hom_dip_closed(sigma: float, dz: float, c_light: float = 1.0) -> float:
     return 0.5 * (1.0 - math.exp(-0.5 * x * x))
 
 
-def shih_spectrum(m: ShihModel, grid: FrequencyGrid) -> BiphotonSpectrum:
-    """Sample the two-path spectrum on ``grid``.
-
-    Amplitude (up to normalization):
-
-        exp(-(w1+w2-2*center)**2 / (2*sigma_p**2))
-        * exp(-((w1-center)**2 + (w2-center)**2) / (2*sigma**2))
-        * exp(i*(w1*z1 + w2*z2)/c) * cos(w1*delta_l/c)
-
-    Built in factored form (see the module docstring): :func:`_path_difference`
-    scales the rows of the ``delta_l = 0`` state by the cosine, and
-    :func:`~biphoton.spectrum.apply_path_delays` folds the phases of the paths
-    ``m.z1`` and ``m.z2`` into its rows and columns.  At ``delta_l = 0`` without
-    delays it is exactly symmetric.  Raises :class:`DegenerateSpectrumError`
-    when the cosine node wipes out the entire sampled support.
-    """
-    factor = shih_row_factor(grid, m.delta_l, m.c_light)
-    state = _path_difference(_shih_state(m, grid), factor, MIN_MODULATION_WEIGHT)
-    return apply_path_delays(state, m.z1, m.z2, m.c_light).spectrum()
-
-
 def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
     pump = _pump(grid, m.center, m.sigma_p)
     a = _gaussian(grid.offsets() + (grid.center - m.center), m.sigma)
@@ -275,8 +252,9 @@ def shih_row_factor(
     """Row factor ``cos(omega_i * delta_l / c)`` of the ``delta_l = 0`` spectrum, as
     plane waves ``(a, b, tau)`` in ``nu = omega - grid.center`` (see
     :func:`~biphoton.spectrum.exchange_sweep`): ``a = exp(i grid.center tau) / 2 = conj(b)``.
-    ``delta_l`` is checked as :class:`ShihModel` checks it."""
-    _check_paths(delta_l)
+    Raises ``ValueError`` for a negative ``delta_l``."""
+    if delta_l < 0:
+        raise ValueError(f"delta_l must be >= 0, got {delta_l!r}")
     tau = delta_l / c_light
     if not math.isfinite((abs(grid.center) + grid.half_span) * tau):
         raise ConfigError(
@@ -292,7 +270,7 @@ def _beta_ratio(m: ShihModel) -> float:
     return beta2 / (2.0 + beta2) if beta2 < math.inf else 1.0
 
 
-def shih_norm_factor(m: ShihModel, delta_l: float | None = None) -> float:
+def shih_norm_factor(m: ShihModel, delta_l: float) -> float:
     """Mean squared path modulation ``B`` under the Gaussian envelope.
 
     ``B = (1 + cos(4*pi*delta_l/lambda) * exp(-((1+beta^2)/(2+beta^2)) * (sigma*delta_l/c)**2)) / 2``.
@@ -300,17 +278,14 @@ def shih_norm_factor(m: ShihModel, delta_l: float | None = None) -> float:
     It equals the squared norm of the two-path spectrum relative to the
     unmodulated envelope, is 1 at ``delta_l = 0`` and tends to 1/2 once the
     path difference far exceeds the single-photon coherence length.
-    ``delta_l`` replaces ``m.delta_l`` when given, as for every closed form
-    below: a scan of ``delta_l`` takes each row's from one model.
     """
-    dl = m.delta_l if delta_l is None else delta_l
-    xl = m.sigma * dl / m.c_light
-    phase = 4.0 * math.pi * dl / m.wavelength
+    xl = m.sigma * delta_l / m.c_light
+    phase = 4.0 * math.pi * delta_l / m.wavelength
     # (1 + beta^2) / (2 + beta^2) = (1 + r) / 2
     return 0.5 * (1.0 + math.cos(phase) * math.exp(-0.5 * (1.0 + _beta_ratio(m)) * xl * xl))
 
 
-def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
+def shih_exact(m: ShihModel, dz: float, delta_l: float) -> float:
     """Exact balanced-splitter coincidence of the two-path spectrum.
 
     ``dz`` re-parameterizes the signal/idler path mismatch ``z1 - z2``.
@@ -320,27 +295,26 @@ def shih_exact(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
     with ``B`` from :func:`shih_norm_factor`, clamped to ``[0, 1]`` as the numeric
     weight is: near a zero, rounding can leave it just outside.
     """
-    dl = m.delta_l if delta_l is None else delta_l
-    b = shih_norm_factor(m, dl)
+    b = shih_norm_factor(m, delta_l)
     if abs(b) < 1e-15:
         raise DegenerateSpectrumError(
             "degenerate spectrum: normalization factor vanishes (path modulation "
             "annihilates the state)"
         )
     s_over_c = m.sigma / m.c_light
-    phase = 4.0 * math.pi * dl / m.wavelength
+    phase = 4.0 * math.pi * delta_l / m.wavelength
     # products, not ** 2, so that a square past the float range is inf and
     # its exp(-inf) an exact 0
     t_pump = math.cos(phase) * math.exp(
-        -0.5 * (_beta_ratio(m) * dl * dl + dz * dz) * (s_over_c * s_over_c)
+        -0.5 * (_beta_ratio(m) * delta_l * delta_l + dz * dz) * (s_over_c * s_over_c)
     )
-    plus, minus = (dl + dz) * s_over_c, (dl - dz) * s_over_c
+    plus, minus = (delta_l + dz) * s_over_c, (delta_l - dz) * s_over_c
     t_plus = 0.5 * math.exp(-0.5 * (plus * plus))
     t_minus = 0.5 * math.exp(-0.5 * (minus * minus))
     return min(max(0.5 * (1.0 - (t_pump + t_plus + t_minus) / (2.0 * b)), 0.0), 1.0)
 
 
-def shih_reduced(m: ShihModel, dz: float, delta_l: float | None = None) -> float:
+def shih_reduced(m: ShihModel, dz: float, delta_l: float) -> float:
     """Limit form of :func:`shih_exact` for ``delta_l >> c/sigma`` and ``beta << 1``.
 
     ``P = (1 - cos(4*pi*delta_l/lambda) * exp(-(sigma*dz/c)^2/2)
@@ -349,23 +323,22 @@ def shih_reduced(m: ShihModel, dz: float, delta_l: float | None = None) -> float
     The regime is not enforced, and outside it the value can leave ``[0, 1]``:
     at ``delta_l = 0`` it is ``1/2 - exp(-(sigma*dz/c)^2/2)``, -1/2 at ``dz = 0``.
     """
-    dl = m.delta_l if delta_l is None else delta_l
     s_over_c = m.sigma / m.c_light
-    phase = 4.0 * math.pi * dl / m.wavelength
-    x, plus, minus = dz * s_over_c, (dl + dz) * s_over_c, (dl - dz) * s_over_c
+    phase = 4.0 * math.pi * delta_l / m.wavelength
+    x, plus, minus = dz * s_over_c, (delta_l + dz) * s_over_c, (delta_l - dz) * s_over_c
     t_pump = math.cos(phase) * math.exp(-0.5 * (x * x))
     t_plus = 0.5 * math.exp(-0.5 * (plus * plus))
     t_minus = 0.5 * math.exp(-0.5 * (minus * minus))
     return 0.5 * (1.0 - t_pump - t_plus - t_minus)
 
 
-def _shih_regime(m: ShihModel, delta_l: float | None = None) -> dict[str, float]:
+def _shih_regime(m: ShihModel, delta_l: float) -> dict[str, float]:
     """The numbers that place the reduced form in or out of its regime."""
-    xl = m.sigma * (m.delta_l if delta_l is None else delta_l) / m.c_light
+    xl = m.sigma * delta_l / m.c_light
     return {"sigma_dl_over_c": xl, "beta": m.beta, "beta_sigma_dl_over_c": m.beta * xl}
 
 
-def shih_regime_notes(m: ShihModel, delta_l: float | None = None) -> tuple[str, ...]:
+def shih_regime_notes(m: ShihModel, delta_l: float) -> tuple[str, ...]:
     """Advisory notes when the reduced form is used outside its regime."""
     regime = _shih_regime(m, delta_l)
     xl, beta_xl = regime["sigma_dl_over_c"], regime["beta_sigma_dl_over_c"]

@@ -132,19 +132,10 @@ def _bell_grid(row: dict[str, Any], n_points: int, span_mult: float) -> Frequenc
 
 
 def _shih_model(row: dict[str, Any]) -> ShihModel:
-    """Two-path model of ``row`` without paths or path difference.
-
-    Scans and input states take the paths from ``_path_delays`` and ``dl``
-    from the row; the base, the closed forms and the row factors use this
-    model, built once per row.
-    """
-    return ShihModel(
-        center=row["center"],
-        sigma=row["sigma"],
-        sigma_p=row["sigma_p"],
-        delta_l=0.0,
-        c_light=row["c_light"],
-    )
+    """The two-path source of ``row``, built once per row for its base, closed
+    forms and row factors, which take ``dl`` from the row; the paths come from
+    ``_path_delays``."""
+    return ShihModel(row["center"], row["sigma"], row["sigma_p"], c_light=row["c_light"])
 
 
 def _shih_metadata(m: ShihModel, dl: float) -> dict[str, Any]:
@@ -343,8 +334,9 @@ def _row(spec: ScanSpec, value: float) -> dict[str, Any]:
 
 
 def _check_row(row: ScanRow) -> None:
-    # p_reduced is exempt: the limit form may leave [0, 1] outside its
-    # regime, which is advisory rather than an error.
+    # p_reduced is exempt: the limit form may leave [0, 1] outside its regime,
+    # which a scan reports in its metadata (regime_notes and the numbers behind
+    # them, sigma_dl_over_c, beta and beta_sigma_dl_over_c) rather than refuse.
     for name in ("p_numeric", "p_closed"):
         p = getattr(row, name)
         if p is None:

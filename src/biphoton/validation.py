@@ -242,10 +242,8 @@ def criterion_6() -> CriterionResult:
             center = 100.0 if x_dl == 0.0 else _SHIH_PARITY_K[x_dl] * math.pi / (2.0 * x_dl)
             result = run_scan(_shih_scan(beta, x_dl, center, n_points, span))
             worst = max(worst, compare_methods(result).max_abs_dev)
-        m20 = ShihModel(
-            center=_SHIH_PARITY_K[20.0] * math.pi / 40.0, sigma=1.0, sigma_p=beta, delta_l=20.0
-        )
-        worst_b = max(worst_b, abs(shih_norm_factor(m20) - 0.5))
+        m20 = ShihModel(center=_SHIH_PARITY_K[20.0] * math.pi / 40.0, sigma=1.0, sigma_p=beta)
+        worst_b = max(worst_b, abs(shih_norm_factor(m20, 20.0) - 0.5))
     m = {"max_abs_dev": worst, "b_half_dev": worst_b}
     passed = worst < 1e-3 and worst_b < 1e-10
     detail = (

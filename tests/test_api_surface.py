@@ -5,7 +5,10 @@ import ast
 import dataclasses
 import inspect
 import tomllib
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import biphoton as bp
 from biphoton import scans
@@ -23,13 +26,14 @@ REMOVED = [
     "exchange_overlap",
     "from_function",
     "resolve_grid",
+    "shih_spectrum",
     "swap",
     "symmetry_decompose",
 ]
 
 
 def test_exports_are_few_and_resolve():
-    assert len(bp.__all__) <= 40
+    assert len(bp.__all__) <= 39
     assert len(set(bp.__all__)) == len(bp.__all__)
     for name in bp.__all__:
         assert getattr(bp, name) is not None, name
@@ -42,6 +46,18 @@ def test_removed_names_are_gone():
     assert not hasattr(bp.ShihModel, "from_path_difference")
     assert "in_place" not in inspect.signature(bp.BiphotonSpectrum._normalized).parameters
     assert not hasattr(bp.ScanSpec, "resolved_evaluation")
+
+
+def test_shih_model_is_the_source_only():
+    # the half path difference and the paths are row values: the closed forms
+    # take delta_l, and an old positional delta_l cannot become c_light
+    fields = dataclasses.fields(bp.ShihModel)
+    assert [f.name for f in fields] == ["center", "sigma", "sigma_p", "c_light"]
+    assert [f.name for f in fields if f.kw_only] == ["c_light"]
+    with pytest.raises(TypeError):
+        bp.ShihModel(90.0, 1.0, 0.1, 20.0)
+    with pytest.raises(TypeError):
+        bp.shih_exact(bp.ShihModel(90.0, 1.0, 0.1), 0.0)
 
 
 def test_scan_spec_fields():
@@ -80,20 +96,13 @@ def _script_names() -> set[str]:
     return {target.rpartition(":")[2] for target in scripts.values()}
 
 
-def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names read or assigned in ``tree``, outside the subtree ``skip``."""
-    names = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
+def _name_counts(tree: ast.AST) -> Counter:
+    """How often each name is read or assigned in ``tree``, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 def _top_level_names(node: ast.stmt) -> list[str]:
@@ -104,21 +113,41 @@ def _top_level_names(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _unused_definitions(trees: dict[str, ast.Module], allowed: set[str]) -> list[str]:
+    """``module:name`` of every top-level definition in ``trees``, other than
+    the ``allowed`` names, that no tree names outside the definition itself."""
+    total = Counter()
+    for tree in trees.values():
+        total.update(_name_counts(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            names = [name for name in _top_level_names(node) if name not in allowed]
+            own = _name_counts(node) if names else Counter()
+            unused += [f"{module}:{name}" for name in names if total[name] == own[name]]
+    return unused
+
+
 def test_every_public_definition_is_used():
     # a top-level def, class or constant, private ones included, must be
     # exported, used elsewhere in src, or be a console script; imports and
     # docstrings do not count
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     allowed = set(bp.__all__) | _script_names() | {"__all__", "__version__"}
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            for name in _top_level_names(node):
-                if name in allowed:
-                    continue
-                if not any(name in _used_names(t, skip=node) for t in trees.values()):
-                    unused.append(f"{module}:{name}")
-    assert unused == []
+    assert _unused_definitions(trees, allowed) == []
+
+
+def test_an_unused_definition_is_flagged():
+    # a def named only inside itself, beside a def and a constant used elsewhere
+    trees = {
+        "lib.py": ast.parse(
+            "LIMIT = 3\n"
+            "def used(x):\n    return min(x, LIMIT)\n"
+            "def unused(n):\n    return unused(n - 1) if n else 0\n"
+        ),
+        "main.py": ast.parse("from lib import used\nprint(used(4))\n"),
+    }
+    assert _unused_definitions(trees, set()) == ["lib.py:unused"]
 
 
 def _frequency_readers(node: ast.AST, owner: str, found: set[str]) -> set[str]:

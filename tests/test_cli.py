@@ -616,8 +616,7 @@ class TestShihScanPath:
                      "-o", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: paths must be finite (they set the relative delay dz = z1 - z2); "
-            "got delta_l = inf, z1 = 0.0, z2 = 0.0\n"
+            "error: half path difference dl = inf must give a finite phase omega*dl/c\n"
         )
 
 

@@ -103,7 +103,7 @@ class TestFastPathAgainstPerRowOracle:
         ],
     )
     def test_shih_scans(self, n, beta, x_dl, parity_k, z1, half_range, steps):
-        # the per-row oracle bakes the delay into the model, z2 = z1 - dz
+        # the per-row oracle builds each row's state with its delay, z2 = z1 - dz
         center = parity_k * math.pi / (2.0 * x_dl)
         fixed = {"center": center, "sigma": 1.0, "sigma_p": beta, "delta_l": x_dl, "z1": z1}
         spec = bp.ScanSpec(
@@ -111,16 +111,7 @@ class TestFastPathAgainstPerRowOracle:
             fixed=fixed, grid_points=n, grid_span_sigmas=4.5,
         )
         result = bp.run_scan(spec)
-        grid = MODELS["shih"].grid(model_params("shih", fixed), n, 4.5)
-        delayed = (
-            bp.shih_spectrum(
-                bp.ShihModel(
-                    center=center, sigma=1.0, sigma_p=beta, delta_l=x_dl, z1=z1, z2=z1 - dz
-                ),
-                grid,
-            )
-            for dz in spec.values()
-        )
+        delayed = (delayed_spectrum("shih", {**fixed, "dz": dz}, n, 4.5) for dz in spec.values())
         assert_rows_match_oracle(result, delayed)
         assert_single_points_match(spec, result, stride=3)
 

@@ -11,7 +11,7 @@ import biphoton as bp
 from biphoton.beamsplitter import exchange_report
 from biphoton.scans import MODELS, _delayed_state, model_params
 from biphoton.spectrum import exchange_sweep
-from reference import symmetry_decompose
+from reference import delayed_spectrum, symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -22,26 +22,25 @@ def oracle(s):
     return bp.coincidence_probability(s, BALANCED), symmetry_decompose(s).w_antisym
 
 
-def shih_row_spectrum(fixed, grid, dl):
-    z1 = fixed.get("z1", 0.0)
-    m = bp.ShihModel(
-        center=fixed["center"], sigma=fixed.get("sigma", 1.0), sigma_p=fixed["sigma_p"],
-        delta_l=dl, z1=z1, z2=z1 - fixed.get("dz", 0.0), c_light=fixed.get("c_light", 1.0),
+def shih_row_spectrum(spec, dl):
+    # the row's state with dl as a fixed path difference
+    fixed = {**spec.fixed, "delta_l": dl}
+    return delayed_spectrum("shih", fixed, spec.grid_points, spec.grid_span_sigmas)
+
+
+def delta_row_spectrum(spec, dl):
+    fixed = spec.fixed
+    grid = MODELS[spec.model].grid(
+        model_params(spec.model, fixed), spec.grid_points, spec.grid_span_sigmas
     )
-    return bp.shih_spectrum(m, grid)
-
-
-def delta_row_spectrum(fixed, grid, dl):
     return bp.delta_pump_spectrum(
         fixed["sigma"], fixed["center"], dl, fixed["parity"], grid, fixed.get("c_light", 1.0)
     )
 
 
 def assert_rows_match_oracle(spec, result, row_spectrum):
-    params = model_params(spec.model, spec.fixed)
-    grid = MODELS[spec.model].grid(params, spec.grid_points, spec.grid_span_sigmas)
     for row in result.rows:
-        p, w = oracle(row_spectrum(spec.fixed, grid, row.param))
+        p, w = oracle(row_spectrum(spec, row.param))
         assert abs(row.p_numeric - p) <= TOL, row.param
         if spec.include_w_antisym:
             assert abs(row.w_antisym - w) <= TOL, row.param
@@ -139,11 +138,7 @@ class TestDlErrorsAtTheSameRow:
             model="shih", swept="dl", start=0.5, stop=1.0, n_steps=2, fixed=fixed,
             grid_points=3, grid_span_sigmas=math.pi,
         )
-        grid = bp.make_grid(1.5 * math.pi, math.pi, 3)
-        # refused as a fixed dl, by the public builder and as an input state,
-        # and as a swept row
-        with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
-            shih_row_spectrum(fixed, grid, 1.0)
+        # refused as a fixed dl, as an input state, and as a swept row
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
             _delayed_state("shih", {**model_params("shih", fixed), "delta_l": 1.0}, 3, math.pi)
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
@@ -151,7 +146,7 @@ class TestDlErrorsAtTheSameRow:
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
             bp.evaluate_scan_point(spec, 1.0)
         row = bp.evaluate_scan_point(spec, 0.5)
-        assert abs(row.p_numeric - oracle(shih_row_spectrum(fixed, grid, 0.5))[0]) <= TOL
+        assert abs(row.p_numeric - oracle(shih_row_spectrum(spec, 0.5))[0]) <= TOL
 
     def test_odd_delta_pump_at_zero_dl_is_degenerate(self):
         fixed = {"sigma": 1.0, "center": 0.0, "parity": "odd"}
@@ -159,10 +154,9 @@ class TestDlErrorsAtTheSameRow:
             model="delta_pump", swept="dl", start=0.0, stop=1.0, n_steps=3, fixed=fixed,
             grid_points=65,
         )
-        grid = bp.make_grid(0.0, 6.0, 65)
         # sin(nu * 0) wipes the envelope out, a node as any other
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
-            delta_row_spectrum(fixed, grid, 0.0)
+            delta_row_spectrum(spec, 0.0)
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
             bp.run_scan(spec)
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
@@ -278,10 +272,8 @@ class TestScanMetadata:
             fixed=shih_fixed(delta_l=2.0), grid_points=129, grid_span_sigmas=4.5,
         )
         notes = bp.run_scan(spec).metadata["regime_notes"]
-        m = bp.ShihModel(
-            center=319.0 * math.pi / 10.0, sigma=1.0, sigma_p=0.1, delta_l=2.0
-        )
-        assert notes == list(bp.models.shih_regime_notes(m))
+        m = bp.ShihModel(center=319.0 * math.pi / 10.0, sigma=1.0, sigma_p=0.1)
+        assert notes == list(bp.models.shih_regime_notes(m, 2.0))
         assert notes and "delta_l" in notes[0]
 
     def test_dl_sweep_regime_notes_per_row(self):
@@ -296,11 +288,9 @@ class TestScanMetadata:
         assert result.metadata["sigma_dl_over_c"] == [row.param for row in result.rows]
         assert result.metadata["beta"] == [0.1] * 5
         assert result.metadata["beta_sigma_dl_over_c"] == [0.1 * row.param for row in result.rows]
+        m = bp.ShihModel(center=319.0 * math.pi / 10.0, sigma=1.0, sigma_p=0.1)
         for row, row_notes in zip(result.rows, notes):
-            m = bp.ShihModel(
-                center=319.0 * math.pi / 10.0, sigma=1.0, sigma_p=0.1, delta_l=row.param
-            )
-            assert row_notes == list(bp.models.shih_regime_notes(m))
+            assert row_notes == list(bp.models.shih_regime_notes(m, row.param))
         # sigma*delta_l/c = 9 is past its threshold 5, while beta*sigma*delta_l/c = 0.9 is flagged
         assert notes[0] and not any(
             note.startswith("reduced form assumes sigma*delta_l/c") for note in notes[-1]

@@ -234,14 +234,12 @@ class TestFixedZ2:
             assert abs(a.p_reduced - b.p_reduced) <= TOL
 
     def test_z2_rows_match_the_per_row_oracle(self):
-        grid = MODELS["shih"].grid(model_params("shih", {"center": 20.0, "sigma_p": 0.1}), 65, 6.0)
+        m = bp.ShihModel(center=20.0, sigma=1.0, sigma_p=0.1)
         for row in shih_dl_rows(z1=1.0, z2=-2.0):
-            m = bp.ShihModel(
-                center=20.0, sigma=1.0, sigma_p=0.1, delta_l=row.param, z1=1.0, z2=-2.0
-            )
-            p = bp.coincidence_probability(bp.shih_spectrum(m, grid), BALANCED)
+            fixed = {"center": 20.0, "sigma_p": 0.1, "delta_l": row.param, "z1": 1.0, "z2": -2.0}
+            p = bp.coincidence_probability(delayed_spectrum("shih", fixed, 65, 6.0), BALANCED)
             assert abs(row.p_numeric - p) <= TOL
-            assert abs(row.p_closed - bp.shih_exact(m, 3.0)) <= TOL
+            assert abs(row.p_closed - bp.shih_exact(m, 3.0, row.param)) <= TOL
 
     def test_dl_alias_reach_reads_z2(self):
         # n = 257 on 4.5 sigma: half period 89.36; |z1 - z2| = 80 plus dl = 10

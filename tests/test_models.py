@@ -5,9 +5,9 @@ import pytest
 
 import biphoton as bp
 from biphoton import models
-from biphoton.models import delta_pump_row_factor
+from biphoton.models import delta_pump_row_factor, shih_row_factor
 from biphoton.spectrum import _factored_row_sums, _hankel, _squared_pump
-from reference import symmetry_decompose
+from reference import delayed_spectrum, symmetry_decompose
 
 
 def _series_exp(x: float, terms: int = 40) -> float:
@@ -79,10 +79,14 @@ class TestHomDipClosed:
         assert bp.hom_dip_closed(1.0, 0.7) == bp.hom_dip_closed(1.0, -0.7)
 
 
-def _shih(center, beta, delta_l, dz=0.0, sigma=1.0):
-    return bp.ShihModel(
-        center=center, sigma=sigma, sigma_p=beta * sigma, delta_l=delta_l, z1=0.0, z2=-dz
-    )
+def _shih(center, beta):
+    return bp.ShihModel(center=center, sigma=1.0, sigma_p=beta)
+
+
+def _shih_spectrum(center, beta, delta_l, n, span, dz=0.0):
+    # the row's state as scans build it: grid center at the carrier, half span span * sigma
+    row = {"center": center, "sigma_p": beta, "delta_l": delta_l, "dz": dz}
+    return delayed_spectrum("shih", row, n, span)
 
 
 def _odd_center(x_dl: float, k: int) -> float:
@@ -93,68 +97,59 @@ def _odd_center(x_dl: float, k: int) -> float:
 class TestShihSpectrum:
     def test_zero_path_difference_reduces_to_gaussian_pair(self):
         grid = bp.make_grid(100.0, 5.0, 65)
-        m = _shih(center=100.0, beta=0.5, delta_l=0.0)
         pair = bp.gaussian_pair_spectrum(
             bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.5), grid
         )
         np.testing.assert_allclose(
-            bp.shih_spectrum(m, grid).amplitudes, pair.amplitudes, atol=1e-15
+            _shih_spectrum(100.0, 0.5, 0.0, 65, 5.0).amplitudes, pair.amplitudes, atol=1e-15
         )
 
     def test_mismatched_paths_equal_delayed_pair(self):
         grid = bp.make_grid(100.0, 5.0, 65)
-        m = _shih(center=100.0, beta=0.5, delta_l=0.0, dz=0.8)
         pair = bp.gaussian_pair_spectrum(
             bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.5), grid
         )
-        delayed = bp.apply_path_delays(pair, m.z1, m.z2)
+        delayed = bp.apply_path_delays(pair, 0.0, -0.8)
         np.testing.assert_allclose(
-            bp.shih_spectrum(m, grid).amplitudes, delayed.amplitudes, atol=1e-15
+            _shih_spectrum(100.0, 0.5, 0.0, 65, 5.0, dz=0.8).amplitudes,
+            delayed.amplitudes,
+            atol=1e-15,
         )
 
     def test_odd_parity_long_paths_anticoalesce(self, balanced):
-        grid = bp.make_grid(_odd_center(5.0, 319), 4.5, 257)
-        m = _shih(center=_odd_center(5.0, 319), beta=0.1, delta_l=5.0)
-        s = bp.shih_spectrum(m, grid)
+        s = _shih_spectrum(_odd_center(5.0, 319), 0.1, 5.0, 257, 4.5)
         assert bp.coincidence_probability(s, balanced) > 0.9
 
     def test_modulation_node_alignment_is_degenerate(self):
         # all three grid points sit on zeros of cos(omega * dl / c)
-        grid = bp.make_grid(1.5 * math.pi, math.pi, 3)
-        m = _shih(center=1.5 * math.pi, beta=0.5, delta_l=1.0)
         with pytest.raises(bp.DegenerateSpectrumError):
-            bp.shih_spectrum(m, grid)
+            _shih_spectrum(1.5 * math.pi, 0.5, 1.0, 3, math.pi)
 
     def test_derived_quantities(self):
-        m = bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, delta_l=2.0, z1=4.0, z2=1.0)
+        m = bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25)
         assert m.beta == 0.25
         assert abs(m.wavelength - 2.0 * math.pi / 10.0) < 1e-15
-
-    def test_paths_are_stored_as_given(self):
-        # bit for bit, not rebuilt from the two signal paths
-        m = bp.ShihModel(90.0, 1.0, 0.01, 20.0, z1=1e-3, z2=-0.3)
-        assert (m.delta_l, m.z1, m.z2) == (20.0, 1e-3, -0.3)
 
     def test_swapped_paths_rejected(self):
         # a short path longer than the long one is a negative half difference
         with pytest.raises(ValueError, match="delta_l"):
-            bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, delta_l=-2.0, z1=4.0)
+            shih_row_factor(bp.make_grid(10.0, 6.0, 17), -2.0)
 
     @pytest.mark.parametrize("delta_l", [math.inf, math.nan])
     def test_non_finite_path_difference_rejected(self, delta_l):
         # non-finite z1 and z2: tests/test_sampling.py
-        with pytest.raises(bp.ConfigError, match="dz"):
-            bp.ShihModel(center=10.0, sigma=1.0, sigma_p=0.25, delta_l=delta_l)
+        with pytest.raises(bp.ConfigError, match="finite phase"):
+            shih_row_factor(bp.make_grid(10.0, 6.0, 17), delta_l)
 
 
 class TestShihNormFactor:
     def test_unity_at_zero_path_difference(self):
-        assert bp.shih_norm_factor(_shih(center=100.0, beta=0.1, delta_l=0.0)) == 1.0
+        assert bp.shih_norm_factor(_shih(center=100.0, beta=0.1), 0.0) == 1.0
 
     def test_half_limit_for_long_paths(self):
         for beta in (0.01, 0.1):
-            m = _shih(center=_odd_center(20.0, 1273), beta=beta, delta_l=20.0)
-            assert abs(bp.shih_norm_factor(m) - 0.5) < 1e-10
+            m = _shih(center=_odd_center(20.0, 1273), beta=beta)
+            assert abs(bp.shih_norm_factor(m, 20.0) - 0.5) < 1e-10
 
     @pytest.mark.parametrize("beta,x_dl,k", [(0.5, 1.0, 63), (0.1, 2.0, 127), (0.5, 1.0, 64)])
     def test_matches_numeric_norm_ratio(self, beta, x_dl, k):
@@ -171,51 +166,51 @@ class TestShihNormFactor:
         numeric = float(
             np.sum(envelope_sq * np.cos(w1 * x_dl) ** 2) / np.sum(envelope_sq)
         )
-        m = _shih(center=center, beta=beta, delta_l=x_dl)
-        assert abs(bp.shih_norm_factor(m) - numeric) < 1e-8
+        m = _shih(center=center, beta=beta)
+        assert abs(bp.shih_norm_factor(m, x_dl) - numeric) < 1e-8
 
 
 class TestShihExact:
     def test_collapsed_paths_give_plain_dip_zero(self):
-        assert bp.shih_exact(_shih(center=100.0, beta=0.1, delta_l=0.0), 0.0) == 0.0
+        assert bp.shih_exact(_shih(center=100.0, beta=0.1), 0.0, 0.0) == 0.0
 
     def test_collapsed_paths_match_dip_curve(self):
-        m = _shih(center=100.0, beta=0.1, delta_l=0.0)
+        m = _shih(center=100.0, beta=0.1)
         for dz in (0.0, 0.5, 1.0, 2.5):
-            assert abs(bp.shih_exact(m, dz) - bp.hom_dip_closed(1.0, dz)) < 1e-14
+            assert abs(bp.shih_exact(m, dz, 0.0) - bp.hom_dip_closed(1.0, dz)) < 1e-14
 
     @pytest.mark.parametrize("beta,x_dl,k", [(0.1, 1.0, 63), (0.1, 5.0, 319), (0.5, 2.0, 127)])
     def test_against_grid_quadrature(self, beta, x_dl, k, balanced):
         center = k * math.pi / (2.0 * x_dl)
-        grid = bp.make_grid(center, 4.5, 257)
+        m = _shih(center=center, beta=beta)
         worst = 0.0
         for dz in np.linspace(-8.0, 8.0, 9):
-            m = _shih(center=center, beta=beta, delta_l=x_dl, dz=dz)
-            p_num = bp.coincidence_probability(bp.shih_spectrum(m, grid), balanced)
-            worst = max(worst, abs(p_num - bp.shih_exact(m, dz)))
+            s = _shih_spectrum(center, beta, x_dl, 257, 4.5, dz=dz)
+            p_num = bp.coincidence_probability(s, balanced)
+            worst = max(worst, abs(p_num - bp.shih_exact(m, dz, x_dl)))
         assert worst < 1e-6
 
     def test_vanishing_norm_factor_guarded(self):
-        m = _shih(center=_odd_center(1e-9, 1), beta=0.1, delta_l=1e-9)
-        assert bp.shih_norm_factor(m) < 1e-15
+        m = _shih(center=_odd_center(1e-9, 1), beta=0.1)
+        assert bp.shih_norm_factor(m, 1e-9) < 1e-15
         with pytest.raises(bp.DegenerateSpectrumError):
-            bp.shih_exact(m, 0.0)
+            bp.shih_exact(m, 0.0, 1e-9)
 
 
 class TestShihReduced:
     def test_odd_parity_peak_reaches_unity(self):
-        m = _shih(center=_odd_center(20.0, 1001), beta=0.01, delta_l=20.0)
-        assert abs(bp.shih_reduced(m, 0.0) - 1.0) < 1e-10
+        m = _shih(center=_odd_center(20.0, 1001), beta=0.01)
+        assert abs(bp.shih_reduced(m, 0.0, 20.0) - 1.0) < 1e-10
 
     def test_even_parity_gives_dip_zero(self):
-        m = _shih(center=_odd_center(20.0, 1000), beta=0.01, delta_l=20.0)
-        assert abs(bp.shih_reduced(m, 0.0)) < 1e-10
+        m = _shih(center=_odd_center(20.0, 1000), beta=0.01)
+        assert abs(bp.shih_reduced(m, 0.0, 20.0)) < 1e-10
 
     def test_agrees_with_exact_deep_in_regime(self):
         # beta small enough that the dropped pump-width correction is < 1e-3
-        m = _shih(center=_odd_center(20.0, 1001), beta=0.001, delta_l=20.0)
+        m = _shih(center=_odd_center(20.0, 1001), beta=0.001)
         worst = max(
-            abs(bp.shih_exact(m, dz) - bp.shih_reduced(m, dz))
+            abs(bp.shih_exact(m, dz, 20.0) - bp.shih_reduced(m, dz, 20.0))
             for dz in np.linspace(-30.0, 30.0, 61)
         )
         assert worst < 1e-3
@@ -223,18 +218,17 @@ class TestShihReduced:
     def test_gap_at_moderate_beta_matches_prediction(self):
         # the reduced form omits exp(-beta^2/(2+beta^2) * (sigma*dl/c)^2 / 2)
         # in the pump term; at beta=0.01, sigma*dl/c=20 that costs ~5e-3
-        m = _shih(center=_odd_center(20.0, 1001), beta=0.01, delta_l=20.0)
-        gap = abs(bp.shih_exact(m, 0.0) - bp.shih_reduced(m, 0.0))
-        b = bp.shih_norm_factor(m)
+        m = _shih(center=_odd_center(20.0, 1001), beta=0.01)
+        gap = abs(bp.shih_exact(m, 0.0, 20.0) - bp.shih_reduced(m, 0.0, 20.0))
+        b = bp.shih_norm_factor(m, 20.0)
         predicted = 0.5 * (1.0 - math.exp(-0.5 * (0.01**2 / 2.0001) * 400.0) / (2.0 * b))
         assert abs(gap - predicted) < 1e-12
         assert 4.9e-3 < gap < 5.0e-3
 
     def test_regime_notes(self):
-        assert bp.models.shih_regime_notes(_shih(center=100.0, beta=0.5, delta_l=1.0))
-        assert not bp.models.shih_regime_notes(
-            _shih(center=_odd_center(20.0, 1001), beta=0.01, delta_l=20.0)
-        )
+        assert bp.models.shih_regime_notes(_shih(center=100.0, beta=0.5), 1.0)
+        m = _shih(center=_odd_center(20.0, 1001), beta=0.01)
+        assert not bp.models.shih_regime_notes(m, 20.0)
 
     @pytest.mark.parametrize(
         "beta, x_dl, noted",
@@ -252,11 +246,11 @@ class TestShihReduced:
     def test_pump_width_note_bounds_the_gap(self, beta, x_dl, noted):
         # the omitted pump-width factor is noted past beta*sigma*dl/c = 0.5, where it
         # moves the reduced form by just over 0.03; 0.1 * 5 sits on the limit itself
-        m = _shih(center=_odd_center(x_dl, 1001), beta=beta, delta_l=x_dl)
-        notes = bp.models.shih_regime_notes(m)
+        m = _shih(center=_odd_center(x_dl, 1001), beta=beta)
+        notes = bp.models.shih_regime_notes(m, x_dl)
         assert any(note.startswith("reduced form assumes beta*sigma") for note in notes) == noted
         gap = max(
-            abs(bp.shih_exact(m, dz) - bp.shih_reduced(m, dz))
+            abs(bp.shih_exact(m, dz, x_dl) - bp.shih_reduced(m, dz, x_dl))
             for dz in np.linspace(-3.0 * x_dl, 3.0 * x_dl, 601)
         )
         assert (gap > 0.0303) == noted
@@ -358,7 +352,7 @@ def test_path_difference_row_norms_from_one_hankel_row(n):
     # _path_difference takes |x|**2 H[|y|**2] from a one-row Hankel product; it
     # is row 0 of the three-row product of the scan reduction, bit for bit
     states = [
-        models._shih_state(bp.ShihModel(center=90.0, sigma=1.0, sigma_p=beta, delta_l=0.0),
+        models._shih_state(bp.ShihModel(center=90.0, sigma=1.0, sigma_p=beta),
                            bp.make_grid(90.0, 4.5, n))
         for beta in (0.01, 0.1, 3.0)
     ]

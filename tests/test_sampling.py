@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.models import _gaussian_pair_state, delta_pump_row_factor, shih_row_factor
+from biphoton.models import (
+    _gaussian_pair_state,
+    _shih_state,
+    delta_pump_row_factor,
+    shih_row_factor,
+)
 from biphoton.spectrum import (
     _SWEEP_CANCELLATION,
     _factored_sums,
@@ -48,15 +53,17 @@ def _mesh_gaussian_pair(
     return bp.BiphotonSpectrum.from_array(grid, raw * _mesh_phases(grid, nu1, nu2, z1, z2))
 
 
-def _mesh_shih(m: bp.ShihModel, grid: bp.FrequencyGrid) -> bp.BiphotonSpectrum:
+def _mesh_shih(
+    m: bp.ShihModel, grid: bp.FrequencyGrid, delta_l: float, z1: float, z2: float
+) -> bp.BiphotonSpectrum:
     """The two-path spectrum evaluated cell by cell on two meshgrids of offsets."""
     d1, d2, nu1, nu2 = _mesh_detunings(grid, m.center)
     envelope = np.exp(
         -((d1 + d2) ** 2) / (2.0 * m.sigma_p**2) - (d1**2 + d2**2) / (2.0 * m.sigma**2)
     )
     # cos(omega_1 dl / c)
-    raw = envelope * _carrier_wave(grid, nu1, m.delta_l / m.c_light).real
-    raw = raw * _mesh_phases(grid, nu1, nu2, m.z1, m.z2, m.c_light)
+    raw = envelope * _carrier_wave(grid, nu1, delta_l / m.c_light).real
+    raw = raw * _mesh_phases(grid, nu1, nu2, z1, z2, m.c_light)
     return bp.BiphotonSpectrum.from_array(grid, raw)
 
 
@@ -81,20 +88,27 @@ def test_gaussian_pair_matches_meshgrid_oracle(n, grid_center, center, pump_sigm
 
 
 @pytest.mark.parametrize("n", [3, 257, 1025])
-@pytest.mark.parametrize(
-    "grid_center,beta,delta_l",
-    # the narrow pump's ridge w1 + w2 = 200 must fall on cells of the
-    # shifted grid, or every sample of the 3-point grid underflows
-    [(100.0, 0.1, 0.0), (100.0, 0.1, 2.5), (100.0, 0.01, 20.0),
-     (101.3, 0.1, 0.0), (101.3, 0.1, 2.5), (103.0, 0.01, 20.0)],
-)
-def test_shih_matches_meshgrid_oracle(n, grid_center, beta, delta_l):
+@pytest.mark.parametrize("beta,delta_l", [(0.1, 0.0), (0.1, 2.5), (0.01, 20.0)])
+def test_shih_matches_meshgrid_oracle(n, beta, delta_l):
+    # a two-path row's state is built on a grid centred on its carrier
+    grid = bp.make_grid(100.0, 6.0, n)
+    m = bp.ShihModel(center=100.0, sigma=1.0, sigma_p=beta)
+    oracle = _mesh_shih(m, grid, delta_l, 1.5, 0.7).amplitudes
+    row = {"center": 100.0, "sigma_p": beta, "delta_l": delta_l, "z1": 1.5, "z2": 0.7}
+    new = delayed_spectrum("shih", row, n, 6.0).amplitudes
+    assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n", [3, 257, 1025])
+# the narrow pump's ridge w1 + w2 = 200 must fall on cells of the
+# shifted grid, or every sample of the 3-point grid underflows
+@pytest.mark.parametrize("grid_center,beta", [(101.3, 0.1), (103.0, 0.01)])
+def test_shih_state_on_a_shifted_grid_matches_meshgrid_oracle(n, grid_center, beta):
+    # the dl = 0 state takes its detunings from the offsets of any grid
     grid = bp.make_grid(grid_center, 6.0, n)
-    m = bp.ShihModel(
-        center=100.0, sigma=1.0, sigma_p=beta, delta_l=delta_l, z1=1.5, z2=0.7
-    )
-    oracle = _mesh_shih(m, grid).amplitudes
-    new = bp.shih_spectrum(m, grid).amplitudes
+    m = bp.ShihModel(center=100.0, sigma=1.0, sigma_p=beta)
+    oracle = _mesh_shih(m, grid, 0.0, 0.0, 0.0).amplitudes
+    new = _shih_state(m, grid).spectrum().amplitudes
     assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
@@ -108,9 +122,7 @@ def test_gaussian_pair_is_exactly_symmetric(pump_sigma, grid_center):
 
 @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0])
 def test_shih_at_zero_path_difference_is_exactly_symmetric(beta):
-    grid = bp.make_grid(90.0, 6.0, 257)
-    m = bp.ShihModel(center=90.0, sigma=1.0, sigma_p=beta, delta_l=0.0)
-    c = bp.shih_spectrum(m, grid).amplitudes
+    c = delayed_spectrum("shih", {"center": 90.0, "sigma_p": beta}, 257, 6.0).amplitudes
     assert np.array_equal(c, c.T)
 
 
@@ -123,14 +135,10 @@ def test_folded_paths_match_apply_path_delays(n, z1, z2):
     applied = bp.apply_path_delays(bp.gaussian_pair_spectrum(pair, grid), z1, z2).amplitudes
     assert np.max(np.abs(folded - applied)) <= 1e-15
 
-    shih = bp.ShihModel(
-        center=100.0, sigma=1.0, sigma_p=0.1, delta_l=2.5, z1=z1, z2=z2
-    )
-    delay_free = bp.ShihModel(
-        center=100.0, sigma=1.0, sigma_p=0.1, delta_l=shih.delta_l
-    )
-    folded = bp.shih_spectrum(shih, grid).amplitudes
-    applied = bp.apply_path_delays(bp.shih_spectrum(delay_free, grid), shih.z1, shih.z2)
+    # a two-path row takes its paths as z1 and the relative delay dz = z1 - z2
+    row, dz = {"center": 100.0, "sigma_p": 0.1, "delta_l": 2.5}, z1 - z2
+    folded = delayed_spectrum("shih", {**row, "z1": z1, "dz": dz}, n, 6.0).amplitudes
+    applied = bp.apply_path_delays(delayed_spectrum("shih", row, n, 6.0), z1, z1 - dz)
     assert np.max(np.abs(folded - applied.amplitudes)) <= 1e-15
 
 
@@ -155,11 +163,9 @@ def test_sampling_working_set():
     grid = bp.make_grid(100.0, 6.0, n)
     # nonzero paths, as in the shih_scan rows, so the delay phases are part
     # of the build
-    shih = bp.ShihModel(
-        center=100.0, sigma=1.0, sigma_p=0.1, delta_l=2.5, z1=1.5, z2=-0.7
-    )
+    shih = {"center": 100.0, "sigma_p": 0.1, "delta_l": 2.5, "z1": 1.5, "z2": -0.7}
     pair = bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.1)
-    assert _peak_matrices(lambda: bp.shih_spectrum(shih, grid), n) <= 1.25
+    assert _peak_matrices(lambda: delayed_spectrum("shih", shih, n, 6.0), n) <= 1.25
     assert _peak_matrices(lambda: bp.gaussian_pair_spectrum(pair, grid), n) <= 1.25
     assert _peak_matrices(lambda: bp.gaussian_pair_spectrum(pair, grid, 1.5, -0.7), n) <= 1.25
 
@@ -181,9 +187,9 @@ def test_delayed_row_state_working_set(model, row):
 def test_exchange_reduction_working_set(swept):
     # the reduction keeps O(n) sums and one slab of rows, no n x n matrix
     n = 1025
-    grid = bp.make_grid(90.0, 4.5, n)
     delta_l, z2 = (20.0, 0.0) if swept == "dz" else (0.0, 3.0)
-    s = bp.shih_spectrum(bp.ShihModel(90.0, 1.0, 0.01, delta_l, z2=z2), grid)
+    row = {"center": 90.0, "sigma_p": 0.01, "delta_l": delta_l, "z2": z2}
+    s = delayed_spectrum("shih", row, n, 4.5)
     assert _peak_matrices(lambda: exchange_sweep(s), n) <= 0.1
 
 
@@ -291,9 +297,9 @@ def test_bandwidths_with_unrepresentable_exponents_rejected(value):
     with pytest.raises(ValueError, match="pump_sigma"):
         bp.GaussianPairModel(center=0.0, sigma=1.0, pump_sigma=value)
     with pytest.raises(ValueError, match="sigma"):
-        bp.ShihModel(center=90.0, sigma=value, sigma_p=0.1, delta_l=0.5, z1=0.5)
+        bp.ShihModel(center=90.0, sigma=value, sigma_p=0.1)
     with pytest.raises(ValueError, match="sigma_p"):
-        bp.ShihModel(center=90.0, sigma=1.0, sigma_p=value, delta_l=0.5, z1=0.5)
+        bp.ShihModel(center=90.0, sigma=1.0, sigma_p=value)
     with pytest.raises(ValueError, match="sigma"):
         bp.delta_pump_spectrum(value, 0.0, 1.0, "even", grid)
 
@@ -318,10 +324,9 @@ def test_non_finite_path_delays_rejected(z1, z2):
         bp.apply_path_delays(_gaussian_pair_state(pair, grid), z1, z2)
     with pytest.raises(bp.ConfigError, match="dz"):
         bp.gaussian_pair_spectrum(pair, grid, z1, z2)
+    row = {"center": 90.0, "sigma_p": 0.1, "delta_l": 1.0, "z1": z1, "z2": z2}
     with pytest.raises(bp.ConfigError, match="dz"):
-        bp.shih_spectrum(
-            bp.ShihModel(90.0, 1.0, 0.1, 1.0, z1=z1, z2=z2), grid
-        )
+        delayed_spectrum("shih", row, 17, 6.0)
 
 
 @pytest.mark.parametrize("model", ["gaussian_pair", "shih", "delta_pump", "bell"])
