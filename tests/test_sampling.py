@@ -9,6 +9,7 @@ import pytest
 import biphoton as bp
 from biphoton.models import (
     _gaussian_pair_state,
+    _path_difference,
     _shih_state,
     delta_pump_row_factor,
     shih_row_factor,
@@ -21,6 +22,7 @@ from biphoton.spectrum import (
     _plane_waves,
     exchange_sweep,
 )
+from biphoton.scans import MODELS
 from reference import delayed_spectrum, delayed_state
 
 
@@ -88,28 +90,27 @@ def test_gaussian_pair_matches_meshgrid_oracle(n, grid_center, center, pump_sigm
 
 
 @pytest.mark.parametrize("n", [3, 257, 1025])
-@pytest.mark.parametrize("beta,delta_l", [(0.1, 0.0), (0.1, 2.5), (0.01, 20.0)])
-def test_shih_matches_meshgrid_oracle(n, beta, delta_l):
-    # a two-path row's state is built on a grid centred on its carrier
-    grid = bp.make_grid(100.0, 6.0, n)
-    m = bp.ShihModel(center=100.0, sigma=1.0, sigma_p=beta)
-    oracle = _mesh_shih(m, grid, delta_l, 1.5, 0.7).amplitudes
-    row = {"center": 100.0, "sigma_p": beta, "delta_l": delta_l, "z1": 1.5, "z2": 0.7}
-    new = delayed_spectrum("shih", row, n, 6.0).amplitudes
-    assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
-
-
-@pytest.mark.parametrize("n", [3, 257, 1025])
-# the narrow pump's ridge w1 + w2 = 200 must fall on cells of the
-# shifted grid, or every sample of the 3-point grid underflows
-@pytest.mark.parametrize("grid_center,beta", [(101.3, 0.1), (103.0, 0.01)])
-def test_shih_state_on_a_shifted_grid_matches_meshgrid_oracle(n, grid_center, beta):
-    # the dl = 0 state takes its detunings from the offsets of any grid
+@pytest.mark.parametrize(
+    "grid_center,beta,delta_l",
+    # the narrow pump's ridge w1 + w2 = 200 must fall on cells of the
+    # shifted grid, or every sample of the 3-point grid underflows
+    [(100.0, 0.1, 0.0), (100.0, 0.1, 2.5), (100.0, 0.01, 20.0),
+     (101.3, 0.1, 0.0), (101.3, 0.1, 2.5), (103.0, 0.01, 20.0)],
+)
+def test_shih_matches_meshgrid_oracle(n, grid_center, beta, delta_l):
     grid = bp.make_grid(grid_center, 6.0, n)
     m = bp.ShihModel(center=100.0, sigma=1.0, sigma_p=beta)
-    oracle = _mesh_shih(m, grid, 0.0, 0.0, 0.0).amplitudes
-    new = _shih_state(m, grid).spectrum().amplitudes
+    oracle = _mesh_shih(m, grid, delta_l, 1.5, 0.7).amplitudes
+    # the row-state composition of the scans, on a grid of any centre
+    factor = shih_row_factor(grid, delta_l, m.c_light)
+    state = _path_difference(_shih_state(m, grid), factor, MODELS["shih"].row_floor)
+    new = bp.apply_path_delays(state, 1.5, 0.7, m.c_light).spectrum().amplitudes
     assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    if grid_center == m.center:
+        # a two-path row's state is built on a grid centred on its carrier
+        row = {"center": 100.0, "sigma_p": beta, "delta_l": delta_l, "z1": 1.5, "z2": 0.7}
+        new = delayed_spectrum("shih", row, n, 6.0).amplitudes
+        assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("pump_sigma", [None, 0.05, 0.3, 2.0])
