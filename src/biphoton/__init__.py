@@ -35,7 +35,6 @@ from .scans import (
     ScanRow,
     ScanSpec,
     compare_methods,
-    evaluate_scan_point,
     run_scan,
 )
 from .spectrum import (
@@ -45,7 +44,6 @@ from .spectrum import (
     apply_path_delays,
     exchange_weights,
     make_grid,
-    separability_rank1_fraction,
     time_domain,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "compare_methods",
     "creation_substitution",
     "delta_pump_spectrum",
-    "evaluate_scan_point",
     "exchange_weights",
     "gaussian_pair_spectrum",
     "hom_dip_closed",
@@ -83,7 +80,6 @@ __all__ = [
     "make_grid",
     "run_scan",
     "save_spectrum",
-    "separability_rank1_fraction",
     "shih_exact",
     "shih_norm_factor",
     "shih_reduced",

@@ -57,11 +57,6 @@ class BeamSplitterParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    @property
-    def phi(self) -> float:
-        """Combined coalescence phase ``phi_tau + phi_rho``."""
-        return self.phi_tau + self.phi_rho
-
     @classmethod
     def balanced(cls) -> "BeamSplitterParams":
         """The 50/50 splitter: ``theta = pi/4``, zero phases."""
@@ -198,7 +193,8 @@ def transform(s: BiphotonSpectrum, p: BeamSplitterParams) -> OutputDecomposition
         amp_22[i,j] = -c[i,j] exp(-i phi) cos(theta) sin(theta)
         amp_12[i,j] = c[i,j] cos(theta)**2 - c[j,i] sin(theta)**2
 
-    and ``p_11 + p_22 + p_coinc = 1``.
+    with the combined coalescence phase ``phi = phi_tau + phi_rho``, and
+    ``p_11 + p_22 + p_coinc = 1``.
     """
     # _substitute_channels with empty same-port channels, without building them
     (u, v), (w, x) = creation_substitution(p)

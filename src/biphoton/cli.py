@@ -50,12 +50,15 @@ from .spectrum import (
 from .validation import ALL_CRITERIA, run_criteria
 
 
+_GRID_DEFAULTS = {"grid_points": 257, "grid_span": 6.0}
+
+
 def _add_common_flags(p: argparse.ArgumentParser, with_format: bool = True) -> None:
     p.add_argument("--units", choices=("natural", "si"), default="natural",
                    help="unit convention (natural: sigma = c = 1)")
-    p.add_argument("--grid-points", type=int, default=257,
+    p.add_argument("--grid-points", type=int, default=_GRID_DEFAULTS["grid_points"],
                    help="odd number of frequency grid points")
-    p.add_argument("--grid-span", type=float, default=6.0,
+    p.add_argument("--grid-span", type=float, default=_GRID_DEFAULTS["grid_span"],
                    help="grid half-span in units of sigma (tone gap for the bell model)")
     if with_format:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -132,8 +135,9 @@ def _model_fixed(args: argparse.Namespace) -> tuple[str, dict[str, Any]]:
 
     Each model keeps the parameters its ``MODELS`` entry accepts.  A
     parameter the model requires whose flag was not given is refused, and
-    so is a source flag given off its default that sets none of them.
-    ``--dz`` is not among them: it is the relative delay of the input state.
+    so is a flag given off its default that sets none of them (no grid flag
+    sets one of a spectrum file's).  ``--dz`` is not among them: it is the
+    relative delay of the input state.
     """
     given = vars(args)
     opts = given | {dest: row.default if given.get(dest) is None else given[dest]
@@ -150,10 +154,14 @@ def _model_fixed(args: argparse.Namespace) -> tuple[str, dict[str, Any]]:
                 value = opts[dest] if row.value is None else row.value(opts)
                 if value is not None:
                     fixed[key] = value
+    source = "a spectrum file" if model == "spectrum_file" else f"model {model}"
     for dest, row in _SOURCE_FLAGS.items():
         if given.get(dest) not in (None, row.default) and not fixed.keys() & row.keys:
-            source = "a spectrum file" if model == "spectrum_file" else f"model {model}"
             raise ConfigError(f"{_flag(dest)} sets no parameter of {source}")
+    if entry.grid is None:  # a spectrum file brings its own grid
+        for dest, default in _GRID_DEFAULTS.items():
+            if given[dest] != default:
+                raise ConfigError(f"{_flag(dest)} sets no parameter of {source}")
     return model, fixed
 
 
@@ -284,7 +292,7 @@ def _factorization_residual(grid, packet, left, right) -> float:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = [int(tok) for tok in args.only.split(",")]
         except ValueError:

@@ -60,7 +60,6 @@ from .spectrum import (
     _hankel,
     _plane_waves,
     _squared_pump,
-    apply_path_delays,
 )
 
 # Minimum grid coverage (in units of sigma) below which model builders
@@ -194,23 +193,15 @@ def _gaussian_pair_state(m: GaussianPairModel, grid: FrequencyGrid) -> _Factored
     return _FactoredState(grid, a, a, pump, _coverage_warnings(grid, m.center, m.sigma))
 
 
-def gaussian_pair_spectrum(
-    m: GaussianPairModel,
-    grid: FrequencyGrid,
-    z1: float = 0.0,
-    z2: float = 0.0,
-    c_light: float = 1.0,
-) -> BiphotonSpectrum:
-    """Sample the (optionally pump-entangled) Gaussian pair on ``grid``.
+def gaussian_pair_spectrum(m: GaussianPairModel, grid: FrequencyGrid) -> BiphotonSpectrum:
+    """Sample the (optionally pump-entangled) Gaussian pair on ``grid``, without delays.
 
-    Port 1 travels a path ``z1`` and port 2 a path ``z2``:
-    :func:`~biphoton.spectrum.apply_path_delays` folds their phases into the
-    factors of the delay-free pair before it is built.  Without delays it is
-    exchange-symmetric bit for bit; with a flat pump it is an exact outer
-    product of two 1D factors (rank-1, un-entangled).  See the module
+    It is exchange-symmetric bit for bit; with a flat pump it is an exact
+    outer product of two 1D factors (rank-1, un-entangled).  Path delays go
+    on through :func:`~biphoton.spectrum.apply_path_delays`.  See the module
     docstring for the factored build.
     """
-    return apply_path_delays(_gaussian_pair_state(m, grid), z1, z2, c_light).spectrum()
+    return _gaussian_pair_state(m, grid).spectrum()
 
 
 def hom_dip_closed(sigma: float, dz: float, c_light: float = 1.0) -> float:

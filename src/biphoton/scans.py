@@ -23,8 +23,8 @@ every row off it in one batched pass.  Every row carries this numeric
 value and, where the model has one, its closed form, taken with the
 model's metadata from one model per scan.  The kernel gives each row the
 same bits in any batch, so identical specs produce bit-identical tables,
-and a single point (:func:`evaluate_scan_point`, a batch of one) equals its
-row of the whole scan.
+and a row has the same bits in every scan of the same source and grid whose
+range holds it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -157,7 +157,7 @@ MODELS: dict[str, _Model] = {
     ),
     "shih": _Model(
         params={"center": REQUIRED, "sigma": 1.0, "sigma_p": REQUIRED, "delta_l": 0.0,
-                "z1": None, "z2": None, "dz": None, "c_light": 1.0},
+                "dz": None, "c_light": 1.0},
         base=_shih_state,
         dl_key="delta_l",
         scan_params=_shih_model,
@@ -197,9 +197,9 @@ class ScanSpec:
     parameter.  Every row gets the numeric value and, where the model has
     one, its closed form; its ``w_antisym`` is the numeric value unless
     ``include_w_antisym`` is False.
-    A swept ``dz`` delays port 1 of a model without its own paths; a
-    two-path row takes its relative delay ``z1 - z2`` from its own paths,
-    where ``z2`` is ``fixed["z2"]`` or ``z1 - dz``.
+    A swept ``dz`` is the relative delay ``z1 - z2`` of every row.  The
+    two-path source also takes ``dz`` as a fixed key, the delay of a ``dl``
+    sweep, and puts it on its idler (:func:`_path_delays`).
     """
 
     model: str
@@ -290,17 +290,12 @@ def _path_delays(model: str, row: dict[str, Any]) -> tuple[float, float]:
     """Port-1 path ``z1`` and relative delay ``dz = z1 - z2`` of one row.
 
     ``row`` holds the row's parameters and, for any model, may hold ``dz``.
-    A model with its own paths (one that accepts ``z2``) has
-    ``z2 = row["z2"]`` or ``z1 - dz``; any other model carries ``dz`` on
-    port 1, so ``z1 = dz`` and ``z2 = 0``.
+    The two-path source, the one model whose ``params`` take a fixed ``dz``,
+    keeps its signal at ``z1 = 0`` and delays the idler, ``z2 = -dz``; any
+    other source carries ``dz`` on port 1, so ``z1 = dz`` and ``z2 = 0``.
     """
     dz = float(row.get("dz", 0.0))
-    if "z2" not in MODELS[model].params:
-        return dz, dz
-    if "z2" in row and "dz" in row:
-        raise ConfigError("give the two-path model either z2 or dz, not both")
-    z1 = float(row.get("z1", 0.0))
-    return z1, (z1 - float(row["z2"]) if "z2" in row else dz)
+    return (0.0 if "dz" in MODELS[model].params else dz), dz
 
 
 def _delayed_state(
@@ -376,109 +371,72 @@ def _alias_warnings(model: str, rows: list[dict[str, Any]], grid: FrequencyGrid)
     ]
 
 
-class _Scan(NamedTuple):
-    """What a scan's rows are read off: the kernel of its base reduction, on
-    ``grid``, its row at swept value 0 and the model's ``scan_params`` of it."""
+def run_scan(spec: ScanSpec) -> ScanResult:
+    """Run the scan: reduce its base spectrum once, then read every row off
+    that reduction in one batched pass; the metadata times the two apart.
 
-    grid: FrequencyGrid
-    kernel: Callable[[Any, Any, Any], np.ndarray]
-    row: dict[str, Any]
-    params: Any
-    warnings: list[str]
-
-
-def _prepare(spec: ScanSpec) -> _Scan:
-    """Reduce the scan's base spectrum once: the spectrum at the swept value 0,
-    with the path delays of that row, and without the ``dl`` of a ``dl`` sweep."""
+    The base is the spectrum at the swept value 0, with the path delays of
+    that row and without the ``dl`` of a ``dl`` sweep.  Each check raises
+    for its first offending row, in this order: the base (its grid, row
+    factor, state and path delays), the aliasing reach of the sweep's ends,
+    the row factors (a ``dl`` the model rejects, or a delay or path
+    difference whose phase is not finite), the reduction (a degenerate
+    row), then the closed forms and the probability bound.
+    """
+    t0 = time.perf_counter()
     entry = MODELS[spec.model]
     row = _row(spec, 0.0)
     base_row = {k: v for k, v in row.items() if k != entry.dl_key} if spec.swept == "dl" else row
     base = _delayed_state(spec.model, base_row, spec.grid_points, spec.grid_span_sigmas)
     kernel = exchange_sweep(base, entry.row_floor)
+    grid = base.grid
     ends = [_row(spec, spec.start), _row(spec, spec.stop)]
-    warnings = list(base.warnings) + _alias_warnings(spec.model, ends, base.grid)
-    return _Scan(base.grid, kernel, row, entry.scan_params(row), warnings)
+    warnings = list(base.warnings) + _alias_warnings(spec.model, ends, grid)
+    params = entry.scan_params(row)
+    t1 = time.perf_counter()
 
-
-def _scan_rows(spec: ScanSpec, scan: _Scan, values) -> tuple[ScanRow, ...]:
-    """The rows at the swept ``values``, read off the scan's reduction in one batched pass.
-
-    Each check raises for its first offending row, in this order: the row
-    factors (a ``dl`` the model rejects, or a delay or path difference whose
-    phase is not finite), the reduction (a degenerate row), then the
-    closed forms and the probability bound.
-    """
-    entry = MODELS[spec.model]
-    values = [float(v) for v in values]
+    values = spec.values().tolist()
     if spec.swept == "dl":
-        a, b, tau = zip(*(entry.row_factor(scan.params, scan.grid, dl) for dl in values))
+        a, b, tau = zip(*(entry.row_factor(params, grid, dl) for dl in values))
         name = "half path difference dl"
     else:
         # the carrier phase exp(i center dz / c) of a delay is global
-        a, b, tau = 1.0, 0.0, [dz / scan.row["c_light"] for dz in values]
+        a, b, tau = 1.0, 0.0, [dz / row["c_light"] for dz in values]
         name = "relative delay dz"
     # the reduction's phases reach tau (nu_i - nu_j), up to twice the half
     # span, and its phase tables half a block past that
     for value, t in zip(values, tau):
-        if not math.isfinite(4.0 * (scan.grid.half_span * t)):
+        if not math.isfinite(4.0 * (grid.half_span * t)):
             raise ConfigError(f"{name} = {value!r} must give a finite phase nu*{spec.swept}/c")
     # the balanced coincidence equals the antisymmetric weight
-    p_numeric = scan.kernel(a, b, tau).tolist()
+    p_numeric = kernel(a, b, tau).tolist()
     closed_form = entry.closed_form or (lambda params, dl, dz: (None, None))
-    dl0, dz0 = scan.row.get(entry.dl_key, 0.0), _path_delays(spec.model, scan.row)[1]
+    dl0, dz0 = row.get(entry.dl_key, 0.0), _path_delays(spec.model, row)[1]
     rows = []
     for value, p in zip(values, p_numeric):
         dl, dz = (value, dz0) if spec.swept == "dl" else (dl0, value)
-        closed = closed_form(scan.params, dl, dz)
+        closed = closed_form(params, dl, dz)
         rows.append(ScanRow(value, p, *closed, p if spec.include_w_antisym else None))
         _check_row(rows[-1])
-    return tuple(rows)
-
-
-def evaluate_scan_point(spec: ScanSpec, value: float) -> ScanRow:
-    """Evaluate a single scan point in isolation.
-
-    ``run_scan`` is equivalent to mapping this function over
-    ``spec.values()``: both reduce the scan's base spectrum (here for the
-    one point, once per scan in ``run_scan``) and read the rows off that
-    reduction with the same kernel, a batch of one here, and each row of a
-    batch has the same bits on its own, so the rows agree bit for bit.
-    Points are pure and independent; callers may evaluate them in any order
-    or concurrently.
-    """
-    return _scan_rows(spec, _prepare(spec), [value])[0]
-
-
-def run_scan(spec: ScanSpec) -> ScanResult:
-    """Run the scan; the metadata times the base reduction and the rows apart."""
-    t0 = time.perf_counter()
-    scan = _prepare(spec)
-    t1 = time.perf_counter()
-    rows = _scan_rows(spec, scan, spec.values())
     t2 = time.perf_counter()
 
     metadata: dict[str, Any] = {
         "model": spec.model,
         "swept": spec.swept,
-        "grid": {
-            "center": scan.grid.center,
-            "half_span": scan.grid.half_span,
-            "n_points": scan.grid.n_points,
-        },
-        "truncation_warnings": scan.warnings,
+        "grid": {"center": grid.center, "half_span": grid.half_span, "n_points": grid.n_points},
+        "truncation_warnings": warnings,
         "prepare_s": t1 - t0,
         "rows_s": t2 - t1,
         "wall_time_s": time.perf_counter() - t0,
     }
-    model_metadata = MODELS[spec.model].metadata
-    if model_metadata is not None:
+    if entry.metadata is not None:
         # a delay leaves the model metadata unchanged; a dl sweep lists it per row
         if spec.swept == "dz":
-            metadata.update(model_metadata(scan.params, scan.row[MODELS[spec.model].dl_key]))
+            metadata.update(entry.metadata(params, row[entry.dl_key]))
         else:
-            per_row = [model_metadata(scan.params, row.param) for row in rows]
+            per_row = [entry.metadata(params, r.param) for r in rows]
             metadata.update({key: [meta[key] for meta in per_row] for key in per_row[0]})
-    return ScanResult(spec=spec, rows=rows, metadata=metadata)
+    return ScanResult(spec=spec, rows=tuple(rows), metadata=metadata)
 
 
 def compare_methods(result: ScanResult) -> ScanComparison:

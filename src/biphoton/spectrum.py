@@ -765,11 +765,23 @@ def _leading_singular_pair(
     """Rank-1 fraction and leading singular triple ``(sigma, u, v)`` of ``c / |c|_F``,
     for a matrix, a spectrum's amplitudes or a factored state.
 
-    ``c v = sigma |c|_F u`` with unit ``u`` and ``v``; the method is described
-    in :func:`separability_rank1_fraction`.  Each Lanczos step costs two
-    matrix-vector products, and the bound ``beta_k |s_k| <= 1e-14 theta``
-    certifies an eigenvalue of ``c^H c`` within ``1e-14 theta`` of ``theta``.
-    A factored state is never built: its products are
+    ``c v = sigma |c|_F u`` with unit ``u`` and ``v``.  The rank-1 fraction
+    ``sigma**2`` (clamped, below) is the weight of the best rank-1 (product-state)
+    approximation: 1 exactly when the spectrum factorizes as
+    ``C1(omega_1) * C2(omega_2)`` (an un-entangled pair), smaller otherwise.
+
+    The leading singular pair comes from Lanczos on ``c^H c`` (Golub-Kahan
+    bidiagonalization; Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965))
+    with full reorthogonalization and a start vector of a fixed seed, so the
+    result is reproducible bit for bit.  Each Lanczos step costs two
+    matrix-vector products.  The iteration stops when the top Ritz value
+    ``theta`` has the residual bound ``beta_k |s_k| <= 1e-14 theta``, which
+    certifies an eigenvalue of ``c^H c`` within ``1e-14 theta`` of ``theta``,
+    and the fraction is the Rayleigh quotient ``|c y|**2 / |c|_F**2`` of its
+    Ritz vector ``y``.  A state not certified within ``min(n, 200)`` steps
+    falls back to the full SVD.
+
+    A factored state is otherwise never built: its products are
     ``q -> x o H(y o q)`` and ``w -> conj(y) o H(conj(x) o w)`` with the
     Hankel matrix ``H[i, j] = p[i+j]`` (:func:`_hankel`), O(n log n) a step.
     A one-hot pump leaves one cell in each row and column, so its singular
@@ -848,27 +860,6 @@ def _factored_operator(
         return h[0] + 1j * h[1]
 
     return (lambda q: f.x * hankel(f.y * q)), (lambda w: np.conj(f.y) * hankel(np.conj(f.x) * w))
-
-
-def separability_rank1_fraction(s: BiphotonSpectrum) -> float:
-    """Weight of the best rank-1 (product-state) approximation.
-
-    Squared largest singular value over the squared Frobenius norm; equals 1
-    exactly when the spectrum factorizes as ``C1(omega_1) * C2(omega_2)``
-    (an un-entangled pair), and is smaller otherwise.
-
-    The leading singular pair comes from Lanczos on ``c^H c`` (Golub-Kahan
-    bidiagonalization; Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965))
-    with full reorthogonalization and a start vector of a fixed seed, so the
-    result is reproducible bit for bit.  The iteration stops when the top
-    Ritz value ``theta`` has the residual bound ``beta_k |s_k| <= 1e-14 theta``,
-    and the fraction is the Rayleigh quotient ``|c y|**2 / |c|_F**2`` of its
-    Ritz vector ``y``.  A spectrum not certified within ``min(n, 200)``
-    steps falls back to the full SVD.  Transform reports of model sources
-    run the same iteration on the factors, without the matrix
-    (:func:`_leading_singular_pair`).
-    """
-    return _leading_singular_pair(s)[0]
 
 
 def _time_twists(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

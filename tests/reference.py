@@ -13,6 +13,7 @@ library takes all rows in one blocked pass.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, NamedTuple
 
@@ -109,6 +110,13 @@ def delayed_spectrum(model: str, row: dict, grid_points: int, span: float) -> bp
     """The state of one row's parameters with its path delays, built as a matrix."""
     state = delayed_state(model, row, grid_points, span)
     return state.spectrum() if isinstance(state, _FactoredState) else state
+
+
+def scan_point(spec: bp.ScanSpec, value: float) -> bp.ScanRow:
+    """The row of ``spec`` at swept ``value`` on its own: row 0 of a two-row
+    scan from ``value`` to the next float up, so it raises as that row would."""
+    stop = float(np.nextafter(value, math.inf))
+    return bp.run_scan(dataclasses.replace(spec, start=value, stop=stop, n_steps=2)).rows[0]
 
 
 def factored_diagonal_sums(f: _FactoredState) -> np.ndarray:

@@ -55,10 +55,6 @@ class TestBsMatrix:
         m = bp.bs_matrix(bp.BeamSplitterParams(theta, phi_tau, phi_rho))
         np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-14)
 
-    def test_phi_is_derived(self):
-        p = bp.BeamSplitterParams(theta=0.1, phi_tau=0.25, phi_rho=0.5)
-        assert p.phi == 0.75
-
 
 class TestBsInverse:
     def test_identity_is_self_inverse(self):
@@ -117,7 +113,8 @@ class TestTransform:
         d = bp.transform(s, p)
         c = s.amplitudes
         ct, st_ = math.cos(p.theta), math.sin(p.theta)
-        phase = np.exp(1j * p.phi)
+        # the combined coalescence phase phi = phi_tau + phi_rho
+        phase = np.exp(1j * (p.phi_tau + p.phi_rho))
         np.testing.assert_allclose(d.amp_11, c * phase * ct * st_, atol=1e-14)
         np.testing.assert_allclose(d.amp_22, -c * np.conj(phase) * ct * st_, atol=1e-14)
         np.testing.assert_allclose(d.amp_12, c * ct**2 - c.T * st_**2, atol=1e-14)

@@ -18,6 +18,7 @@ import pytest
 import biphoton as bp
 from biphoton import cli
 from biphoton.cli import _factorization_residual, _parser, build_parser, main
+from biphoton.models import _gaussian_pair_state
 from biphoton.spectrum import _leading_singular_pair, _time_transform
 
 
@@ -423,7 +424,9 @@ class TestWavepacket:
                    "--grid-points", str(n)]
         else:
             grid = bp.make_grid(0.4, 7.2, n)
-            s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.4, 1.2), grid, 0.8)
+            s = bp.apply_path_delays(
+                _gaussian_pair_state(bp.GaussianPairModel(0.4, 1.2), grid), 0.8, 0.0
+            ).spectrum()
             s = bp.BiphotonSpectrum.from_array(grid, s.amplitudes + 0.1 * s.amplitudes.T)
             bp.save_spectrum(s, str(tmp_path / "s.csv"))
             src = ["--spectrum-file", str(tmp_path / "s.csv")]
@@ -464,7 +467,9 @@ class TestWavepacket:
 
     def test_factorization_residual_matches_the_whole_matrix(self):
         grid = bp.make_grid(0.4, 7.2, 257)
-        s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.4, 1.2), grid, 0.8)
+        s = bp.apply_path_delays(
+            _gaussian_pair_state(bp.GaussianPairModel(0.4, 1.2), grid), 0.8, 0.0
+        ).spectrum()
         packet = bp.time_domain(s)
         _, sigma, u, v = _leading_singular_pair(s.amplitudes)
         outer = np.outer(_time_transform(sigma * u, grid), _time_transform(np.conj(v), grid))
@@ -871,10 +876,13 @@ _UNUSED_FLAGS = [
     (["wavepacket", "--model", "delta_pump", "--dl", "1", "--omega-a", "3"], "omega-a"),
     (_BELL + ["--sigma", "5", "--center", "9"], "sigma"),
     (["transform", "--spectrum-file", "absent.csv", "--beta", "0.5"], "beta"),
+    (["transform", "--spectrum-file", "absent.csv", "--grid-points", "513"], "grid-points"),
+    (["wavepacket", "--spectrum-file", "absent.csv", "--grid-span", "2"], "grid-span"),
     (["dip-scan", "--beta", "0.5", "--dz-min", "-1", "--dz-max", "1", "--steps", "3"], "beta"),
 ]
 _UNUSED_FLAG_IDS = ["pair-dl", "shih-pump", "delta-pump-omega-a", "bell-sigma",
-                    "spectrum-file-beta", "dip-beta-without-pump"]
+                    "spectrum-file-beta", "spectrum-file-grid-points",
+                    "spectrum-file-grid-span", "dip-beta-without-pump"]
 
 
 # a carrier whose phase center*t overflows on the time axis
@@ -1134,8 +1142,8 @@ class TestValidateCommand:
 
     # a list that starts with a negative number is the value of --only, not a
     # flag, and a long selector is echoed in part
-    @pytest.mark.parametrize("only", ["-1,8", "-0,3", "9" * 5000],
-                             ids=["negative-list", "negative-zero-list", "5000-digits"])
+    @pytest.mark.parametrize("only", ["-1,8", "-0,3", "9" * 5000, ""],
+                             ids=["negative-list", "negative-zero-list", "5000-digits", "empty"])
     def test_rejected_selector_gives_one_short_line(self, capsys, only):
         assert main(["validate", "--only", only]) == 2
         err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from biphoton import fileio
 from biphoton.beamsplitter import exchange_report
 from biphoton.cli import main
 from biphoton.scans import MODELS, model_params
-from reference import delayed_spectrum, symmetry_decompose
+from reference import delayed_spectrum, scan_point, symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -63,7 +63,7 @@ def assert_rows_match_oracle(result, delayed):
 
 def assert_single_points_match(spec, result, stride=4):
     for row in result.rows[::stride]:
-        assert bp.evaluate_scan_point(spec, row.param) == row
+        assert scan_point(spec, row.param) == row
 
 
 class TestFastPathAgainstPerRowOracle:
@@ -95,17 +95,16 @@ class TestFastPathAgainstPerRowOracle:
         assert_single_points_match(spec, result)
 
     @pytest.mark.parametrize(
-        "n,beta,x_dl,parity_k,z1,half_range,steps",
+        "n,beta,x_dl,parity_k,half_range,steps",
         [
-            (257, 0.1, 5.0, 319, 0.0, 10.0, 21),
-            (257, 0.1, 5.0, 319, 3.0, 10.0, 21),
-            (1025, 0.01, 20.0, 1273, 0.0, 30.0, 7),
+            (257, 0.1, 5.0, 319, 10.0, 21),
+            (1025, 0.01, 20.0, 1273, 30.0, 7),
         ],
     )
-    def test_shih_scans(self, n, beta, x_dl, parity_k, z1, half_range, steps):
-        # the per-row oracle builds each row's state with its delay, z2 = z1 - dz
+    def test_shih_scans(self, n, beta, x_dl, parity_k, half_range, steps):
+        # the per-row oracle builds each row's state with its delay, z2 = -dz
         center = parity_k * math.pi / (2.0 * x_dl)
-        fixed = {"center": center, "sigma": 1.0, "sigma_p": beta, "delta_l": x_dl, "z1": z1}
+        fixed = {"center": center, "sigma": 1.0, "sigma_p": beta, "delta_l": x_dl}
         spec = bp.ScanSpec(
             model="shih", swept="dz", start=-half_range, stop=half_range, n_steps=steps,
             fixed=fixed, grid_points=n, grid_span_sigmas=4.5,
@@ -212,9 +211,8 @@ class TestDelayAliasGuard:
             fixed={"sigma": 1.0},
         )
         assert not self.alias_warnings(bp.run_scan(spec))
-        # a path of ~500 common to both ports (z1 = 500, z2 = z1 - dz) is not a relative delay
-        fixed = {"center": 319.0 * math.pi / 10.0, "sigma": 1.0, "sigma_p": 0.1, "delta_l": 5.0,
-                 "z1": 500.0}
+        # nor is a short relative delay of the two-path source
+        fixed = {"center": 319.0 * math.pi / 10.0, "sigma": 1.0, "sigma_p": 0.1, "delta_l": 5.0}
         spec = bp.ScanSpec(
             model="shih", swept="dz", start=-1.0, stop=1.0, n_steps=3, fixed=fixed,
             grid_points=129, grid_span_sigmas=4.5,

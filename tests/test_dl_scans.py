@@ -11,7 +11,7 @@ import biphoton as bp
 from biphoton.beamsplitter import exchange_report
 from biphoton.scans import MODELS, _delayed_state, model_params
 from biphoton.spectrum import exchange_sweep
-from reference import delayed_spectrum, symmetry_decompose
+from reference import delayed_spectrum, scan_point, symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -50,24 +50,24 @@ def assert_rows_match_oracle(spec, result, row_spectrum):
 
 def assert_single_points_match(spec, result, stride=3):
     for row in result.rows[::stride]:
-        assert bp.evaluate_scan_point(spec, row.param) == row
+        assert scan_point(spec, row.param) == row
 
 
 class TestDlReductionAgainstPerRowOracle:
     @pytest.mark.parametrize("include_w_antisym", [True, False])
     @pytest.mark.parametrize(
-        "n,beta,dz,z1,start,stop,steps",
+        "n,beta,dz,start,stop,steps",
         [
-            (257, 0.1, 3.0, 0.0, 3.5, 18.0, 21),
-            (257, 0.1, -4.5, 2.0, 0.0, 12.0, 13),
-            (1025, 0.01, 2.5, 0.0, 4.0, 15.0, 7),
+            (257, 0.1, 3.0, 3.5, 18.0, 21),
+            (257, 0.1, -4.5, 0.0, 12.0, 13),
+            (1025, 0.01, 2.5, 4.0, 15.0, 7),
             # through the first dark fringe, dl = lambda / 4 = pi / 180, where
             # the two paths nearly cancel and the norm drops to 8e-5
-            (257, 0.1, 0.0, 0.0, math.pi / 360.0, math.pi / 120.0, 11),
+            (257, 0.1, 0.0, math.pi / 360.0, math.pi / 120.0, 11),
         ],
     )
-    def test_shih_sweeps(self, n, beta, dz, z1, start, stop, steps, include_w_antisym):
-        fixed = {"center": 90.0, "sigma": 1.0, "sigma_p": beta, "dz": dz, "z1": z1}
+    def test_shih_sweeps(self, n, beta, dz, start, stop, steps, include_w_antisym):
+        fixed = {"center": 90.0, "sigma": 1.0, "sigma_p": beta, "dz": dz}
         spec = bp.ScanSpec(
             model="shih", swept="dl", start=start, stop=stop, n_steps=steps, fixed=fixed,
             grid_points=n, grid_span_sigmas=4.5, include_w_antisym=include_w_antisym,
@@ -144,8 +144,8 @@ class TestDlErrorsAtTheSameRow:
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
             bp.run_scan(spec)
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
-            bp.evaluate_scan_point(spec, 1.0)
-        row = bp.evaluate_scan_point(spec, 0.5)
+            scan_point(spec, 1.0)
+        row = scan_point(spec, 0.5)
         assert abs(row.p_numeric - oracle(shih_row_spectrum(spec, 0.5))[0]) <= TOL
 
     def test_odd_delta_pump_at_zero_dl_is_degenerate(self):
@@ -160,8 +160,8 @@ class TestDlErrorsAtTheSameRow:
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
             bp.run_scan(spec)
         with pytest.raises(bp.DegenerateSpectrumError, match="path-difference modulation"):
-            bp.evaluate_scan_point(spec, 0.0)
-        assert abs(bp.evaluate_scan_point(spec, 0.5).p_numeric - 1.0) <= TOL
+            scan_point(spec, 0.0)
+        assert abs(scan_point(spec, 0.5).p_numeric - 1.0) <= TOL
 
     def test_negative_shih_dl_is_rejected(self):
         spec = bp.ScanSpec(
@@ -172,8 +172,8 @@ class TestDlErrorsAtTheSameRow:
         with pytest.raises(ValueError, match="delta_l"):
             bp.run_scan(spec)
         with pytest.raises(ValueError, match="delta_l"):
-            bp.evaluate_scan_point(spec, -0.5)
-        assert bp.evaluate_scan_point(spec, 0.5).p_numeric is not None
+            scan_point(spec, -0.5)
+        assert scan_point(spec, 0.5).p_numeric is not None
 
     @pytest.mark.parametrize(
         "model,fixed",
@@ -190,7 +190,7 @@ class TestDlErrorsAtTheSameRow:
         with pytest.raises(bp.ConfigError, match="cannot sweep 'dl'"):
             bp.run_scan(spec)
         with pytest.raises(bp.ConfigError, match="cannot sweep 'dl'"):
-            bp.evaluate_scan_point(spec, 0.5)
+            scan_point(spec, 0.5)
 
 
 class TestOnePathForAPathDifference:

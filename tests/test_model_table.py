@@ -1,5 +1,5 @@
 """The model table: every entry against the CLI, key checks, and the path
-delays of a row (the two-path model's fixed z2 included)."""
+delays of a row (the two-path model's fixed dz included)."""
 
 import argparse
 import json
@@ -12,7 +12,7 @@ import pytest
 import biphoton as bp
 from biphoton.cli import _model_fixed, _parser, build_parser, main
 from biphoton.scans import MODELS, REQUIRED, model_params
-from reference import delayed_spectrum, delayed_state, norm_squared
+from reference import delayed_spectrum, delayed_state, norm_squared, scan_point
 
 BALANCED = bp.BeamSplitterParams.balanced()
 TOL = 1e-14
@@ -96,7 +96,9 @@ class TestEveryModel:
         flags = [path if f == "{path}" else f for f in flags]
         fixed = {k: path if v == "{path}" else v for k, v in fixed.items()}
         dz = 0.7
-        assert main(["transform", *flags, "--dz", str(dz), "--grid-points", "65"]) == 0
+        # a spectrum file brings its own grid, and refuses a grid flag
+        grid = [] if model == "spectrum_file" else ["--grid-points", "65"]
+        assert main(["transform", *flags, "--dz", str(dz), *grid]) == 0
         report = json.loads(capsys.readouterr().out)
         delayed = bp.apply_path_delays(delayed_spectrum(model, fixed, 65, 6.0), dz, 0.0)
         assert abs(report["p_coinc"] - bp.coincidence_probability(delayed, BALANCED)) <= TOL
@@ -194,8 +196,8 @@ def test_non_numeric_value_rejected_by_run_scan(model, fixed, key):
 
 def test_resolved_params():
     # defaults filled in, numbers as floats, text kept, None where it means absence
-    assert model_params("shih", {"center": 20, "sigma_p": np.float32(0.5), "z2": np.int64(1)}) == {
-        "center": 20.0, "sigma": 1.0, "sigma_p": 0.5, "delta_l": 0.0, "z2": 1.0, "c_light": 1.0,
+    assert model_params("shih", {"center": 20, "sigma_p": np.float32(0.5), "dz": np.int64(1)}) == {
+        "center": 20.0, "sigma": 1.0, "sigma_p": 0.5, "delta_l": 0.0, "dz": 1.0, "c_light": 1.0,
     }
     bell = model_params("bell", {"omega_a": -2, "omega_b": np.int64(3)})
     assert [type(v) for v in bell.values()] == [float, float, float]
@@ -209,7 +211,7 @@ def test_resolved_params():
 
 
 def shih_dl_rows(**fixed):
-    # the reproduction of the ignored fixed z2
+    # a two-path dl sweep, at a fixed delay dz where one is given
     spec = bp.ScanSpec(
         model="shih", swept="dl", start=0.5, stop=2.0, n_steps=2, grid_points=65,
         grid_span_sigmas=6.0, fixed={"center": 20.0, "sigma": 1.0, "sigma_p": 0.1, **fixed},
@@ -217,35 +219,20 @@ def shih_dl_rows(**fixed):
     return bp.run_scan(spec).rows
 
 
-class TestFixedZ2:
-    def test_z2_gives_the_dz_rows(self):
-        with_z2 = shih_dl_rows(z2=-3.0)
-        with_dz = shih_dl_rows(dz=3.0)
-        undelayed = shih_dl_rows()
-        for a, b, c in zip(with_z2, with_dz, undelayed):
-            assert a.p_numeric == b.p_numeric
-            assert a.p_closed == b.p_closed
-            assert abs(a.p_numeric - c.p_numeric) > 0.1
-
-    def test_z1_and_z2_match_z1_and_dz(self):
-        for a, b in zip(shih_dl_rows(z1=1.0, z2=-2.0), shih_dl_rows(z1=1.0, dz=3.0)):
-            assert abs(a.p_numeric - b.p_numeric) <= TOL
-            assert abs(a.p_closed - b.p_closed) <= TOL
-            assert abs(a.p_reduced - b.p_reduced) <= TOL
-
-    def test_z2_rows_match_the_per_row_oracle(self):
+class TestFixedDz:
+    def test_dz_rows_match_the_per_row_oracle(self):
         m = bp.ShihModel(center=20.0, sigma=1.0, sigma_p=0.1)
-        for row in shih_dl_rows(z1=1.0, z2=-2.0):
-            fixed = {"center": 20.0, "sigma_p": 0.1, "delta_l": row.param, "z1": 1.0, "z2": -2.0}
+        for row in shih_dl_rows(dz=3.0):
+            fixed = {"center": 20.0, "sigma_p": 0.1, "delta_l": row.param, "dz": 3.0}
             p = bp.coincidence_probability(delayed_spectrum("shih", fixed, 65, 6.0), BALANCED)
             assert abs(row.p_numeric - p) <= TOL
             assert abs(row.p_closed - bp.shih_exact(m, 3.0, row.param)) <= TOL
 
-    def test_dl_alias_reach_reads_z2(self):
-        # n = 257 on 4.5 sigma: half period 89.36; |z1 - z2| = 80 plus dl = 10
+    def test_dl_alias_reach_reads_dz(self):
+        # n = 257 on 4.5 sigma: half period 89.36; |dz| = 80 plus dl = 10
         spec = bp.ScanSpec(
             model="shih", swept="dl", start=0.0, stop=10.0, n_steps=2, grid_span_sigmas=4.5,
-            fixed={"center": 100.0, "sigma": 1.0, "sigma_p": 0.1, "z2": -80.0},
+            fixed={"center": 100.0, "sigma": 1.0, "sigma_p": 0.1, "dz": 80.0},
         )
         warnings = bp.run_scan(spec).metadata["truncation_warnings"]
         assert any("alias" in w and "|dz| + |dl| up to 90" in w for w in warnings)
@@ -258,13 +245,10 @@ SHIH = {"center": 20.0, "sigma": 1.0, "sigma_p": 0.1}
     "model,swept,fixed",
     [
         ("shih", "dz", {**SHIH, "delta_l": 1.0, "dz": 2.0}),
-        ("shih", "dz", {**SHIH, "delta_l": 1.0, "z2": 2.0}),
         ("shih", "dl", {**SHIH, "delta_l": 1.0}),
-        ("shih", "dl", {**SHIH, "z2": 1.0, "dz": 2.0}),
         ("delta_pump", "dl", {"sigma": 1.0, "center": 0.0, "dl": 1.0}),
     ],
-    ids=["dz-swept-and-fixed", "z2-with-swept-dz", "delta_l-swept-and-fixed",
-         "z2-with-fixed-dz", "dl-swept-and-fixed"],
+    ids=["dz-swept-and-fixed", "delta_l-swept-and-fixed", "dl-swept-and-fixed"],
 )
 def test_conflicting_delays_rejected(model, swept, fixed):
     spec = bp.ScanSpec(model=model, swept=swept, start=0.5, stop=1.5, n_steps=3, fixed=fixed,
@@ -272,7 +256,7 @@ def test_conflicting_delays_rejected(model, swept, fixed):
     with pytest.raises(bp.ConfigError):
         bp.run_scan(spec)
     with pytest.raises(bp.ConfigError):
-        bp.evaluate_scan_point(spec, 1.0)
+        scan_point(spec, 1.0)
 
 
 def test_zero_delays_return_the_spectrum():

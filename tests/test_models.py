@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton import models
+from biphoton import models, spectrum
 from biphoton.models import delta_pump_row_factor, shih_row_factor
 from biphoton.spectrum import _factored_row_sums, _hankel, _squared_pump
 from reference import delayed_spectrum, symmetry_decompose
@@ -23,13 +23,13 @@ class TestGaussianPairSpectrum:
     def test_flat_pump_is_unentangled(self):
         grid = bp.make_grid(0.0, 6.0, 65)
         s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(center=0.0, sigma=1.0), grid)
-        assert abs(bp.separability_rank1_fraction(s) - 1.0) < 1e-12
+        assert abs(spectrum._leading_singular_pair(s)[0] - 1.0) < 1e-12
 
     def test_narrow_pump_entangles(self):
         grid = bp.make_grid(0.0, 6.0, 65)
         m = bp.GaussianPairModel(center=0.0, sigma=1.0, pump_sigma=0.1)
         s = bp.gaussian_pair_spectrum(m, grid)
-        assert bp.separability_rank1_fraction(s) < 0.5
+        assert spectrum._leading_singular_pair(s)[0] < 0.5
 
     @pytest.mark.parametrize("pump_sigma", [None, 0.05, 0.5, 2.0])
     def test_zero_delay_coalescence_for_any_pump(self, pump_sigma, balanced):

@@ -91,7 +91,7 @@ class TestPumpedGaussianSchmidtWeight:
         grid = bp.make_grid(0.0, 6.0, n)
         s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(0.0, 1.0, pump_sigma=beta), grid)
         r = math.sqrt(1.0 + 2.0 / beta**2)
-        assert abs(bp.separability_rank1_fraction(s) - 4.0 * r / (r + 1.0) ** 2) <= TOL
+        assert abs(spectrum._leading_singular_pair(s)[0] - 4.0 * r / (r + 1.0) ** 2) <= TOL
 
 
 class TestFallbackAndReproducibility:

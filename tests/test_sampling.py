@@ -85,7 +85,7 @@ def test_gaussian_pair_matches_meshgrid_oracle(n, grid_center, center, pump_sigm
     grid = bp.make_grid(grid_center, 6.0, n)
     m = bp.GaussianPairModel(center=center, sigma=1.0, pump_sigma=pump_sigma)
     oracle = _mesh_gaussian_pair(m, grid, z1, z2).amplitudes
-    new = bp.gaussian_pair_spectrum(m, grid, z1, z2).amplitudes
+    new = bp.apply_path_delays(_gaussian_pair_state(m, grid), z1, z2).spectrum().amplitudes
     assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
@@ -107,8 +107,10 @@ def test_shih_matches_meshgrid_oracle(n, grid_center, beta, delta_l):
     new = bp.apply_path_delays(state, 1.5, 0.7, m.c_light).spectrum().amplitudes
     assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     if grid_center == m.center:
-        # a two-path row's state is built on a grid centred on its carrier
-        row = {"center": 100.0, "sigma_p": beta, "delta_l": delta_l, "z1": 1.5, "z2": 0.7}
+        # a two-path row's state is built on a grid centred on its carrier,
+        # with its signal at z1 = 0 and its idler at z2 = -dz
+        oracle = _mesh_shih(m, grid, delta_l, 0.0, 0.7).amplitudes
+        row = {"center": 100.0, "sigma_p": beta, "delta_l": delta_l, "dz": -0.7}
         new = delayed_spectrum("shih", row, n, 6.0).amplitudes
         assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -132,14 +134,15 @@ def test_shih_at_zero_path_difference_is_exactly_symmetric(beta):
 def test_folded_paths_match_apply_path_delays(n, z1, z2):
     grid = bp.make_grid(100.0, 6.0, n)
     pair = bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.3)
-    folded = bp.gaussian_pair_spectrum(pair, grid, z1, z2).amplitudes
+    folded = bp.apply_path_delays(_gaussian_pair_state(pair, grid), z1, z2).spectrum().amplitudes
     applied = bp.apply_path_delays(bp.gaussian_pair_spectrum(pair, grid), z1, z2).amplitudes
     assert np.max(np.abs(folded - applied)) <= 1e-15
 
-    # a two-path row takes its paths as z1 and the relative delay dz = z1 - z2
+    # a two-path row keeps its signal at z1 = 0 and delays its idler by the
+    # relative delay dz = z1 - z2
     row, dz = {"center": 100.0, "sigma_p": 0.1, "delta_l": 2.5}, z1 - z2
-    folded = delayed_spectrum("shih", {**row, "z1": z1, "dz": dz}, n, 6.0).amplitudes
-    applied = bp.apply_path_delays(delayed_spectrum("shih", row, n, 6.0), z1, z1 - dz)
+    folded = delayed_spectrum("shih", {**row, "dz": dz}, n, 6.0).amplitudes
+    applied = bp.apply_path_delays(delayed_spectrum("shih", row, n, 6.0), 0.0, -dz)
     assert np.max(np.abs(folded - applied.amplitudes)) <= 1e-15
 
 
@@ -164,11 +167,14 @@ def test_sampling_working_set():
     grid = bp.make_grid(100.0, 6.0, n)
     # nonzero paths, as in the shih_scan rows, so the delay phases are part
     # of the build
-    shih = {"center": 100.0, "sigma_p": 0.1, "delta_l": 2.5, "z1": 1.5, "z2": -0.7}
+    shih = {"center": 100.0, "sigma_p": 0.1, "delta_l": 2.5, "dz": 0.7}
     pair = bp.GaussianPairModel(center=100.0, sigma=1.0, pump_sigma=0.1)
     assert _peak_matrices(lambda: delayed_spectrum("shih", shih, n, 6.0), n) <= 1.25
     assert _peak_matrices(lambda: bp.gaussian_pair_spectrum(pair, grid), n) <= 1.25
-    assert _peak_matrices(lambda: bp.gaussian_pair_spectrum(pair, grid, 1.5, -0.7), n) <= 1.25
+    delayed_pair = _gaussian_pair_state(pair, grid)
+    assert _peak_matrices(
+        lambda: bp.apply_path_delays(delayed_pair, 1.5, -0.7).spectrum(), n
+    ) <= 1.25
 
 
 @pytest.mark.parametrize(
@@ -188,8 +194,8 @@ def test_delayed_row_state_working_set(model, row):
 def test_exchange_reduction_working_set(swept):
     # the reduction keeps O(n) sums and one slab of rows, no n x n matrix
     n = 1025
-    delta_l, z2 = (20.0, 0.0) if swept == "dz" else (0.0, 3.0)
-    row = {"center": 90.0, "sigma_p": 0.01, "delta_l": delta_l, "z2": z2}
+    delta_l, dz = (20.0, 0.0) if swept == "dz" else (0.0, -3.0)
+    row = {"center": 90.0, "sigma_p": 0.01, "delta_l": delta_l, "dz": dz}
     s = delayed_spectrum("shih", row, n, 4.5)
     assert _peak_matrices(lambda: exchange_sweep(s), n) <= 0.1
 
@@ -202,8 +208,8 @@ _FACTORED_BASES = {
     "pumped pair, paths": (
         "gaussian_pair", {"sigma": 1.3, "center": 0.7, "pump_sigma": 0.4, "dz": -2.1}
     ),
-    "shih dz base": ("shih", {"center": 90.0, "sigma_p": 0.01, "delta_l": 20.0, "z1": 1.7}),
-    "shih dl base": ("shih", {"center": 90.0, "sigma_p": 0.1, "z1": 1.0, "dz": 2.5}),
+    "shih dz base": ("shih", {"center": 90.0, "sigma_p": 0.01, "delta_l": 20.0}),
+    "shih dl base": ("shih", {"center": 90.0, "sigma_p": 0.1, "dz": 2.5}),
 }
 
 # the first dark fringe of a shih dl sweep at center 90: dl = lambda / 4
@@ -323,9 +329,7 @@ def test_non_finite_path_delays_rejected(z1, z2):
         bp.apply_path_delays(s, z1, z2)
     with pytest.raises(bp.ConfigError, match="dz"):
         bp.apply_path_delays(_gaussian_pair_state(pair, grid), z1, z2)
-    with pytest.raises(bp.ConfigError, match="dz"):
-        bp.gaussian_pair_spectrum(pair, grid, z1, z2)
-    row = {"center": 90.0, "sigma_p": 0.1, "delta_l": 1.0, "z1": z1, "z2": z2}
+    row = {"center": 90.0, "sigma_p": 0.1, "delta_l": 1.0, "dz": z1 - z2}
     with pytest.raises(bp.ConfigError, match="dz"):
         delayed_spectrum("shih", row, 17, 6.0)
 

