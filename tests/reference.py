@@ -8,7 +8,8 @@ sums of a factored state run over the whole triangle, by the slab loop
 that the library cuts to the pump's support, or replaces by anti-diagonal
 sums for a narrow pump.  The row kernel of a sweep reads each row off the
 reduction on its own, with one complex exponential per diagonal, where the
-library takes all rows in one blocked pass.
+library takes all rows in one blocked pass.  A single scan row is row 0 of
+a two-row scan that starts at it.
 """
 
 from __future__ import annotations
