@@ -50,7 +50,7 @@ from .spectrum import (
 from .validation import ALL_CRITERIA, run_criteria
 
 
-_GRID_DEFAULTS = {"grid_points": 257, "grid_span": 6.0}
+_GRID_DEFAULTS = {"grid_points": ScanSpec.grid_points, "grid_span": ScanSpec.grid_span_sigmas}
 
 
 def _add_common_flags(p: argparse.ArgumentParser, with_format: bool = True) -> None:
@@ -165,15 +165,6 @@ def _model_fixed(args: argparse.Namespace) -> tuple[str, dict[str, Any]]:
     return model, fixed
 
 
-def _write_json(payload: dict[str, Any], path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-
-
 _DIP_COLUMNS = (("param", "param"), ("P_numeric", "p_numeric"), ("P_closed", "p_closed"),
                 ("w_antisym", "w_antisym"))
 _SHIH_COLUMNS = (("param", "param"), ("P_numeric", "p_numeric"), ("P_exact", "p_closed"),
@@ -231,7 +222,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         "trapping_fidelity": scalars["trapping_fidelity"],
         "warnings": list(state.warnings),
     }
-    _write_json(report, args.output)
+    fileio.write_json(report, args.output)
     return 0
 
 
@@ -272,7 +263,7 @@ def cmd_wavepacket(args: argparse.Namespace) -> int:
             "magnitudes": magnitudes.tolist(),
             "metadata": metadata,
         }
-        _write_json(payload, args.output)
+        fileio.write_json(payload, args.output)
     return 0
 
 
@@ -303,7 +294,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     results = run_criteria(numbers)
     failed = [r for r in results if not r.passed]
     if args.json:
-        _write_json({
+        fileio.write_json({
             "criteria": [dataclasses.asdict(r) for r in results],
             "passed": len(results) - len(failed),
             "total": len(results),

@@ -10,7 +10,8 @@ header row and one header column carrying the frequency axis::
 
 All numbers are written as ``%.17g`` writes them, so doubles survive a
 text round trip.  CSV output uses LF line endings, a header row, and no
-trailing commas.  Spectrum files and matrix exports are formatted in this
+trailing commas; JSON output (:func:`write_json`) is indented by two spaces
+and ends in a newline.  Spectrum files and matrix exports are formatted in this
 process one row at a time, so the text of at most one row is held.  A row
 of a matrix export with at least half its cells in exponent form (below
 1e-4 or from 1e17 on) takes those cells' 17 digits from float64 arithmetic
@@ -20,9 +21,11 @@ either way each cell's bytes are those of :func:`format_float`.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
+import sys
 from typing import Any, Sequence
 
 import numpy as np
@@ -265,49 +268,40 @@ def save_magnitude_matrix(
                 fh.write(format_float(label) + cells + "\n")
 
 
-def scan_rows_table(result, columns: Sequence[tuple[str, str]]) -> list[dict[str, float]]:
-    """Rows as ordered dicts of the requested ``(header, attribute)`` columns."""
-    table = []
-    for row in result.rows:
-        entry = {}
-        for header, attr in columns:
-            value = getattr(row, attr)
-            if value is None:
-                raise ValueError(f"scan result has no values for column {header!r}")
-            entry[header] = value
-        table.append(entry)
+def scan_rows_table(result, columns: Sequence[tuple[str, str]]) -> list[tuple[float, ...]]:
+    """The values of the ``(header, attribute)`` columns, one tuple per row;
+    a column that a row leaves at None is refused."""
+    table = [tuple(getattr(row, attr) for _, attr in columns) for row in result.rows]
+    for values in table:
+        if None in values:
+            header = columns[values.index(None)][0]
+            raise ValueError(f"scan result has no values for column {header!r}")
     return table
 
 
 def write_scan_csv(result, columns: Sequence[tuple[str, str]], path: str) -> None:
     table = scan_rows_table(result, columns)
-    headers = [header for header, _ in columns]
-    fmt = ",".join(["%.17g"] * len(headers)) + "\n"
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(headers) + "\n")
-        for entry in table:
-            fh.write(fmt % tuple(entry[h] for h in headers))
+        fh.write(",".join(header for header, _ in columns) + "\n")
+        for values in table:
+            fh.write(fmt % values)
 
 
-def _spec_as_dict(spec) -> dict[str, Any]:
-    return {
-        "model": spec.model,
-        "swept": spec.swept,
-        "start": spec.start,
-        "stop": spec.stop,
-        "n_steps": spec.n_steps,
-        "fixed": dict(spec.fixed),
-        "grid_points": spec.grid_points,
-        "grid_span_sigmas": spec.grid_span_sigmas,
-    }
+def write_json(payload: dict[str, Any], path: str | None) -> None:
+    """``payload`` as indented JSON and a final newline, to ``path`` or, for None, stdout."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 def write_scan_json(result, columns: Sequence[tuple[str, str]], path: str) -> None:
-    payload = {
-        "spec": _spec_as_dict(result.spec),
-        "rows": scan_rows_table(result, columns),
-        "metadata": result.metadata,
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    # the spec block holds every field of the spec, in order, but include_w_antisym
+    spec = dataclasses.asdict(result.spec)
+    del spec["include_w_antisym"]
+    headers = [header for header, _ in columns]
+    rows = [dict(zip(headers, values)) for values in scan_rows_table(result, columns)]
+    write_json({"spec": spec, "rows": rows, "metadata": result.metadata}, path)

@@ -218,12 +218,6 @@ def hom_dip_closed(sigma: float, dz: float, c_light: float = 1.0) -> float:
     return 0.5 * (1.0 - math.exp(-0.5 * x * x))
 
 
-def _shih_state(m: ShihModel, grid: FrequencyGrid) -> _FactoredState:
-    pump = _pump(grid, m.center, m.sigma_p)
-    a = _gaussian(grid.offsets() + (grid.center - m.center), m.sigma)
-    return _FactoredState(grid, a, a, pump, _coverage_warnings(grid, m.center, m.sigma))
-
-
 def _path_difference(state: _FactoredState, factor: tuple, floor: float) -> _FactoredState:
     """``state`` at ``dl = 0`` with port-1 row ``i`` scaled by a model's real row factor
     ``a exp(i tau nu_i) + b exp(-i tau nu_i)``, ``factor = (a, b, tau)``: a path difference,
@@ -358,23 +352,18 @@ def delta_pump_row_factor(
 
 
 def delta_pump_spectrum(
-    sigma: float,
-    center: float,
-    dl: float,
-    parity: str,
-    grid: FrequencyGrid,
-    c_light: float = 1.0,
+    sigma: float, center: float, dl: float, parity: str, grid: FrequencyGrid
 ) -> BiphotonSpectrum:
-    """Infinitesimal-pump-bandwidth spectrum on the anti-diagonal.
+    """Infinitesimal-pump-bandwidth spectrum on the anti-diagonal, in natural units.
 
     Support sits exactly on the cells ``nu_2 = -nu_1`` with profile
-    ``exp(-nu**2/sigma**2) * cos(nu*dl/c)`` for ``parity="even"`` (symmetric)
-    or ``... * sin(nu*dl/c)`` for ``parity="odd"`` (antisymmetric, which has
+    ``exp(-nu**2/sigma**2) * cos(nu*dl)`` for ``parity="even"`` (symmetric)
+    or ``... * sin(nu*dl)`` for ``parity="odd"`` (antisymmetric, which has
     an exact zero at the degenerate cell ``nu = 0``).  It is the factored
     state ``x`` = the Gaussian times the row factor (:func:`_path_difference`),
     ``y = 1`` and a pump that keeps only the anti-diagonal, built.
     """
-    factor = delta_pump_row_factor(grid, dl, parity, c_light)
+    factor = delta_pump_row_factor(grid, dl, parity)
     return _path_difference(_delta_pump_state(sigma, center, grid), factor, _MIN_NORM**2).spectrum()
 
 

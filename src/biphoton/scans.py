@@ -49,7 +49,6 @@ from .models import (
     _gaussian_pair_state,
     _path_difference,
     _shih_regime,
-    _shih_state,
     delta_pump_row_factor,
     hom_dip_closed,
     shih_exact,
@@ -158,7 +157,9 @@ MODELS: dict[str, _Model] = {
     "shih": _Model(
         params={"center": REQUIRED, "sigma": 1.0, "sigma_p": REQUIRED, "delta_l": 0.0,
                 "dz": None, "c_light": 1.0},
-        base=_shih_state,
+        base=lambda m, grid: _gaussian_pair_state(
+            GaussianPairModel(m.center, m.sigma, m.sigma_p), grid
+        ),
         dl_key="delta_l",
         scan_params=_shih_model,
         row_factor=lambda m, grid, dl: shih_row_factor(grid, dl, m.c_light),
@@ -216,6 +217,8 @@ class ScanSpec:
         model_params(self.model, self.fixed)
         if self.swept not in SWEEPABLE:
             raise ConfigError(f"swept must be one of {SWEEPABLE}, got {self.swept!r}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ConfigError(f"steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 2:
             raise ConfigError("steps must be >= 2")
         if self.n_steps > MAX_SCAN_STEPS:

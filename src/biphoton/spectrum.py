@@ -155,12 +155,7 @@ class BiphotonSpectrum:
             raise ValueError(f"spectrum must be unit-norm, got sum|c|^2 = {norm_sq!r}")
 
     @classmethod
-    def from_array(
-        cls,
-        grid: FrequencyGrid,
-        raw: np.ndarray,
-        warnings: tuple[str, ...] = (),
-    ) -> "BiphotonSpectrum":
+    def from_array(cls, grid: FrequencyGrid, raw: np.ndarray) -> "BiphotonSpectrum":
         """Normalize ``raw`` to unit norm and wrap it.
 
         Raises :class:`DegenerateSpectrumError` when ``raw`` is (effectively)
@@ -168,7 +163,7 @@ class BiphotonSpectrum:
         modified.
         """
         amp = np.array(raw, dtype=np.complex128, order="C")
-        return cls._normalized(grid, amp, warnings)
+        return cls._normalized(grid, amp)
 
     @classmethod
     def _normalized(
@@ -187,15 +182,11 @@ class BiphotonSpectrum:
             parts = amp.view(np.float64)
             amp = (parts / np.max(np.abs(parts))).view(np.complex128)
             norm_sq = _finite_squared_norm(amp)
-        norm = math.sqrt(norm_sq)
-        if norm < _MIN_NORM:
-            raise DegenerateSpectrumError(
-                "degenerate spectrum: amplitude matrix is (effectively) zero"
-            )
+        _check_norm(norm_sq)
         # numpy divides a complex matrix by a real norm as a product with its
         # reciprocal; scaling the float view does the same at a third of the cost
         parts = amp.view(np.float64)
-        parts *= 1.0 / norm
+        parts *= 1.0 / math.sqrt(norm_sq)
         amp.flags.writeable = False
         return cls(grid=grid, amplitudes=amp, warnings=tuple(warnings))
 
@@ -267,10 +258,6 @@ class TimeWavepacket:
 
     time_axis: np.ndarray
     values: np.ndarray
-
-    @property
-    def spacing(self) -> float:
-        return float(self.time_axis[1] - self.time_axis[0])
 
     def total_power(self) -> float:
         """``sum |values|**2 / n**2``; equals the source ``sum |c|**2``."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +64,9 @@ class CriterionResult:
         return f"criterion {self.number} [{status}] {self.name}: {self.detail}"
 
 
+_Outcome = tuple[bool, str, dict[str, float]]
+
+
 def _dip_scan_checks(pump_sigma: float | None) -> dict[str, float]:
     spec = ScanSpec(
         model="gaussian_pair",
@@ -88,54 +92,42 @@ def _dip_scan_checks(pump_sigma: float | None) -> dict[str, float]:
     }
 
 
-def criterion_1() -> CriterionResult:
+def _dip_passed(m: dict[str, float]) -> bool:
+    return (m["max_abs_dev"] < 1e-6 and m["p_at_zero"] < 1e-10
+            and m["edge_dev_from_half"] < 1e-3 and m["elapsed_s"] < 10.0)
+
+
+def criterion_1() -> _Outcome:
     """Delay scan of the Gaussian pair matches the closed-form dip."""
-    t0 = time.perf_counter()
     m = _dip_scan_checks(pump_sigma=None)
-    passed = (
-        m["max_abs_dev"] < 1e-6
-        and m["p_at_zero"] < 1e-10
-        and m["edge_dev_from_half"] < 1e-3
-        and m["elapsed_s"] < 10.0
-    )
     detail = (
         f"max|P_num-P_closed|={m['max_abs_dev']:.3e} (<1e-6), "
         f"P(0)={m['p_at_zero']:.3e} (<1e-10), "
         f"|P(+-4)-0.5|={m['edge_dev_from_half']:.3e} (<1e-3), "
         f"runtime={m['elapsed_s']:.2f}s (<10s)"
     )
-    return CriterionResult(1, "gaussian dip matches closed form", passed, detail,
-                           time.perf_counter() - t0, m)
+    return _dip_passed(m), detail, m
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> _Outcome:
     """The dip curve is independent of the pump envelope."""
-    t0 = time.perf_counter()
     worst: dict[str, float] = {"max_abs_dev": 0.0, "p_at_zero": 0.0,
                                "edge_dev_from_half": 0.0, "elapsed_s": 0.0}
     for pump_sigma in (None, 0.05, 0.5, 2.0):
         m = _dip_scan_checks(pump_sigma)
         for key in worst:
             worst[key] = max(worst[key], m[key])
-    passed = (
-        worst["max_abs_dev"] < 1e-6
-        and worst["p_at_zero"] < 1e-10
-        and worst["edge_dev_from_half"] < 1e-3
-        and worst["elapsed_s"] < 10.0
-    )
     detail = (
         f"pump envelopes flat and gaussian beta in {{0.05, 0.5, 2}}: worst "
         f"max|P_num-P_closed|={worst['max_abs_dev']:.3e} (<1e-6), "
         f"worst P(0)={worst['p_at_zero']:.3e} (<1e-10), "
         f"worst |P(+-4)-0.5|={worst['edge_dev_from_half']:.3e} (<1e-3)"
     )
-    return CriterionResult(2, "dip independent of pump envelope", passed, detail,
-                           time.perf_counter() - t0, worst)
+    return _dip_passed(worst), detail, worst
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> _Outcome:
     """Antisymmetric states coincide with certainty and are trapped."""
-    t0 = time.perf_counter()
     bell = bell_antisymmetric_spectrum(-2.0, 2.0, make_grid(0.0, 8.0, 17))
     sine = delta_pump_spectrum(
         sigma=1.0, center=0.0, dl=1.0, parity="odd", grid=make_grid(0.0, 6.0, 257)
@@ -146,14 +138,12 @@ def criterion_3() -> CriterionResult:
         "sine_p_dev": abs(coincidence_probability(sine, _BALANCED) - 1.0),
         "sine_fidelity_dev": abs(trapping_fidelity(sine) - 1.0),
     }
-    passed = all(v < 1e-12 for v in m.values())
     detail = (
         f"|P-1|: bell={m['bell_p_dev']:.2e}, antidiagonal-sine={m['sine_p_dev']:.2e}; "
         f"|fidelity-1|: bell={m['bell_fidelity_dev']:.2e}, "
         f"antidiagonal-sine={m['sine_fidelity_dev']:.2e} (all <1e-12)"
     )
-    return CriterionResult(3, "antisymmetric trapping", passed, detail,
-                           time.perf_counter() - t0, m)
+    return all(v < 1e-12 for v in m.values()), detail, m
 
 
 def _random_spectrum(rng: np.random.Generator, n: int) -> BiphotonSpectrum:
@@ -162,13 +152,12 @@ def _random_spectrum(rng: np.random.Generator, n: int) -> BiphotonSpectrum:
     return BiphotonSpectrum.from_array(grid, raw)
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> _Outcome:
     """Balanced coincidence equals the antisymmetric weight.
 
     The weight comes from the elementwise ``(c - c.T) / 2`` sum, a route
     independent of the channel-amplitude computation.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260808)
     count = 0
     worst = 0.0
@@ -180,15 +169,12 @@ def criterion_4() -> CriterionResult:
             w_oracle = 0.25 * float(np.sum(np.abs(c - c.T) ** 2))
             worst = max(worst, abs(p - w_oracle))
             count += 1
-    passed = worst < 1e-12
     detail = f"{count} random spectra on n in {{3,5,9,17}}: max|P - w_antisym|={worst:.2e} (<1e-12)"
-    return CriterionResult(4, "coincidence equals antisymmetric weight", passed, detail,
-                           time.perf_counter() - t0, {"max_dev": worst, "count": count})
+    return worst < 1e-12, detail, {"max_dev": worst, "count": count}
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> _Outcome:
     """Probability conservation, mode-matrix unitarity, and inverse round trip."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(31415926)
     eye = np.eye(2)
     worst_prob = worst_unitary = worst_round = 0.0
@@ -209,14 +195,12 @@ def criterion_5() -> CriterionResult:
             float(np.max(np.abs(back.amp_22 + back.amp_22.T))) / 2.0,
         )
     m = {"prob_sum_dev": worst_prob, "unitarity_dev": worst_unitary, "round_trip_dev": worst_round}
-    passed = worst_prob < 1e-10 and worst_unitary < 1e-14 and worst_round < 1e-12
     detail = (
         f"1000 random (spectrum, angles): max|p11+p22+pc-1|={worst_prob:.2e} (<1e-10), "
         f"max|M M^dag - I|={worst_unitary:.2e} (<1e-14), "
         f"round-trip max dev={worst_round:.2e} (<1e-12)"
     )
-    return CriterionResult(5, "probability conservation, unitarity, round trip", passed, detail,
-                           time.perf_counter() - t0, m)
+    return worst_prob < 1e-10 and worst_unitary < 1e-14 and worst_round < 1e-12, detail, m
 
 
 def _shih_scan(beta: float, x_dl: float, center: float, n_points: int, span: float) -> "ScanSpec":
@@ -232,9 +216,8 @@ def _shih_scan(beta: float, x_dl: float, center: float, n_points: int, span: flo
     )
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> _Outcome:
     """Exact two-path closed form agrees with grid quadrature."""
-    t0 = time.perf_counter()
     worst = 0.0
     worst_b = 0.0
     for beta, (n_points, span) in _SHIH_GRIDS.items():
@@ -245,17 +228,15 @@ def criterion_6() -> CriterionResult:
         m20 = ShihModel(center=_SHIH_PARITY_K[20.0] * math.pi / 40.0, sigma=1.0, sigma_p=beta)
         worst_b = max(worst_b, abs(shih_norm_factor(m20, 20.0) - 0.5))
     m = {"max_abs_dev": worst, "b_half_dev": worst_b}
-    passed = worst < 1e-3 and worst_b < 1e-10
     detail = (
         f"lattice sigma*dl/c in {{0,1,5,20}} x 61 dz x beta in {{0.01,0.1}}: "
         f"max|P_num-P_exact|={worst:.3e} (<1e-3); "
         f"|B-1/2| at sigma*dl/c=20: {worst_b:.2e} (<1e-10)"
     )
-    return CriterionResult(6, "two-path exact formula vs quadrature", passed, detail,
-                           time.perf_counter() - t0, m)
+    return worst < 1e-3 and worst_b < 1e-10, detail, m
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> _Outcome:
     """Anti-coalescence peak and the reduced-form agreement.
 
     The second clause (agreement of the reduced and exact closed forms to
@@ -264,7 +245,6 @@ def criterion_7() -> CriterionResult:
     whose effect on P at dz=0 is ~4.97e-3 for beta=0.01, sigma*dl/c=20.
     The check is still run as stated and reports the measured gap.
     """
-    t0 = time.perf_counter()
     n_points, span = _SHIH_GRIDS[0.01]
     center = 1001.0 * math.pi / 40.0  # 4*delta_l/lambda = 1001 (odd) at delta_l = 20
     result = run_scan(_shih_scan(0.01, 20.0, center, n_points, span))
@@ -279,15 +259,13 @@ def criterion_7() -> CriterionResult:
     }
     peak_ok = peak_row.param == 0.0 and p_at_zero > 0.9
     reduced_ok = reduced_gap < 1e-3
-    passed = peak_ok and reduced_ok
     detail = (
         f"peak at dz={peak_row.param:g} with P={p_at_zero:.4f} (>0.9): "
         f"{'ok' if peak_ok else 'FAIL'}; "
         f"max|P_exact-P_reduced|={reduced_gap:.3e} (<1e-3): "
         f"{'ok' if reduced_ok else 'FAIL (limit form omits the pump-width correction)'}"
     )
-    return CriterionResult(7, "two-path peak and reduced form", passed, detail,
-                           time.perf_counter() - t0, m)
+    return peak_ok and reduced_ok, detail, m
 
 
 def _fock_coincidence(p: BeamSplitterParams) -> float:
@@ -312,9 +290,8 @@ def _fock_coincidence(p: BeamSplitterParams) -> float:
     return float(abs(np.vdot(ket_11, out)) ** 2)
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> _Outcome:
     """Degenerate pair at a general splitting angle: ``P = cos(2*theta)**2``."""
-    t0 = time.perf_counter()
     grid = make_grid(0.0, 1.0, 5)
     raw = np.zeros((5, 5), dtype=np.complex128)
     raw[2, 2] = 1.0
@@ -326,18 +303,15 @@ def criterion_8() -> CriterionResult:
         worst_closed = max(worst_closed, abs(prob - math.cos(2.0 * theta) ** 2))
         worst_fock = max(worst_fock, abs(prob - _fock_coincidence(p)))
     m = {"dev_from_cos2": worst_closed, "dev_from_fock": worst_fock}
-    passed = worst_closed < 1e-12 and worst_fock < 1e-12
     detail = (
         f"theta in {{0, pi/8, pi/4, 3pi/8}}: max|P-cos^2(2 theta)|={worst_closed:.2e}, "
         f"max|P-P_fock|={worst_fock:.2e} (both <1e-12)"
     )
-    return CriterionResult(8, "degenerate pair at general splitting angle", passed, detail,
-                           time.perf_counter() - t0, m)
+    return worst_closed < 1e-12 and worst_fock < 1e-12, detail, m
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> _Outcome:
     """The numerically located half-visibility delay sits at c/sigma."""
-    t0 = time.perf_counter()
     grid = make_grid(0.0, 6.0, 257)
     base = gaussian_pair_spectrum(GaussianPairModel(center=0.0, sigma=1.0), grid)
     target = 0.5 * (1.0 - math.exp(-0.5))
@@ -354,30 +328,35 @@ def criterion_9() -> CriterionResult:
             hi = mid
     width = 0.5 * (lo + hi)
     rel_dev = abs(width - 1.0)
-    passed = rel_dev < 0.01
     detail = f"width={width:.6f} c/sigma, |width - c/sigma|/(c/sigma)={rel_dev:.2e} (<1e-2)"
-    return CriterionResult(9, "dip width equals c/sigma", passed, detail,
-                           time.perf_counter() - t0, {"width": width, "rel_dev": rel_dev})
+    return rel_dev < 0.01, detail, {"width": width, "rel_dev": rel_dev}
 
 
-ALL_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
+# Each criterion by number: its name and its check, which returns
+# (passed, detail, measurements); run_criteria times it and builds its result.
+ALL_CRITERIA: dict[int, tuple[str, Callable[[], _Outcome]]] = {
+    1: ("gaussian dip matches closed form", criterion_1),
+    2: ("dip independent of pump envelope", criterion_2),
+    3: ("antisymmetric trapping", criterion_3),
+    4: ("coincidence equals antisymmetric weight", criterion_4),
+    5: ("probability conservation, unitarity, round trip", criterion_5),
+    6: ("two-path exact formula vs quadrature", criterion_6),
+    7: ("two-path peak and reduced form", criterion_7),
+    8: ("degenerate pair at general splitting angle", criterion_8),
+    9: ("dip width equals c/sigma", criterion_9),
 }
 
 
 def run_criteria(numbers: list[int] | None = None) -> list[CriterionResult]:
-    selected = sorted(ALL_CRITERIA) if numbers is None else numbers
+    """Run the criteria ``numbers`` in that order, or all of them in order for
+    None, each timed; an unknown number raises ``ValueError`` when reached."""
     results = []
-    for number in selected:
+    for number in sorted(ALL_CRITERIA) if numbers is None else numbers:
         if number not in ALL_CRITERIA:
             raise ValueError(f"unknown criterion {number}; expected 1..9")
-        results.append(ALL_CRITERIA[number]())
+        name, check = ALL_CRITERIA[number]
+        t0 = time.perf_counter()
+        passed, detail, measurements = check()
+        results.append(CriterionResult(number, name, passed, detail,
+                                       time.perf_counter() - t0, measurements))
     return results

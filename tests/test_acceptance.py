@@ -11,14 +11,14 @@ gap is reported in the assertion message.
 
 import pytest
 
-from biphoton.validation import ALL_CRITERIA
+from biphoton.validation import run_criteria
 
 _cache = {}
 
 
 def result_for(number):
     if number not in _cache:
-        _cache[number] = ALL_CRITERIA[number]()
+        _cache[number] = run_criteria([number])[0]
     result = _cache[number]
     print(result.summary_line())
     return result

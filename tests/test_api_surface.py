@@ -56,6 +56,15 @@ def test_gaussian_pair_builder_takes_no_paths():
     assert list(inspect.signature(bp.gaussian_pair_spectrum).parameters) == ["m", "grid"]
 
 
+def test_builders_take_no_test_only_knobs():
+    # warnings come from the model builders, a time step from the time axis,
+    # and a delta pump's c_light from its scan row (delta_pump_row_factor)
+    assert list(inspect.signature(bp.BiphotonSpectrum.from_array).parameters) == ["grid", "raw"]
+    assert not hasattr(bp.TimeWavepacket, "spacing")
+    assert list(inspect.signature(bp.delta_pump_spectrum).parameters) == [
+        "sigma", "center", "dl", "parity", "grid"]
+
+
 def test_shih_model_is_the_source_only():
     # the half path difference and the paths are row values: the closed forms
     # take delta_l, and an old positional delta_l cannot become c_light

@@ -20,6 +20,7 @@ from biphoton import cli
 from biphoton.cli import _factorization_residual, _parser, build_parser, main
 from biphoton.models import _gaussian_pair_state
 from biphoton.spectrum import _leading_singular_pair, _time_transform
+from biphoton.validation import ALL_CRITERIA, run_criteria
 
 
 def read_csv(path):
@@ -1127,7 +1128,26 @@ class TestParserReuse:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["dip-scan", "--dz-min", "0", "--dz-max", "1", "--steps", "2", "-o", "x"],
+    ["shih-scan", "--beta", "0.1", "--center", "90", "--dl", "0", "--dz-min", "0", "--dz-max", "1",
+     "--steps", "2", "-o", "x"],
+    ["transform", "--model", "gaussian_pair"],
+    ["wavepacket", "--model", "gaussian_pair", "-o", "x"],
+], ids=["dip-scan", "shih-scan", "transform", "wavepacket"])
+def test_grid_defaults_are_the_scan_spec_defaults(argv):
+    args = _parser().parse_args(argv)
+    assert (args.grid_points, args.grid_span) == (
+        bp.ScanSpec.grid_points, bp.ScanSpec.grid_span_sigmas)
+
+
 class TestValidateCommand:
+    def test_results_carry_the_table_number_and_name(self):
+        results = run_criteria([8, 3])
+        assert [(r.number, r.name) for r in results] == [
+            (8, ALL_CRITERIA[8][0]), (3, ALL_CRITERIA[3][0])]
+        assert all(r.passed and r.elapsed_s > 0.0 for r in results)
+
     def test_fast_criteria_pass(self, capsys):
         code = main(["validate", "--only", "3,8"])
         assert code == 0

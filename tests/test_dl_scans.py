@@ -29,13 +29,8 @@ def shih_row_spectrum(spec, dl):
 
 
 def delta_row_spectrum(spec, dl):
-    fixed = spec.fixed
-    grid = MODELS[spec.model].grid(
-        model_params(spec.model, fixed), spec.grid_points, spec.grid_span_sigmas
-    )
-    return bp.delta_pump_spectrum(
-        fixed["sigma"], fixed["center"], dl, fixed["parity"], grid, fixed.get("c_light", 1.0)
-    )
+    fixed = {**spec.fixed, "dl": dl}
+    return delayed_spectrum("delta_pump", fixed, spec.grid_points, spec.grid_span_sigmas)
 
 
 def assert_rows_match_oracle(spec, result, row_spectrum):

@@ -202,6 +202,9 @@ class TestScanSerialization:
         path = tmp_path / "scan.json"
         fileio.write_scan_json(result, self.COLUMNS, str(path))
         payload = json.loads(path.read_text())
+        # the spec block's keys, in order, are the ones the README lists
+        assert list(payload["spec"]) == ["model", "swept", "start", "stop", "n_steps", "fixed",
+                                         "grid_points", "grid_span_sigmas"]
         assert payload["spec"]["model"] == "gaussian_pair"
         assert payload["spec"]["n_steps"] == 9
         assert payload["metadata"]["grid"]["n_points"] == 65

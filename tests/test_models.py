@@ -304,8 +304,6 @@ def test_bad_light_speed_rejected(c_light):
     grid = bp.make_grid(0.0, 6.0, 17)
     message = "c_light must be positive and finite"
     with pytest.raises(ValueError, match=message):
-        bp.delta_pump_spectrum(1.0, 0.0, 1.0, "even", grid, c_light)
-    with pytest.raises(ValueError, match=message):
         delta_pump_row_factor(grid, 1.0, "odd", c_light)
     with pytest.raises(ValueError, match=message):
         bp.hom_dip_closed(1.0, 0.5, c_light)
@@ -352,8 +350,8 @@ def test_path_difference_row_norms_from_one_hankel_row(n):
     # _path_difference takes |x|**2 H[|y|**2] from a one-row Hankel product; it
     # is row 0 of the three-row product of the scan reduction, bit for bit
     states = [
-        models._shih_state(bp.ShihModel(center=90.0, sigma=1.0, sigma_p=beta),
-                           bp.make_grid(90.0, 4.5, n))
+        models._gaussian_pair_state(bp.GaussianPairModel(center=90.0, sigma=1.0, pump_sigma=beta),
+                                    bp.make_grid(90.0, 4.5, n))
         for beta in (0.01, 0.1, 3.0)
     ]
     states.append(models._delta_pump_state(1.0, 0.0, bp.make_grid(0.0, 6.0, n)))

@@ -10,7 +10,6 @@ import biphoton as bp
 from biphoton.models import (
     _gaussian_pair_state,
     _path_difference,
-    _shih_state,
     delta_pump_row_factor,
     shih_row_factor,
 )
@@ -103,7 +102,7 @@ def test_shih_matches_meshgrid_oracle(n, grid_center, beta, delta_l):
     oracle = _mesh_shih(m, grid, delta_l, 1.5, 0.7).amplitudes
     # the row-state composition of the scans, on a grid of any centre
     factor = shih_row_factor(grid, delta_l, m.c_light)
-    state = _path_difference(_shih_state(m, grid), factor, MODELS["shih"].row_floor)
+    state = _path_difference(MODELS["shih"].base(m, grid), factor, MODELS["shih"].row_floor)
     new = bp.apply_path_delays(state, 1.5, 0.7, m.c_light).spectrum().amplitudes
     assert np.max(np.abs(new - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     if grid_center == m.center:

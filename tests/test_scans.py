@@ -194,6 +194,15 @@ class TestScanSpecValidation:
             with pytest.raises(bp.ConfigError, match=r"\bsteps must be <="):
                 dip_spec(n_steps=n_steps)
 
+    def test_non_integral_step_count_rejected(self):
+        # np.linspace would raise a bare TypeError from run_scan
+        with pytest.raises(bp.ConfigError, match=r"^steps must be an integer, got 81\.0$"):
+            dip_spec(n_steps=81.0)
+        for n_steps in (True, "81", 81.5):
+            with pytest.raises(bp.ConfigError, match="steps must be an integer"):
+                dip_spec(n_steps=n_steps)
+        assert len(bp.run_scan(dip_spec(n_steps=np.int64(5))).rows) == 5
+
     def test_reversed_range_rejected(self):
         with pytest.raises(bp.ConfigError, match="start < stop"):
             bp.ScanSpec(model="gaussian_pair", swept="dz", start=4.0, stop=-4.0, n_steps=5)
