@@ -195,7 +195,7 @@ class TestScanSpecValidation:
                 dip_spec(n_steps=n_steps)
 
     def test_non_integral_step_count_rejected(self):
-        # np.linspace would raise a bare TypeError from run_scan
+        # refused at construction: the np.linspace of run_scan takes only an integer count
         with pytest.raises(bp.ConfigError, match=r"^steps must be an integer, got 81\.0$"):
             dip_spec(n_steps=81.0)
         for n_steps in (True, "81", 81.5):

@@ -311,7 +311,7 @@ class TestTimeDomain:
         marginal = np.abs(packet.values[:, grid.center_index])
         t = packet.time_axis
         width = math.sqrt(float(np.sum(t**2 * marginal) / np.sum(marginal)))
-        assert abs(width - 1.0 / sigma) < packet.time_axis[1] - packet.time_axis[0]
+        assert abs(width - 1.0 / sigma) < t[1] - t[0]
 
     @hyp.given(seed=seeds, n=small_sizes)
     def test_parseval(self, seed, n):
