@@ -22,7 +22,6 @@ from .models import (
     GaussianPairModel,
     ShihModel,
     bell_antisymmetric_spectrum,
-    delta_pump_spectrum,
     gaussian_pair_spectrum,
     hom_dip_closed,
     shih_exact,
@@ -72,7 +71,6 @@ __all__ = [
     "coincidence_probability",
     "compare_methods",
     "creation_substitution",
-    "delta_pump_spectrum",
     "exchange_weights",
     "gaussian_pair_spectrum",
     "hom_dip_closed",

@@ -31,7 +31,6 @@ from .spectrum import (
     BiphotonSpectrum,
     FrequencyGrid,
     _FactoredState,
-    _overlap,
     _row_sums,
     _squared_norm,
     _weight,
@@ -169,20 +168,6 @@ def _probabilities(
     )
 
 
-def _decomposition_from_channels(
-    grid: FrequencyGrid, g11: np.ndarray, g12: np.ndarray, g22: np.ndarray
-) -> OutputDecomposition:
-    return OutputDecomposition(
-        grid=grid,
-        amp_11=g11,
-        amp_22=g22,
-        amp_12=g12,
-        p_11=_same_port_probability(g11),
-        p_22=_same_port_probability(g22),
-        p_coinc=_squared_norm(g12),
-    )
-
-
 def transform(s: BiphotonSpectrum, p: BeamSplitterParams) -> OutputDecomposition:
     """Send the two-photon state through the splitter.
 
@@ -215,7 +200,8 @@ def transform_decomposition(
     """
     k = creation_substitution(p)
     g11, g12, g22 = _substitute_channels(d.amp_11, d.amp_12, d.amp_22, k)
-    return _decomposition_from_channels(d.grid, g11, g12, g22)
+    p_11, p_22 = _same_port_probability(g11), _same_port_probability(g22)
+    return OutputDecomposition(d.grid, g11, g22, g12, p_11, p_22, _squared_norm(g12))
 
 
 def coincidence_probability(s: BiphotonSpectrum, p: BeamSplitterParams) -> float:
@@ -263,6 +249,6 @@ def exchange_report(
         "p_22": p_22,
         "p_coinc": p_coinc,
         "w_antisym": _weight(anti),
-        "exchange_overlap": _overlap(sym, anti),
+        "exchange_overlap": min(1.0, max(-1.0, sym - anti)),
         "trapping_fidelity": anti * anti,
     }

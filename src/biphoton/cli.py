@@ -325,7 +325,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message.replace("\n", "\\n"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: building it costs ~1 ms, and parsing leaves it unchanged
     parser = _Parser(
         prog="biphoton",
         description="Two-photon interference at a lossless beam splitter: "
@@ -380,12 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # one parser per process: building it costs ~1 ms, and parsing leaves it unchanged
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

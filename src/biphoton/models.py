@@ -52,7 +52,6 @@ import numpy as np
 from .errors import ConfigError, DegenerateSpectrumError
 from .spectrum import (
     _ANNIHILATED,
-    _MIN_NORM,
     BiphotonSpectrum,
     FrequencyGrid,
     _FactoredState,
@@ -351,33 +350,14 @@ def delta_pump_row_factor(
     return (0.5, 0.5, tau) if parity == "even" else (-0.5j, 0.5j, tau)
 
 
-def delta_pump_spectrum(
-    sigma: float, center: float, dl: float, parity: str, grid: FrequencyGrid
-) -> BiphotonSpectrum:
-    """Infinitesimal-pump-bandwidth spectrum on the anti-diagonal, in natural units.
-
-    Support sits exactly on the cells ``nu_2 = -nu_1`` with profile
-    ``exp(-nu**2/sigma**2) * cos(nu*dl)`` for ``parity="even"`` (symmetric)
-    or ``... * sin(nu*dl)`` for ``parity="odd"`` (antisymmetric, which has
-    an exact zero at the degenerate cell ``nu = 0``).  It is the factored
-    state ``x`` = the Gaussian times the row factor (:func:`_path_difference`),
-    ``y = 1`` and a pump that keeps only the anti-diagonal, built.
-    """
-    factor = delta_pump_row_factor(grid, dl, parity)
-    return _path_difference(_delta_pump_state(sigma, center, grid), factor, _MIN_NORM**2).spectrum()
-
-
-def _delta_pump_state(sigma: float, center: float, grid: FrequencyGrid) -> _FactoredState:
+def _delta_pump_state(sigma: float, grid: FrequencyGrid) -> _FactoredState:
+    """The delta pump at ``dl = 0``, centered on the grid: ``x = exp(-nu**2/sigma**2)``,
+    ``y = 1`` and a pump that keeps only the anti-diagonal ``nu_2 = -nu_1``."""
     _check_bandwidth("sigma", sigma)
-    if not math.isclose(grid.center, center, rel_tol=1e-12, abs_tol=1e-300):
-        raise ValueError(
-            f"grid center {grid.center!r} must coincide with the model center {center!r}"
-        )
     nu, n = grid.offsets(), grid.n_points
     envelope = np.exp(-(nu**2) / sigma**2)
-    return _FactoredState(
-        grid, envelope, np.ones(n), _one_hot(grid, n - 1), _coverage_warnings(grid, center, sigma)
-    )
+    warnings = _coverage_warnings(grid, grid.center, sigma)
+    return _FactoredState(grid, envelope, np.ones(n), _one_hot(grid, n - 1), warnings)
 
 
 def bell_antisymmetric_spectrum(

@@ -169,7 +169,7 @@ MODELS: dict[str, _Model] = {
     ),
     "delta_pump": _Model(
         params={"center": 0.0, "sigma": 1.0, "dl": 0.0, "parity": "even", "c_light": 1.0},
-        base=lambda row, grid: _delta_pump_state(row["sigma"], row["center"], grid),
+        base=lambda row, grid: _delta_pump_state(row["sigma"], grid),
         dl_key="dl",
         row_factor=lambda row, grid, dl: delta_pump_row_factor(
             grid, dl, row["parity"], row["c_light"]
@@ -200,7 +200,9 @@ class ScanSpec:
     ``include_w_antisym`` is False.
     A swept ``dz`` is the relative delay ``z1 - z2`` of every row.  The
     two-path source also takes ``dz`` as a fixed key, the delay of a ``dl``
-    sweep, and puts it on its idler (:func:`_path_delays`).
+    sweep, and puts it on its idler (:func:`_path_delays`).  ``start``, ``stop``
+    and ``grid_span_sigmas`` follow the number rule of :func:`model_params` and
+    are stored as floats; ``n_steps`` and ``grid_points`` as ints.
     """
 
     model: str
@@ -217,8 +219,13 @@ class ScanSpec:
         model_params(self.model, self.fixed)
         if self.swept not in SWEEPABLE:
             raise ConfigError(f"swept must be one of {SWEEPABLE}, got {self.swept!r}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise ConfigError(f"steps must be an integer, got {self.n_steps!r}")
+        for name, label in (("n_steps", "steps"), ("grid_points", "grid_points")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{label} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("start", "stop", "grid_span_sigmas"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.n_steps < 2:
             raise ConfigError("steps must be >= 2")
         if self.n_steps > MAX_SCAN_STEPS:
@@ -257,6 +264,16 @@ class ScanComparison:
     rms: float
 
 
+def _number(name: str, value: Any) -> float:
+    """``value`` as a float: a real number, not a bool, within the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a number in the float range") from None
+
+
 def model_params(model: str, fixed: dict[str, Any]) -> dict[str, Any]:
     """``fixed``, checked against the ``params`` of ``model``, with the defaults
     of the keys it leaves out; a text value is kept, any other value is a
@@ -274,18 +291,10 @@ def model_params(model: str, fixed: dict[str, Any]) -> dict[str, Any]:
             raise ConfigError(f"model {model!r} requires parameter {key!r}")
         if value is None and default is None:
             continue
-        if key in _TEXT_KEYS:
-            if not isinstance(value, _TEXT_KEYS[key]):
-                types = " or ".join(t.__name__ for t in _TEXT_KEYS[key])
-                raise ConfigError(f"{key} must be {types}, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        else:
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ConfigError(f"{key} must be a number in the float range") from None
-        row[key] = value
+        if key in _TEXT_KEYS and not isinstance(value, _TEXT_KEYS[key]):
+            types = " or ".join(t.__name__ for t in _TEXT_KEYS[key])
+            raise ConfigError(f"{key} must be {types}, got {value!r}")
+        row[key] = value if key in _TEXT_KEYS else _number(key, value)
     return row
 
 

@@ -726,11 +726,6 @@ def apply_path_delays(
     return BiphotonSpectrum(s.grid, amp, s.warnings)
 
 
-def _overlap(sym: float, anti: float) -> float:
-    # exchange overlap V = sym - anti of exchange_weights, clamped to [-1, 1]
-    return min(1.0, max(-1.0, sym - anti))
-
-
 def _squared_norm(a: np.ndarray) -> float:
     # pairwise sums of the real and imaginary squares; np.vdot accumulates
     # sequentially and drifts by ~1e-13 at n = 1025

@@ -32,11 +32,10 @@ from .models import (
     GaussianPairModel,
     ShihModel,
     bell_antisymmetric_spectrum,
-    delta_pump_spectrum,
     gaussian_pair_spectrum,
     shih_norm_factor,
 )
-from .scans import ScanSpec, compare_methods, run_scan
+from .scans import ScanSpec, _delayed_state, compare_methods, model_params, run_scan
 from .spectrum import BiphotonSpectrum, apply_path_delays, make_grid
 
 _BALANCED = BeamSplitterParams.balanced()
@@ -68,16 +67,8 @@ _Outcome = tuple[bool, str, dict[str, float]]
 
 
 def _dip_scan_checks(pump_sigma: float | None) -> dict[str, float]:
-    spec = ScanSpec(
-        model="gaussian_pair",
-        swept="dz",
-        start=-4.0,
-        stop=4.0,
-        n_steps=81,
-        fixed={"sigma": 1.0, "center": 0.0, "pump_sigma": pump_sigma},
-        grid_points=257,
-        grid_span_sigmas=6.0,
-    )
+    spec = ScanSpec(model="gaussian_pair", swept="dz", start=-4.0, stop=4.0, n_steps=81,
+                    fixed={"pump_sigma": pump_sigma})
     t0 = time.perf_counter()
     result = run_scan(spec)
     elapsed = time.perf_counter() - t0
@@ -129,9 +120,8 @@ def criterion_2() -> _Outcome:
 def criterion_3() -> _Outcome:
     """Antisymmetric states coincide with certainty and are trapped."""
     bell = bell_antisymmetric_spectrum(-2.0, 2.0, make_grid(0.0, 8.0, 17))
-    sine = delta_pump_spectrum(
-        sigma=1.0, center=0.0, dl=1.0, parity="odd", grid=make_grid(0.0, 6.0, 257)
-    )
+    params = model_params("delta_pump", {"dl": 1.0, "parity": "odd"})
+    sine = _delayed_state("delta_pump", params, 257, 6.0).spectrum()
     m = {
         "bell_p_dev": abs(coincidence_probability(bell, _BALANCED) - 1.0),
         "bell_fidelity_dev": abs(trapping_fidelity(bell) - 1.0),

@@ -23,6 +23,7 @@ REMOVED = [
     "SymmetryDecomposition",
     "antisymmetric_weight",
     "build_model_spectrum",
+    "delta_pump_spectrum",
     "evaluate_scan_point",
     "exchange_overlap",
     "from_function",
@@ -35,7 +36,7 @@ REMOVED = [
 
 
 def test_exports_are_few_and_resolve():
-    assert len(bp.__all__) <= 37
+    assert len(bp.__all__) <= 36
     assert len(set(bp.__all__)) == len(bp.__all__)
     for name in bp.__all__:
         assert getattr(bp, name) is not None, name
@@ -57,12 +58,9 @@ def test_gaussian_pair_builder_takes_no_paths():
 
 
 def test_builders_take_no_test_only_knobs():
-    # warnings come from the model builders, a time step from the time axis,
-    # and a delta pump's c_light from its scan row (delta_pump_row_factor)
+    # warnings come from the model builders and a time step from the time axis
     assert list(inspect.signature(bp.BiphotonSpectrum.from_array).parameters) == ["grid", "raw"]
     assert not hasattr(bp.TimeWavepacket, "spacing")
-    assert list(inspect.signature(bp.delta_pump_spectrum).parameters) == [
-        "sigma", "center", "dl", "parity", "grid"]
 
 
 def test_shih_model_is_the_source_only():
@@ -217,6 +215,8 @@ def test_one_path_for_a_path_difference():
     # row factor: the plane waves are formed by the one helper that applies
     # it to a state and by the scan reduction that applies it to a base
     assert _callers("_plane_waves") == {"models._path_difference", "spectrum.exchange_sweep"}
+    # and every source, a delta pump as any other, gets its fixed dl in one place
+    assert _callers("_path_difference") == {"scans._delayed_state"}
     assert [f.name for f in dataclasses.fields(scans._Model)] == [
         "params", "base", "grid", "dl_key", "scan_params", "row_factor", "row_floor",
         "closed_form", "metadata",

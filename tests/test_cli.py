@@ -17,7 +17,7 @@ import pytest
 
 import biphoton as bp
 from biphoton import cli
-from biphoton.cli import _factorization_residual, _parser, build_parser, main
+from biphoton.cli import _factorization_residual, _parser, main
 from biphoton.models import _gaussian_pair_state
 from biphoton.spectrum import _leading_singular_pair, _time_transform
 from biphoton.validation import ALL_CRITERIA, run_criteria
@@ -1085,7 +1085,6 @@ class TestUsageErrors:
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert _parser() is _parser()
-        assert build_parser() is not build_parser()
 
     def test_one_parse_per_call(self, tmp_path, monkeypatch, capsys):
         # the source-flag defaults come from the flag table, not from a parse

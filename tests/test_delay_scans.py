@@ -10,7 +10,6 @@ import biphoton as bp
 from biphoton import fileio
 from biphoton.beamsplitter import exchange_report
 from biphoton.cli import main
-from biphoton.scans import MODELS, model_params
 from reference import delayed_spectrum, scan_point, symmetry_decompose
 
 BALANCED = bp.BeamSplitterParams.balanced()
@@ -143,9 +142,8 @@ class TestDlSweepWeight:
             model="delta_pump", swept="dl", start=0.5, stop=2.0, n_steps=4, fixed=fixed,
             grid_points=129,
         )
-        grid = MODELS["delta_pump"].grid(model_params("delta_pump", fixed), 129, 6.0)
         for row in bp.run_scan(spec).rows:
-            s = bp.delta_pump_spectrum(1.0, 0.0, row.param, "even", grid)
+            s = delayed_spectrum("delta_pump", {**fixed, "dl": row.param}, 129, 6.0)
             assert abs(row.w_antisym - symmetry_decompose(s).w_antisym) <= TOL
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.cli import _model_fixed, _parser, build_parser, main
+from biphoton.cli import _model_fixed, _parser, main
 from biphoton.scans import MODELS, REQUIRED, model_params
 from reference import delayed_spectrum, delayed_state, norm_squared, scan_point
 
@@ -19,7 +19,7 @@ TOL = 1e-14
 
 
 def model_choices(command):
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices[command]._actions if a.dest == "model").choices
 
 

@@ -258,44 +258,33 @@ class TestShihReduced:
 
 class TestDeltaPumpSpectrum:
     def test_even_parity_is_symmetric_and_coalesces(self, balanced):
-        grid = bp.make_grid(0.0, 6.0, 129)
-        s = bp.delta_pump_spectrum(1.0, 0.0, 1.0, "even", grid)
+        s = delayed_spectrum("delta_pump", {"dl": 1.0, "parity": "even"}, 129, 6.0)
         assert symmetry_decompose(s).w_antisym == 0.0
         assert bp.coincidence_probability(s, balanced) < 1e-14
 
     def test_odd_parity_is_antisymmetric_and_trapped(self, balanced):
-        grid = bp.make_grid(0.0, 6.0, 129)
-        s = bp.delta_pump_spectrum(1.0, 0.0, 1.0, "odd", grid)
+        s = delayed_spectrum("delta_pump", {"dl": 1.0, "parity": "odd"}, 129, 6.0)
         assert abs(symmetry_decompose(s).w_antisym - 1.0) < 1e-14
         assert abs(bp.coincidence_probability(s, balanced) - 1.0) < 1e-12
         assert abs(bp.trapping_fidelity(s) - 1.0) < 1e-12
 
     def test_odd_parity_has_no_degenerate_photons(self):
-        grid = bp.make_grid(0.0, 6.0, 129)
-        s = bp.delta_pump_spectrum(1.0, 0.0, 1.0, "odd", grid)
+        s = delayed_spectrum("delta_pump", {"dl": 1.0, "parity": "odd"}, 129, 6.0)
         assert np.all(np.diag(s.amplitudes) == 0.0)
 
     def test_support_is_antidiagonal_only(self):
-        grid = bp.make_grid(0.0, 6.0, 17)
-        s = bp.delta_pump_spectrum(1.0, 0.0, 1.0, "even", grid)
+        s = delayed_spectrum("delta_pump", {"dl": 1.0, "parity": "even"}, 17, 6.0)
         mask = np.fliplr(np.eye(17, dtype=bool))
         assert np.all(s.amplitudes[~mask] == 0.0)
         assert np.all(s.amplitudes[mask] != 0.0)
 
     def test_sine_with_zero_path_difference_is_degenerate(self):
-        grid = bp.make_grid(0.0, 6.0, 17)
         with pytest.raises(bp.DegenerateSpectrumError):
-            bp.delta_pump_spectrum(1.0, 0.0, 0.0, "odd", grid)
-
-    def test_center_mismatch_rejected(self):
-        grid = bp.make_grid(1.0, 6.0, 17)
-        with pytest.raises(ValueError, match="center"):
-            bp.delta_pump_spectrum(1.0, 0.0, 1.0, "even", grid)
+            delayed_spectrum("delta_pump", {"dl": 0.0, "parity": "odd"}, 17, 6.0)
 
     def test_unknown_parity_rejected(self):
-        grid = bp.make_grid(0.0, 6.0, 17)
         with pytest.raises(ValueError, match="parity"):
-            bp.delta_pump_spectrum(1.0, 0.0, 1.0, "sideways", grid)
+            delayed_spectrum("delta_pump", {"dl": 1.0, "parity": "sideways"}, 17, 6.0)
 
 
 @pytest.mark.parametrize("c_light", [0.0, -1.0, math.inf, math.nan])
@@ -354,7 +343,7 @@ def test_path_difference_row_norms_from_one_hankel_row(n):
                                     bp.make_grid(90.0, 4.5, n))
         for beta in (0.01, 0.1, 3.0)
     ]
-    states.append(models._delta_pump_state(1.0, 0.0, bp.make_grid(0.0, 6.0, n)))
+    states.append(models._delta_pump_state(1.0, bp.make_grid(0.0, 6.0, n)))
     for state in states:
         one_row = _hankel(_squared_pump(state), n)((np.conj(state.y) * state.y).real)
         row_norms = (np.conj(state.x) * state.x).real * one_row

@@ -8,6 +8,7 @@ import pytest
 
 import biphoton as bp
 from biphoton.models import (
+    _delta_pump_state,
     _gaussian_pair_state,
     _path_difference,
     delta_pump_row_factor,
@@ -308,7 +309,7 @@ def test_bandwidths_with_unrepresentable_exponents_rejected(value):
     with pytest.raises(ValueError, match="sigma_p"):
         bp.ShihModel(center=90.0, sigma=1.0, sigma_p=value)
     with pytest.raises(ValueError, match="sigma"):
-        bp.delta_pump_spectrum(value, 0.0, 1.0, "even", grid)
+        _delta_pump_state(value, grid)
 
 
 def test_smallest_and_largest_representable_bandwidths_accepted():
@@ -348,4 +349,4 @@ def test_non_finite_path_difference_rejected(dl):
     with pytest.raises(bp.ConfigError, match="dl"):
         delta_pump_row_factor(grid, dl, "even")
     with pytest.raises(bp.ConfigError, match="dl"):
-        bp.delta_pump_spectrum(1.0, 0.0, dl, "odd", grid)
+        delayed_spectrum("delta_pump", {"dl": dl, "parity": "odd"}, 17, 6.0)

@@ -1,22 +1,24 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton import fileio
 from biphoton.scans import MAX_SCAN_STEPS, ScanRow
 from reference import scan_point
 
 
-def dip_spec(n_steps=21, pump_sigma=None, grid_points=257, **kwargs):
+def dip_spec(n_steps=21, pump_sigma=None, grid_points=257, start=-4.0, stop=4.0, **kwargs):
     fixed = {"sigma": 1.0, "center": 0.0}
     if pump_sigma is not None:
         fixed["pump_sigma"] = pump_sigma
     return bp.ScanSpec(
         model="gaussian_pair",
         swept="dz",
-        start=-4.0,
-        stop=4.0,
+        start=start,
+        stop=stop,
         n_steps=n_steps,
         fixed=fixed,
         grid_points=grid_points,
@@ -202,6 +204,39 @@ class TestScanSpecValidation:
             with pytest.raises(bp.ConfigError, match="steps must be an integer"):
                 dip_spec(n_steps=n_steps)
         assert len(bp.run_scan(dip_spec(n_steps=np.int64(5))).rows) == 5
+
+    def test_non_numeric_range_rejected(self):
+        # a bare TypeError from stop - start before, now the number rule of model_params
+        with pytest.raises(bp.ConfigError, match=r"^start must be a number, got 'a'$"):
+            bp.ScanSpec(model="gaussian_pair", swept="dz", start="a", stop="b", n_steps=3)
+
+    def test_bool_range_rejected(self):
+        # ran as a scan from 0 to 1 before
+        with pytest.raises(bp.ConfigError, match=r"^start must be a number, got False$"):
+            bp.ScanSpec(model="gaussian_pair", swept="dz", start=False, stop=True, n_steps=3)
+
+    def test_numpy_fields_are_stored_as_python_numbers(self, tmp_path):
+        # the JSON spec block copies the fields, which json cannot encode as numpy scalars
+        spec = dip_spec(n_steps=np.int64(3), start=np.float32(-1.0), stop=np.float32(1.0))
+        assert [type(getattr(spec, name)) for name in ("start", "stop", "n_steps")] == [
+            float, float, int]
+        path = tmp_path / "scan.json"
+        fileio.write_scan_json(bp.run_scan(spec), [("param", "param")], str(path))
+        assert json.loads(path.read_text())["spec"]["n_steps"] == 3
+
+    def test_numpy_grid_points_accepted(self):
+        # passed construction before, then make_grid refused the numpy integer
+        spec = dip_spec(grid_points=np.int64(33))
+        assert type(spec.grid_points) is int
+        assert bp.run_scan(spec).metadata["grid"]["n_points"] == 33
+        for grid_points in (True, 33.0):
+            with pytest.raises(bp.ConfigError, match="^grid_points must be an integer"):
+                dip_spec(grid_points=grid_points)
+
+    def test_bool_grid_span_rejected(self):
+        # ran silently with a span of 1.0 before
+        with pytest.raises(bp.ConfigError, match=r"^grid_span_sigmas must be a number, got True$"):
+            dip_spec(grid_span_sigmas=True)
 
     def test_reversed_range_rejected(self):
         with pytest.raises(bp.ConfigError, match="start < stop"):
