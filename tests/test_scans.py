@@ -206,12 +206,12 @@ class TestScanSpecValidation:
         assert len(bp.run_scan(dip_spec(n_steps=np.int64(5))).rows) == 5
 
     def test_non_numeric_range_rejected(self):
-        # a bare TypeError from stop - start before, now the number rule of model_params
+        # the number rule of model_params, checked before stop - start is taken
         with pytest.raises(bp.ConfigError, match=r"^start must be a number, got 'a'$"):
             bp.ScanSpec(model="gaussian_pair", swept="dz", start="a", stop="b", n_steps=3)
 
     def test_bool_range_rejected(self):
-        # ran as a scan from 0 to 1 before
+        # a bool is not a number, as in model_params
         with pytest.raises(bp.ConfigError, match=r"^start must be a number, got False$"):
             bp.ScanSpec(model="gaussian_pair", swept="dz", start=False, stop=True, n_steps=3)
 
@@ -225,7 +225,7 @@ class TestScanSpecValidation:
         assert json.loads(path.read_text())["spec"]["n_steps"] == 3
 
     def test_numpy_grid_points_accepted(self):
-        # passed construction before, then make_grid refused the numpy integer
+        # stored as int: make_grid takes only a Python integer
         spec = dip_spec(grid_points=np.int64(33))
         assert type(spec.grid_points) is int
         assert bp.run_scan(spec).metadata["grid"]["n_points"] == 33
@@ -234,7 +234,7 @@ class TestScanSpecValidation:
                 dip_spec(grid_points=grid_points)
 
     def test_bool_grid_span_rejected(self):
-        # ran silently with a span of 1.0 before
+        # True would be a span of 1.0
         with pytest.raises(bp.ConfigError, match=r"^grid_span_sigmas must be a number, got True$"):
             dip_spec(grid_span_sigmas=True)
 
