@@ -33,6 +33,7 @@ import math
 import numbers
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -194,8 +195,9 @@ class ScanSpec:
 
     ``fixed`` holds the model parameters that do not vary along the sweep;
     the ``params`` of each entry of :data:`MODELS` give the keys its model
-    accepts, with their defaults.  A fixed key may not name the swept
-    parameter.  Every row gets the numeric value and, where the model has
+    accepts, with their defaults.  Its values are stored as
+    :func:`model_params` checked them: a float for a number, ``os.fspath``
+    for a path.  A fixed key may not name the swept parameter.  Every row gets the numeric value and, where the model has
     one, its closed form; its ``w_antisym`` is the numeric value unless
     ``include_w_antisym`` is False.
     A swept ``dz`` is the relative delay ``z1 - z2`` of every row.  The
@@ -216,7 +218,8 @@ class ScanSpec:
     include_w_antisym: bool = True
 
     def __post_init__(self):
-        model_params(self.model, self.fixed)
+        checked = model_params(self.model, self.fixed)
+        object.__setattr__(self, "fixed", {key: checked.get(key) for key in self.fixed})
         if self.swept not in SWEEPABLE:
             raise ConfigError(f"swept must be one of {SWEEPABLE}, got {self.swept!r}")
         for name, label in (("n_steps", "steps"), ("grid_points", "grid_points")):
@@ -276,10 +279,13 @@ def _number(name: str, value: Any) -> float:
 
 def model_params(model: str, fixed: dict[str, Any]) -> dict[str, Any]:
     """``fixed``, checked against the ``params`` of ``model``, with the defaults
-    of the keys it leaves out; a text value is kept, any other value is a
-    float, and a key whose default is None may be given as None."""
-    if model not in MODELS:
+    of the keys it leaves out; a path is stored as ``os.fspath`` of it, any
+    other text value as given, any other value as a float, and a key whose
+    default is None may be given as None."""
+    if not isinstance(model, str) or model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
+    if not isinstance(fixed, Mapping):
+        raise ConfigError(f"fixed parameters must be a mapping, got {fixed!r}")
     params = MODELS[model].params
     unknown = fixed.keys() - params.keys()
     if unknown:
@@ -294,7 +300,7 @@ def model_params(model: str, fixed: dict[str, Any]) -> dict[str, Any]:
         if key in _TEXT_KEYS and not isinstance(value, _TEXT_KEYS[key]):
             types = " or ".join(t.__name__ for t in _TEXT_KEYS[key])
             raise ConfigError(f"{key} must be {types}, got {value!r}")
-        row[key] = value if key in _TEXT_KEYS else _number(key, value)
+        row[key] = os.fspath(value) if key in _TEXT_KEYS else _number(key, value)
     return row
 
 

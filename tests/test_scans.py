@@ -7,6 +7,7 @@ import pytest
 import biphoton as bp
 from biphoton import fileio
 from biphoton.scans import MAX_SCAN_STEPS, ScanRow
+from conftest import make_random_spectrum
 from reference import scan_point
 
 
@@ -223,6 +224,30 @@ class TestScanSpecValidation:
         path = tmp_path / "scan.json"
         fileio.write_scan_json(bp.run_scan(spec), [("param", "param")], str(path))
         assert json.loads(path.read_text())["spec"]["n_steps"] == 3
+
+    def test_fixed_holds_the_checked_values(self, rng, tmp_path):
+        # library input: a numpy number and a path are stored as the float and
+        # the str that the JSON spec block can encode
+        spectrum = tmp_path / "s.csv"
+        bp.save_spectrum(make_random_spectrum(rng, 9), str(spectrum))
+        for model, fixed, stored in [
+            ("gaussian_pair", {"sigma": np.float32(1.0)}, {"sigma": 1.0}),
+            ("spectrum_file", {"path": spectrum}, {"path": str(spectrum)}),
+        ]:
+            spec = bp.ScanSpec(model=model, swept="dz", start=-1.0, stop=1.0, n_steps=3,
+                               fixed=fixed)
+            assert spec.fixed == stored
+            assert [type(v) for v in spec.fixed.values()] == [type(v) for v in stored.values()]
+            path = tmp_path / "scan.json"
+            fileio.write_scan_json(bp.run_scan(spec), [("param", "param")], str(path))
+            assert json.loads(path.read_text())["spec"]["fixed"] == stored
+
+    def test_model_and_fixed_of_the_wrong_type_rejected(self):
+        with pytest.raises(bp.ConfigError, match="unknown model"):
+            bp.ScanSpec(model=["gaussian_pair"], swept="dz", start=-1.0, stop=1.0, n_steps=3)
+        with pytest.raises(bp.ConfigError, match="must be a mapping"):
+            bp.ScanSpec(model="gaussian_pair", swept="dz", start=-1.0, stop=1.0, n_steps=3,
+                        fixed=[("sigma", 1.0)])
 
     def test_numpy_grid_points_accepted(self):
         # stored as int: make_grid takes only a Python integer
